@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -112,6 +113,21 @@ def _exact_table_json(exact: dict) -> dict:
     }
 
 
+def _table_cell(cell):
+    """One table-file cell: an int, a finite float, or {num, den} with den > 0."""
+    if isinstance(cell, bool):
+        raise ValueError(f"boolean cell {cell!r}")
+    if isinstance(cell, int) or (isinstance(cell, float) and math.isfinite(cell)):
+        return cell
+    if isinstance(cell, dict) and set(cell) == {"num", "den"}:
+        num, den = cell["num"], cell["den"]
+        if all(isinstance(v, int) and not isinstance(v, bool) for v in (num, den)) and den > 0:
+            return Fraction(num, den)
+    raise ValueError(
+        f"bad cell {cell!r} (want an int, a finite float, or {{num, den}} with den > 0)"
+    )
+
+
 def cmd_expand(args, parser) -> int:
     if args.slots not in ("A1", "2B"):
         parser.error(f"unknown slot pair {args.slots!r} (want A1 or 2B)")
@@ -170,20 +186,14 @@ def _load_table_source(source: str, parser):
             parser.error(f"table file {path} does not exist")
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
+            if not isinstance(raw, dict):
+                raise ValueError("the top level must be an object of contexts")
             contexts = {
-                key: [
-                    [
-                        Fraction(cell["num"], cell["den"])
-                        if isinstance(cell, dict)
-                        else cell
-                        for cell in row
-                    ]
-                    for row in grid
-                ]
+                key: [[_table_cell(cell) for cell in row] for row in grid]
                 for key, grid in raw.items()
             }
             exact = rationalize_table(contexts)
-        except (HardyLabError, ValueError, KeyError, TypeError) as err:
+        except (HardyLabError, ValueError, KeyError, TypeError, RecursionError) as err:
             parser.error(f"unreadable table file {path}: {err}")
         return exact, {"source": source}
     parser.error(
@@ -250,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("json", "table"), default="json")
         p.add_argument("--tolerance", type=float, default=None,
-                       help="override the global comparison tolerance (default 1e-12)")
+                       help="override the global comparison tolerance (default 1e-12; "
+                       "finite and > 0)")
 
     p_expand = sub.add_parser("expand", help="re-derive one Bell-basis expansion")
     p_expand.add_argument("--slots", required=True, help="A1 or 2B")
@@ -295,6 +306,10 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.tolerance is not None and not (
+        math.isfinite(args.tolerance) and args.tolerance > 0
+    ):
+        parser.error(f"--tolerance must be finite and > 0, got {args.tolerance!r}")
     previous = tolerance()
     if args.tolerance is not None:
         set_tolerance(args.tolerance)

@@ -208,14 +208,15 @@ def inner(a: StateVector, b: StateVector) -> complex:
     return complex(np.vdot(a.amps, b.amps))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservableOp:
     """A Hermitian operator on labelled qubits.
 
     ``slots`` is the full space the matrix is written on; ``acts_on`` is
     the subset it touches non-trivially (it must factor as identity on the
     rest, which is verified at construction).  ``is_projector`` adds the
-    idempotence invariant.
+    idempotence invariant.  Operators compare and hash by identity, so a
+    built operator can key a cache.
     """
 
     matrix: np.ndarray
@@ -307,11 +308,6 @@ class ObservableOp:
                    is_projector=is_projector)
 
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
 def _embed_matrix(small: np.ndarray, small_slots, full_slots) -> np.ndarray:
     """Extend ``small`` (on small_slots) by identity to full_slots order."""
     small_slots, full_slots = tuple(small_slots), tuple(full_slots)
@@ -325,14 +321,13 @@ def _embed_matrix(small: np.ndarray, small_slots, full_slots) -> np.ndarray:
 
 def _acts_trivially(mat: np.ndarray, n: int, axis: int, tol: float) -> bool:
     # An operator is identity on a qubit iff it commutes with the full
-    # single-qubit algebra there; X and Z generate it.
-    for p in (PAULI_X, PAULI_Z):
-        t = mat.reshape((2,) * (2 * n))
-        pm = np.moveaxis(np.tensordot(p, t, axes=([1], [axis])), 0, axis)
-        mp = np.moveaxis(np.tensordot(p, t, axes=([0], [n + axis])), 0, n + axis)
-        if np.abs(pm - mp).max() > tol:
-            return False
-    return True
+    # single-qubit algebra there; X and Z generate it.  Split the matrix
+    # into 2x2 blocks T[a][b] over that qubit: [X, M] has entries
+    # T01 - T10 and T00 - T11, and [Z, M] has entries 2*T01 and 2*T10.
+    t = np.moveaxis(mat.reshape((2,) * (2 * n)), (axis, n + axis), (0, 1))
+    x_comm = max(np.abs(t[0, 1] - t[1, 0]).max(), np.abs(t[0, 0] - t[1, 1]).max())
+    z_comm = 2 * max(np.abs(t[0, 1]).max(), np.abs(t[1, 0]).max())
+    return not (x_comm > tol or z_comm > tol)
 
 
 def apply(op: ObservableOp, s: StateVector) -> StateVector:

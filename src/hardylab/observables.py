@@ -17,12 +17,17 @@ and the audit measures all four under two explicit readings of U1/U2:
 
 The two readings genuinely disagree on one conditional; the audit reports
 both and never silently picks one.
+
+The state, its expansions, the 18 distinct operators and the commuting
+products the audit forms make up the lab: each is built, and checked, on
+its first lookup and then reused for the rest of the process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from typing import Mapping
 
 import numpy as np
@@ -34,7 +39,6 @@ from .core import (
     NonCommutingError,
     ObservableOp,
     StateVector,
-    ZeroProbabilityError,
     apply,
     born_probability,
     collapse,
@@ -45,6 +49,7 @@ from .core import (
 from .protocol import (
     BELL_ORDER,
     BellIndex,
+    BranchExpansion,
     bell_state,
     expand_in_bell_basis,
     make_total_state,
@@ -63,16 +68,72 @@ PAIR_SLOTS: Mapping[str, tuple[str, str]] = {"A1": ("A", "1"), "2B": ("2", "B")}
 CONTEXT_KEYS = ("d1d2", "d1u2", "u1d2", "u1u2")
 
 
-def build_d(pair_slot: str, index: BellIndex) -> ObservableOp:
-    """Bell-state projector on one station's pair, identity elsewhere."""
-    if pair_slot not in PAIR_SLOTS:
-        raise HardyLabError(f"unknown pair slot {pair_slot!r} (want A1 or 2B)")
+# --- the lab ----------------------------------------------------------------
+# Every entry is built on its first lookup and kept for the process.  The
+# key holds every tolerance the construction reads (the explicit ``tol``
+# and the global ``tolerance()``), so a lookup under another tolerance
+# builds and checks its own entry.  Entries are immutable, so sharing them
+# is safe; probabilities and reports are never cached.
+
+
+@cache
+def _total_state(global_tol: float) -> StateVector:
+    return make_total_state()
+
+
+@cache
+def _expansion(measured: tuple[str, str], tol: float, global_tol: float) -> BranchExpansion:
+    return expand_in_bell_basis(_total_state(global_tol), measured, tol)
+
+
+@cache
+def _d(pair_slot: str, index: BellIndex, global_tol: float) -> ObservableOp:
     which = "D1" if pair_slot == "A1" else "D2"
     return ObservableOp.projector_onto(
         bell_state(index, PAIR_SLOTS[pair_slot]),
         within=CANONICAL_SLOTS,
         name=f"{which}[{index.value}]",
     )
+
+
+@cache
+def _u(
+    slot: str,
+    interp: Interpretation,
+    partner_outcome: BellIndex | None,
+    tol: float,
+    global_tol: float,
+) -> ObservableOp:
+    which = f"U{slot}"
+    if interp is Interpretation.FIXED_BASIS:
+        return ObservableOp.projector_onto(
+            StateVector(np.array([1, 0], dtype=complex), (slot,)),
+            within=CANONICAL_SLOTS,
+            name=f"{which}[z+]",
+        )
+    measured = ("A", "1") if slot == "2" else ("2", "B")
+    branch = _expansion(measured, tol, global_tol).branch(partner_outcome)
+    if branch.empty:
+        raise EmptyBranchError(
+            f"branch {partner_outcome.value} of the {measured} expansion is empty"
+        )
+    return ObservableOp.projector_onto(
+        _pure_slot_state(branch.residual, slot, tol),
+        within=CANONICAL_SLOTS,
+        name=f"{which}[collapsed:{partner_outcome.value}]",
+    )
+
+
+@cache
+def _product(first: ObservableOp, second: ObservableOp, global_tol: float) -> ObservableOp:
+    return first @ second
+
+
+def build_d(pair_slot: str, index: BellIndex) -> ObservableOp:
+    """Bell-state projector on one station's pair, identity elsewhere."""
+    if pair_slot not in PAIR_SLOTS:
+        raise HardyLabError(f"unknown pair slot {pair_slot!r} (want A1 or 2B)")
+    return _d(pair_slot, index, tolerance())
 
 
 def _pure_slot_state(residual: StateVector, slot: str, tol: float) -> StateVector:
@@ -105,27 +166,9 @@ def build_u(
     """
     if slot not in ("1", "2"):
         raise HardyLabError(f"U observables live on qubit 1 or 2, not {slot!r}")
-    which = f"U{slot}"
     if interp is Interpretation.FIXED_BASIS:
-        return ObservableOp.projector_onto(
-            StateVector(np.array([1, 0], dtype=complex), (slot,)),
-            within=CANONICAL_SLOTS,
-            name=f"{which}[z+]",
-        )
-
-    measured = ("A", "1") if slot == "2" else ("2", "B")
-    expansion = expand_in_bell_basis(make_total_state(), measured, tol)
-    branch = expansion.branch(partner_outcome)
-    if branch.empty:
-        raise EmptyBranchError(
-            f"branch {partner_outcome.value} of the {measured} expansion is empty"
-        )
-    target = _pure_slot_state(branch.residual, slot, tolerance(tol))
-    return ObservableOp.projector_onto(
-        target,
-        within=CANONICAL_SLOTS,
-        name=f"{which}[collapsed:{partner_outcome.value}]",
-    )
+        partner_outcome = None
+    return _u(slot, interp, partner_outcome, tolerance(tol), tolerance())
 
 
 def conditional_probability(
@@ -140,16 +183,12 @@ def conditional_probability(
     arbitrary ordering convention, and every pair this construction uses
     commutes, so a non-commuting argument signals a misuse.
     """
-    tol_v = tolerance(tol)
-    if commutator_norm(cond, then) > tol_v:
+    if commutator_norm(cond, then) > tolerance(tol):
         raise NonCommutingError(
             f"{cond.name} and {then.name} do not commute; refusing a "
             "convention-dependent conditional"
         )
-    p_cond = born_probability(cond, s, tol)
-    if p_cond <= tol_v:
-        raise ZeroProbabilityError(f"conditioning on {cond.name} with probability 0")
-    _, post = collapse(cond, s, tol)
+    _, post = collapse(cond, s, tol)  # raises ZeroProbabilityError for P(cond) = 0
     return born_probability(then, post, tol)
 
 
@@ -235,17 +274,14 @@ def audit_pair(
     tol: float | None = None,
 ) -> AuditReport:
     """Measure all four Hardy quantities for the pair (D1=i, D2=j)."""
-    state = make_total_state() if state is None else state
-    d1 = build_d("A1", i)
-    d2 = build_d("2B", j)
-    u2 = build_u("2", interp, i, tol)
-    u1 = build_u("1", interp, j, tol)
-
+    state = _total_state(tolerance()) if state is None else state
+    d1, d2 = context_observables("d1d2", i, j, interp, tol)
+    u1, u2 = context_observables("u1u2", i, j, interp, tol)
     measured = HardyClaimSet(
-        p_joint=born_probability(d1 @ d2, state, tol),
+        p_joint=born_probability(_product(d1, d2, tolerance()), state, tol),
         c_d1u2=conditional_probability(d1, u2, state, tol),
         c_d2u1=conditional_probability(d2, u1, state, tol),
-        p_u1u2=born_probability(u1 @ u2, state, tol),
+        p_u1u2=born_probability(_product(u1, u2, tolerance()), state, tol),
     )
     tol_v = tolerance(tol)
     verdicts = {
@@ -265,7 +301,7 @@ def enumerate_all_pairs(
     The reports come in the fixed order (psi-, psi+, phi-, phi+) for D1
     crossed with the same for D2, so repeated runs are byte-identical.
     """
-    state = make_total_state()
+    state = _total_state(tolerance())
     reports = [
         audit_pair(i, j, interp, state, tol) for i in BELL_ORDER for j in BELL_ORDER
     ]
@@ -309,11 +345,9 @@ def quantum_probability_table(
     tol: float | None = None,
 ) -> ProbabilityTable:
     """The exact statistics an experiment on this state would collect."""
-    state = make_total_state() if state is None else state
-    d1 = build_d("A1", i)
-    d2 = build_d("2B", j)
-    u2 = build_u("2", interp, i, tol)
-    u1 = build_u("1", interp, j, tol)
+    state = _total_state(tolerance()) if state is None else state
+    d1, d2 = context_observables("d1d2", i, j, interp, tol)
+    u1, u2 = context_observables("u1u2", i, j, interp, tol)
     return ProbabilityTable(
         {
             "d1d2": joint_outcome_table(d1, d2, state, tol),
@@ -331,7 +365,7 @@ def context_observables(
     interp: Interpretation = Interpretation.FIXED_BASIS,
     tol: float | None = None,
 ) -> tuple[ObservableOp, ObservableOp]:
-    """Resolve a context token like ``"d1u2"`` into its observable pair."""
+    """Look up the observable pair of a context token like ``"d1u2"``."""
     builders = {
         "d1": lambda: build_d("A1", d1_bell),
         "d2": lambda: build_d("2B", d2_bell),

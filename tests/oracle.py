@@ -53,3 +53,19 @@ def u2_matrix(vec: np.ndarray = PLUS) -> np.ndarray:
 
 def born(op: np.ndarray, psi: np.ndarray) -> float:
     return float((psi.conj() @ op @ psi).real)
+
+
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def acts_trivially(mat: np.ndarray, n: int, axis: int, tol: float) -> bool:
+    """Reference identity-on-slot test: both commutators [P, M] for P in
+    {X, Z} on qubit ``axis``, formed with explicit tensor contractions."""
+    for p in (PAULI_X, PAULI_Z):
+        t = mat.reshape((2,) * (2 * n))
+        pm = np.moveaxis(np.tensordot(p, t, axes=([1], [axis])), 0, axis)
+        mp = np.moveaxis(np.tensordot(p, t, axes=([0], [n + axis])), 0, n + axis)
+        if np.abs(pm - mp).max() > tol:
+            return False
+    return True

@@ -7,6 +7,12 @@ from hardylab.cli import main
 
 ENVELOPE_KEYS = {"command", "parameters", "results", "tool_version", "tolerance"}
 
+#: A well-formed table file with its first cell left open.
+TABLE_WITH_CELL = (
+    '{"d1d2": [[%s, 0], [0, 0]], "d1u2": [[1, 0], [0, 0]], '
+    '"u1d2": [[1, 0], [0, 0]], "u1u2": [[1, 0], [0, 0]]}'
+)
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -108,6 +114,26 @@ class TestLhvCommand:
             main(["lhv", "--source", f"file:{path}"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1, 2]",  # top level is not an object
+            TABLE_WITH_CELL % "Infinity",
+            TABLE_WITH_CELL % '{"num": 1, "den": 0}',
+            TABLE_WITH_CELL % "true",
+            '{"d1d2": %s}' % ("[" * 100_000 + "]" * 100_000),
+        ],
+        ids=["top-level-list", "infinity", "zero-denominator", "boolean", "deep-nesting"],
+    )
+    def test_invalid_file_table_is_one_line_usage_error(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as err:
+            main(["lhv", "--source", f"file:{path}"])
+        assert err.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "unreadable table file" in errors[0]
+
     def test_unknown_source_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["lhv", "--source", "folklore"])
@@ -170,6 +196,17 @@ class TestFormatsAndKnobs:
         )
         assert code == 0
         assert env["tolerance"] == 1e-10
+        assert tolerance() == before
+
+    @pytest.mark.parametrize("value", ["nan", "0", "-1", "inf", "-inf"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, value):
+        from hardylab.core import tolerance
+
+        before = tolerance()
+        with pytest.raises(SystemExit) as err:
+            main(["audit", "--all", "--interp", "collapsed", f"--tolerance={value}"])
+        assert err.value.code == 2
+        assert "--tolerance must be finite and > 0" in capsys.readouterr().err
         assert tolerance() == before
 
     def test_every_command_emits_the_envelope(self, capsys):

@@ -12,11 +12,10 @@ from hardylab.core import (
     NormalizationError,
     ObservableOp,
     OperatorInvariantError,
-    PAULI_X,
-    PAULI_Z,
     SlotCollisionError,
     StateVector,
     ZeroProbabilityError,
+    _acts_trivially,
     apply,
     born_probability,
     collapse,
@@ -37,6 +36,7 @@ from hardylab.protocol import (
 )
 
 import oracle
+from oracle import PAULI_X, PAULI_Z
 
 TOL = 1e-12
 
@@ -315,3 +315,24 @@ def test_inner_product_is_conjugate_symmetric(seed):
     a = random_state(seed, ("1", "2"))
     b = random_state(seed + 7, ("1", "2"))
     assert inner(a, b) == pytest.approx(np.conj(inner(b, a)), abs=1e-12)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    tol=st.sampled_from((1e-12, 1e-9)),
+    scale=st.sampled_from((0.0, 0.25, 0.5, 1.0, 2.0, 1e6)),
+)
+@settings(max_examples=300, deadline=None)
+def test_acts_trivially_matches_commutator_reference(seed, n, tol, scale):
+    # identity on one slot plus a perturbation of a few tolerances, so
+    # both decisions and the ties at the margin all occur
+    rng = np.random.default_rng(seed)
+    axis = int(rng.integers(n))
+    rest = rng.normal(size=(2 ** (n - 1),) * 2) + 1j * rng.normal(size=(2 ** (n - 1),) * 2)
+    big = np.kron(np.eye(2), rest).reshape((2,) * (2 * n))
+    big = np.moveaxis(big, (0, n), (axis, n + axis)).reshape(2**n, 2**n)
+    noise = rng.normal(size=big.shape) + 1j * rng.normal(size=big.shape)
+    noise = np.where(rng.random(big.shape) < 0.3, noise, 0)
+    mat = big + scale * tol * noise
+    assert _acts_trivially(mat, n, axis, tol) == oracle.acts_trivially(mat, n, axis, tol)

@@ -303,3 +303,65 @@ class TestContextObservables:
     def test_bad_token(self):
         with pytest.raises(HardyLabError):
             context_observables("d1d3")
+
+
+class TestLabIsBuiltOnce:
+    """The lab builds each state, expansion and operator once per process."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        from hardylab import core, observables, protocol
+
+        counts = {"ObservableOp": 0, "make_total_state": 0, "expand_in_bell_basis": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            core.ObservableOp, "__init__", counting("ObservableOp", core.ObservableOp.__init__)
+        )
+        for name in ("make_total_state", "expand_in_bell_basis"):
+            wrapped = counting(name, getattr(protocol, name))
+            for module in (protocol, observables):
+                monkeypatch.setattr(module, name, wrapped)
+        return counts
+
+    @pytest.mark.parametrize("interp", list(Interpretation))
+    def test_warm_sweep_constructs_nothing(self, interp, request):
+        warm = enumerate_all_pairs(interp)
+        counts = request.getfixturevalue("counts")
+        again = enumerate_all_pairs(interp)
+        assert counts == {"ObservableOp": 0, "make_total_state": 0, "expand_in_bell_basis": 0}
+        assert [r.to_jsonable() for r in again[0]] == [r.to_jsonable() for r in warm[0]]
+
+    def test_lookups_return_one_object(self):
+        for index in BELL_ORDER:
+            assert build_d("A1", index) is build_d("A1", index)
+            assert build_u("2", Interpretation.COLLAPSED_STATE, index) is build_u(
+                "2", Interpretation.COLLAPSED_STATE, index
+            )
+
+    def test_other_tolerance_builds_its_own_entry(self, monkeypatch):
+        from hardylab import core
+
+        default = build_u("1", Interpretation.COLLAPSED_STATE, PSIM)
+        loose = build_u("1", Interpretation.COLLAPSED_STATE, PSIM, tol=1e-9)
+        assert loose is not default
+        d_default = build_d("2B", PSIM)
+        with monkeypatch.context() as m:
+            m.setattr(core, "TOLERANCE", 1e-9)
+            assert build_d("2B", PSIM) is not d_default
+            assert build_u("1", Interpretation.COLLAPSED_STATE, PSIM) is not default
+        assert build_u("1", Interpretation.COLLAPSED_STATE, PSIM) is default
+        assert build_d("2B", PSIM) is d_default
+
+    def test_expand_builds_no_operator(self, counts, capsys):
+        from hardylab.cli import main
+
+        assert main(["expand", "--slots", "A1"]) == 0
+        assert main(["expand", "--slots", "2B"]) == 0
+        assert counts["ObservableOp"] == 0

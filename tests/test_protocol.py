@@ -8,8 +8,6 @@ from hardylab.core import (
     DimensionMismatchError,
     HardyLabError,
     ObservableOp,
-    PAULI_X,
-    PAULI_Z,
     StateVector,
     expectation,
     inner,
@@ -31,6 +29,7 @@ from hardylab.protocol import (
 )
 
 import oracle
+from oracle import PAULI_X, PAULI_Z
 
 TOL = 1e-12
 SQRT2 = np.sqrt(2.0)
