@@ -201,13 +201,6 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(np.kron(a.amps, b.amps), a.slots + b.slots)
 
 
-def inner(a: StateVector, b: StateVector) -> complex:
-    """<a|b>; both states must be on the same ordered slots."""
-    if a.slots != b.slots:
-        raise DimensionMismatchError(f"slot mismatch: {a.slots} vs {b.slots}")
-    return complex(np.vdot(a.amps, b.amps))
-
-
 @dataclass(frozen=True, eq=False)
 class ObservableOp:
     """A Hermitian operator on labelled qubits.
@@ -400,18 +393,3 @@ def reduced_density(s: StateVector, slot: str) -> np.ndarray:
     axis = s.slots.index(slot)
     t = np.moveaxis(s.amps.reshape((2,) * s.n_qubits), axis, 0).reshape(2, -1)
     return t @ t.conj().T
-
-
-def reduced_projector_fidelity(
-    s: StateVector, slot: str, target: StateVector, tol: float | None = None
-) -> float:
-    """<t|rho_slot|t> for a single-qubit target state t."""
-    if target.n_qubits != 1:
-        raise DimensionMismatchError("target must be a single-qubit state")
-    if not target.normalized:
-        raise NormalizationError("fidelity target must be normalized")
-    rho = reduced_density(s, slot)
-    value = complex(np.vdot(target.amps, rho @ target.amps))
-    if abs(value.imag) > tolerance(tol):
-        raise OperatorInvariantError(f"fidelity has imaginary residue {value.imag!r}")
-    return min(max(value.real, 0.0), 1.0)

@@ -18,6 +18,7 @@ over the 16-vertex polytope loses no generality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -64,6 +65,13 @@ def assignment_matches(assignment: Assignment, cell: Cell) -> bool:
     key, a, b = cell
     i, j = _CONTEXT_SLOTS[key]
     return assignment[i] == a and assignment[j] == b
+
+
+#: Cell -> its 0/1 row over ASSIGNMENTS: the constraint matrix of the
+#: feasibility LP, built once and shared by the solver and the validators.
+_INCIDENCE: Mapping[Cell, tuple[int, ...]] = {
+    cell: tuple(int(assignment_matches(a, cell)) for a in ASSIGNMENTS) for cell in CELLS
+}
 
 
 def rationalize_table(
@@ -232,10 +240,8 @@ class LhvModel:
         object.__setattr__(self, "weights", weights)
 
     def cell_probability(self, cell: Cell) -> Fraction:
-        return sum(
-            (w for a, w in self.weights.items() if assignment_matches(a, cell)),
-            Fraction(0),
-        )
+        hits = zip(ASSIGNMENTS, _INCIDENCE[cell])
+        return sum((self.weights.get(a, 0) for a, hit in hits if hit), Fraction(0))
 
     def to_jsonable(self) -> dict:
         return {
@@ -312,72 +318,83 @@ class LhvCertificate:
 
 
 def _phase1_simplex(
-    columns: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+    rows: Sequence[Sequence[int]], rhs: Sequence[Fraction]
 ) -> tuple[list[Fraction] | None, list[Fraction] | None]:
     """Exact feasibility of ``A x = b, x >= 0`` with ``b >= 0``.
 
-    Returns ``(x, None)`` when feasible.  Otherwise returns ``(None, y)``
-    with the Farkas dual satisfying ``y . A_j <= 0`` for every column and
+    ``rows`` holds the integer matrix A, one row per constraint.  Returns
+    ``(x, None)`` when feasible.  Otherwise returns ``(None, y)`` with the
+    Farkas dual satisfying ``y . A_j <= 0`` for every column and
     ``y . b > 0``.  Bland's rule guarantees termination.
+
+    The tableau is integer-preserving (fraction-free pivoting: J. Edmonds,
+    J. Res. NBS 71B, 241 (1967); D. Avis, lrs).  b is scaled by D, the lcm
+    of its denominators, and every entry is held as its true value times
+    ``det``, the last pivot (1 at the start).  Each pivot is a positive
+    coefficient, so ``det > 0`` and signs read off directly.  A pivot on
+    ``p`` maps each other row and the cost row to ``(p*v - f*q) // det``
+    and sets ``det = p``.  The division is exact: ``det`` equals det(B)
+    for the current basis B, and det(B) * B^-1 = adj(B) is an integer
+    matrix (Cramer's rule), so every entry of ``adj(B) [A | I | D b]``, and
+    of the cost row built from it, is an integer.  Ratios are compared by
+    cross-multiplication.  The pivot rules are those of the same simplex
+    on Fractions, so it visits the same bases and returns the same x and y.
     """
-    m = len(rhs)
-    n = len(columns)
-    # rows of [A | I | b], starting basis = artificial columns
+    m, n = len(rhs), len(rows[0])
+    scale = math.lcm(*(b.denominator for b in rhs))
+    # rows of [A | I | D*b], starting basis = artificial columns
     tableau = [
-        [columns[j][i] for j in range(n)]
-        + [Fraction(int(i == k)) for k in range(m)]
-        + [rhs[i]]
-        for i in range(m)
+        [*row, *(int(i == k) for k in range(m)), b.numerator * (scale // b.denominator)]
+        for i, (row, b) in enumerate(zip(rows, rhs))
     ]
     basis = [n + i for i in range(m)]
-    width = n + m + 1
+    det = 1
 
     # reduced-cost row for objective: minimize the sum of artificials
-    cost = [Fraction(0)] * width
-    for j in range(width):
-        total = sum((tableau[i][j] for i in range(m)), Fraction(0))
-        cj = Fraction(1) if n <= j < n + m else Fraction(0)
-        cost[j] = cj - total
+    cost = [
+        int(n <= j < n + m) - sum(row[j] for row in tableau) for j in range(n + m + 1)
+    ]
 
     while True:
         entering = next((j for j in range(n + m) if cost[j] < 0), None)
         if entering is None:
             break
         pivot_row = None
-        best = None
-        for i in range(m):
-            coef = tableau[i][entering]
+        for i, row in enumerate(tableau):
+            coef = row[entering]
             if coef > 0:
-                ratio = tableau[i][-1] / coef
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[pivot_row]
-                ):
-                    best, pivot_row = ratio, i
+                if pivot_row is None:
+                    pivot_row = i
+                    continue
+                here = row[-1] * tableau[pivot_row][entering]
+                best = tableau[pivot_row][-1] * coef
+                if here < best or (here == best and basis[i] < basis[pivot_row]):
+                    pivot_row = i
         if pivot_row is None:
             # Σ artificials is bounded below by 0; an unbounded pivot
             # column cannot occur for this objective.
             raise HardyLabError("phase-1 simplex lost boundedness")
-        pivot = tableau[pivot_row][entering]
-        tableau[pivot_row] = [v / pivot for v in tableau[pivot_row]]
-        for i in range(m):
-            if i != pivot_row and tableau[i][entering] != 0:
-                f = tableau[i][entering]
-                tableau[i] = [v - f * p for v, p in zip(tableau[i], tableau[pivot_row])]
-        if cost[entering] != 0:
-            f = cost[entering]
-            cost = [v - f * p for v, p in zip(cost, tableau[pivot_row])]
+        prow = tableau[pivot_row]
+        p = prow[entering]
+        for i, row in enumerate(tableau):
+            f = row[entering]
+            # a row with f == 0 is unchanged when p == det
+            if i != pivot_row and (f or p != det):
+                tableau[i] = [(p * v - f * q) // det for v, q in zip(row, prow)]
+        f = cost[entering]
+        cost = [(p * v - f * q) // det for v, q in zip(cost, prow)]
+        det = p
         basis[pivot_row] = entering
 
-    objective = -cost[-1]
-    if objective == 0:
+    if cost[-1] == 0:
         x = [Fraction(0)] * n
         for i, var in enumerate(basis):
             if var < n:
-                x[var] = tableau[i][-1]
+                x[var] = Fraction(tableau[i][-1], det * scale)
         return x, None
     # duality: y_i = 1 - reduced cost of artificial column i; then
     # y.A_j = -cost_j <= 0 for structural columns and y.b = objective > 0.
-    y = [Fraction(1) - cost[n + i] for i in range(m)]
+    y = [1 - Fraction(cost[n + i], det) for i in range(m)]
     return None, y
 
 
@@ -404,11 +421,12 @@ def _hardy_pattern_cells(exact: ExactTable) -> dict[Cell, Fraction] | None:
 
 def _chain_for_pattern(exact: ExactTable) -> tuple[DeductionStep, ...]:
     p = exact["d1d2"][1][1]
+    # The pattern established p > 0 exactly, so the replay must fire: tol=0
+    # covers p below the float tolerance, and a p that underflows to 0.0 as
+    # a float is passed as the exact Fraction (and reported as such).
     claims = HardyClaimSet(
-        p_joint=float(p), c_d1u2=1.0, c_d2u1=1.0, p_u1u2=0.0
+        p_joint=float(p) or p, c_d1u2=1.0, c_d2u1=1.0, p_u1u2=0.0
     )
-    # tol=0: the pattern was established exactly, so the replay must fire
-    # even for joint probabilities below the float comparison tolerance
     return replay_deductions(claims, tol=0.0).steps
 
 
@@ -420,19 +438,19 @@ def feasibility(
 
     Accepts float or exact tables; floats are rationalized first (see
     :func:`rationalize_table`).  The decision runs in exact arithmetic:
-    a phase-1 simplex over the 16 deterministic assignments.  Infeasible
+    a phase-1 simplex over the 16 deterministic assignments, pivoted on
+    Python ints.  Its tableau holds each value times ``det``, the current
+    basis determinant (> 0), and every pivot divides exactly by the
+    previous ``det`` (Edmonds 1967; Avis's lrs), so x and y come out as
+    the same Fractions a Fraction tableau gives.  Infeasible
     tables showing the Hardy pattern get the deduction-chain witness with
     its canonical functional; otherwise the simplex dual supplies the
     separating functional.  Every certificate is validated by
     re-substitution before it is returned.
     """
     exact = rationalize_table(table, tol)
-    columns = [
-        [Fraction(int(assignment_matches(a, cell))) for cell in CELLS]
-        for a in ASSIGNMENTS
-    ]
     rhs = [exact[key][a][b] for (key, a, b) in CELLS]
-    x, y = _phase1_simplex(columns, rhs)
+    x, y = _phase1_simplex([_INCIDENCE[cell] for cell in CELLS], rhs)
 
     if x is not None:
         model = LhvModel(dict(zip(ASSIGNMENTS, x)))
@@ -486,24 +504,20 @@ def validate_certificate(
     witness = cert.witness
     if witness is None or not witness.functional:
         return False
+    if not witness.functional.keys() <= _INCIDENCE.keys():
+        return False
     value = sum(
         (c * exact[key][a][b] for (key, a, b), c in witness.functional.items()),
         Fraction(0),
     )
     if value >= 0:
         return False
-    for assignment in ASSIGNMENTS:
-        row = sum(
-            (
-                c
-                for cell, c in witness.functional.items()
-                if assignment_matches(assignment, cell)
-            ),
-            Fraction(0),
-        )
-        if row < 0:
-            return False
-    return True
+    coefficients = list(witness.functional.values())
+    columns = zip(*(_INCIDENCE[cell] for cell in witness.functional))
+    return all(
+        sum((c for c, hit in zip(coefficients, column) if hit), Fraction(0)) >= 0
+        for column in columns
+    )
 
 
 # --- the advertised-claims table -------------------------------------------

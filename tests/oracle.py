@@ -1,12 +1,27 @@
 """Independent brute-force oracle used by the tests.
 
-Everything here is built from raw numpy kron products in the fixed
-(A, 1, 2, B) order, without touching the package's slot-embedding or
-expansion machinery, so it can serve as a second route for every derived
-expectation value.
+Everything above the reference section is built from raw numpy kron
+products in the fixed (A, 1, 2, B) order, without touching the package's
+slot-embedding or expansion machinery, so it can serve as a second route
+for every derived expectation value.  The reference section holds slower
+or test-only implementations the package once shipped; property tests
+compare the package against them.
 """
 
+from fractions import Fraction
+from typing import Sequence
+
 import numpy as np
+
+from hardylab.core import (
+    DimensionMismatchError,
+    HardyLabError,
+    NormalizationError,
+    OperatorInvariantError,
+    StateVector,
+    reduced_density,
+    tolerance,
+)
 
 PLUS = np.array([1.0, 0.0], dtype=complex)
 MINUS = np.array([0.0, 1.0], dtype=complex)
@@ -55,6 +70,8 @@ def born(op: np.ndarray, psi: np.ndarray) -> float:
     return float((psi.conj() @ op @ psi).real)
 
 
+# --- reference implementations ---------------------------------------------
+
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -69,3 +86,98 @@ def acts_trivially(mat: np.ndarray, n: int, axis: int, tol: float) -> bool:
         if np.abs(pm - mp).max() > tol:
             return False
     return True
+
+
+def inner(a: StateVector, b: StateVector) -> complex:
+    """<a|b>; both states must be on the same ordered slots."""
+    if a.slots != b.slots:
+        raise DimensionMismatchError(f"slot mismatch: {a.slots} vs {b.slots}")
+    return complex(np.vdot(a.amps, b.amps))
+
+
+def reduced_projector_fidelity(
+    s: StateVector, slot: str, target: StateVector, tol: float | None = None
+) -> float:
+    """<t|rho_slot|t> for a single-qubit target state t."""
+    if target.n_qubits != 1:
+        raise DimensionMismatchError("target must be a single-qubit state")
+    if not target.normalized:
+        raise NormalizationError("fidelity target must be normalized")
+    rho = reduced_density(s, slot)
+    value = complex(np.vdot(target.amps, rho @ target.amps))
+    if abs(value.imag) > tolerance(tol):
+        raise OperatorInvariantError(f"fidelity has imaginary residue {value.imag!r}")
+    return min(max(value.real, 0.0), 1.0)
+
+
+def phase1_simplex(
+    columns: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+) -> tuple[list[Fraction] | None, list[Fraction] | None]:
+    """Exact feasibility of ``A x = b, x >= 0`` with ``b >= 0``.
+
+    Returns ``(x, None)`` when feasible.  Otherwise returns ``(None, y)``
+    with the Farkas dual satisfying ``y . A_j <= 0`` for every column and
+    ``y . b > 0``.  Bland's rule guarantees termination.
+
+    Reference for ``hardylab.lhv._phase1_simplex``: the same rules on a
+    tableau of Fractions, one division per entry per pivot.
+    """
+    m = len(rhs)
+    n = len(columns)
+    # rows of [A | I | b], starting basis = artificial columns
+    tableau = [
+        [columns[j][i] for j in range(n)]
+        + [Fraction(int(i == k)) for k in range(m)]
+        + [rhs[i]]
+        for i in range(m)
+    ]
+    basis = [n + i for i in range(m)]
+    width = n + m + 1
+
+    # reduced-cost row for objective: minimize the sum of artificials
+    cost = [Fraction(0)] * width
+    for j in range(width):
+        total = sum((tableau[i][j] for i in range(m)), Fraction(0))
+        cj = Fraction(1) if n <= j < n + m else Fraction(0)
+        cost[j] = cj - total
+
+    while True:
+        entering = next((j for j in range(n + m) if cost[j] < 0), None)
+        if entering is None:
+            break
+        pivot_row = None
+        best = None
+        for i in range(m):
+            coef = tableau[i][entering]
+            if coef > 0:
+                ratio = tableau[i][-1] / coef
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[pivot_row]
+                ):
+                    best, pivot_row = ratio, i
+        if pivot_row is None:
+            # Σ artificials is bounded below by 0; an unbounded pivot
+            # column cannot occur for this objective.
+            raise HardyLabError("phase-1 simplex lost boundedness")
+        pivot = tableau[pivot_row][entering]
+        tableau[pivot_row] = [v / pivot for v in tableau[pivot_row]]
+        for i in range(m):
+            if i != pivot_row and tableau[i][entering] != 0:
+                f = tableau[i][entering]
+                tableau[i] = [v - f * p for v, p in zip(tableau[i], tableau[pivot_row])]
+        if cost[entering] != 0:
+            f = cost[entering]
+            cost = [v - f * p for v, p in zip(cost, tableau[pivot_row])]
+        basis[pivot_row] = entering
+
+    objective = -cost[-1]
+    if objective == 0:
+        x = [Fraction(0)] * n
+        for i, var in enumerate(basis):
+            if var < n:
+                x[var] = tableau[i][-1]
+        return x, None
+    # duality: y_i = 1 - reduced cost of artificial column i; then
+    # y.A_j = -cost_j <= 0 for structural columns and y.b = objective > 0.
+    y = [Fraction(1) - cost[n + i] for i in range(m)]
+    return None, y

@@ -102,6 +102,24 @@ class TestLhvCommand:
         assert code == 0
         assert env2["results"]["certificate"]["verdict"] == "infeasible"
 
+    def test_chain_fires_for_a_joint_probability_that_underflows(self, capsys, tmp_path):
+        # P(D1=1,D2=1) = 10^-400 is 0.0 as a float, yet exactly positive
+        den = 10**400
+        table = {
+            "d1d2": [[{"num": den // 2 + 1, "den": den}, {"num": den // 4 - 1, "den": den}],
+                     [{"num": den // 4 - 1, "den": den}, {"num": 1, "den": den}]],
+            "d1u2": [[0.5, 0.25], [0, 0.25]],
+            "u1d2": [[0.5, 0], [0.25, 0.25]],
+            "u1u2": [[0, 0.5], [0.5, 0]],
+        }
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(table))
+        code, env = run_json(capsys, "lhv", "--source", f"file:{path}")
+        assert code == 0 and env["results"]["validated"] is True
+        witness = env["results"]["certificate"]["witness"]
+        assert witness["kind"] == "deduction-chain"
+        assert [step["fired"] for step in witness["chain"]] == [True] * 4
+
     def test_missing_file_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["lhv", "--source", "file:does-not-exist.json"])

@@ -21,10 +21,8 @@ from hardylab.core import (
     collapse,
     commutator_norm,
     expectation,
-    inner,
     ket,
     reduced_density,
-    reduced_projector_fidelity,
     reorder,
     tensor,
 )
@@ -36,7 +34,7 @@ from hardylab.protocol import (
 )
 
 import oracle
-from oracle import PAULI_X, PAULI_Z
+from oracle import PAULI_X, PAULI_Z, inner, reduced_projector_fidelity
 
 TOL = 1e-12
 

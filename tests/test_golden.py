@@ -27,6 +27,7 @@ CASES = {
     "lhv_paper_claims": ["lhv", "--source", "paper-claims"],
     "lhv_quantum_collapsed": ["lhv", "--source", "quantum:psi-,psi-,collapsed"],
     "lhv_file": ["lhv", "--source", "file:tests/golden/table.json"],
+    "lhv_file_feasible": ["lhv", "--source", "file:tests/golden/table_feasible.json"],
     "sample_u1u2_collapsed": [
         "sample", "--context", "u1u2", "--interp", "collapsed",
         "--shots", "1000", "--seed", "7",

@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from hardylab.core import HardyLabError
 from hardylab.lhv import (
+    _INCIDENCE,
     ASSIGNMENTS,
     CELLS,
     InfeasibilityWitness,
@@ -18,6 +19,7 @@ from hardylab.lhv import (
     assignment_matches,
     claimed_hardy_table,
     feasibility,
+    _phase1_simplex,
     rationalize_table,
     replay_deductions,
     validate_certificate,
@@ -29,6 +31,8 @@ from hardylab.observables import (
     quantum_probability_table,
 )
 from hardylab.protocol import BellIndex
+
+import oracle
 
 PSIM = BellIndex.PSI_MINUS
 
@@ -133,6 +137,14 @@ class TestClaimedTable:
         assert cert.verdict == "infeasible"
         assert validate_certificate(claimed_hardy_table(p), cert)
 
+    def test_chain_fires_for_a_joint_weight_that_underflows_as_a_float(self):
+        p = Fraction(1, 10**400)
+        assert float(p) == 0.0
+        cert = feasibility(claimed_hardy_table(p))
+        assert cert.witness.kind == "deduction-chain"
+        assert all(step.fired for step in cert.witness.chain)
+        assert f"probability {p})" in cert.witness.chain[0].detail
+
     def test_rejects_joint_weight_outside_range(self):
         with pytest.raises(HardyLabError):
             claimed_hardy_table(Fraction(1, 2))
@@ -229,6 +241,14 @@ class TestCertificateValidation:
         )
         assert not validate_certificate(exact, cert)
 
+    def test_functional_outside_the_table_cells_fails(self):
+        # ("d1d2", -1, 0) reads a real cell by negative indexing but is no
+        # cell, so it constrains no assignment and must not validate
+        exact = claimed_hardy_table()
+        bogus = {("d1d2", -1, 0): Fraction(-1)}
+        cert = LhvCertificate("infeasible", witness=InfeasibilityWitness(bogus))
+        assert not validate_certificate(exact, cert)
+
     def test_sign_flipped_functional_fails(self):
         exact = claimed_hardy_table()
         cert = feasibility(exact)
@@ -315,3 +335,229 @@ class TestRationalization:
         del bad["u1u2"]
         with pytest.raises(MalformedTableError):
             rationalize_table(bad)
+
+
+# --- generated tables for the property tests --------------------------------
+
+
+def normalized(parts: list[Fraction]) -> list[list[Fraction]]:
+    """A 2x2 context from four nonnegative parts, scaled to sum to 1."""
+    if sum(parts) == 0:
+        parts = [Fraction(1), *parts[1:]]
+    total = sum(parts)
+    cells = [x / total for x in parts]
+    return [cells[:2], cells[2:]]
+
+
+def split_unit(den: int, cuts: list[int]) -> list[Fraction]:
+    """The gaps between sorted cut points of [0, den], as fractions of den."""
+    points = [0, *sorted(cuts), den]
+    return [Fraction(b - a, den) for a, b in zip(points, points[1:])]
+
+
+@st.composite
+def local_mixtures(draw, dens, zeros=False):
+    """The table of a random mixture, weight numerators over ``dens``."""
+    nums = draw(st.lists(st.integers(0, 30), min_size=16, max_size=16))
+    if zeros:
+        nums = [n * draw(st.booleans()) for n in nums]
+    raw = [Fraction(n, draw(dens)) for n in nums]
+    if sum(raw) == 0:
+        raw[draw(st.integers(0, 15))] = Fraction(1)
+    total = sum(raw)
+    return table_of_model(LhvModel({a: w / total for a, w in zip(ASSIGNMENTS, raw)}))
+
+
+@st.composite
+def independent_contexts(draw, parts):
+    """Each context normalized on its own: generically signalling."""
+    return {key: normalized([draw(parts) for _ in range(4)]) for key in CONTEXT_KEYS}
+
+
+@st.composite
+def hardy_pattern_tables(draw):
+    """Hardy's three zeros with P(D1=1,D2=1) > 0: infeasible by construction."""
+    part = st.integers(0, 20).map(Fraction)
+    d1d2 = [draw(part) for _ in range(3)] + [draw(st.integers(1, 20).map(Fraction))]
+    table = {"d1d2": normalized(d1d2)}
+    for key, zero in (("d1u2", 2), ("u1d2", 1), ("u1u2", 3)):
+        parts = [draw(part) for _ in range(4)]
+        parts[zero] = Fraction(0)
+        table[key] = normalized(parts)
+    return table
+
+
+@st.composite
+def tables_at_the_bound(draw):
+    """A table with denominators in [2^19, 2^20], written as floats and
+    rationalized back: a local mixture over one denominator (so every cell
+    stays within the bound) or four independent contexts."""
+
+    def parts(count):
+        den = draw(st.integers(2**19, 2**20))
+        cuts = draw(st.lists(st.integers(0, den), min_size=count - 1, max_size=count - 1))
+        return split_unit(den, cuts)
+
+    if draw(st.booleans()):
+        table = table_of_model(LhvModel(dict(zip(ASSIGNMENTS, parts(16)))))
+    else:
+        table = {key: [cells[:2], cells[2:]] for key in CONTEXT_KEYS for cells in [parts(4)]}
+    return rationalize_table(
+        {key: [[float(c) for c in row] for row in grid] for key, grid in table.items()}
+    )
+
+
+_COPRIME = st.sampled_from([1, 2**7, 3, 5, 7, 11, 13, 999_983, 9_999_991])
+_SPARSE_PART = st.sampled_from([0, 0, 0, 1, 2, 5]).map(Fraction)
+
+#: Table class -> strategy producing exact tables of that class.
+TABLE_CLASSES = {
+    "local-mixture": local_mixtures(st.integers(1, 50)),
+    "hardy-pattern": hardy_pattern_tables(),
+    "generic-signalling": independent_contexts(st.integers(0, 40).map(Fraction)),
+    "floats-at-2^20": tables_at_the_bound(),
+    "coprime-denominators": st.one_of(
+        local_mixtures(_COPRIME),
+        independent_contexts(st.builds(Fraction, st.integers(0, 40), _COPRIME)),
+    ),
+    "degenerate-zeros": st.one_of(
+        local_mixtures(st.just(1), zeros=True), independent_contexts(_SPARSE_PART)
+    ),
+}
+
+
+class TestIntegerSimplexMatchesReference:
+    """The integer-preserving simplex against the Fraction tableau it replaced."""
+
+    COLUMNS = [[Fraction(_INCIDENCE[cell][j]) for cell in CELLS] for j in range(16)]
+
+    @pytest.mark.parametrize("name", sorted(TABLE_CLASSES))
+    @settings(max_examples=350, deadline=None)
+    @given(data=st.data())
+    def test_same_primal_and_dual(self, name, data):
+        exact = data.draw(TABLE_CLASSES[name])
+        rhs = [exact[key][a][b] for (key, a, b) in CELLS]
+        expected = oracle.phase1_simplex(self.COLUMNS, rhs)
+        got = _phase1_simplex([_INCIDENCE[cell] for cell in CELLS], rhs)
+        assert got == expected
+        assert all(type(v) is Fraction for v in got[0] or got[1])
+        event("feasible" if got[0] is not None else "infeasible")
+        if name == "hardy-pattern":
+            assert got[0] is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_same_primal_and_dual_on_integer_matrices(self, data):
+        # on the incidence matrix nearly every pivot is 1, so the exact
+        # division by a last pivot > 1 is exercised on general matrices
+        m, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8))
+        entry = st.integers(-3, 4)
+        share = st.builds(Fraction, st.integers(0, 20), st.integers(1, 12))
+        rows = [data.draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+        rhs = [data.draw(share) for _ in range(m)]
+        columns = [[Fraction(row[j]) for row in rows] for j in range(n)]
+        assert _phase1_simplex(rows, rhs) == oracle.phase1_simplex(columns, rhs)
+
+
+# --- Fine's theorem ---------------------------------------------------------
+
+#: Alice measures d1 or u1, Bob d2 or u2; a context key joins the two names.
+ALICE, BOB = ("d1", "u1"), ("d2", "u2")
+
+
+def sign(outcome: int) -> int:
+    return 1 if outcome == 1 else -1
+
+
+def fine_local(exact: dict) -> bool:
+    """Fine's theorem: local iff no-signalling and all 8 CHSH values <= 2."""
+    for x in ALICE:
+        first, second = (exact[x + y] for y in BOB)
+        if any(sum(first[a]) != sum(second[a]) for a in (0, 1)):
+            return False
+    for y in BOB:
+        first, second = (exact[x + y] for x in ALICE)
+        if any(first[0][b] + first[1][b] != second[0][b] + second[1][b] for b in (0, 1)):
+            return False
+    corr = {
+        key: sum(sign(a) * sign(b) * exact[key][a][b] for a in (0, 1) for b in (0, 1))
+        for key in CONTEXT_KEYS
+    }
+    total = sum(corr.values())
+    # the 8 CHSH expressions are +-(E00 + E01 + E10 + E11 - 2 E_xy)
+    return all(abs(total - 2 * e) <= 2 for e in corr.values())
+
+
+def no_signalling_table(m: dict, n: dict, t: dict) -> dict:
+    """P(a,b|x,y) = (1 + s_a m_x + s_b n_y + s_a s_b E_xy) / 4.
+
+    ``m`` and ``n`` are the marginals <A_x>, <B_y> in [-1, 1]; each
+    correlator E_xy sits at the fraction ``t[xy]`` of the interval
+    [|m_x + n_y| - 1, 1 - |m_x - n_y|] that keeps all four cells
+    nonnegative.  The table is no-signalling by construction.
+    """
+    table = {}
+    for x in ALICE:
+        for y in BOB:
+            lo, hi = abs(m[x] + n[y]) - 1, 1 - abs(m[x] - n[y])
+            e = lo + t[x + y] * (hi - lo)
+            table[x + y] = [
+                [(1 + sign(a) * m[x] + sign(b) * n[y] + sign(a) * sign(b) * e) / 4
+                 for b in (0, 1)]
+                for a in (0, 1)
+            ]
+    return table
+
+
+@st.composite
+def no_signalling_tables(draw):
+    den = draw(st.integers(1, 12))
+    unit = st.integers(-den, den).map(lambda k: Fraction(k, den))
+    # the ends of the correlator interval are where CHSH can fail
+    share = st.one_of(
+        st.sampled_from([Fraction(0), Fraction(1)]),
+        st.integers(0, den).map(lambda k: Fraction(k, den)),
+    )
+    return no_signalling_table(
+        {x: draw(unit) for x in ALICE},
+        {y: draw(unit) for y in BOB},
+        {key: draw(share) for key in CONTEXT_KEYS},
+    )
+
+
+class TestFineTheorem:
+    """A third LHV oracle: no-signalling plus the 8 CHSH inequalities."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(exact=st.one_of(no_signalling_tables(), TABLE_CLASSES["generic-signalling"]))
+    def test_verdict_matches_fine(self, exact):
+        local = fine_local(exact)
+        assert (feasibility(exact).verdict == "feasible") == local
+        event("local" if local else "not local")
+
+    def test_pr_box_violates_chsh(self):
+        # unbiased marginals, perfect correlation in three contexts and
+        # perfect anticorrelation in u1u2: no-signalling with CHSH = 4
+        zero, half = Fraction(0), Fraction(1, 2)
+        box = no_signalling_table(
+            dict.fromkeys(ALICE, zero),
+            dict.fromkeys(BOB, zero),
+            {"d1d2": 1, "d1u2": 1, "u1d2": 1, "u1u2": 0},
+        )
+        assert box["u1u2"] == [[zero, half], [half, zero]]
+        assert not fine_local(box)
+        assert feasibility(box).verdict == "infeasible"
+
+    def test_construction_reaches_both_verdicts(self):
+        # the generated no-signalling tables must exercise CHSH both ways
+        rng = np.random.default_rng(5)
+        verdicts = {"feasible": 0, "infeasible": 0}
+        for _ in range(100):
+            m = {x: Fraction(int(rng.integers(-1, 2)), 4) for x in ALICE}
+            n = {y: Fraction(int(rng.integers(-1, 2)), 4) for y in BOB}
+            t = {key: Fraction(int(rng.integers(0, 2))) for key in CONTEXT_KEYS}
+            exact = no_signalling_table(m, n, t)
+            verdict = feasibility(exact).verdict
+            assert (verdict == "feasible") == fine_local(exact)
+            verdicts[verdict] += 1
+        assert min(verdicts.values()) >= 10

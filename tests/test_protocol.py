@@ -10,9 +10,7 @@ from hardylab.core import (
     ObservableOp,
     StateVector,
     expectation,
-    inner,
     ket,
-    reduced_projector_fidelity,
     tensor,
 )
 from hardylab.protocol import (
@@ -29,7 +27,7 @@ from hardylab.protocol import (
 )
 
 import oracle
-from oracle import PAULI_X, PAULI_Z
+from oracle import PAULI_X, PAULI_Z, inner, reduced_projector_fidelity
 
 TOL = 1e-12
 SQRT2 = np.sqrt(2.0)
