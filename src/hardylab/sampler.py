@@ -6,6 +6,9 @@ consumes the k-th 64-bit word of the Philox-4x64 stream keyed by the run
 seed (lane ``k % 4`` of counter block ``k // 4``).  Sampling any shot
 range therefore merges bit-for-bit with any partition of that range, so
 results are reproducible and independent of scheduling.
+
+The words are streamed in blocks of ``_BLOCK`` and only counted, never
+kept, so a run of any length holds O(``_BLOCK``) memory.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ from .observables import joint_outcome_table
 
 #: Outcome cells in draw order.
 CELL_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+#: Philox words drawn and counted per step of ``sample``.
+_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -65,17 +71,20 @@ class CountTable:
         return {"shots": self.shots, "counts": self.counts.tolist()}
 
 
-def _shot_uniforms(seed: int, start: int, count: int) -> np.ndarray:
-    """Uniforms for shots [start, start+count) under the substream rule."""
-    if count == 0:
-        return np.zeros(0)
-    first_block, offset = divmod(start, 4)
-    n_blocks = -(-(offset + count) // 4)
-    bitgen = np.random.Philox(key=seed, counter=[first_block, 0, 0, 0])
-    words = np.random.Generator(bitgen).integers(
-        0, 2**64, size=4 * n_blocks, dtype=np.uint64, endpoint=False
-    )
-    return (words[offset : offset + count] >> np.uint64(11)) * 2.0**-53
+def _word_edges(flat: np.ndarray) -> list[tuple[int, np.uint64]]:
+    """The cell edges some shot word can reach, as ``(index, cut)`` pairs.
+
+    Shot word ``w`` gives the uniform ``u = (w >> 11) * 2**-53``, which is
+    exact, so for the edge ``b`` after cell ``i`` of the cumulative sum of
+    ``flat``, ``u >= b`` iff ``w >> 11 >= ceil(b * 2**53)`` iff
+    ``w >= cut = ceil(b * 2**53) << 11``.  A cut of ``2**53 << 11`` or more
+    is never reached, and neither is any edge from the last nonzero cell
+    on: that cell takes the top end however the sum rounds, so a cell of
+    probability zero never fires.
+    """
+    last = int(np.flatnonzero(flat)[-1])
+    cuts = [math.ceil(b * 2.0**53) for b in np.cumsum(flat)[:last]]
+    return [(i, np.uint64(t << 11)) for i, t in enumerate(cuts) if t < 2**53]
 
 
 def exact_context_probabilities(
@@ -94,17 +103,23 @@ def sample(
     ranges of one logical run be sampled separately and merged; identical
     ``(state, cfg)`` always reproduces identical counts bit-for-bit.
     Cells of exact probability zero can never accumulate counts.
+
+    The words are drawn ``_BLOCK`` at a time from one Philox stream, and
+    each block only counts how many words reach each cell edge
+    (``u >= b`` iff ``w >= ceil(b * 2**53) * 2**11``); memory stays
+    O(``_BLOCK``) whatever ``cfg.shots`` is.
     """
     probs = exact_context_probabilities(state, cfg, tol)
     flat = np.array([probs[a][b] for a, b in CELL_ORDER])
-    flat = flat / flat.sum()
-    boundaries = np.cumsum(flat)
-    boundaries[-1] = 1.0  # guard against float shortfall at the top end
-
-    u = _shot_uniforms(cfg.seed, first_shot, cfg.shots)
-    outcomes = np.searchsorted(boundaries, u, side="right")
-    counts = np.bincount(outcomes, minlength=4).reshape(2, 2)
-    return CountTable(counts, cfg.shots)
+    edges = _word_edges(flat / flat.sum())
+    above = np.array([cfg.shots, 0, 0, 0, 0])  # above[i + 1]: shots past edge i
+    bitgen = np.random.Philox(key=cfg.seed, counter=[first_shot // 4, 0, 0, 0])
+    bitgen.random_raw(first_shot % 4)
+    for done in range(0, cfg.shots, _BLOCK):
+        words = bitgen.random_raw(min(_BLOCK, cfg.shots - done))
+        for i, cut in edges:
+            above[i + 1] += np.count_nonzero(words >= cut)
+    return CountTable(-np.diff(above), cfg.shots)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from hardylab.core import (
     reduced_density,
     tolerance,
 )
+from hardylab.sampler import CELL_ORDER, CountTable, exact_context_probabilities
 
 PLUS = np.array([1.0, 0.0], dtype=complex)
 MINUS = np.array([0.0, 1.0], dtype=complex)
@@ -181,3 +182,33 @@ def phase1_simplex(
     # y.A_j = -cost_j <= 0 for structural columns and y.b = objective > 0.
     y = [Fraction(1) - cost[n + i] for i in range(m)]
     return None, y
+
+
+def shot_uniforms(seed: int, start: int, count: int) -> np.ndarray:
+    """Uniforms for shots [start, start+count) under the substream rule."""
+    if count == 0:
+        return np.zeros(0)
+    first_block, offset = divmod(start, 4)
+    n_blocks = -(-(offset + count) // 4)
+    bitgen = np.random.Philox(key=seed, counter=[first_block, 0, 0, 0])
+    words = np.random.Generator(bitgen).integers(
+        0, 2**64, size=4 * n_blocks, dtype=np.uint64, endpoint=False
+    )
+    return (words[offset : offset + count] >> np.uint64(11)) * 2.0**-53
+
+
+def sample_reference(state, cfg, first_shot: int = 0, tol: float | None = None):
+    """Reference sampler: one float uniform per shot, placed by searchsorted.
+
+    It holds every shot's word, uniform and cell index at once.
+    """
+    probs = exact_context_probabilities(state, cfg, tol)
+    flat = np.array([probs[a][b] for a, b in CELL_ORDER])
+    flat = flat / flat.sum()
+    boundaries = np.cumsum(flat)
+    boundaries[-1] = 1.0  # guard against float shortfall at the top end
+
+    u = shot_uniforms(cfg.seed, first_shot, cfg.shots)
+    outcomes = np.searchsorted(boundaries, u, side="right")
+    counts = np.bincount(outcomes, minlength=4).reshape(2, 2)
+    return CountTable(counts, cfg.shots)

@@ -32,6 +32,10 @@ CASES = {
         "sample", "--context", "u1u2", "--interp", "collapsed",
         "--shots", "1000", "--seed", "7",
     ],
+    # 45 full sampler blocks of 2**16 shots plus a ragged tail
+    "sample_d1u2_multiblock": [
+        "sample", "--context", "d1u2", "--shots", "3000001", "--seed", "20021993",
+    ],
 }
 
 

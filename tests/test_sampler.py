@@ -1,18 +1,31 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardylab.core import HardyLabError, NonCommutingError
 from hardylab.observables import Interpretation, build_d, build_u, context_observables
-from hardylab.protocol import BellIndex, make_total_state
+from hardylab.protocol import BELL_ORDER, BellIndex, make_total_state
 from hardylab.sampler import (
+    _BLOCK,
     CountTable,
     RunConfig,
+    _word_edges,
     compare_frequencies,
     exact_context_probabilities,
     sample,
 )
 
+import oracle
+
 PSIM = BellIndex.PSI_MINUS
+SRC = Path(__file__).resolve().parent.parent / "src"
+CONTEXTS = ("d1d2", "d1u2", "u1d2", "u1u2")
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +125,93 @@ class TestSampling:
             return sum(zs) / len(zs)
 
         assert mean_max_z(320000) <= mean_max_z(160000)
+
+
+class TestWordEdges:
+    def test_top_word_cannot_reach_a_zero_last_cell(self):
+        # the cumulative sum stops one ulp short of 1 before the zero cell
+        flat = np.array([0.2908058851918934, 0.5044399923036108, 0.20475412250449568, 0.0])
+        assert np.cumsum(flat)[2] == 0.9999999999999999
+        edges = _word_edges(flat)
+        assert [i for i, _ in edges] == [0, 1]
+        top = np.uint64(2**64 - 1)  # u = 1 - 2**-53, the largest uniform
+        assert sum(bool(top >= cut) for _, cut in edges) == 2  # lands in cell 2
+
+    def test_cut_matches_the_float_comparison(self):
+        flat = np.array([0.1, 0.2, 0.3, 0.4])
+        for i, cut in _word_edges(flat):
+            below, at = int(cut) - 1, int(cut)
+            b = np.cumsum(flat)[i]
+            assert (below >> 11) * 2.0**-53 < b <= (at >> 11) * 2.0**-53
+
+
+class TestMatchesReference:
+    """Counts equal the per-shot float sampler kept in ``tests/oracle.py``."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        context=st.sampled_from(CONTEXTS),
+        d1=st.sampled_from(BELL_ORDER),
+        d2=st.sampled_from(BELL_ORDER),
+        interp=st.sampled_from(list(Interpretation)),
+        seed=st.integers(0, 2**64 - 1),
+        first_shot=st.one_of(
+            st.just(0),
+            st.integers(0, 2**30).map(lambda k: 4 * k + 1),
+            st.integers(0, 2**30).map(lambda k: 4 * k + 3),
+            st.integers(2**32 + 1, 2**40),
+        ),
+        shots=st.one_of(
+            st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1]),
+            st.integers(1, 3).map(lambda k: k * _BLOCK + 3),
+            st.integers(0, 10),
+        ),
+    )
+    def test_counts_equal_reference(
+        self, state, context, d1, d2, interp, seed, first_shot, shots
+    ):
+        first, second = context_observables(context, d1, d2, interp)
+        cfg = RunConfig(first, second, shots, seed)
+        np.testing.assert_array_equal(
+            sample(state, cfg, first_shot).counts,
+            oracle.sample_reference(state, cfg, first_shot).counts,
+        )
+
+    @pytest.mark.parametrize("context", CONTEXTS)
+    def test_long_runs_equal_reference(self, state, context):
+        first, second = context_observables(context)
+        cfg = RunConfig(first, second, 2**22, 2**63 + 11)
+        np.testing.assert_array_equal(
+            sample(state, cfg, first_shot=2**33 + 1).counts,
+            oracle.sample_reference(state, cfg, first_shot=2**33 + 1).counts,
+        )
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_ten_million_shots_stay_under_100_mb():
+    # The child reports its own peak RSS.  Its ru_maxrss would not do: a
+    # child started by vfork counts the peak of the test process it came from.
+    child = (
+        "import contextlib, os, sys\n"
+        "from hardylab.cli import main\n"
+        "with open(os.devnull, 'w') as sink, contextlib.redirect_stdout(sink):\n"
+        "    code = main(sys.argv[1:])\n"
+        "with open('/proc/self/status') as status:\n"
+        "    peak = next(line for line in status if line.startswith('VmHWM:'))\n"
+        "print(code, peak.split()[1])\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    argv = ["sample", "--context", "d1d2", "--shots", "10000000"]
+    done = subprocess.run(
+        [sys.executable, "-c", child, *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    code, peak_kib = map(int, done.stdout.split())
+    assert code == 0, done.stderr
+    assert peak_kib < 100 * 1024
 
 
 class TestCountTable:
