@@ -14,10 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
 from importlib import resources
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
@@ -213,13 +210,11 @@ def _parse_ket(token: str, n: int) -> int:
     return index
 
 
-@cache
-def load_reference_table(pair: str) -> tuple[tuple[str, ...], Mapping[BellIndex, np.ndarray]]:
+def load_reference_table(pair: str) -> tuple[tuple[str, ...], dict[BellIndex, np.ndarray]]:
     """Parse one section of data/reference_expansions.txt.
 
     Returns the residual slot order and, per Bell label, the full signed
-    branch vector (overall scale folded in).  Each pair is parsed once per
-    process; every caller gets the same read-only mapping and arrays.
+    branch vector (overall scale folded in).
     """
     if pair not in _PAIR_KEYS:
         raise HardyLabError(f"unknown expansion pair {pair!r}")
@@ -261,10 +256,9 @@ def load_reference_table(pair: str) -> tuple[tuple[str, ...], Mapping[BellIndex,
             coeff_tok, ket_tok = term.split("|", 1)
             vec[_parse_ket("|" + ket_tok, len(remaining))] += _parse_coeff(coeff_tok)
         table[bell] = scale * vec
-        table[bell].setflags(write=False)
     if len(table) != 4:
         raise HardyLabError(f"reference table for {pair!r} is incomplete")
-    return remaining, MappingProxyType(table)
+    return remaining, table
 
 
 @dataclass(frozen=True)

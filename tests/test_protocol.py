@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,8 +13,6 @@ from hardylab.core import (
     ket,
     tensor,
 )
-from hardylab import protocol
-from hardylab.cli import main
 from hardylab.protocol import (
     BELL_ORDER,
     BellIndex,
@@ -218,21 +214,3 @@ class TestReferenceComparison:
     def test_unknown_pair_rejected(self):
         with pytest.raises(HardyLabError):
             load_reference_table("AB")
-
-    def test_table_is_read_only(self):
-        _, table = load_reference_table("2B")
-        with pytest.raises(TypeError):
-            table[BellIndex.PSI_MINUS] = np.zeros(4)
-        with pytest.raises(ValueError):
-            table[BellIndex.PSI_MINUS][0] = 1.0
-
-    def test_second_expand_does_not_read_the_file_again(self, monkeypatch, capsys):
-        assert main(["expand", "--slots", "A1"]) == 0
-        first = capsys.readouterr().out
-
-        def no_read(*args):
-            raise AssertionError("reference table read again")
-
-        monkeypatch.setattr(protocol, "resources", SimpleNamespace(files=no_read))
-        assert main(["expand", "--slots", "A1"]) == 0
-        assert capsys.readouterr().out == first
