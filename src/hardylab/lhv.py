@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from typing import Mapping, Sequence
 
 from .core import HardyLabError, tolerance
@@ -74,6 +75,17 @@ _INCIDENCE: Mapping[Cell, tuple[int, ...]] = {
 }
 
 
+def _on_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Numerators of ``values`` over ``den``, the lcm of their denominators.
+
+    Each value equals ``numerator / den``.  The scale is positive, so the
+    sign of any sum of values, and any equality between such sums, carries
+    over to the integers unchanged.
+    """
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def rationalize_table(
     table: ProbabilityTable | Mapping[str, Sequence[Sequence]],
     tol: float | None = None,
@@ -82,8 +94,9 @@ def rationalize_table(
     """Convert a table to exact rationals, refusing to round silently.
 
     Each float entry must be within ``tol`` of a rational with denominator
-    at most ``max_denominator``; each context must then sum to exactly 1.
-    Entries that are already Fractions or ints pass through unchanged.
+    at most ``max_denominator``; each context must then sum to exactly 1,
+    checked on integers over the context's common denominator.  Entries
+    that are already Fractions or ints pass through unchanged.
     """
     tol = tolerance(tol)
     raw = table.contexts if isinstance(table, ProbabilityTable) else table
@@ -109,11 +122,12 @@ def rationalize_table(
                             f"{value!r} in context {key!r} is not within {tol} of a "
                             f"rational with denominator <= {max_denominator}"
                         )
-                if frac < 0:
+                if frac.numerator < 0:
                     raise MalformedTableError(f"negative entry {frac} in {key!r}")
                 out.append(frac)
             rows.append(out)
-        if sum(rows[0]) + sum(rows[1]) != 1:
+        numerators, den = _on_common_denominator(rows[0] + rows[1])
+        if sum(numerators) != den:
             raise MalformedTableError(f"context {key!r} does not sum to 1")
         exact[key] = rows
     return exact
@@ -227,15 +241,20 @@ def replay_deductions(claims: HardyClaimSet, tol: float | None = None) -> Deduct
 
 @dataclass(frozen=True)
 class LhvModel:
-    """Mixture over deterministic assignments, exact weights summing to 1."""
+    """Mixture over deterministic assignments, exact weights summing to 1.
+
+    The invariants are checked on the weights' numerators over their common
+    denominator: each must be >= 0, and together they must sum to it.
+    """
 
     weights: Mapping[Assignment, Fraction]
 
     def __post_init__(self) -> None:
         weights = {k: Fraction(v) for k, v in self.weights.items()}
-        if any(w < 0 for w in weights.values()):
+        numerators, den = _on_common_denominator(list(weights.values()))
+        if any(w < 0 for w in numerators):
             raise HardyLabError("model weights must be nonnegative")
-        if sum(weights.values(), Fraction(0)) != 1:
+        if sum(numerators) != den:
             raise HardyLabError("model weights must sum to exactly 1")
         object.__setattr__(self, "weights", weights)
 
@@ -341,19 +360,19 @@ def _phase1_simplex(
     on Fractions, so it visits the same bases and returns the same x and y.
     """
     m, n = len(rhs), len(rows[0])
-    scale = math.lcm(*(b.denominator for b in rhs))
+    scaled, scale = _on_common_denominator(rhs)
     # rows of [A | I | D*b], starting basis = artificial columns
+    zeros = [0] * m
     tableau = [
-        [*row, *(int(i == k) for k in range(m)), b.numerator * (scale // b.denominator)]
-        for i, (row, b) in enumerate(zip(rows, rhs))
+        [*row, *zeros[:i], 1, *zeros[i + 1 :], b]
+        for i, (row, b) in enumerate(zip(rows, scaled))
     ]
     basis = [n + i for i in range(m)]
     det = 1
 
-    # reduced-cost row for objective: minimize the sum of artificials
-    cost = [
-        int(n <= j < n + m) - sum(row[j] for row in tableau) for j in range(n + m + 1)
-    ]
+    # reduced-cost row for objective: minimize the sum of artificials.  It
+    # is c_j minus the column sum, and an artificial column sums to its c_j.
+    cost = [-sum(column) for column in zip(*rows)] + zeros + [-sum(scaled)]
 
     while True:
         entering = next((j for j in range(n + m) if cost[j] < 0), None)
@@ -394,7 +413,7 @@ def _phase1_simplex(
         return x, None
     # duality: y_i = 1 - reduced cost of artificial column i; then
     # y.A_j = -cost_j <= 0 for structural columns and y.b = objective > 0.
-    y = [1 - Fraction(cost[n + i], det) for i in range(m)]
+    y = [Fraction(det - cost[n + i], det) for i in range(m)]
     return None, y
 
 
@@ -436,8 +455,9 @@ def feasibility(
 ) -> LhvCertificate:
     """Decide whether a table is a mixture of deterministic assignments.
 
-    Accepts float or exact tables; floats are rationalized first (see
-    :func:`rationalize_table`).  The decision runs in exact arithmetic:
+    Accepts float or exact tables; the table is rationalized once (see
+    :func:`rationalize_table`), and the decision and the re-check both use
+    that exact table.  The decision runs in exact arithmetic:
     a phase-1 simplex over the 16 deterministic assignments, pivoted on
     Python ints.  Its tableau holds each value times ``det``, the current
     basis determinant (> 0), and every pivot divides exactly by the
@@ -446,7 +466,8 @@ def feasibility(
     tables showing the Hardy pattern get the deduction-chain witness with
     its canonical functional; otherwise the simplex dual supplies the
     separating functional.  Every certificate is validated by
-    re-substitution before it is returned.
+    re-substitution, in integers, before it is returned (the check of
+    :func:`validate_certificate`).
     """
     exact = rationalize_table(table, tol)
     rhs = [exact[key][a][b] for (key, a, b) in CELLS]
@@ -466,7 +487,7 @@ def feasibility(
             witness = InfeasibilityWitness(functional)
         cert = LhvCertificate("infeasible", witness=witness)
 
-    if not validate_certificate(exact, cert, tol):
+    if not _validate_exact(exact, cert):
         raise HardyLabError("internal error: produced certificate failed validation")
     return cert
 
@@ -478,46 +499,55 @@ def validate_certificate(
 ) -> bool:
     """Re-check a certificate against a table, exactly.
 
-    Feasible: every constrained cell must be reproduced by the model with
-    exact rational equality.  Infeasible: the functional must be strictly
-    negative on the table while nonnegative on all 16 deterministic
-    assignments (an all-zero functional therefore never validates).
+    The table is rationalized (a table that fails that does not validate)
+    and checked in integers.  Feasible: the model must pass its invariants
+    again, and every cell must be reproduced with exact rational equality.
+    Infeasible: the functional must be keyed on table cells, strictly
+    negative on the table and nonnegative on all 16 deterministic
+    assignments (an all-zero or empty functional therefore never
+    validates).
     """
     try:
         exact = rationalize_table(table, tol)
     except HardyLabError:
         return False
+    return _validate_exact(exact, cert)
 
+
+def _validate_exact(exact: ExactTable, cert: LhvCertificate) -> bool:
+    """:func:`validate_certificate` on a rationalized table.
+
+    The model's weights, the functional's coefficients and the table cells
+    the functional reads are each put on their common denominator, which is
+    positive, so each check compares integers: a model's cell sum against
+    the table cell by cross-multiplication, the functional's value on the
+    table against 0, and its sum over each assignment's cells against 0.
+    """
     if cert.verdict == "feasible":
-        model = cert.model
-        if model is None:
+        if cert.model is None:
             return False
         try:
-            LhvModel(model.weights)  # re-run the invariants
+            weights = LhvModel(cert.model.weights).weights  # re-run the invariants
         except HardyLabError:
             return False
-        return all(
-            model.cell_probability(cell) == exact[cell[0]][cell[1]][cell[2]]
-            for cell in CELLS
-        )
+        numerators, den = _on_common_denominator([weights.get(a, 0) for a in ASSIGNMENTS])
+        for (key, a, b), hits in _INCIDENCE.items():
+            p = exact[key][a][b]
+            if sum(map(mul, numerators, hits)) * p.denominator != p.numerator * den:
+                return False
+        return True
 
     witness = cert.witness
     if witness is None or not witness.functional:
         return False
     if not witness.functional.keys() <= _INCIDENCE.keys():
         return False
-    value = sum(
-        (c * exact[key][a][b] for (key, a, b), c in witness.functional.items()),
-        Fraction(0),
-    )
-    if value >= 0:
+    coefficients, _ = _on_common_denominator(list(witness.functional.values()))
+    values, _ = _on_common_denominator([exact[key][a][b] for key, a, b in witness.functional])
+    if sum(map(mul, coefficients, values)) >= 0:
         return False
-    coefficients = list(witness.functional.values())
     columns = zip(*(_INCIDENCE[cell] for cell in witness.functional))
-    return all(
-        sum((c for c, hit in zip(coefficients, column) if hit), Fraction(0)) >= 0
-        for column in columns
-    )
+    return all(sum(map(mul, coefficients, column)) >= 0 for column in columns)
 
 
 # --- the advertised-claims table -------------------------------------------

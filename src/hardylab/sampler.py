@@ -47,6 +47,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.shots < 0:
             raise HardyLabError(f"shots must be nonnegative, got {self.shots}")
+        if self.shots >= 2**63:  # ``sample`` tallies the shots in int64
+            raise HardyLabError(f"shots must be below 2**63, got {self.shots}")
         if not 0 <= self.seed < 2**64:
             raise HardyLabError("seed must fit in 64 unsigned bits")
         if commutator_norm(self.first, self.second) > tolerance():

@@ -22,6 +22,7 @@ from hardylab.core import (
     reduced_density,
     tolerance,
 )
+from hardylab.lhv import _INCIDENCE, CELLS, LhvModel, rationalize_table
 from hardylab.sampler import CELL_ORDER, CountTable, exact_context_probabilities
 
 PLUS = np.array([1.0, 0.0], dtype=complex)
@@ -182,6 +183,54 @@ def phase1_simplex(
     # y.A_j = -cost_j <= 0 for structural columns and y.b = objective > 0.
     y = [Fraction(1) - cost[n + i] for i in range(m)]
     return None, y
+
+
+def validate_certificate_reference(table, cert, tol: float | None = None) -> bool:
+    """Re-check a certificate against a table, exactly.
+
+    Feasible: every constrained cell must be reproduced by the model with
+    exact rational equality.  Infeasible: the functional must be strictly
+    negative on the table while nonnegative on all 16 deterministic
+    assignments (an all-zero functional therefore never validates).
+
+    Reference for ``hardylab.lhv.validate_certificate``: the same checks as
+    sums of Fractions, cell by cell and column by column.
+    """
+    try:
+        exact = rationalize_table(table, tol)
+    except HardyLabError:
+        return False
+
+    if cert.verdict == "feasible":
+        model = cert.model
+        if model is None:
+            return False
+        try:
+            LhvModel(model.weights)  # re-run the invariants
+        except HardyLabError:
+            return False
+        return all(
+            model.cell_probability(cell) == exact[cell[0]][cell[1]][cell[2]]
+            for cell in CELLS
+        )
+
+    witness = cert.witness
+    if witness is None or not witness.functional:
+        return False
+    if not witness.functional.keys() <= _INCIDENCE.keys():
+        return False
+    value = sum(
+        (c * exact[key][a][b] for (key, a, b), c in witness.functional.items()),
+        Fraction(0),
+    )
+    if value >= 0:
+        return False
+    coefficients = list(witness.functional.values())
+    columns = zip(*(_INCIDENCE[cell] for cell in witness.functional))
+    return all(
+        sum((c for c, hit in zip(coefficients, column) if hit), Fraction(0)) >= 0
+        for column in columns
+    )
 
 
 def shot_uniforms(seed: int, start: int, count: int) -> np.ndarray:

@@ -190,6 +190,22 @@ class TestSampleCommand:
             main(["sample", "--context", "d1u1", "--shots", "10"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("shots", [str(2**63), str(2**64)])
+    def test_shots_beyond_int64_are_one_line_usage_error(self, capsys, monkeypatch, shots):
+        from hardylab import cli
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sample must not run")
+
+        monkeypatch.setattr(cli, "sample", no_sampling)
+        with pytest.raises(SystemExit) as err:
+            main(["sample", "--context", "d1d2", "--shots", shots])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "2**63" in errors[0]
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_same_seed_reproduces_byte_identical_output(self, capsys):
         args = ("sample", "--context", "d1u2", "--shots", "500", "--seed", "11")
         _, first = run_cli(capsys, *args)

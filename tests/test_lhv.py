@@ -234,6 +234,12 @@ class TestCertificateValidation:
         with pytest.raises(HardyLabError):
             LhvModel(weights)
 
+    def test_negative_weight_violates_model_invariants(self):
+        # sums to exactly 1 over mixed denominators, one weight below 0
+        weights = dict(zip(ASSIGNMENTS, [Fraction(4, 3), Fraction(-1, 2), Fraction(1, 6)]))
+        with pytest.raises(HardyLabError, match="nonnegative"):
+            LhvModel(weights)
+
     def test_all_zero_functional_fails(self):
         exact = claimed_hardy_table()
         cert = LhvCertificate(
@@ -457,6 +463,127 @@ class TestIntegerSimplexMatchesReference:
         rhs = [data.draw(share) for _ in range(m)]
         columns = [[Fraction(row[j]) for row in rows] for j in range(n)]
         assert _phase1_simplex(rows, rhs) == oracle.phase1_simplex(columns, rhs)
+
+
+#: Functional keys that name no cell; ("d1d2", -1, 0) still reads a real
+#: cell by negative indexing.
+NON_CELLS = [("d1d2", -1, 0), ("d1d2", 2, 0), ("d1u1", 0, 0)]
+
+
+def tampered_model(weights: dict, kind: str, data) -> dict:
+    """A copy of feasible weights broken in the way ``kind`` names."""
+    weights = {a: weights.get(a, Fraction(0)) for a in ASSIGNMENTS}
+    donor = data.draw(st.sampled_from([a for a, w in weights.items() if w > 0]))
+    other = data.draw(st.sampled_from([a for a in ASSIGNMENTS if a != donor]))
+    if kind == "move":
+        moved = weights[donor] * data.draw(st.sampled_from([Fraction(1), Fraction(1, 2)]))
+        weights[donor] -= moved
+        weights[other] += moved
+    elif kind == "nudge":
+        weights[donor] += data.draw(st.sampled_from([1, -1])) * Fraction(
+            1, data.draw(st.integers(1, 2**20))
+        )
+    elif kind == "negative":
+        excess = Fraction(1, data.draw(st.integers(1, 1000)))
+        weights[other] += weights[donor] + excess
+        weights[donor] = -excess
+    elif kind == "outside":
+        weights[(2, 0, 0, 0)] = weights.pop(donor)
+    return weights
+
+
+def tampered_functional(functional: dict, kind: str, data) -> dict:
+    """A copy of a separating functional broken in the way ``kind`` names."""
+    functional = dict(functional)
+    if kind == "sign-flip":
+        return {cell: -c for cell, c in functional.items()}
+    if kind == "nudge":
+        cell = data.draw(st.sampled_from(CELLS))
+        step = Fraction(data.draw(st.sampled_from([1, -1])), data.draw(st.integers(1, 64)))
+        functional[cell] = functional.get(cell, Fraction(0)) + step
+    elif kind == "non-cell":
+        functional[data.draw(st.sampled_from(NON_CELLS))] = Fraction(-1)
+    elif kind == "empty":
+        functional = {}
+    elif kind == "zero-valued":
+        # one context's total minus another's: 0 on every table and on
+        # every assignment, so only the strict "< 0" on the table rejects it
+        first, second = data.draw(st.permutations(CONTEXT_KEYS))[:2]
+        functional = {cell: Fraction(1) for cell in CELLS if cell[0] == first}
+        functional.update({cell: Fraction(-1) for cell in CELLS if cell[0] == second})
+    return functional
+
+
+class TestIntegerValidatorMatchesReference:
+    """The integer validator against the Fraction validator it replaced."""
+
+    @pytest.mark.parametrize("name", sorted(TABLE_CLASSES))
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_same_verdict_on_produced_and_tampered_certificates(self, name, data):
+        exact = data.draw(TABLE_CLASSES[name])
+        cert = feasibility(exact)
+        assert validate_certificate(exact, cert)
+        assert oracle.validate_certificate_reference(exact, cert)
+
+        if cert.verdict == "feasible":
+            kind = data.draw(st.sampled_from(["move", "nudge", "negative", "outside"]))
+            weights = tampered_model(cert.model.weights, kind, data)
+            tampered = LhvCertificate("feasible", model=LhvModel(cert.model.weights))
+            # the model was valid when built; break it in place, as a caller could
+            tampered.model.weights.clear()
+            tampered.model.weights.update(weights)
+            expected = False  # every kind changes some cell or breaks an invariant
+        else:
+            kind = data.draw(
+                st.sampled_from(["sign-flip", "nudge", "non-cell", "empty", "zero-valued"])
+            )
+            functional = tampered_functional(cert.witness.functional, kind, data)
+            tampered = LhvCertificate("infeasible", witness=InfeasibilityWitness(functional))
+            expected = None if kind == "nudge" else False
+
+        got = validate_certificate(exact, tampered)
+        assert got == oracle.validate_certificate_reference(exact, tampered)
+        if expected is not None:
+            assert got == expected
+        event(f"{cert.verdict}, {kind}: {got}")
+
+
+class TestRationalizedOnce:
+    """One ``feasibility`` or ``validate_certificate`` call rationalizes once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from hardylab import lhv
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return rationalize_table(*args, **kwargs)
+
+        monkeypatch.setattr(lhv, "rationalize_table", counting)
+        return calls
+
+    @staticmethod
+    def float_table(verdict: str):
+        if verdict == "feasible":
+            return quantum_probability_table(PSIM, PSIM, Interpretation.COLLAPSED_STATE)
+        exact = claimed_hardy_table()
+        return {key: [[float(c) for c in row] for row in grid] for key, grid in exact.items()}
+
+    @pytest.mark.parametrize("verdict", ["feasible", "infeasible"])
+    def test_feasibility_rationalizes_once(self, calls, verdict):
+        assert feasibility(self.float_table(verdict)).verdict == verdict
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("verdict", ["feasible", "infeasible"])
+    def test_validate_certificate_rationalizes_once(self, calls, verdict):
+        table = self.float_table(verdict)
+        cert = feasibility(table)
+        calls.clear()
+        assert validate_certificate(table, cert)
+        assert len(calls) == 1
 
 
 # --- Fine's theorem ---------------------------------------------------------

@@ -56,6 +56,13 @@ class TestRunConfig:
             RunConfig(first, second, 10, 2**64)
         RunConfig(first, second, 10, 2**64 - 1)  # boundary is fine
 
+    def test_shots_must_fit_the_int64_tally(self):
+        first, second = context_observables("d1d2")
+        for shots in (2**63, 2**64):
+            with pytest.raises(HardyLabError):
+                RunConfig(first, second, shots, 0)
+        RunConfig(first, second, 2**63 - 1, 0)  # boundary is fine; built, never sampled
+
 
 class TestSampling:
     def test_bit_for_bit_reproducibility(self, state, dd_config):
