@@ -6,6 +6,9 @@ ancillas), mechanically re-derives its two Bell-basis expansions, audits
 the four advertised Hardy conditions under explicit interpretations,
 decides local-hidden-variable feasibility of probability tables with
 exact rational certificates, and simulates finite-shot measurement runs.
+
+Everything but the sampler is exact integer and Fraction arithmetic.  The
+sampler needs numpy, so its names are imported on first access.
 """
 
 __version__ = "0.1.0"
@@ -19,12 +22,7 @@ from .core import (
     born_probability,
     collapse,
     commutator_norm,
-    expectation,
-    ket,
-    reduced_density,
-    reorder,
     set_tolerance,
-    tensor,
     tolerance,
 )
 from .protocol import (
@@ -38,7 +36,6 @@ from .protocol import (
     make_ancillas,
     make_singlet,
     make_total_state,
-    reconstruct,
     verify_expansion,
 )
 from .observables import (
@@ -67,14 +64,24 @@ from .lhv import (
     replay_deductions,
     validate_certificate,
 )
-from .sampler import (
-    CountTable,
-    DeviationReport,
-    RunConfig,
-    compare_frequencies,
-    exact_context_probabilities,
-    sample,
+
+_SAMPLER_NAMES = (
+    "CountTable",
+    "DeviationReport",
+    "RunConfig",
+    "compare_frequencies",
+    "exact_context_probabilities",
+    "sample",
 )
+
+
+def __getattr__(name: str):
+    if name in _SAMPLER_NAMES:
+        from . import sampler
+
+        return getattr(sampler, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",
@@ -86,12 +93,7 @@ __all__ = [
     "born_probability",
     "collapse",
     "commutator_norm",
-    "expectation",
-    "ket",
-    "reduced_density",
-    "reorder",
     "set_tolerance",
-    "tensor",
     "tolerance",
     "BELL_ORDER",
     "BellIndex",
@@ -103,7 +105,6 @@ __all__ = [
     "make_ancillas",
     "make_singlet",
     "make_total_state",
-    "reconstruct",
     "verify_expansion",
     "CLAIM_TARGETS",
     "AuditReport",
@@ -127,10 +128,5 @@ __all__ = [
     "rationalize_table",
     "replay_deductions",
     "validate_certificate",
-    "CountTable",
-    "DeviationReport",
-    "RunConfig",
-    "compare_frequencies",
-    "exact_context_probabilities",
-    "sample",
+    *_SAMPLER_NAMES,
 ]

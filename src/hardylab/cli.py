@@ -29,7 +29,6 @@ from .lhv import (
     feasibility,
     rationalize_table,
     replay_deductions,
-    validate_certificate,
 )
 from .observables import (
     Interpretation,
@@ -39,7 +38,6 @@ from .observables import (
     quantum_probability_table,
 )
 from .protocol import BELL_ORDER, BellIndex, make_total_state, verify_expansion
-from .sampler import RunConfig, compare_frequencies, exact_context_probabilities, sample
 
 _BELL_LABELS = {b.value: b for b in BELL_ORDER}
 _INTERP_LABELS = {i.value: i for i in Interpretation}
@@ -203,19 +201,23 @@ def _load_table_source(source: str, parser):
 
 def cmd_lhv(args, parser) -> int:
     exact, description = _load_table_source(args.source, parser)
+    # feasibility re-checks its certificate against the table, in integers,
+    # and raises (exit 1) if that check fails; a returned one is validated
     cert = feasibility(exact)
-    validated = validate_certificate(exact, cert)
     results = {
         "table": _exact_table_json(exact),
         "certificate": cert.to_jsonable(),
-        "validated": validated,
+        "validated": True,
     }
     results.update(description)
     _emit(_envelope("lhv", {"source": args.source}, results), args.format)
-    return 0 if validated else 1
+    return 0
 
 
 def cmd_sample(args, parser) -> int:
+    # the sampler is the one module that needs numpy, so only sample loads it
+    from .sampler import RunConfig, compare_frequencies, exact_context_probabilities, sample
+
     d1 = _bell(args.d1, parser)
     d2 = _bell(args.d2, parser)
     interp = _interp(args.interp, parser)
@@ -232,7 +234,7 @@ def cmd_sample(args, parser) -> int:
     results = {
         "context": args.context,
         "observables": [first.name, second.name],
-        "exact": exact.tolist(),
+        "exact": [[float(p) for p in row] for row in exact],
         "counts": counts.to_jsonable(),
     }
     if args.shots > 0:
@@ -316,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _HANDLERS[args.command](args, parser)
     except HardyLabError as err:
-        print(f"error: {err}", file=sys.stderr)
+        print("error:", *str(err).split(), file=sys.stderr)  # always one line
         return 1
     finally:
         set_tolerance(previous)

@@ -1,28 +1,34 @@
-"""Exact dense complex linear algebra for up to four labelled qubits.
+"""Exact states and projectors on up to four labelled qubits.
 
-States and operators carry explicit slot labels (drawn from A, 1, 2, B),
-so tensor factors can never be silently reordered.  The full space is only
-16-dimensional; everything is a plain dense numpy array, and every public
-value is immutable after construction.
+Every amplitude in this construction is an integer times a power of
+1/sqrt(2), so states are held as integer vectors: a :class:`StateVector`
+with integer ``amps`` stands for ``amps / sqrt(norm2)``, and a unit state's
+``norm2`` is the squared length of ``amps``.  Every observable is a
+rank-one projector onto such a state on its own slots, identity on the
+rest.  Probabilities come out as exact :class:`~fractions.Fraction`\\ s,
+so zero means exact zero and no tolerance enters the algebra.
 
-Basis convention: each qubit uses the (+, -) basis with "+" mapped to
-index 0, and multi-qubit amplitudes are stored row-major with the first
-slot label as the most significant bit.  The canonical full slot order is
-(A, 1, 2, B).
+States carry explicit slot labels (drawn from A, 1, 2, B), so tensor
+factors can never be silently reordered.  Basis convention: each qubit
+uses the (+, -) basis with "+" mapped to index 0, and multi-qubit
+amplitudes are stored row-major with the first slot label as the most
+significant bit.  The canonical full slot order is (A, 1, 2, B).
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
-
-import numpy as np
+from fractions import Fraction
+from functools import cache, cached_property
+from operator import mul
 
 CANONICAL_SLOTS = ("A", "1", "2", "B")
 
-# Single comparison knob for the whole package.  Every quantity handled
-# here is a dyadic rational times a power of sqrt(2), so 1e-12 leaves
-# orders of magnitude of headroom over float64 noise.
+# Single comparison knob for the whole package.  It widens the audit's
+# verdicts and the rationalization of float table cells; the exact algebra
+# here never reads it.
 TOLERANCE = 1e-12
 
 
@@ -53,14 +59,6 @@ class NormalizationError(HardyLabError):
     """A state that must be normalized is not (or vice versa)."""
 
 
-class NonProjectorError(HardyLabError):
-    """Projector semantics were requested for a non-projector operator."""
-
-
-class OperatorInvariantError(HardyLabError):
-    """An operator violates Hermiticity, idempotence, or its acts_on claim."""
-
-
 class ZeroProbabilityError(HardyLabError):
     """Conditioning or collapsing on an event of probability zero."""
 
@@ -73,6 +71,7 @@ class EmptyBranchError(HardyLabError):
     """A measurement branch with zero weight was requested."""
 
 
+@cache
 def _validate_slots(slots: tuple[str, ...]) -> None:
     if not 1 <= len(slots) <= 4:
         raise DimensionMismatchError(f"slot count must be 1..4, got {len(slots)}")
@@ -83,313 +82,178 @@ def _validate_slots(slots: tuple[str, ...]) -> None:
         raise DimensionMismatchError(f"unknown slot labels {sorted(unknown)}")
 
 
-def _frozen_array(values, shape) -> np.ndarray:
-    arr = np.array(values, dtype=complex).reshape(shape)
-    if not np.all(np.isfinite(arr.view(float))):
-        raise HardyLabError("non-finite amplitude")
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class StateVector:
-    """A pure state over labelled qubits.
+    """A real pure state over labelled qubits: ``amps / sqrt(norm2)``.
 
-    ``amps`` has length ``2 ** len(slots)``.  The public constructor
-    enforces unit norm; unnormalized intermediates (projection residues)
-    must be created through :meth:`raw` and are flagged ``normalized=False``.
+    ``amps`` holds one integer per basis state of ``slots``.  The public
+    constructor makes a unit state, whose ``norm2`` is the squared length
+    of ``amps``; unnormalized intermediates (projection residues) are
+    created through :meth:`raw` with their own ``norm2``.
     """
 
-    amps: np.ndarray
+    amps: tuple[int, ...]
     slots: tuple[str, ...]
-    normalized: bool = True
+    norm2: int | None = None
+    normalized: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         slots = tuple(self.slots)
         _validate_slots(slots)
-        amps = _frozen_array(self.amps, (2 ** len(slots),))
+        amps = tuple(self.amps)
+        if len(amps) != 2 ** len(slots):
+            raise DimensionMismatchError(f"{len(amps)} amplitudes for slots {slots}")
+        if not {int}.issuperset(map(type, amps)):
+            raise HardyLabError(f"amplitudes must be integers, got {amps}")
+        length2 = sum(map(mul, amps, amps))
+        if self.norm2 is None and not length2:
+            raise NormalizationError(f"the zero vector on {slots} is not a state")
+        norm2 = length2 if self.norm2 is None else self.norm2
         object.__setattr__(self, "amps", amps)
         object.__setattr__(self, "slots", slots)
-        if self.normalized:
-            nsq = float(np.vdot(amps, amps).real)
-            if abs(nsq - 1.0) > tolerance():
-                raise NormalizationError(
-                    f"state on {slots} has squared norm {nsq!r}, expected 1"
-                )
+        object.__setattr__(self, "norm2", norm2)
+        object.__setattr__(self, "normalized", length2 == norm2)
 
     @classmethod
-    def raw(cls, amps, slots: tuple[str, ...]) -> "StateVector":
-        """Construct without the unit-norm invariant (explicitly marked)."""
-        return cls(amps, slots, normalized=False)
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.slots)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def __repr__(self) -> str:
-        return f"StateVector({ket_string(self)!r}, slots={self.slots})"
-
-
-_BASIS_CHARS = {"+": 0, "-": 1}
-
-
-def ket(pattern: str, slots: tuple[str, ...]) -> StateVector:
-    """Computational basis state from a pattern like ``"+-"``."""
-    if len(pattern) != len(slots):
-        raise DimensionMismatchError(
-            f"pattern {pattern!r} does not cover slots {slots}"
-        )
-    index = 0
-    for ch in pattern:
-        if ch not in _BASIS_CHARS:
-            raise HardyLabError(f"unknown basis character {ch!r}")
-        index = 2 * index + _BASIS_CHARS[ch]
-    amps = np.zeros(2 ** len(slots), dtype=complex)
-    amps[index] = 1.0
-    return StateVector(amps, slots)
-
-
-def ket_string(s: StateVector, eps: float = 1e-9) -> str:
-    """Human-readable ket expansion, e.g. ``"0.5|++-> + -0.5|+-+>"``."""
-    n = s.n_qubits
-    terms = []
-    for i, a in enumerate(s.amps):
-        if abs(a) <= eps:
-            continue
-        label = "".join("+" if ((i >> (n - 1 - k)) & 1) == 0 else "-" for k in range(n))
-        coef = f"{a.real:g}" if abs(a.imag) <= eps else f"({a.real:g}{a.imag:+g}j)"
-        terms.append(f"{coef}|{label}>")
-    return " + ".join(terms) if terms else "0"
-
-
-def _axis_permutation(current: tuple[str, ...], target: tuple[str, ...]) -> list[int]:
-    if set(current) != set(target):
-        raise DimensionMismatchError(f"cannot reorder {current} into {target}")
-    return [current.index(label) for label in target]
-
-
-def _permute_vector(amps: np.ndarray, current, target) -> np.ndarray:
-    perm = _axis_permutation(tuple(current), tuple(target))
-    n = len(perm)
-    return amps.reshape((2,) * n).transpose(perm).reshape(-1)
-
-
-def _permute_matrix(mat: np.ndarray, current, target) -> np.ndarray:
-    perm = _axis_permutation(tuple(current), tuple(target))
-    n = len(perm)
-    t = mat.reshape((2,) * (2 * n))
-    t = t.transpose(perm + [p + n for p in perm])
-    return t.reshape(2**n, 2**n)
-
-
-def reorder(s: StateVector, new_slots: tuple[str, ...]) -> StateVector:
-    """Same state with its tensor factors listed in a new slot order."""
-    amps = _permute_vector(s.amps, s.slots, new_slots)
-    return StateVector(amps, tuple(new_slots), normalized=s.normalized)
+    def raw(cls, amps, slots: tuple[str, ...], norm2: int) -> "StateVector":
+        """``amps / sqrt(norm2)``, without the unit-norm invariant."""
+        if norm2 <= 0:
+            raise NormalizationError(f"norm2 must be positive, got {norm2}")
+        return cls(amps, slots, norm2)
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Tensor product; slot labels concatenate and must be disjoint."""
-    overlap = set(a.slots) & set(b.slots)
-    if overlap:
-        raise SlotCollisionError(f"slots {sorted(overlap)} present on both factors")
-    if not (a.normalized and b.normalized):
-        raise NormalizationError("tensor requires normalized factors")
-    return StateVector(np.kron(a.amps, b.amps), a.slots + b.slots)
+    """Tensor product of unit states; slot labels concatenate."""
+    return StateVector(tuple(x * y for x in a.amps for y in b.amps), a.slots + b.slots)
+
+
+@cache
+def _split(slots: tuple[str, ...], support: tuple[str, ...]) -> tuple[tuple[int, int], ...]:
+    """Per basis index over ``slots``: its index over ``support`` (in that
+    order) and its index over the other slots (in ``slots`` order)."""
+    n = len(slots)
+    inside = [slots.index(label) for label in support]
+    outside = [k for k in range(n) if slots[k] not in support]
+
+    def index(i: int, axes: list[int]) -> int:
+        return sum(((i >> (n - 1 - k)) & 1) << (len(axes) - 1 - j) for j, k in enumerate(axes))
+
+    return tuple((index(i, inside), index(i, outside)) for i in range(2**n))
+
+
+def partial_overlap(target: StateVector, s: StateVector) -> list[int]:
+    """<target| s> over the slots of ``s`` outside ``target``, in their order.
+
+    The integers returned are the overlap times sqrt(target.norm2 * s.norm2).
+    """
+    if not set(target.slots) <= set(s.slots):
+        raise DimensionMismatchError(f"slots {target.slots} not all present on {s.slots}")
+    split = _split(s.slots, target.slots)
+    k = target.amps
+    out = [0] * (len(s.amps) >> len(target.slots))
+    for i, a in enumerate(s.amps):
+        if a:
+            t, r = split[i]
+            out[r] += k[t] * a
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class ObservableOp:
-    """A Hermitian operator on labelled qubits.
+    """The projector onto the unit state ``target`` on its slots, identity
+    on every other slot.
 
-    ``slots`` is the full space the matrix is written on; ``acts_on`` is
-    the subset it touches non-trivially (it must factor as identity on the
-    rest, which is verified at construction).  ``is_projector`` adds the
-    idempotence invariant.  Operators compare and hash by identity, so a
-    built operator can key a cache.
+    Hermiticity, idempotence and identity off ``target.slots`` hold by
+    construction.  Operators compare and hash by identity, so a built
+    operator can key a cache.
     """
 
-    matrix: np.ndarray
-    slots: tuple[str, ...]
-    acts_on: frozenset = field(default_factory=frozenset)
+    target: StateVector
     name: str = ""
-    is_projector: bool = False
+
+    is_projector = True
 
     def __post_init__(self) -> None:
-        slots = tuple(self.slots)
-        _validate_slots(slots)
-        dim = 2 ** len(slots)
-        mat = _frozen_array(self.matrix, (dim, dim))
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "slots", slots)
-        acts_on = frozenset(self.acts_on) or frozenset(slots)
-        if not acts_on <= set(slots):
-            raise DimensionMismatchError(f"acts_on {sorted(acts_on)} outside {slots}")
-        object.__setattr__(self, "acts_on", acts_on)
+        if not self.target.normalized:
+            raise NormalizationError("projector target must be normalized")
 
-        tol = tolerance()
-        if np.abs(mat - mat.conj().T).max() > tol:
-            raise OperatorInvariantError(f"{self.name or 'operator'} is not Hermitian")
-        if self.is_projector and np.abs(mat @ mat - mat).max() > tol:
-            raise OperatorInvariantError(f"{self.name or 'operator'} is not idempotent")
-        for k, label in enumerate(slots):
-            if label not in acts_on and not _acts_trivially(mat, len(slots), k, tol):
-                raise OperatorInvariantError(
-                    f"{self.name or 'operator'} is not identity on slot {label}"
-                )
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.slots)
+    @cached_property
+    def acts_on(self) -> frozenset:
+        return frozenset(self.target.slots)
 
     def __matmul__(self, other: "ObservableOp") -> "ObservableOp":
-        """Operator product; valid only when the result is again Hermitian
-        (for projectors: when the factors commute)."""
-        if self.slots != other.slots:
-            raise DimensionMismatchError(f"slot mismatch: {self.slots} vs {other.slots}")
-        return ObservableOp(
-            self.matrix @ other.matrix,
-            self.slots,
-            acts_on=self.acts_on | other.acts_on,
-            name=f"{self.name}*{other.name}",
-            is_projector=self.is_projector and other.is_projector,
-        )
+        """Product of projectors on disjoint slots: the projector onto
+        the tensor product of their targets."""
+        if self.acts_on & other.acts_on:
+            raise HardyLabError(
+                f"{self.name} and {other.name} share slots; products are formed "
+                "only across disjoint slots"
+            )
+        return ObservableOp(tensor(self.target, other.target), f"{self.name}*{other.name}")
 
-    @classmethod
-    def identity(cls, slots: tuple[str, ...]) -> "ObservableOp":
-        dim = 2 ** len(slots)
-        return cls(np.eye(dim), slots, acts_on=frozenset(), name="I", is_projector=True)
-
-    @classmethod
-    def projector_onto(
-        cls,
-        state: StateVector,
-        within: tuple[str, ...] | None = None,
-        name: str = "",
-    ) -> "ObservableOp":
-        """Rank-1 projector onto ``state``, identity on the other slots of
-        ``within`` (default: just ``state.slots``)."""
-        if not state.normalized:
-            raise NormalizationError("projector target must be normalized")
-        small = np.outer(state.amps, state.amps.conj())
-        within = tuple(within) if within is not None else state.slots
-        mat = _embed_matrix(small, state.slots, within)
-        return cls(
-            mat,
-            within,
-            acts_on=frozenset(state.slots),
-            name=name or f"P[{ket_string(state)}]",
-            is_projector=True,
-        )
-
-    @classmethod
-    def single_qubit(
-        cls,
-        mat2,
-        slot: str,
-        within: tuple[str, ...] | None = None,
-        name: str = "",
-        is_projector: bool = False,
-    ) -> "ObservableOp":
-        """Embed a 2x2 Hermitian matrix acting on one slot."""
-        within = tuple(within) if within is not None else (slot,)
-        mat = _embed_matrix(np.asarray(mat2, dtype=complex), (slot,), within)
-        return cls(mat, within, acts_on=frozenset({slot}), name=name,
-                   is_projector=is_projector)
+    @cached_property
+    def matrix(self) -> memoryview:
+        """The dense matrix on the canonical slots, as a read-only 2-D
+        memoryview of doubles (built on first use).  Its exact entries are
+        integers over ``target.norm2``; for this construction they are
+        dyadic, so the doubles are exact."""
+        dense = _dense(self.target, CANONICAL_SLOTS)
+        flat = array("d", (v / self.target.norm2 for row in dense for v in row))
+        return memoryview(flat).toreadonly().cast("B").cast("d", (len(dense), len(dense)))
 
 
-def _embed_matrix(small: np.ndarray, small_slots, full_slots) -> np.ndarray:
-    """Extend ``small`` (on small_slots) by identity to full_slots order."""
-    small_slots, full_slots = tuple(small_slots), tuple(full_slots)
-    missing = set(small_slots) - set(full_slots)
-    if missing:
-        raise DimensionMismatchError(f"slots {sorted(missing)} not in {full_slots}")
-    rest = tuple(l for l in full_slots if l not in small_slots)
-    big = np.kron(small, np.eye(2 ** len(rest))) if rest else small
-    return _permute_matrix(big, small_slots + rest, full_slots)
-
-
-def _acts_trivially(mat: np.ndarray, n: int, axis: int, tol: float) -> bool:
-    # An operator is identity on a qubit iff it commutes with the full
-    # single-qubit algebra there; X and Z generate it.  Split the matrix
-    # into 2x2 blocks T[a][b] over that qubit: [X, M] has entries
-    # T01 - T10 and T00 - T11, and [Z, M] has entries 2*T01 and 2*T10.
-    t = np.moveaxis(mat.reshape((2,) * (2 * n)), (axis, n + axis), (0, 1))
-    x_comm = max(np.abs(t[0, 1] - t[1, 0]).max(), np.abs(t[0, 0] - t[1, 1]).max())
-    z_comm = 2 * max(np.abs(t[0, 1]).max(), np.abs(t[1, 0]).max())
-    return not (x_comm > tol or z_comm > tol)
+def _dense(target: StateVector, slots: tuple[str, ...]) -> list[list[int]]:
+    """|k><k| on ``target.slots``, identity elsewhere, written on ``slots``
+    (an integer matrix: the projector times ``target.norm2``)."""
+    split = _split(slots, target.slots)
+    k = target.amps
+    return [[k[tx] * k[ty] if rx == ry else 0 for ty, ry in split] for tx, rx in split]
 
 
 def apply(op: ObservableOp, s: StateVector) -> StateVector:
-    """Matrix-vector product.  The result is a projection residue and is
-    returned unnormalized (``normalized=False``)."""
-    if op.slots != s.slots:
-        raise DimensionMismatchError(f"operator on {op.slots}, state on {s.slots}")
-    return StateVector.raw(op.matrix @ s.amps, s.slots)
+    """The projection residue ``op |s>``, exact and unnormalized."""
+    w = partial_overlap(op.target, s)
+    k = op.target.amps
+    amps = [k[t] * w[r] for t, r in _split(s.slots, op.target.slots)]
+    return StateVector.raw(amps, s.slots, op.target.norm2**2 * s.norm2)
 
 
-def expectation(op: ObservableOp, s: StateVector, tol: float | None = None) -> float:
-    """<s|M|s> for Hermitian M; the imaginary residue must be negligible."""
-    if op.slots != s.slots:
-        raise DimensionMismatchError(f"operator on {op.slots}, state on {s.slots}")
-    value = complex(np.vdot(s.amps, op.matrix @ s.amps))
-    tol = tolerance(tol)
-    if abs(value.imag) > tol:
-        raise OperatorInvariantError(
-            f"expectation has imaginary residue {value.imag!r} beyond {tol}"
-        )
-    return value.real
-
-
-def born_probability(op: ObservableOp, s: StateVector, tol: float | None = None) -> float:
-    """Probability of the projective outcome ``op`` on normalized ``s``.
-
-    Returns a real value clamped into [0, 1]; an imaginary residue beyond
-    the tolerance is an error (its size is reported in the message).
-    """
-    if not op.is_projector:
-        raise NonProjectorError(f"{op.name or 'operator'} is not a projector")
+def born_probability(op: ObservableOp, s: StateVector) -> Fraction:
+    """Exact probability of the projective outcome ``op`` on unit ``s``."""
     if not s.normalized:
         raise NormalizationError("born_probability requires a normalized state")
-    p = expectation(op, s, tol)
-    tol = tolerance(tol)
-    if p < -tol or p > 1.0 + tol:
-        raise HardyLabError(f"probability {p!r} outside [0, 1]")
-    return min(max(p, 0.0), 1.0)
+    w = partial_overlap(op.target, s)
+    return Fraction(sum(map(mul, w, w)), op.target.norm2 * s.norm2)
 
 
-def collapse(
-    op: ObservableOp, s: StateVector, tol: float | None = None
-) -> tuple[float, StateVector]:
+def collapse(op: ObservableOp, s: StateVector) -> tuple[Fraction, StateVector]:
     """Project and renormalize: returns ``(probability, post_state)``.
 
-    A zero-probability branch raises :class:`ZeroProbabilityError` instead
-    of surfacing as a division blow-up, so callers can tell an impossible
-    branch from numerical failure.
+    An outcome of probability exactly zero raises
+    :class:`ZeroProbabilityError`, so callers can tell an impossible
+    branch from a merely small one.
     """
-    p = born_probability(op, s, tol)
-    if p <= tolerance(tol):
-        raise ZeroProbabilityError(
-            f"collapse on {op.name or 'projector'} has probability {p!r}"
-        )
+    if not s.normalized:
+        raise NormalizationError("collapse requires a normalized state")
     post = apply(op, s)
-    return p, StateVector(post.amps / math.sqrt(p), s.slots)
+    p = Fraction(sum(map(mul, post.amps, post.amps)), post.norm2)
+    if not p:
+        raise ZeroProbabilityError(f"collapse on {op.name or 'projector'} has probability 0")
+    g = math.gcd(*post.amps)
+    return p, StateVector(tuple(a // g for a in post.amps), s.slots)
 
 
-def commutator_norm(a: ObservableOp, b: ObservableOp) -> float:
-    """Max-entry magnitude of ``AB - BA``."""
-    if a.slots != b.slots:
-        raise DimensionMismatchError(f"slot mismatch: {a.slots} vs {b.slots}")
-    return float(np.abs(a.matrix @ b.matrix - b.matrix @ a.matrix).max())
+def commutator_norm(a: ObservableOp, b: ObservableOp) -> Fraction:
+    """Exact max-entry magnitude of ``AB - BA``.
 
-
-def reduced_density(s: StateVector, slot: str) -> np.ndarray:
-    """2x2 reduced density matrix of one slot (others summed out)."""
-    if slot not in s.slots:
-        raise DimensionMismatchError(f"slot {slot!r} absent from {s.slots}")
-    axis = s.slots.index(slot)
-    t = np.moveaxis(s.amps.reshape((2,) * s.n_qubits), axis, 0).reshape(2, -1)
-    return t @ t.conj().T
+    Projectors on disjoint slots commute; otherwise both are written out
+    on the union of their slots and the commutator is formed in integers.
+    """
+    if not a.acts_on & b.acts_on:
+        return Fraction(0)
+    on = a.target.slots + tuple(x for x in b.target.slots if x not in a.acts_on)
+    ma, mb = _dense(a.target, on), _dense(b.target, on)
+    ab = [[sum(x * y for x, y in zip(row, col)) for col in zip(*mb)] for row in ma]
+    ba = [[sum(x * y for x, y in zip(row, col)) for col in zip(*ma)] for row in mb]
+    largest = max(abs(x - y) for r, q in zip(ab, ba) for x, y in zip(r, q))
+    return Fraction(largest, a.target.norm2 * b.target.norm2)

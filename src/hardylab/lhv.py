@@ -136,6 +136,13 @@ def rationalize_table(
 # --- deduction replay -----------------------------------------------------
 
 
+def _shown(value):
+    """A value as a report prints it: its float, unless a nonzero value
+    underflows to 0.0, which is printed as the exact Fraction."""
+    f = float(value)
+    return f if f or not value else value
+
+
 @dataclass(frozen=True)
 class DeductionStep:
     index: int
@@ -175,6 +182,7 @@ def replay_deductions(claims: HardyClaimSet, tol: float | None = None) -> Deduct
     ``halted_at`` names the first rule that could not fire.
     """
     tol = tolerance(tol)
+    shown = {key: _shown(value) for key, value in vars(claims).items()}
     exists = claims.p_joint > tol
     c12_certain = abs(claims.c_d1u2 - 1.0) <= tol
     c21_certain = abs(claims.c_d2u1 - 1.0) <= tol
@@ -184,12 +192,12 @@ def replay_deductions(claims: HardyClaimSet, tol: float | None = None) -> Deduct
 
     fired1 = exists and c12_certain
     if not exists:
-        detail = f"joint D1=D2=1 run has probability {claims.p_joint}; no run to reason about"
+        detail = f"joint D1=D2=1 run has probability {shown['p_joint']}; no run to reason about"
     elif not c12_certain:
-        detail = f"P(U2=1|D1=1) = {claims.c_d1u2} is not a certainty"
+        detail = f"P(U2=1|D1=1) = {shown['c_d1u2']} is not a certainty"
     else:
         detail = (
-            f"a D1=D2=1 run exists (probability {claims.p_joint}) and "
+            f"a D1=D2=1 run exists (probability {shown['p_joint']}) and "
             "P(U2=1|D1=1) = 1, so U2=1 is predetermined for it"
         )
     steps.append(DeductionStep(1, "U2 is an element of reality", fired1, detail))
@@ -210,7 +218,7 @@ def replay_deductions(claims: HardyClaimSet, tol: float | None = None) -> Deduct
     if not fired2:
         detail = "not reached"
     elif not c21_certain:
-        detail = f"P(U1=1|D2=1) = {claims.c_d2u1} is not a certainty"
+        detail = f"P(U1=1|D2=1) = {shown['c_d2u1']} is not a certainty"
     else:
         detail = "the same run has D2=1 and P(U1=1|D2=1) = 1, so U1=1 is predetermined"
     steps.append(DeductionStep(3, "U1 is an element of reality", fired3, detail))
@@ -220,7 +228,7 @@ def replay_deductions(claims: HardyClaimSet, tol: float | None = None) -> Deduct
         detail = "not reached"
     elif not u1u2_zero:
         detail = (
-            f"the run would give U1=U2=1, but P(U1=1,U2=1) = {claims.p_u1u2} "
+            f"the run would give U1=U2=1, but P(U1=1,U2=1) = {shown['p_u1u2']} "
             "does not forbid that outcome"
         )
     else:
@@ -257,10 +265,6 @@ class LhvModel:
         if sum(numerators) != den:
             raise HardyLabError("model weights must sum to exactly 1")
         object.__setattr__(self, "weights", weights)
-
-    def cell_probability(self, cell: Cell) -> Fraction:
-        hits = zip(ASSIGNMENTS, _INCIDENCE[cell])
-        return sum((self.weights.get(a, 0) for a, hit in hits if hit), Fraction(0))
 
     def to_jsonable(self) -> dict:
         return {
@@ -439,13 +443,9 @@ def _hardy_pattern_cells(exact: ExactTable) -> dict[Cell, Fraction] | None:
 
 
 def _chain_for_pattern(exact: ExactTable) -> tuple[DeductionStep, ...]:
-    p = exact["d1d2"][1][1]
     # The pattern established p > 0 exactly, so the replay must fire: tol=0
-    # covers p below the float tolerance, and a p that underflows to 0.0 as
-    # a float is passed as the exact Fraction (and reported as such).
-    claims = HardyClaimSet(
-        p_joint=float(p) or p, c_d1u2=1.0, c_d2u1=1.0, p_u1u2=0.0
-    )
+    # covers p below the float tolerance.
+    claims = HardyClaimSet(p_joint=exact["d1d2"][1][1], c_d1u2=1, c_d2u1=1, p_u1u2=0)
     return replay_deductions(claims, tol=0.0).steps
 
 

@@ -18,22 +18,23 @@ and the audit measures all four under two explicit readings of U1/U2:
 The two readings genuinely disagree on one conditional; the audit reports
 both and never silently picks one.
 
-The state, its expansions, the 18 distinct operators and the commuting
-products the audit forms make up the lab: each is built, and checked, on
-its first lookup and then reused for the rest of the process.
+Every probability is an exact Fraction.  The 18 distinct operators and the
+commuting products the audit forms are built on their first lookup and
+then reused for the rest of the process; probabilities and reports are
+computed afresh on every call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from functools import cache
+from operator import mul
 from typing import Mapping
 
-import numpy as np
-
 from .core import (
-    CANONICAL_SLOTS,
     EmptyBranchError,
     HardyLabError,
     NonCommutingError,
@@ -43,17 +44,10 @@ from .core import (
     born_probability,
     collapse,
     commutator_norm,
-    reduced_density,
+    partial_overlap,
     tolerance,
 )
-from .protocol import (
-    BELL_ORDER,
-    BellIndex,
-    BranchExpansion,
-    bell_state,
-    expand_in_bell_basis,
-    make_total_state,
-)
+from .protocol import BELL_ORDER, PAIR_SLOTS, TOTAL_STATE, BellIndex, bell_expansion, bell_state
 
 
 class Interpretation(Enum):
@@ -63,69 +57,37 @@ class Interpretation(Enum):
     COLLAPSED_STATE = "collapsed"
 
 
-PAIR_SLOTS: Mapping[str, tuple[str, str]] = {"A1": ("A", "1"), "2B": ("2", "B")}
-
 CONTEXT_KEYS = ("d1d2", "d1u2", "u1d2", "u1u2")
 
 
 # --- the lab ----------------------------------------------------------------
-# Every entry is built on its first lookup and kept for the process.  The
-# key holds every tolerance the construction reads (the explicit ``tol``
-# and the global ``tolerance()``), so a lookup under another tolerance
-# builds and checks its own entry.  Entries are immutable, so sharing them
-# is safe; probabilities and reports are never cached.
+# Every entry is built on its first lookup and kept for the process.
+# Entries are immutable, so sharing them is safe.
 
 
 @cache
-def _total_state(global_tol: float) -> StateVector:
-    return make_total_state()
-
-
-@cache
-def _expansion(measured: tuple[str, str], tol: float, global_tol: float) -> BranchExpansion:
-    return expand_in_bell_basis(_total_state(global_tol), measured, tol)
-
-
-@cache
-def _d(pair_slot: str, index: BellIndex, global_tol: float) -> ObservableOp:
+def _d(pair_slot: str, index: BellIndex) -> ObservableOp:
     which = "D1" if pair_slot == "A1" else "D2"
-    return ObservableOp.projector_onto(
-        bell_state(index, PAIR_SLOTS[pair_slot]),
-        within=CANONICAL_SLOTS,
-        name=f"{which}[{index.value}]",
-    )
+    return ObservableOp(bell_state(index, PAIR_SLOTS[pair_slot]), f"{which}[{index.value}]")
 
 
 @cache
-def _u(
-    slot: str,
-    interp: Interpretation,
-    partner_outcome: BellIndex | None,
-    tol: float,
-    global_tol: float,
-) -> ObservableOp:
+def _u(slot: str, interp: Interpretation, partner_outcome: BellIndex | None) -> ObservableOp:
     which = f"U{slot}"
     if interp is Interpretation.FIXED_BASIS:
-        return ObservableOp.projector_onto(
-            StateVector(np.array([1, 0], dtype=complex), (slot,)),
-            within=CANONICAL_SLOTS,
-            name=f"{which}[z+]",
-        )
-    measured = ("A", "1") if slot == "2" else ("2", "B")
-    branch = _expansion(measured, tol, global_tol).branch(partner_outcome)
+        return ObservableOp(StateVector((1, 0), (slot,)), f"{which}[z+]")
+    pair = "A1" if slot == "2" else "2B"
+    branch = bell_expansion(pair).branch(partner_outcome)
     if branch.empty:
-        raise EmptyBranchError(
-            f"branch {partner_outcome.value} of the {measured} expansion is empty"
-        )
-    return ObservableOp.projector_onto(
-        _pure_slot_state(branch.residual, slot, tol),
-        within=CANONICAL_SLOTS,
-        name=f"{which}[collapsed:{partner_outcome.value}]",
+        raise EmptyBranchError(f"branch {partner_outcome.value} of the {pair} expansion is empty")
+    return ObservableOp(
+        _pure_slot_state(branch.residual, slot),
+        f"{which}[collapsed:{partner_outcome.value}]",
     )
 
 
 @cache
-def _product(first: ObservableOp, second: ObservableOp, global_tol: float) -> ObservableOp:
+def _product(first: ObservableOp, second: ObservableOp) -> ObservableOp:
     return first @ second
 
 
@@ -133,29 +95,25 @@ def build_d(pair_slot: str, index: BellIndex) -> ObservableOp:
     """Bell-state projector on one station's pair, identity elsewhere."""
     if pair_slot not in PAIR_SLOTS:
         raise HardyLabError(f"unknown pair slot {pair_slot!r} (want A1 or 2B)")
-    return _d(pair_slot, index, tolerance())
+    return _d(pair_slot, index)
 
 
-def _pure_slot_state(residual: StateVector, slot: str, tol: float) -> StateVector:
-    """Extract the pure single-qubit state of one slot of a product residual."""
-    rho = reduced_density(residual, slot)
-    evals, evecs = np.linalg.eigh(rho)
-    if evals[-1] < 1.0 - tol:
-        raise HardyLabError(
-            f"slot {slot!r} of the residual is not pure (top weight {evals[-1]!r})"
-        )
-    vec = evecs[:, -1]
-    k = int(np.argmax(np.abs(vec)))
-    vec = vec / (vec[k] / abs(vec[k]))
-    return StateVector(vec, (slot,))
+def _pure_slot_state(residual: StateVector, slot: str) -> StateVector:
+    """The state of one slot of a product residual, read off a nonzero slice.
+
+    <+| and <-| on ``slot`` give the two rows of the residual over its
+    other slots; it is a product state iff they are parallel, and then the
+    slot's state is any nonzero column.
+    """
+    plus, minus = (partial_overlap(StateVector(e, (slot,)), residual) for e in ((1, 0), (0, 1)))
+    if any(a * d != b * c for a, c in zip(plus, minus) for b, d in zip(plus, minus)):
+        raise HardyLabError(f"slot {slot!r} of the residual is not pure")
+    column = next((a, c) for a, c in zip(plus, minus) if a or c)
+    g = math.gcd(*column) * (1 if max(column, key=abs) > 0 else -1)
+    return StateVector(tuple(x // g for x in column), (slot,))
 
 
-def build_u(
-    slot: str,
-    interp: Interpretation,
-    partner_outcome: BellIndex,
-    tol: float | None = None,
-) -> ObservableOp:
+def build_u(slot: str, interp: Interpretation, partner_outcome: BellIndex) -> ObservableOp:
     """Single-qubit projector for U1 (slot "1") or U2 (slot "2").
 
     Under ``FIXED_BASIS`` the partner outcome is irrelevant and the result
@@ -168,78 +126,65 @@ def build_u(
         raise HardyLabError(f"U observables live on qubit 1 or 2, not {slot!r}")
     if interp is Interpretation.FIXED_BASIS:
         partner_outcome = None
-    return _u(slot, interp, partner_outcome, tolerance(tol), tolerance())
+    return _u(slot, interp, partner_outcome)
 
 
-def conditional_probability(
-    cond: ObservableOp,
-    then: ObservableOp,
-    s: StateVector,
-    tol: float | None = None,
-) -> float:
+def _require_commuting(first: ObservableOp, second: ObservableOp, what: str) -> None:
+    if commutator_norm(first, second):
+        raise NonCommutingError(f"{first.name} and {second.name} do not commute{what}")
+
+
+def conditional_probability(cond: ObservableOp, then: ObservableOp, s: StateVector) -> Fraction:
     """P(then = 1 | cond = 1) for commuting projectors on a pure state.
 
     Refuses non-commuting pairs outright: the quantity would depend on an
     arbitrary ordering convention, and every pair this construction uses
     commutes, so a non-commuting argument signals a misuse.
     """
-    if commutator_norm(cond, then) > tolerance(tol):
-        raise NonCommutingError(
-            f"{cond.name} and {then.name} do not commute; refusing a "
-            "convention-dependent conditional"
-        )
-    _, post = collapse(cond, s, tol)  # raises ZeroProbabilityError for P(cond) = 0
-    return born_probability(then, post, tol)
+    _require_commuting(cond, then, "; refusing a convention-dependent conditional")
+    _, post = collapse(cond, s)  # raises ZeroProbabilityError for P(cond) = 0
+    return born_probability(then, post)
 
 
 def joint_outcome_table(
-    first: ObservableOp,
-    second: ObservableOp,
-    s: StateVector,
-    tol: float | None = None,
-) -> np.ndarray:
-    """2x2 joint distribution [a][b] of two commuting projectors.
-
-    Entries below the tolerance are clamped to exact zero so impossible
-    cells stay impossible downstream.
-    """
-    tol_v = tolerance(tol)
-    if commutator_norm(first, second) > tol_v:
-        raise NonCommutingError(f"{first.name} and {second.name} do not commute")
-    u = apply(first, s).amps
-    v = apply(second, s).amps
-    p_a = float(np.vdot(u, u).real)
-    p_b = float(np.vdot(v, v).real)
-    p11 = float(np.vdot(u, v).real)
-    table = np.array(
-        [[1.0 - p_a - p_b + p11, p_b - p11], [p_a - p11, p11]], dtype=float
-    )
-    table[np.abs(table) <= tol_v] = 0.0
-    if (table < 0).any() or abs(table.sum() - 1.0) > tol_v:
-        raise HardyLabError(f"malformed outcome table {table!r}")
+    first: ObservableOp, second: ObservableOp, s: StateVector
+) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
+    """Exact 2x2 joint distribution [a][b] of two commuting projectors."""
+    _require_commuting(first, second, "")
+    u, v = apply(first, s), apply(second, s)
+    p_a = Fraction(sum(map(mul, u.amps, u.amps)), u.norm2)
+    p_b = Fraction(sum(map(mul, v.amps, v.amps)), v.norm2)
+    # <u|v> = u.v / sqrt(u.norm2 * v.norm2); that product is a square, as
+    # both are a projector's norm2 squared times s.norm2
+    p11 = Fraction(sum(map(mul, u.amps, v.amps)), math.isqrt(u.norm2 * v.norm2))
+    table = ((1 - p_a - p_b + p11, p_b - p11), (p_a - p11, p11))
+    if any(p < 0 for row in table for p in row):
+        raise HardyLabError(f"malformed outcome table {[[str(p) for p in row] for row in table]}")
     return table
 
 
 @dataclass(frozen=True)
 class HardyClaimSet:
-    """The four audited quantities (measured or claimed)."""
+    """The four audited quantities (measured or claimed), exact or float."""
 
-    p_joint: float
-    c_d1u2: float
-    c_d2u1: float
-    p_u1u2: float
+    p_joint: Fraction | float
+    c_d1u2: Fraction | float
+    c_d2u1: Fraction | float
+    p_u1u2: Fraction | float
 
     def to_jsonable(self) -> dict:
         return {
-            "p_joint": self.p_joint,
-            "c_d1u2": self.c_d1u2,
-            "c_d2u1": self.c_d2u1,
-            "p_u1u2": self.p_u1u2,
+            "p_joint": float(self.p_joint),
+            "c_d1u2": float(self.c_d1u2),
+            "c_d2u1": float(self.c_d2u1),
+            "p_u1u2": float(self.p_u1u2),
         }
 
 
 #: The advertised values the audit compares against.
-CLAIM_TARGETS = HardyClaimSet(p_joint=1.0 / 16.0, c_d1u2=1.0, c_d2u1=1.0, p_u1u2=0.0)
+CLAIM_TARGETS = HardyClaimSet(
+    p_joint=Fraction(1, 16), c_d1u2=Fraction(1), c_d2u1=Fraction(1), p_u1u2=Fraction(0)
+)
 
 
 @dataclass(frozen=True)
@@ -273,17 +218,20 @@ def audit_pair(
     state: StateVector | None = None,
     tol: float | None = None,
 ) -> AuditReport:
-    """Measure all four Hardy quantities for the pair (D1=i, D2=j)."""
-    state = _total_state(tolerance()) if state is None else state
-    d1, d2 = context_observables("d1d2", i, j, interp, tol)
-    u1, u2 = context_observables("u1u2", i, j, interp, tol)
+    """Measure all four Hardy quantities for the pair (D1=i, D2=j).
+
+    The values are exact; the verdicts accept |value - target| <= tol.
+    """
+    state = TOTAL_STATE if state is None else state
+    d1, d2 = context_observables("d1d2", i, j, interp)
+    u1, u2 = context_observables("u1u2", i, j, interp)
     measured = HardyClaimSet(
-        p_joint=born_probability(_product(d1, d2, tolerance()), state, tol),
-        c_d1u2=conditional_probability(d1, u2, state, tol),
-        c_d2u1=conditional_probability(d2, u1, state, tol),
-        p_u1u2=born_probability(_product(u1, u2, tolerance()), state, tol),
+        p_joint=born_probability(_product(d1, d2), state),
+        c_d1u2=conditional_probability(d1, u2, state),
+        c_d2u1=conditional_probability(d2, u1, state),
+        p_u1u2=born_probability(_product(u1, u2), state),
     )
-    tol_v = tolerance(tol)
+    tol_v = Fraction(tolerance(tol))  # the float's exact value, converted once
     verdicts = {
         "p_joint": abs(measured.p_joint - CLAIM_TARGETS.p_joint) <= tol_v,
         "c_d1u2": abs(measured.c_d1u2 - CLAIM_TARGETS.c_d1u2) <= tol_v,
@@ -301,9 +249,8 @@ def enumerate_all_pairs(
     The reports come in the fixed order (psi-, psi+, phi-, phi+) for D1
     crossed with the same for D2, so repeated runs are byte-identical.
     """
-    state = _total_state(tolerance())
     reports = [
-        audit_pair(i, j, interp, state, tol) for i in BELL_ORDER for j in BELL_ORDER
+        audit_pair(i, j, interp, TOTAL_STATE, tol) for i in BELL_ORDER for j in BELL_ORDER
     ]
     per_claim = {
         key: sum(1 for r in reports if r.verdicts[key])
@@ -319,22 +266,25 @@ def enumerate_all_pairs(
 
 @dataclass(frozen=True)
 class ProbabilityTable:
-    """Joint outcome tables for the four commuting measurement contexts."""
+    """Exact joint outcome tables for the four commuting measurement contexts."""
 
-    contexts: Mapping[str, np.ndarray]  # keys d1d2, d1u2, u1d2, u1u2
+    contexts: Mapping[str, tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]]
 
     def __post_init__(self) -> None:
         if set(self.contexts) != set(CONTEXT_KEYS):
             raise HardyLabError(f"contexts must be exactly {CONTEXT_KEYS}")
         frozen = {}
         for key in CONTEXT_KEYS:
-            arr = np.array(self.contexts[key], dtype=float).reshape(2, 2)
-            arr.setflags(write=False)
-            frozen[key] = arr
+            grid = tuple(tuple(Fraction(p) for p in row) for row in self.contexts[key])
+            if len(grid) != 2 or any(len(row) != 2 for row in grid):
+                raise HardyLabError(f"context {key!r} is not a 2x2 table")
+            frozen[key] = grid
         object.__setattr__(self, "contexts", frozen)
 
     def to_jsonable(self) -> dict:
-        return {key: self.contexts[key].tolist() for key in CONTEXT_KEYS}
+        return {
+            key: [[float(p) for p in row] for row in self.contexts[key]] for key in CONTEXT_KEYS
+        }
 
 
 def quantum_probability_table(
@@ -342,18 +292,13 @@ def quantum_probability_table(
     j: BellIndex,
     interp: Interpretation,
     state: StateVector | None = None,
-    tol: float | None = None,
 ) -> ProbabilityTable:
     """The exact statistics an experiment on this state would collect."""
-    state = _total_state(tolerance()) if state is None else state
-    d1, d2 = context_observables("d1d2", i, j, interp, tol)
-    u1, u2 = context_observables("u1u2", i, j, interp, tol)
+    state = TOTAL_STATE if state is None else state
     return ProbabilityTable(
         {
-            "d1d2": joint_outcome_table(d1, d2, state, tol),
-            "d1u2": joint_outcome_table(d1, u2, state, tol),
-            "u1d2": joint_outcome_table(u1, d2, state, tol),
-            "u1u2": joint_outcome_table(u1, u2, state, tol),
+            key: joint_outcome_table(*context_observables(key, i, j, interp), state)
+            for key in CONTEXT_KEYS
         }
     )
 
@@ -363,14 +308,13 @@ def context_observables(
     d1_bell: BellIndex = BellIndex.PSI_MINUS,
     d2_bell: BellIndex = BellIndex.PSI_MINUS,
     interp: Interpretation = Interpretation.FIXED_BASIS,
-    tol: float | None = None,
 ) -> tuple[ObservableOp, ObservableOp]:
     """Look up the observable pair of a context token like ``"d1u2"``."""
     builders = {
         "d1": lambda: build_d("A1", d1_bell),
         "d2": lambda: build_d("2B", d2_bell),
-        "u1": lambda: build_u("1", interp, d2_bell, tol),
-        "u2": lambda: build_u("2", interp, d1_bell, tol),
+        "u1": lambda: build_u("1", interp, d2_bell),
+        "u2": lambda: build_u("2", interp, d1_bell),
     }
     key = key.lower()
     if len(key) != 4 or key[:2] not in builders or key[2:] not in builders:

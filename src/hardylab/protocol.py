@@ -6,6 +6,10 @@ along x.  Expanding the product state in the Bell basis of (A, 1) or of
 (2, B) yields four branches each; :func:`verify_expansion` re-derives them
 mechanically and compares against the reference branch table shipped in
 ``data/reference_expansions.txt``.
+
+The state is a module constant, and each of its two expansions is derived
+once per process, on first use.  Branch vectors are compared exactly, in
+Q(sqrt 2): every value is written ``a + b*sqrt(2)`` with rational a, b.
 """
 
 from __future__ import annotations
@@ -14,22 +18,18 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
+from functools import cache
 from importlib import resources
-
-import numpy as np
 
 from .core import (
     DimensionMismatchError,
     HardyLabError,
     NormalizationError,
     StateVector,
-    ket,
-    reorder,
+    partial_overlap,
     tensor,
-    tolerance,
 )
-
-SQRT2 = math.sqrt(2.0)
 
 
 class BellIndex(Enum):
@@ -48,12 +48,12 @@ BELL_ORDER: tuple[BellIndex, ...] = (
     BellIndex.PHI_PLUS,
 )
 
-# amplitudes over |++>, |+->, |-+>, |--> for each Bell state
+# integer amplitudes over |++>, |+->, |-+>, |--> for each Bell state (norm2 2)
 _BELL_AMPS = {
-    BellIndex.PSI_MINUS: np.array([0, 1, -1, 0], dtype=complex) / SQRT2,
-    BellIndex.PSI_PLUS: np.array([0, 1, 1, 0], dtype=complex) / SQRT2,
-    BellIndex.PHI_MINUS: np.array([1, 0, 0, -1], dtype=complex) / SQRT2,
-    BellIndex.PHI_PLUS: np.array([1, 0, 0, 1], dtype=complex) / SQRT2,
+    BellIndex.PSI_MINUS: (0, 1, -1, 0),
+    BellIndex.PSI_PLUS: (0, 1, 1, 0),
+    BellIndex.PHI_MINUS: (1, 0, 0, -1),
+    BellIndex.PHI_PLUS: (1, 0, 0, 1),
 }
 
 
@@ -71,34 +71,44 @@ def make_singlet() -> StateVector:
 
 def make_ancillas() -> tuple[StateVector, StateVector]:
     """Ancilla states: A spin-up along z, B spin-up along x."""
-    a = ket("+", ("A",))
-    b = StateVector(np.array([1, 1], dtype=complex) / SQRT2, ("B",))
-    return a, b
+    return StateVector((1, 0), ("A",)), StateVector((1, 1), ("B",))
+
+
+#: The full product state on canonical slots (A, 1, 2, B).  Its 16
+#: amplitudes, read row-major, are the 4x4 integer matrix with rows (A, 1)
+#: and columns (2, B).
+TOTAL_STATE = tensor(tensor(make_ancillas()[0], make_singlet()), make_ancillas()[1])
 
 
 def make_total_state() -> StateVector:
     """The full product state on canonical slots (A, 1, 2, B)."""
-    a, b = make_ancillas()
-    return tensor(tensor(a, make_singlet()), b)
+    return TOTAL_STATE
 
 
 @dataclass(frozen=True)
 class Branch:
     """One Bell outcome of a pair measurement.
 
-    ``residual`` is the normalized state left on the unmeasured slots; it
-    is ``None`` for an empty branch (coefficient indistinguishable from
-    zero) so that nothing ever renormalizes a zero vector.
+    The branch is ``coefficient * residual`` with ``weight`` =
+    |coefficient|^2 exact and ``sign`` its sign.  ``residual`` is the unit
+    state left on the unmeasured slots, with its largest-magnitude
+    amplitude positive; it is ``None`` for an empty branch, so that
+    nothing ever renormalizes a zero vector, and when every slot is
+    measured.
     """
 
     bell: BellIndex
-    coefficient: complex
+    weight: Fraction
+    sign: int
     residual: StateVector | None
 
     @property
+    def coefficient(self) -> float:
+        return self.sign * math.sqrt(self.weight)
+
+    @property
     def empty(self) -> bool:
-        # a full-slot measurement also has residual None but keeps weight
-        return self.coefficient == 0
+        return self.weight == 0
 
 
 @dataclass(frozen=True)
@@ -115,17 +125,14 @@ class BranchExpansion:
         raise KeyError(index)
 
 
-def expand_in_bell_basis(
-    s: StateVector, slots: tuple[str, str], tol: float | None = None
-) -> BranchExpansion:
+def expand_in_bell_basis(s: StateVector, slots: tuple[str, str]) -> BranchExpansion:
     """Decompose ``s`` over the Bell basis of a slot pair.
 
     For each Bell state b the partial inner product r_b = <b|s> is split
-    as coefficient * residual with the residual normalized; the phase is
-    fixed by making the residual's largest-magnitude amplitude real and
-    positive, so the split is deterministic.  Branch weights |coeff|^2 sum
-    to 1 and the branches reassemble to ``s`` exactly (reconstruction is a
-    tested invariant).
+    as coefficient * residual with the residual normalized; its sign is
+    fixed by making the residual's largest-magnitude amplitude positive,
+    so the split is deterministic.  Branch weights |coeff|^2 are exact and
+    must sum to exactly 1.
     """
     slots = tuple(slots)
     if len(slots) != 2 or len(set(slots)) != 2:
@@ -135,69 +142,78 @@ def expand_in_bell_basis(
     if not s.normalized:
         raise NormalizationError("expansion requires a normalized state")
 
-    tol = tolerance(tol)
-    n = s.n_qubits
-    axes = [s.slots.index(l) for l in slots]
-    residual_slots = tuple(l for l in s.slots if l not in slots)
-    t = s.amps.reshape((2,) * n)
-    t = np.moveaxis(t, axes, (0, 1)).reshape(4, -1)
-
+    residual_slots = tuple(label for label in s.slots if label not in slots)
     branches = []
     for index in BELL_ORDER:
-        r = _BELL_AMPS[index].conj() @ t
-        nrm = float(np.linalg.norm(r))
-        if nrm <= tol:
-            branches.append(Branch(index, 0.0 + 0.0j, None))
+        r = partial_overlap(bell_state(index, slots), s)
+        weight = Fraction(sum(x * x for x in r), 2 * s.norm2)
+        if not weight:
+            branches.append(Branch(index, weight, 0, None))
             continue
-        k = int(np.argmax(np.abs(r)))
-        phase = r[k] / abs(r[k])
-        coeff = complex(nrm * phase)
+        top = max(r, key=abs)  # the first amplitude of largest magnitude
+        sign = 1 if top > 0 else -1
+        residual = None
         if residual_slots:
-            residual = StateVector(r / coeff, residual_slots)
-        else:
-            # measuring every slot: the branch is a bare amplitude
-            coeff = complex(r[0])
-            residual = None
-        branches.append(Branch(index, coeff, residual))
+            g = math.gcd(*r)
+            residual = StateVector(tuple(sign * x // g for x in r), residual_slots)
+        branches.append(Branch(index, weight, sign, residual))
 
-    weight = sum(abs(b.coefficient) ** 2 for b in branches)
-    if abs(weight - 1.0) > tol:
-        raise HardyLabError(f"branch weights sum to {weight!r}, expected 1")
+    weight = sum(b.weight for b in branches)
+    if weight != 1:
+        raise HardyLabError(f"branch weights sum to {weight}, expected 1")
     return BranchExpansion(s.slots, slots, residual_slots, tuple(branches))
 
 
-def reconstruct(expansion: BranchExpansion) -> StateVector:
-    """Reassemble sum(coeff * bell x residual) on the source slot order."""
-    order = expansion.measured_slots + expansion.residual_slots
-    total = np.zeros(2 ** len(expansion.source_slots), dtype=complex)
-    for br in expansion.branches:
-        if br.coefficient == 0:
-            continue
-        bell = _BELL_AMPS[br.bell]
-        part = np.kron(bell, br.residual.amps) if br.residual is not None else bell
-        total += br.coefficient * part
-    raw = StateVector.raw(total, order)
-    return StateVector(reorder(raw, expansion.source_slots).amps, expansion.source_slots)
+#: The measured pair of each station: Alice's (A, 1), Bob's (2, B).
+PAIR_SLOTS = {"A1": ("A", "1"), "2B": ("2", "B")}
+
+
+@cache
+def bell_expansion(pair: str) -> BranchExpansion:
+    """The expansion of :data:`TOTAL_STATE` over pair ``A1`` or ``2B``."""
+    return expand_in_bell_basis(TOTAL_STATE, PAIR_SLOTS[pair])
 
 
 # --- comparison against the shipped reference branch table ---------------
 
-_PAIR_KEYS = {"A1": ("A", "1"), "2B": ("2", "B")}
+#: A value of Q(sqrt 2): the pair (a, b) stands for a + b*sqrt(2).
+Q2 = tuple[Fraction, Fraction]
 
 _COEFF_RE = re.compile(r"^([+-]?)(\d+)(?:/(\d*)(sqrt2)?)?$")
 _KET_RE = re.compile(r"^\|([+-]+)>$")
 
 
-def _parse_coeff(token: str) -> float:
+def _parse_coeff(token: str) -> Q2:
     m = _COEFF_RE.match(token.strip())
     if not m:
         raise HardyLabError(f"bad coefficient token {token!r}")
-    sign = -1.0 if m.group(1) == "-" else 1.0
-    num = float(m.group(2))
-    den = float(m.group(3)) if m.group(3) else 1.0
-    if m.group(4):
-        den *= SQRT2
-    return sign * num / den
+    value = Fraction(int(m.group(2)), int(m.group(3)) if m.group(3) else 1)
+    if m.group(1) == "-":
+        value = -value
+    # v / sqrt(2) = (v / 2) * sqrt(2)
+    return (Fraction(0), value / 2) if m.group(4) else (value, Fraction(0))
+
+
+def _times(x: Q2, y: Q2) -> Q2:
+    return x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _sign(x: Q2) -> int:
+    """The sign of a + b*sqrt(2): a decides where a^2 > 2 b^2, else b."""
+    a, b = x
+    lead = a if a * a > 2 * b * b else b
+    return (lead > 0) - (lead < 0)
+
+
+def _sqrt(q: Fraction) -> Q2 | None:
+    """sqrt(q) in Q(sqrt 2), or None where it lies outside."""
+    m = q.numerator * q.denominator  # sqrt(n/d) = sqrt(n*d)/d
+    for f in (1, 2):
+        t = math.isqrt(m // f)
+        if f * t * t == m:
+            root = Fraction(t, q.denominator)
+            return (root, Fraction(0)) if f == 1 else (Fraction(0), root)
+    return None
 
 
 def _parse_ket(token: str, n: int) -> int:
@@ -210,13 +226,13 @@ def _parse_ket(token: str, n: int) -> int:
     return index
 
 
-def load_reference_table(pair: str) -> tuple[tuple[str, ...], dict[BellIndex, np.ndarray]]:
+def load_reference_table(pair: str) -> tuple[tuple[str, ...], dict[BellIndex, list[Q2]]]:
     """Parse one section of data/reference_expansions.txt.
 
     Returns the residual slot order and, per Bell label, the full signed
-    branch vector (overall scale folded in).
+    branch vector (overall scale folded in) over Q(sqrt 2).
     """
-    if pair not in _PAIR_KEYS:
+    if pair not in PAIR_SLOTS:
         raise HardyLabError(f"unknown expansion pair {pair!r}")
     text = (
         resources.files("hardylab")
@@ -225,8 +241,8 @@ def load_reference_table(pair: str) -> tuple[tuple[str, ...], dict[BellIndex, np
     )
     section = None
     remaining: tuple[str, ...] = ()
-    scale = 1.0
-    table: dict[BellIndex, np.ndarray] = {}
+    scale = (Fraction(1), Fraction(0))
+    table: dict[BellIndex, list[Q2]] = {}
     labels = {b.value: b for b in BELL_ORDER}
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -251,11 +267,13 @@ def load_reference_table(pair: str) -> tuple[tuple[str, ...], dict[BellIndex, np
         bell = labels.get(label.strip())
         if bell is None:
             raise HardyLabError(f"unknown branch label {label.strip()!r}")
-        vec = np.zeros(2 ** len(remaining), dtype=complex)
+        vec = [(Fraction(0), Fraction(0))] * 2 ** len(remaining)
         for term in body.split(","):
             coeff_tok, ket_tok = term.split("|", 1)
-            vec[_parse_ket("|" + ket_tok, len(remaining))] += _parse_coeff(coeff_tok)
-        table[bell] = scale * vec
+            k = _parse_ket("|" + ket_tok, len(remaining))
+            c = _parse_coeff(coeff_tok)
+            vec[k] = (vec[k][0] + c[0], vec[k][1] + c[1])
+        table[bell] = [_times(scale, v) for v in vec]
     if len(table) != 4:
         raise HardyLabError(f"reference table for {pair!r} is incomplete")
     return remaining, table
@@ -267,7 +285,7 @@ class BranchComparison:
     empty: bool
     exact_match: bool
     phase_match: bool
-    phase: complex | None  # derived branch = phase * reference branch
+    phase: int | None  # derived branch = phase * reference branch, phase = +-1
 
 
 @dataclass(frozen=True)
@@ -290,56 +308,50 @@ class ExpansionReport:
                     "phase_match": c.phase_match,
                     "phase": None
                     if c.phase is None
-                    else {"re": c.phase.real, "im": c.phase.imag},
+                    else {"re": float(c.phase), "im": 0.0},
                 }
                 for c in self.comparisons
             ],
         }
 
 
-def verify_expansion(
-    pair: str, state: StateVector | None = None, tol: float | None = None
-) -> ExpansionReport:
+def _compare(br: Branch, ref: list[Q2]) -> BranchComparison:
+    """One derived branch against its reference vector, exactly."""
+    zero = (Fraction(0), Fraction(0))
+    if br.residual is None:
+        return BranchComparison(br.bell, br.empty, ref == [zero] * len(ref), False, None)
+    amps = br.residual.amps
+    # derived = sign * sqrt(weight / |amps|^2) * amps, if that root is in Q(sqrt 2)
+    root = _sqrt(br.weight / br.residual.norm2)
+    derived = None if root is None else [(root[0] * br.sign * x, root[1] * br.sign * x) for x in amps]
+    dot = (sum(a * x for (a, _), x in zip(ref, amps)), sum(b * x for (_, b), x in zip(ref, amps)))
+    phase = br.sign * _sign(dot) or None
+    exact = derived == ref
+    phase_ok = phase is not None and derived == [(phase * a, phase * b) for a, b in ref]
+    return BranchComparison(br.bell, br.empty, exact, phase_ok, phase)
+
+
+def verify_expansion(pair: str, state: StateVector | None = None) -> ExpansionReport:
     """Compare the derived expansion with the reference branch table.
 
     Each branch is checked two ways: exact amplitude match (including the
     reference's overall sign) and match up to one global phase per branch,
     which is the physically meaningful criterion.  The extracted phase is
-    recorded either way.
+    recorded either way.  Both checks are exact equalities in Q(sqrt 2).
     """
-    tol = tolerance(tol)
-    if pair not in _PAIR_KEYS:
+    if pair not in PAIR_SLOTS:
         raise HardyLabError(f"unknown expansion pair {pair!r} (want A1 or 2B)")
-    state = make_total_state() if state is None else state
-    slots = _PAIR_KEYS[pair]
-    expansion = expand_in_bell_basis(state, slots, tol)
+    slots = PAIR_SLOTS[pair]
+    expansion = bell_expansion(pair) if state is None else expand_in_bell_basis(state, slots)
     ref_slots, ref_table = load_reference_table(pair)
     if ref_slots != expansion.residual_slots:
         raise HardyLabError(
             f"reference residual slots {ref_slots} != derived {expansion.residual_slots}"
         )
-
-    comparisons = []
-    for br in expansion.branches:
-        ref = ref_table[br.bell]
-        derived = (
-            br.coefficient * br.residual.amps
-            if br.residual is not None
-            else np.zeros_like(ref)
-        )
-        exact = bool(np.abs(derived - ref).max() <= tol)
-        overlap = complex(np.vdot(ref, derived))
-        if abs(overlap) > tol:
-            phase = overlap / abs(overlap)
-            phase_ok = bool(np.abs(derived - phase * ref).max() <= tol)
-        else:
-            phase, phase_ok = None, False
-        comparisons.append(
-            BranchComparison(br.bell, br.empty, exact, phase_ok, phase)
-        )
+    comparisons = tuple(_compare(br, ref_table[br.bell]) for br in expansion.branches)
     return ExpansionReport(
         slots,
-        tuple(comparisons),
+        comparisons,
         all(c.exact_match for c in comparisons),
         all(c.phase_match for c in comparisons),
     )

@@ -15,17 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
-from .core import (
-    HardyLabError,
-    ObservableOp,
-    StateVector,
-    commutator_norm,
-    NonCommutingError,
-    tolerance,
-)
+from .core import HardyLabError, NonCommutingError, ObservableOp, StateVector, commutator_norm
 from .observables import joint_outcome_table
 
 #: Outcome cells in draw order.
@@ -51,7 +46,7 @@ class RunConfig:
             raise HardyLabError(f"shots must be below 2**63, got {self.shots}")
         if not 0 <= self.seed < 2**64:
             raise HardyLabError("seed must fit in 64 unsigned bits")
-        if commutator_norm(self.first, self.second) > tolerance():
+        if commutator_norm(self.first, self.second):
             raise NonCommutingError(
                 f"context ({self.first.name}, {self.second.name}) does not commute"
             )
@@ -73,32 +68,31 @@ class CountTable:
         return {"shots": self.shots, "counts": self.counts.tolist()}
 
 
-def _word_edges(flat: np.ndarray) -> list[tuple[int, np.uint64]]:
+def _word_edges(flat) -> list[tuple[int, np.uint64]]:
     """The cell edges some shot word can reach, as ``(index, cut)`` pairs.
 
     Shot word ``w`` gives the uniform ``u = (w >> 11) * 2**-53``, which is
-    exact, so for the edge ``b`` after cell ``i`` of the cumulative sum of
+    exact, so for the edge ``b`` after cell ``i`` of the running sum of
     ``flat``, ``u >= b`` iff ``w >> 11 >= ceil(b * 2**53)`` iff
-    ``w >= cut = ceil(b * 2**53) << 11``.  A cut of ``2**53 << 11`` or more
-    is never reached, and neither is any edge from the last nonzero cell
-    on: that cell takes the top end however the sum rounds, so a cell of
-    probability zero never fires.
+    ``w >= cut = ceil(b * 2**53) << 11``.  The sum is exact for Fractions
+    and rounds as float addition does for floats.  A cut of ``2**53 << 11``
+    or more is never reached, and neither is any edge from the last
+    nonzero cell on: that cell takes the top end however the sum rounds,
+    so a cell of probability zero never fires.
     """
-    last = int(np.flatnonzero(flat)[-1])
-    cuts = [math.ceil(b * 2.0**53) for b in np.cumsum(flat)[:last]]
+    last = max(i for i, p in enumerate(flat) if p)
+    cuts = [math.ceil(b * 2**53) for b in accumulate(flat[:last])]
     return [(i, np.uint64(t << 11)) for i, t in enumerate(cuts) if t < 2**53]
 
 
 def exact_context_probabilities(
-    state: StateVector, cfg: RunConfig, tol: float | None = None
-) -> np.ndarray:
-    """The 2x2 distribution the run samples from, zero cells clamped exact."""
-    return joint_outcome_table(cfg.first, cfg.second, state, tol)
+    state: StateVector, cfg: RunConfig
+) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
+    """The exact 2x2 distribution the run samples from."""
+    return joint_outcome_table(cfg.first, cfg.second, state)
 
 
-def sample(
-    state: StateVector, cfg: RunConfig, first_shot: int = 0, tol: float | None = None
-) -> CountTable:
+def sample(state: StateVector, cfg: RunConfig, first_shot: int = 0) -> CountTable:
     """Draw ``cfg.shots`` outcomes of the context from the exact distribution.
 
     ``first_shot`` selects the substream position, letting disjoint shot
@@ -106,14 +100,14 @@ def sample(
     ``(state, cfg)`` always reproduces identical counts bit-for-bit.
     Cells of exact probability zero can never accumulate counts.
 
-    The words are drawn ``_BLOCK`` at a time from one Philox stream, and
+    The cell edges are the exact running sums of the distribution.  The
+    words are drawn ``_BLOCK`` at a time from one Philox stream, and
     each block only counts how many words reach each cell edge
     (``u >= b`` iff ``w >= ceil(b * 2**53) * 2**11``); memory stays
     O(``_BLOCK``) whatever ``cfg.shots`` is.
     """
-    probs = exact_context_probabilities(state, cfg, tol)
-    flat = np.array([probs[a][b] for a, b in CELL_ORDER])
-    edges = _word_edges(flat / flat.sum())
+    probs = exact_context_probabilities(state, cfg)
+    edges = _word_edges([probs[a][b] for a, b in CELL_ORDER])
     above = np.array([cfg.shots, 0, 0, 0, 0])  # above[i + 1]: shots past edge i
     bitgen = np.random.Philox(key=cfg.seed, counter=[first_shot // 4, 0, 0, 0])
     bitgen.random_raw(first_shot % 4)
@@ -160,11 +154,12 @@ class DeviationReport:
         }
 
 
-def compare_frequencies(counts: CountTable, exact: np.ndarray) -> DeviationReport:
+def compare_frequencies(counts: CountTable, exact) -> DeviationReport:
     """Per-cell deviation, binomial standard error, and z-scores.
 
     A nonzero count in a cell whose exact probability is zero is flagged
     as an impossible-event violation rather than given an infinite z.
+    ``exact`` is any 2x2 grid of numbers; the statistics are floats.
     """
     if counts.shots <= 0:
         raise HardyLabError("compare_frequencies requires a positive shot count")

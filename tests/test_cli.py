@@ -192,12 +192,12 @@ class TestSampleCommand:
 
     @pytest.mark.parametrize("shots", [str(2**63), str(2**64)])
     def test_shots_beyond_int64_are_one_line_usage_error(self, capsys, monkeypatch, shots):
-        from hardylab import cli
+        from hardylab import sampler
 
         def no_sampling(*args, **kwargs):
             raise AssertionError("sample must not run")
 
-        monkeypatch.setattr(cli, "sample", no_sampling)
+        monkeypatch.setattr(sampler, "sample", no_sampling)
         with pytest.raises(SystemExit) as err:
             main(["sample", "--context", "d1d2", "--shots", shots])
         assert err.value.code == 2
@@ -254,3 +254,129 @@ class TestFormatsAndKnobs:
             assert set(env) == ENVELOPE_KEYS
             # serialization round-trips losslessly
             assert json.loads(json.dumps(env)) == env
+
+
+class TestExactValuesIgnoreTheTolerance:
+    """A loose ``--tolerance`` widens verdicts only; exact zeros stay zeros."""
+
+    @pytest.mark.parametrize(
+        "argv, tolerance",
+        [
+            (["lhv", "--source", "quantum:psi-,psi-,fixed"], "0.07"),
+            (["lhv", "--source", "quantum:psi-,psi-,fixed"], "0.13"),
+            (["audit", "--all", "--interp", "fixed"], "0.3"),
+            (["expand", "--slots", "2B"], "0.3"),
+        ],
+    )
+    def test_loose_tolerance_keeps_the_probabilities(self, capsys, argv, tolerance):
+        code, default = run_json(capsys, *argv)
+        assert code == 0
+        code, loose = run_json(capsys, *argv, "--tolerance", tolerance)
+        assert code == 0
+        assert loose["tolerance"] == float(tolerance)
+        if argv[0] == "audit":
+            measured = [r["measured"] for r in default["results"]["reports"]]
+            assert [r["measured"] for r in loose["results"]["reports"]] == measured
+            assert loose["results"]["summary"] == default["results"]["summary"]
+        else:
+            assert loose["results"] == default["results"]
+
+
+class TestCertificateIsValidatedOnce:
+    @pytest.mark.parametrize("source", ["paper-claims", "quantum:psi-,psi-,collapsed"])
+    def test_one_integer_check_per_run(self, capsys, monkeypatch, source):
+        from hardylab import lhv
+
+        calls = []
+        check = lhv._validate_exact
+
+        def counting(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(lhv, "_validate_exact", counting)
+        code, env = run_json(capsys, "lhv", "--source", source)
+        assert code == 0 and env["results"]["validated"] is True
+        assert len(calls) == 1
+
+    def test_a_certificate_failing_its_check_is_not_reported(self, capsys, monkeypatch):
+        from hardylab import lhv
+
+        monkeypatch.setattr(lhv, "_validate_exact", lambda exact, cert: False)
+        assert main(["lhv", "--source", "paper-claims"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "failed validation" in captured.err
+
+
+class TestErrorsAreOneLine:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["expand", "--slots", "XY"],
+            ["audit", "--all", "--tolerance", "nan"],
+            ["audit", "--d1", "omega"],
+            ["lhv", "--source", "folklore"],
+            ["lhv", "--source", "quantum:psi-,psi-"],
+            ["sample", "--context", "d1u1", "--shots", "10"],
+            ["sample", "--context", "d1d2", "--shots", str(2**63)],
+        ],
+    )
+    def test_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[-1].startswith("hardylab: error: ")
+        assert sum("error:" in line for line in lines) == 1
+
+    def test_a_multi_line_failure_is_reported_on_one_line(self, capsys, monkeypatch):
+        from hardylab import cli
+        from hardylab.core import HardyLabError
+
+        def failing(*args):
+            raise HardyLabError("malformed outcome table [[0.375, 0.0],\n [0.625, 0.0]]")
+
+        monkeypatch.setattr(cli, "feasibility", failing)
+        assert main(["lhv", "--source", "paper-claims"]) == 1
+        assert capsys.readouterr().err == (
+            "error: malformed outcome table [[0.375, 0.0], [0.625, 0.0]]\n"
+        )
+
+
+#: perfbench/workloads.cli_argv at seed 0: the runs one cli-cold cycle makes
+CLI_COLD_ARGV = [
+    ["expand", "--slots", "A1"],
+    ["expand", "--slots", "2B"],
+    ["audit", "--all", "--interp", "fixed"],
+    ["audit", "--all", "--interp", "collapsed"],
+    ["lhv", "--source", "paper-claims"],
+    ["lhv", "--source", "quantum:psi-,psi-,collapsed"],
+    ["sample", "--context", "d1d2", "--shots", "1000", "--seed", "5857645148978988075"],
+]
+
+
+@pytest.mark.parametrize("argv", CLI_COLD_ARGV, ids=lambda argv: "-".join(argv[:3]))
+def test_only_sample_imports_numpy(argv):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    child = (
+        "import contextlib, io, sys\n"
+        "from hardylab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", child, *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.stdout.split() == ["0", str(argv[0] == "sample")], done.stderr

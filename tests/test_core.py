@@ -1,40 +1,50 @@
+"""The float reference layer in ``oracle.py`` (the package's former numpy
+core), tested on its own, and the exact core it is cross-checked against."""
+
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardylab import core as exact
 from hardylab.core import (
     CANONICAL_SLOTS,
     DimensionMismatchError,
-    NonProjectorError,
     NormalizationError,
+    SlotCollisionError,
+    ZeroProbabilityError,
+)
+from hardylab.protocol import BELL_ORDER
+from hardylab.protocol import bell_state as exact_bell_state
+from hardylab.protocol import make_total_state as exact_total_state
+
+import oracle
+from oracle import (
+    PAULI_X,
+    PAULI_Z,
+    NonProjectorError,
     ObservableOp,
     OperatorInvariantError,
-    SlotCollisionError,
     StateVector,
-    ZeroProbabilityError,
     _acts_trivially,
     apply,
+    bell_state,
     born_probability,
     collapse,
     commutator_norm,
     expectation,
+    inner,
     ket,
+    make_singlet,
+    make_total_state,
     reduced_density,
+    reduced_projector_fidelity,
     reorder,
     tensor,
 )
-from hardylab.protocol import (
-    BELL_ORDER,
-    bell_state,
-    make_singlet,
-    make_total_state,
-)
-
-import oracle
-from oracle import PAULI_X, PAULI_Z, inner, reduced_projector_fidelity
 
 TOL = 1e-12
 
@@ -334,3 +344,92 @@ def test_acts_trivially_matches_commutator_reference(seed, n, tol, scale):
     noise = np.where(rng.random(big.shape) < 0.3, noise, 0)
     mat = big + scale * tol * noise
     assert _acts_trivially(mat, n, axis, tol) == oracle.acts_trivially(mat, n, axis, tol)
+
+
+# --- the exact core -----------------------------------------------------------
+
+
+def exact_projector(amps, slots, name=""):
+    return exact.ObservableOp(exact.StateVector(tuple(amps), tuple(slots)), name)
+
+
+class TestExactCore:
+    def test_integer_vector_stands_for_its_direction(self):
+        s = exact.StateVector((1, 1), ("B",))
+        assert s.norm2 == 2 and s.normalized
+        np.testing.assert_allclose(oracle.as_float(s).amps, oracle.XPLUS, atol=TOL)
+
+    @pytest.mark.parametrize(
+        "amps, slots, error",
+        [
+            ((0, 0), ("A",), NormalizationError),
+            ((1.0, 0), ("A",), exact.HardyLabError),
+            ((1, 0, 0, 0), ("1", "1"), SlotCollisionError),
+            ((1, 0, 0), ("1", "2"), DimensionMismatchError),
+        ],
+    )
+    def test_rejects_bad_states(self, amps, slots, error):
+        with pytest.raises(error):
+            exact.StateVector(amps, slots)
+
+    def test_total_state_is_the_integer_matrix(self):
+        psi = exact_total_state()
+        # rows (A, 1), columns (2, B): only A = + carries amplitude
+        assert psi.amps == (0, 0, 1, 1, -1, -1, 0, 0) + (0,) * 8
+        np.testing.assert_allclose(oracle.as_float(psi).amps, oracle.total_state_vec(), atol=TOL)
+
+    def test_joint_bell_projection_is_exactly_one_sixteenth(self):
+        d1 = exact.ObservableOp(exact_bell_state(BELL_ORDER[0], ("A", "1")))
+        d2 = exact.ObservableOp(exact_bell_state(BELL_ORDER[0], ("2", "B")))
+        assert exact.born_probability(d1 @ d2, exact_total_state()) == Fraction(1, 16)
+
+    def test_same_spin_joint_on_singlet_is_exactly_zero(self):
+        u1 = exact_projector((1, 0), ("1",))
+        u2 = exact_projector((1, 0), ("2",))
+        assert exact.born_probability(u1 @ u2, exact_total_state()) == 0
+
+    def test_projection_residue_keeps_its_weight(self):
+        d1 = exact.ObservableOp(exact_bell_state(BELL_ORDER[0], ("A", "1")))
+        out = exact.apply(d1, exact_total_state())
+        assert not out.normalized
+        assert Fraction(sum(a * a for a in out.amps), out.norm2) == Fraction(1, 4)
+        np.testing.assert_allclose(
+            np.array(out.amps) / math.sqrt(out.norm2),
+            oracle.d1_matrix("psi-") @ oracle.total_state_vec(),
+            atol=TOL,
+        )
+
+    def test_collapse_teleports_plus_onto_qubit_2(self):
+        d1 = exact.ObservableOp(exact_bell_state(BELL_ORDER[0], ("A", "1")))
+        p, post = exact.collapse(d1, exact_total_state())
+        assert p == Fraction(1, 4) and post.normalized
+        plus2, minus2 = exact_projector((1, 0), ("2",)), exact_projector((0, 1), ("2",))
+        assert exact.born_probability(plus2, post) == 1
+        with pytest.raises(ZeroProbabilityError):
+            exact.collapse(minus2, post)
+
+    def test_commutators_are_exact(self):
+        d1 = exact.ObservableOp(exact_bell_state(BELL_ORDER[0], ("A", "1")))
+        d2 = exact.ObservableOp(exact_bell_state(BELL_ORDER[0], ("2", "B")))
+        u1 = exact_projector((1, 0), ("1",))
+        assert exact.commutator_norm(d1, d2) == 0
+        assert exact.commutator_norm(d1, d1) == 0
+        got = exact.commutator_norm(d1, u1)
+        assert got > 0
+        reference = np.abs(oracle.dense(d1) @ oracle.dense(u1) - oracle.dense(u1) @ oracle.dense(d1))
+        assert float(got) == pytest.approx(reference.max(), abs=TOL)
+
+    def test_matrix_matches_the_kron_oracle(self):
+        op = exact.ObservableOp(exact_bell_state(BELL_ORDER[1], ("2", "B")))
+        assert op.matrix.shape == (16, 16) and op.matrix.readonly
+        np.testing.assert_allclose(oracle.dense(op), oracle.d2_matrix("psi+"), atol=0)
+
+    def test_products_only_across_disjoint_slots(self):
+        d1 = exact.ObservableOp(exact_bell_state(BELL_ORDER[0], ("A", "1")))
+        with pytest.raises(exact.HardyLabError):
+            d1 @ exact_projector((1, 0), ("1",))
+
+    def test_partial_overlap_reads_the_residual(self):
+        # <psi-|_(A,1) on the total state leaves -(|+>_2 (|+> + |->)_B)
+        overlap = exact.partial_overlap(exact_bell_state(BELL_ORDER[0]), exact_total_state())
+        assert overlap == [-1, -1, 0, 0]

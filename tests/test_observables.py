@@ -1,15 +1,16 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from hardylab.core import (
-    CANONICAL_SLOTS,
     HardyLabError,
     NonCommutingError,
     ObservableOp,
+    StateVector,
     ZeroProbabilityError,
     born_probability,
     commutator_norm,
-    ket,
 )
 from hardylab.observables import (
     CLAIM_TARGETS,
@@ -27,6 +28,7 @@ from hardylab.observables import (
 from hardylab.protocol import BELL_ORDER, BellIndex, make_total_state
 
 import oracle
+from oracle import dense
 
 TOL = 1e-12
 PSIM = BellIndex.PSI_MINUS
@@ -50,7 +52,7 @@ COLLAPSED_TABLES_X16 = {
 class TestBuildD:
     def test_rank_counts_via_trace(self):
         op = build_d("A1", PSIM)
-        assert np.trace(op.matrix).real == pytest.approx(4.0, abs=TOL)
+        assert np.trace(dense(op)).real == pytest.approx(4.0, abs=TOL)
         assert op.is_projector
 
     def test_matches_raw_kron_oracle(self):
@@ -76,7 +78,7 @@ class TestBuildD:
 
     def test_bell_completeness(self):
         for pair in ("A1", "2B"):
-            total = sum(build_d(pair, i).matrix for i in BELL_ORDER)
+            total = sum(dense(build_d(pair, i)) for i in BELL_ORDER)
             assert np.abs(total - np.eye(16)).max() <= TOL
 
     def test_unknown_pair(self):
@@ -123,6 +125,16 @@ class TestBuildU:
         with pytest.raises(HardyLabError):
             build_u("B", Interpretation.FIXED_BASIS, PSIM)
 
+    def test_slot_state_is_read_only_from_a_product_residual(self):
+        from hardylab.observables import _pure_slot_state
+
+        product = StateVector((0, 0, 2, -2), ("2", "B"))  # |->_2 (|+> - |->)_B
+        assert _pure_slot_state(product, "2").amps == (0, 1)
+        assert _pure_slot_state(product, "B").amps == (1, -1)
+        entangled = StateVector((0, 1, -1, 0), ("2", "B"))
+        with pytest.raises(HardyLabError, match="not pure"):
+            _pure_slot_state(entangled, "2")
+
 
 class TestConditionalProbability:
     def test_teleportation_certainty_fixed(self):
@@ -165,9 +177,7 @@ class TestConditionalProbability:
 
     def test_zero_probability_condition_refused(self):
         psi = make_total_state()
-        minus_a = ObservableOp.single_qubit(
-            oracle.proj(oracle.MINUS), "A", CANONICAL_SLOTS, "P-[A]", is_projector=True
-        )
+        minus_a = ObservableOp(StateVector((0, 1), ("A",)), "P-[A]")
         with pytest.raises(ZeroProbabilityError):
             conditional_probability(
                 minus_a, build_u("2", Interpretation.FIXED_BASIS, PSIM), psi
@@ -182,6 +192,7 @@ class TestAuditPair:
         assert m.c_d1u2 == pytest.approx(1.0, abs=TOL)
         assert m.p_u1u2 == 0.0
         assert m.c_d2u1 == pytest.approx(0.5, abs=TOL)  # reported, not hidden
+        assert (m.p_joint, m.c_d1u2, m.c_d2u1) == (Fraction(1, 16), 1, Fraction(1, 2))
         assert report.verdicts["p_joint"]
         assert report.verdicts["c_d1u2"]
         assert report.verdicts["p_u1u2"]
@@ -207,6 +218,7 @@ class TestAuditPair:
     def test_claim_targets(self):
         assert CLAIM_TARGETS.p_joint == 1.0 / 16.0
         assert CLAIM_TARGETS.p_u1u2 == 0.0
+        assert CLAIM_TARGETS.p_joint == Fraction(1, 16)
 
 
 class TestEnumerateAllPairs:
@@ -240,16 +252,12 @@ class TestProbabilityTables:
     def test_fixed_tables_match_frozen_oracle(self):
         table = quantum_probability_table(PSIM, PSIM, Interpretation.FIXED_BASIS)
         for key, grid in FIXED_TABLES_X16.items():
-            np.testing.assert_allclose(
-                table.contexts[key], np.array(grid) / 16.0, atol=TOL
-            )
+            assert table.contexts[key] == tuple(tuple(Fraction(c, 16) for c in row) for row in grid)
 
     def test_collapsed_tables_match_frozen_oracle(self):
         table = quantum_probability_table(PSIM, PSIM, Interpretation.COLLAPSED_STATE)
         for key, grid in COLLAPSED_TABLES_X16.items():
-            np.testing.assert_allclose(
-                table.contexts[key], np.array(grid) / 16.0, atol=TOL
-            )
+            assert table.contexts[key] == tuple(tuple(Fraction(c, 16) for c in row) for row in grid)
 
     def test_impossible_cells_are_exactly_zero(self):
         table = quantum_probability_table(PSIM, PSIM, Interpretation.FIXED_BASIS)
@@ -263,7 +271,7 @@ class TestProbabilityTables:
                 for j in BELL_ORDER:
                     table = quantum_probability_table(i, j, interp)
                     for key in CONTEXT_KEYS:
-                        assert abs(table.contexts[key].sum() - 1.0) <= TOL
+                        assert sum(map(sum, table.contexts[key])) == 1
 
     def test_no_signaling_marginals_agree_across_contexts(self):
         # any observable appearing in two contexts must show one marginal
@@ -271,18 +279,17 @@ class TestProbabilityTables:
             for i in BELL_ORDER:
                 for j in BELL_ORDER:
                     t = quantum_probability_table(i, j, interp).contexts
-                    d1_a = t["d1d2"].sum(axis=1)
-                    d1_b = t["d1u2"].sum(axis=1)
-                    np.testing.assert_allclose(d1_a, d1_b, atol=TOL)
-                    d2_a = t["d1d2"].sum(axis=0)
-                    d2_b = t["u1d2"].sum(axis=0)
-                    np.testing.assert_allclose(d2_a, d2_b, atol=TOL)
-                    u1_a = t["u1d2"].sum(axis=1)
-                    u1_b = t["u1u2"].sum(axis=1)
-                    np.testing.assert_allclose(u1_a, u1_b, atol=TOL)
-                    u2_a = t["d1u2"].sum(axis=0)
-                    u2_b = t["u1u2"].sum(axis=0)
-                    np.testing.assert_allclose(u2_a, u2_b, atol=TOL)
+
+                    def rows(key):
+                        return [sum(row) for row in t[key]]
+
+                    def cols(key):
+                        return [sum(col) for col in zip(*t[key])]
+
+                    assert rows("d1d2") == rows("d1u2")
+                    assert cols("d1d2") == cols("u1d2")
+                    assert rows("u1d2") == rows("u1u2")
+                    assert cols("d1u2") == cols("u1u2")
 
     def test_joint_outcome_table_refuses_non_commuting(self):
         psi = make_total_state()
@@ -310,7 +317,7 @@ class TestLabIsBuiltOnce:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        from hardylab import core, observables, protocol
+        from hardylab import cli, core, observables, protocol
 
         counts = {"ObservableOp": 0, "make_total_state": 0, "expand_in_bell_basis": 0}
 
@@ -326,8 +333,9 @@ class TestLabIsBuiltOnce:
         )
         for name in ("make_total_state", "expand_in_bell_basis"):
             wrapped = counting(name, getattr(protocol, name))
-            for module in (protocol, observables):
-                monkeypatch.setattr(module, name, wrapped)
+            for module in (protocol, observables, cli):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapped)
         return counts
 
     @pytest.mark.parametrize("interp", list(Interpretation))
@@ -345,19 +353,22 @@ class TestLabIsBuiltOnce:
                 "2", Interpretation.COLLAPSED_STATE, index
             )
 
-    def test_other_tolerance_builds_its_own_entry(self, monkeypatch):
+    def test_lab_entries_do_not_depend_on_the_tolerance(self, monkeypatch):
+        # the lab is exact, so one entry serves every tolerance
         from hardylab import core
 
-        default = build_u("1", Interpretation.COLLAPSED_STATE, PSIM)
-        loose = build_u("1", Interpretation.COLLAPSED_STATE, PSIM, tol=1e-9)
-        assert loose is not default
-        d_default = build_d("2B", PSIM)
+        u1 = build_u("1", Interpretation.COLLAPSED_STATE, PSIM)
+        d2 = build_d("2B", PSIM)
+        default = audit_pair(PSIM, PSIM, Interpretation.COLLAPSED_STATE)
         with monkeypatch.context() as m:
             m.setattr(core, "TOLERANCE", 1e-9)
-            assert build_d("2B", PSIM) is not d_default
-            assert build_u("1", Interpretation.COLLAPSED_STATE, PSIM) is not default
-        assert build_u("1", Interpretation.COLLAPSED_STATE, PSIM) is default
-        assert build_d("2B", PSIM) is d_default
+            assert build_d("2B", PSIM) is d2
+            assert build_u("1", Interpretation.COLLAPSED_STATE, PSIM) is u1
+            loose = audit_pair(PSIM, PSIM, Interpretation.COLLAPSED_STATE)
+        assert loose.measured == default.measured
+        assert audit_pair(PSIM, PSIM, Interpretation.COLLAPSED_STATE, tol=0.3).measured == (
+            default.measured
+        )
 
     def test_expand_builds_no_operator(self, counts, capsys):
         from hardylab.cli import main
@@ -365,3 +376,27 @@ class TestLabIsBuiltOnce:
         assert main(["expand", "--slots", "A1"]) == 0
         assert main(["expand", "--slots", "2B"]) == 0
         assert counts["ObservableOp"] == 0
+
+    def test_repeated_expand_builds_state_and_expansions_once(self, monkeypatch, capsys):
+        from hardylab import protocol
+        from hardylab.cli import main
+
+        calls = {"make_total_state": 0, "expansions": []}
+        expand, make = protocol.expand_in_bell_basis, protocol.make_total_state
+
+        def counting_expand(s, slots):
+            calls["expansions"].append(tuple(slots))
+            return expand(s, slots)
+
+        def counting_make():
+            calls["make_total_state"] += 1
+            return make()
+
+        monkeypatch.setattr(protocol, "expand_in_bell_basis", counting_expand)
+        monkeypatch.setattr(protocol, "make_total_state", counting_make)
+        protocol.bell_expansion.cache_clear()  # a cold lab: its entries are rebuilt equal
+        for _ in range(3):
+            assert main(["expand", "--slots", "A1"]) == 0
+            assert main(["expand", "--slots", "2B"]) == 0
+        assert calls["make_total_state"] <= 1
+        assert sorted(calls["expansions"]) == [("2", "B"), ("A", "1")]
