@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .core import HardyLabError, NonCommutingError, set_tolerance, tolerance
+from .core import TOLERANCE, HardyLabError, NonCommutingError
 from .lhv import (
     CLAIMED_TABLE_NOTES,
     claimed_hardy_table,
@@ -57,13 +57,13 @@ def _interp(label: str, parser: argparse.ArgumentParser) -> Interpretation:
         parser.error(f"unknown interpretation {label!r} (want fixed or collapsed)")
 
 
-def _envelope(command: str, parameters: dict, results: dict) -> dict:
+def _envelope(command: str, parameters: dict, results: dict, tol: float) -> dict:
     return {
         "command": command,
         "parameters": parameters,
         "results": results,
         "tool_version": __version__,
-        "tolerance": tolerance(),
+        "tolerance": tol,
     }
 
 
@@ -130,7 +130,7 @@ def cmd_expand(args, parser) -> int:
     if args.slots not in ("A1", "2B"):
         parser.error(f"unknown slot pair {args.slots!r} (want A1 or 2B)")
     report = verify_expansion(args.slots)
-    envelope = _envelope("expand", {"slots": args.slots}, report.to_jsonable())
+    envelope = _envelope("expand", {"slots": args.slots}, report.to_jsonable(), args.tolerance)
     _emit(envelope, args.format)
     return 0 if report.all_phase else 1
 
@@ -138,7 +138,7 @@ def cmd_expand(args, parser) -> int:
 def cmd_audit(args, parser) -> int:
     interp = _interp(args.interp, parser)
     if args.all:
-        reports, summary = enumerate_all_pairs(interp)
+        reports, summary = enumerate_all_pairs(interp, args.tolerance)
         results = {
             "reports": [r.to_jsonable() for r in reports],
             "summary": summary,
@@ -147,19 +147,22 @@ def cmd_audit(args, parser) -> int:
     else:
         d1 = _bell(args.d1, parser)
         d2 = _bell(args.d2, parser)
-        report = audit_pair(d1, d2, interp)
-        trace = replay_deductions(report.measured)
+        report = audit_pair(d1, d2, interp, args.tolerance)
+        trace = replay_deductions(report.measured, args.tolerance)
         results = {
             "report": report.to_jsonable(),
             "deductions_on_measured": trace.to_jsonable(),
         }
         parameters = {"d1": d1.value, "d2": d2.value, "interp": interp.value}
-    _emit(_envelope("audit", parameters, results), args.format)
+    _emit(_envelope("audit", parameters, results, args.tolerance), args.format)
     return 0  # the audit is informational; verdicts live in the payload
 
 
-def _load_table_source(source: str, parser):
-    """Resolve an lhv --source value into (exact table, description dict)."""
+def _load_table_source(source: str, tol: float, parser):
+    """Resolve an lhv --source value into (exact table, description dict).
+
+    Only a ``file:`` table can hold floats; its cells are rationalized at ``tol``.
+    """
     if source == "paper-claims":
         exact = claimed_hardy_table()
         return exact, {"source": source, "completion": CLAIMED_TABLE_NOTES}
@@ -170,8 +173,7 @@ def _load_table_source(source: str, parser):
         d1 = _bell(parts[0].strip(), parser)
         d2 = _bell(parts[1].strip(), parser)
         interp = _interp(parts[2].strip(), parser)
-        table = quantum_probability_table(d1, d2, interp)
-        exact = rationalize_table(table)
+        exact = quantum_probability_table(d1, d2, interp).contexts
         return exact, {
             "source": source,
             "d1": d1.value,
@@ -180,9 +182,9 @@ def _load_table_source(source: str, parser):
         }
     if source.startswith("file:"):
         path = Path(source[len("file:") :])
-        if not path.is_file():
-            parser.error(f"table file {path} does not exist")
         try:
+            if not path.is_file():
+                parser.error(f"table file {path} does not exist")
             raw = json.loads(path.read_text(encoding="utf-8"))
             if not isinstance(raw, dict):
                 raise ValueError("the top level must be an object of contexts")
@@ -190,8 +192,8 @@ def _load_table_source(source: str, parser):
                 key: [[_table_cell(cell) for cell in row] for row in grid]
                 for key, grid in raw.items()
             }
-            exact = rationalize_table(contexts)
-        except (HardyLabError, ValueError, KeyError, TypeError, RecursionError) as err:
+            exact = rationalize_table(contexts, tol)
+        except (HardyLabError, OSError, ValueError, KeyError, TypeError, RecursionError) as err:
             parser.error(f"unreadable table file {path}: {err}")
         return exact, {"source": source}
     parser.error(
@@ -200,7 +202,7 @@ def _load_table_source(source: str, parser):
 
 
 def cmd_lhv(args, parser) -> int:
-    exact, description = _load_table_source(args.source, parser)
+    exact, description = _load_table_source(args.source, args.tolerance, parser)
     # feasibility re-checks its certificate against the table, in integers,
     # and raises (exit 1) if that check fails; a returned one is validated
     cert = feasibility(exact)
@@ -210,7 +212,7 @@ def cmd_lhv(args, parser) -> int:
         "validated": True,
     }
     results.update(description)
-    _emit(_envelope("lhv", {"source": args.source}, results), args.format)
+    _emit(_envelope("lhv", {"source": args.source}, results, args.tolerance), args.format)
     return 0
 
 
@@ -247,7 +249,7 @@ def cmd_sample(args, parser) -> int:
         "shots": args.shots,
         "seed": args.seed,
     }
-    _emit(_envelope("sample", parameters, results), args.format)
+    _emit(_envelope("sample", parameters, results, args.tolerance), args.format)
     return 0
 
 
@@ -261,9 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("--tolerance", type=float, default=None,
-                       help="override the global comparison tolerance (default 1e-12; "
-                       "finite and > 0)")
+        p.add_argument("--tolerance", type=float, default=TOLERANCE,
+                       help="tolerance of the audit verdicts, the deduction replay and "
+                       "file: table cells (default %(default)s; finite and > 0)")
 
     p_expand = sub.add_parser("expand", help="re-derive one Bell-basis expansion")
     p_expand.add_argument("--slots", required=True, help="A1 or 2B")
@@ -308,20 +310,13 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.tolerance is not None and not (
-        math.isfinite(args.tolerance) and args.tolerance > 0
-    ):
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
         parser.error(f"--tolerance must be finite and > 0, got {args.tolerance!r}")
-    previous = tolerance()
-    if args.tolerance is not None:
-        set_tolerance(args.tolerance)
     try:
         return _HANDLERS[args.command](args, parser)
     except HardyLabError as err:
         print("error:", *str(err).split(), file=sys.stderr)  # always one line
         return 1
-    finally:
-        set_tolerance(previous)
 
 
 def console_main() -> None:

@@ -26,21 +26,11 @@ from operator import mul
 
 CANONICAL_SLOTS = ("A", "1", "2", "B")
 
-# Single comparison knob for the whole package.  It widens the audit's
-# verdicts and the rationalization of float table cells; the exact algebra
-# here never reads it.
+#: Default comparison tolerance.  It is read only where a value is compared
+#: against a target (the audit's verdicts, the deduction replay) and where
+#: a float table cell is rationalized, each of which takes it as an
+#: argument; the exact algebra here never reads it.
 TOLERANCE = 1e-12
-
-
-def tolerance(tol: float | None = None) -> float:
-    """Resolve an explicit tolerance argument against the global knob."""
-    return TOLERANCE if tol is None else float(tol)
-
-
-def set_tolerance(tol: float) -> None:
-    """Set the global comparison tolerance (one knob for the package)."""
-    global TOLERANCE
-    TOLERANCE = float(tol)
 
 
 class HardyLabError(Exception):

@@ -25,7 +25,7 @@ from itertools import product
 from operator import mul
 from typing import Mapping, Sequence
 
-from .core import HardyLabError, tolerance
+from .core import TOLERANCE, HardyLabError
 from .observables import CONTEXT_KEYS, HardyClaimSet, ProbabilityTable
 
 #: Denominator bound used when converting float tables to exact rationals.
@@ -87,18 +87,15 @@ def _on_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
 
 
 def rationalize_table(
-    table: ProbabilityTable | Mapping[str, Sequence[Sequence]],
-    tol: float | None = None,
-    max_denominator: int = MAX_DENOMINATOR,
+    table: ProbabilityTable | Mapping[str, Sequence[Sequence]], tol: float = TOLERANCE
 ) -> ExactTable:
     """Convert a table to exact rationals, refusing to round silently.
 
     Each float entry must be within ``tol`` of a rational with denominator
-    at most ``max_denominator``; each context must then sum to exactly 1,
-    checked on integers over the context's common denominator.  Entries
+    at most :data:`MAX_DENOMINATOR`; each context must then sum to exactly
+    1, checked on integers over the context's common denominator.  Entries
     that are already Fractions or ints pass through unchanged.
     """
-    tol = tolerance(tol)
     raw = table.contexts if isinstance(table, ProbabilityTable) else table
     if set(raw) != set(CONTEXT_KEYS):
         raise MalformedTableError(f"contexts must be exactly {CONTEXT_KEYS}")
@@ -116,11 +113,11 @@ def rationalize_table(
                 elif isinstance(value, int):
                     frac = Fraction(value)
                 else:
-                    frac = Fraction(float(value)).limit_denominator(max_denominator)
+                    frac = Fraction(float(value)).limit_denominator(MAX_DENOMINATOR)
                     if abs(float(frac) - float(value)) > tol:
                         raise RationalizationError(
                             f"{value!r} in context {key!r} is not within {tol} of a "
-                            f"rational with denominator <= {max_denominator}"
+                            f"rational with denominator <= {MAX_DENOMINATOR}"
                         )
                 if frac.numerator < 0:
                     raise MalformedTableError(f"negative entry {frac} in {key!r}")
@@ -173,7 +170,7 @@ class DeductionTrace:
         }
 
 
-def replay_deductions(claims: HardyClaimSet, tol: float | None = None) -> DeductionTrace:
+def replay_deductions(claims: HardyClaimSet, tol: float = TOLERANCE) -> DeductionTrace:
     """Replay the element-of-reality argument on a set of claimed values.
 
     The rules fire only on certainties: the conditionals must equal 1 and
@@ -181,7 +178,6 @@ def replay_deductions(claims: HardyClaimSet, tol: float | None = None) -> Deduct
     records each step; if a premise fails, later steps are not reached and
     ``halted_at`` names the first rule that could not fire.
     """
-    tol = tolerance(tol)
     shown = {key: _shown(value) for key, value in vars(claims).items()}
     exists = claims.p_joint > tol
     c12_certain = abs(claims.c_d1u2 - 1.0) <= tol
@@ -451,13 +447,13 @@ def _chain_for_pattern(exact: ExactTable) -> tuple[DeductionStep, ...]:
 
 def feasibility(
     table: ProbabilityTable | Mapping[str, Sequence[Sequence]] | ExactTable,
-    tol: float | None = None,
 ) -> LhvCertificate:
     """Decide whether a table is a mixture of deterministic assignments.
 
-    Accepts float or exact tables; the table is rationalized once (see
-    :func:`rationalize_table`), and the decision and the re-check both use
-    that exact table.  The decision runs in exact arithmetic:
+    Accepts float or exact tables; the table is rationalized once at
+    :data:`~hardylab.core.TOLERANCE` (see :func:`rationalize_table`, which
+    a float table can go through first for another tolerance), and the
+    decision and the re-check both use that exact table.  The decision runs in exact arithmetic:
     a phase-1 simplex over the 16 deterministic assignments, pivoted on
     Python ints.  Its tableau holds each value times ``det``, the current
     basis determinant (> 0), and every pivot divides exactly by the
@@ -469,7 +465,7 @@ def feasibility(
     re-substitution, in integers, before it is returned (the check of
     :func:`validate_certificate`).
     """
-    exact = rationalize_table(table, tol)
+    exact = rationalize_table(table)
     rhs = [exact[key][a][b] for (key, a, b) in CELLS]
     x, y = _phase1_simplex([_INCIDENCE[cell] for cell in CELLS], rhs)
 
@@ -495,12 +491,11 @@ def feasibility(
 def validate_certificate(
     table: ProbabilityTable | Mapping[str, Sequence[Sequence]] | ExactTable,
     cert: LhvCertificate,
-    tol: float | None = None,
 ) -> bool:
     """Re-check a certificate against a table, exactly.
 
-    The table is rationalized (a table that fails that does not validate)
-    and checked in integers.  Feasible: the model must pass its invariants
+    The table is rationalized as :func:`feasibility` does (a table that
+    fails that does not validate) and checked in integers.  Feasible: the model must pass its invariants
     again, and every cell must be reproduced with exact rational equality.
     Infeasible: the functional must be keyed on table cells, strictly
     negative on the table and nonnegative on all 16 deterministic
@@ -508,7 +503,7 @@ def validate_certificate(
     validates).
     """
     try:
-        exact = rationalize_table(table, tol)
+        exact = rationalize_table(table)
     except HardyLabError:
         return False
     return _validate_exact(exact, cert)

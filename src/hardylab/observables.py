@@ -44,8 +44,8 @@ from .core import (
     born_probability,
     collapse,
     commutator_norm,
+    TOLERANCE,
     partial_overlap,
-    tolerance,
 )
 from .protocol import BELL_ORDER, PAIR_SLOTS, TOTAL_STATE, BellIndex, bell_expansion, bell_state
 
@@ -212,26 +212,21 @@ class AuditReport:
 
 
 def audit_pair(
-    i: BellIndex,
-    j: BellIndex,
-    interp: Interpretation,
-    state: StateVector | None = None,
-    tol: float | None = None,
+    i: BellIndex, j: BellIndex, interp: Interpretation, tol: float = TOLERANCE
 ) -> AuditReport:
     """Measure all four Hardy quantities for the pair (D1=i, D2=j).
 
     The values are exact; the verdicts accept |value - target| <= tol.
     """
-    state = TOTAL_STATE if state is None else state
     d1, d2 = context_observables("d1d2", i, j, interp)
     u1, u2 = context_observables("u1u2", i, j, interp)
     measured = HardyClaimSet(
-        p_joint=born_probability(_product(d1, d2), state),
-        c_d1u2=conditional_probability(d1, u2, state),
-        c_d2u1=conditional_probability(d2, u1, state),
-        p_u1u2=born_probability(_product(u1, u2), state),
+        p_joint=born_probability(_product(d1, d2), TOTAL_STATE),
+        c_d1u2=conditional_probability(d1, u2, TOTAL_STATE),
+        c_d2u1=conditional_probability(d2, u1, TOTAL_STATE),
+        p_u1u2=born_probability(_product(u1, u2), TOTAL_STATE),
     )
-    tol_v = Fraction(tolerance(tol))  # the float's exact value, converted once
+    tol_v = Fraction(tol)  # the float's exact value, converted once
     verdicts = {
         "p_joint": abs(measured.p_joint - CLAIM_TARGETS.p_joint) <= tol_v,
         "c_d1u2": abs(measured.c_d1u2 - CLAIM_TARGETS.c_d1u2) <= tol_v,
@@ -242,16 +237,14 @@ def audit_pair(
 
 
 def enumerate_all_pairs(
-    interp: Interpretation, tol: float | None = None
+    interp: Interpretation, tol: float = TOLERANCE
 ) -> tuple[list[AuditReport], dict]:
     """Audit all 16 Bell-pair combinations plus a roll-up summary.
 
     The reports come in the fixed order (psi-, psi+, phi-, phi+) for D1
     crossed with the same for D2, so repeated runs are byte-identical.
     """
-    reports = [
-        audit_pair(i, j, interp, TOTAL_STATE, tol) for i in BELL_ORDER for j in BELL_ORDER
-    ]
+    reports = [audit_pair(i, j, interp, tol) for i in BELL_ORDER for j in BELL_ORDER]
     per_claim = {
         key: sum(1 for r in reports if r.verdicts[key])
         for key in ("p_joint", "c_d1u2", "c_d2u1", "p_u1u2")
@@ -288,16 +281,12 @@ class ProbabilityTable:
 
 
 def quantum_probability_table(
-    i: BellIndex,
-    j: BellIndex,
-    interp: Interpretation,
-    state: StateVector | None = None,
+    i: BellIndex, j: BellIndex, interp: Interpretation
 ) -> ProbabilityTable:
-    """The exact statistics an experiment on this state would collect."""
-    state = TOTAL_STATE if state is None else state
+    """The exact statistics an experiment on the total state would collect."""
     return ProbabilityTable(
         {
-            key: joint_outcome_table(*context_observables(key, i, j, interp), state)
+            key: joint_outcome_table(*context_observables(key, i, j, interp), TOTAL_STATE)
             for key in CONTEXT_KEYS
         }
     )

@@ -335,7 +335,7 @@ def verify_expansion(pair: str, state: StateVector | None = None) -> ExpansionRe
     """Compare the derived expansion with the reference branch table.
 
     Each branch is checked two ways: exact amplitude match (including the
-    reference's overall sign) and match up to one global phase per branch,
+    reference's overall sign) and match up to one phase factor per branch,
     which is the physically meaningful criterion.  The extracted phase is
     recorded either way.  Both checks are exact equalities in Q(sqrt 2).
     """

@@ -26,9 +26,9 @@ from hardylab.core import (
     HardyLabError,
     NonCommutingError,
     NormalizationError,
+    TOLERANCE,
     SlotCollisionError,
     ZeroProbabilityError,
-    tolerance,
 )
 from hardylab.lhv import _INCIDENCE, ASSIGNMENTS, CELLS, LhvModel, rationalize_table
 from hardylab.observables import CLAIM_TARGETS, Interpretation
@@ -83,6 +83,11 @@ def born(op: np.ndarray, psi: np.ndarray) -> float:
 
 
 # --- the float layer --------------------------------------------------------
+
+
+def tolerance(tol: float | None = None) -> float:
+    """Resolve an optional tolerance argument against the package default."""
+    return TOLERANCE if tol is None else float(tol)
 
 
 class NonProjectorError(HardyLabError):
@@ -773,7 +778,7 @@ def validate_certificate_reference(table, cert, tol: float | None = None) -> boo
     sums of Fractions, cell by cell and column by column.
     """
     try:
-        exact = rationalize_table(table, tol)
+        exact = rationalize_table(table, tolerance(tol))
     except HardyLabError:
         return False
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -152,6 +153,29 @@ class TestLhvCommand:
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(errors) == 1 and "unreadable table file" in errors[0]
 
+    def test_unreadable_file_is_one_line_usage_error(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "table.json"
+        path.write_text(TABLE_WITH_CELL % "1")
+
+        def denied(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", denied)
+        with pytest.raises(SystemExit) as err:
+            main(["lhv", "--source", f"file:{path}"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "Permission denied" in errors[0]
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_overlong_file_name_is_one_line_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["lhv", "--source", "file:" + "t" * 5000])
+        assert err.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+
     def test_unknown_source_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["lhv", "--source", "folklore"])
@@ -222,26 +246,24 @@ class TestFormatsAndKnobs:
             json.loads(out)
 
     def test_tolerance_is_echoed_and_restored(self, capsys):
-        from hardylab.core import tolerance
-
-        before = tolerance()
         code, env = run_json(
             capsys, "expand", "--slots", "A1", "--tolerance", "1e-10"
         )
         assert code == 0
         assert env["tolerance"] == 1e-10
-        assert tolerance() == before
+        code, env = run_json(capsys, "expand", "--slots", "A1")
+        assert code == 0
+        assert env["tolerance"] == 1e-12
 
     @pytest.mark.parametrize("value", ["nan", "0", "-1", "inf", "-inf"])
     def test_tolerance_must_be_finite_and_positive(self, capsys, value):
-        from hardylab.core import tolerance
-
-        before = tolerance()
         with pytest.raises(SystemExit) as err:
             main(["audit", "--all", "--interp", "collapsed", f"--tolerance={value}"])
         assert err.value.code == 2
         assert "--tolerance must be finite and > 0" in capsys.readouterr().err
-        assert tolerance() == before
+        code, env = run_json(capsys, "expand", "--slots", "A1")
+        assert code == 0
+        assert env["tolerance"] == 1e-12
 
     def test_every_command_emits_the_envelope(self, capsys):
         for argv in (
@@ -280,6 +302,25 @@ class TestExactValuesIgnoreTheTolerance:
             assert loose["results"]["summary"] == default["results"]["summary"]
         else:
             assert loose["results"] == default["results"]
+
+
+class TestTableIsRationalizedOnce:
+    @pytest.mark.parametrize("source", ["paper-claims", "quantum:psi-,psi-,collapsed"])
+    def test_one_rationalization_per_run(self, capsys, monkeypatch, source):
+        from hardylab import cli, lhv
+
+        calls = []
+        rationalize = lhv.rationalize_table
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return rationalize(*args, **kwargs)
+
+        monkeypatch.setattr(lhv, "rationalize_table", counting)
+        monkeypatch.setattr(cli, "rationalize_table", counting)
+        code, env = run_json(capsys, "lhv", "--source", source)
+        assert code == 0 and env["results"]["validated"] is True
+        assert len(calls) == 1
 
 
 class TestCertificateIsValidatedOnce:
@@ -361,7 +402,6 @@ def test_only_sample_imports_numpy(argv):
     import os
     import subprocess
     import sys
-    from pathlib import Path
 
     child = (
         "import contextlib, io, sys\n"

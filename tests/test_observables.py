@@ -353,18 +353,14 @@ class TestLabIsBuiltOnce:
                 "2", Interpretation.COLLAPSED_STATE, index
             )
 
-    def test_lab_entries_do_not_depend_on_the_tolerance(self, monkeypatch):
+    def test_lab_entries_do_not_depend_on_the_tolerance(self):
         # the lab is exact, so one entry serves every tolerance
-        from hardylab import core
-
         u1 = build_u("1", Interpretation.COLLAPSED_STATE, PSIM)
         d2 = build_d("2B", PSIM)
         default = audit_pair(PSIM, PSIM, Interpretation.COLLAPSED_STATE)
-        with monkeypatch.context() as m:
-            m.setattr(core, "TOLERANCE", 1e-9)
-            assert build_d("2B", PSIM) is d2
-            assert build_u("1", Interpretation.COLLAPSED_STATE, PSIM) is u1
-            loose = audit_pair(PSIM, PSIM, Interpretation.COLLAPSED_STATE)
+        loose = audit_pair(PSIM, PSIM, Interpretation.COLLAPSED_STATE, tol=1e-9)
+        assert build_d("2B", PSIM) is d2
+        assert build_u("1", Interpretation.COLLAPSED_STATE, PSIM) is u1
         assert loose.measured == default.measured
         assert audit_pair(PSIM, PSIM, Interpretation.COLLAPSED_STATE, tol=0.3).measured == (
             default.measured
