@@ -8,8 +8,8 @@ shot simulation of one measurement context).
 
 Every command emits a JSON envelope {command, parameters, results,
 tool_version, tolerance}; ``--format table`` renders the same content for
-humans.  Exit codes: 0 success / validated, 1 verification failure,
-2 usage or input error.  All randomness flows through --seed.
+humans.  Exit codes: 0 success / validated, 1 verification failure (or a
+closed output pipe), 2 usage or input error.  All randomness flows through --seed.
 """
 
 from __future__ import annotations
@@ -17,16 +17,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .core import TOLERANCE, HardyLabError, NonCommutingError
+from .core import TOLERANCE, HardyLabError
 from .lhv import (
     CLAIMED_TABLE_NOTES,
     claimed_hardy_table,
     feasibility,
+    rational_json,
     rationalize_table,
     replay_deductions,
 )
@@ -100,32 +101,6 @@ def _print_table(envelope: dict, indent: int = 0) -> None:
                 print(f"{pad}- {item}")
 
 
-def _rational_json(frac: Fraction) -> dict:
-    return {"num": frac.numerator, "den": frac.denominator}
-
-
-def _exact_table_json(exact: dict) -> dict:
-    return {
-        key: [[_rational_json(cell) for cell in row] for row in grid]
-        for key, grid in exact.items()
-    }
-
-
-def _table_cell(cell):
-    """One table-file cell: an int, a finite float, or {num, den} with den > 0."""
-    if isinstance(cell, bool):
-        raise ValueError(f"boolean cell {cell!r}")
-    if isinstance(cell, int) or (isinstance(cell, float) and math.isfinite(cell)):
-        return cell
-    if isinstance(cell, dict) and set(cell) == {"num", "den"}:
-        num, den = cell["num"], cell["den"]
-        if all(isinstance(v, int) and not isinstance(v, bool) for v in (num, den)) and den > 0:
-            return Fraction(num, den)
-    raise ValueError(
-        f"bad cell {cell!r} (want an int, a finite float, or {{num, den}} with den > 0)"
-    )
-
-
 def cmd_expand(args, parser) -> int:
     if args.slots not in ("A1", "2B"):
         parser.error(f"unknown slot pair {args.slots!r} (want A1 or 2B)")
@@ -173,7 +148,7 @@ def _load_table_source(source: str, tol: float, parser):
         d1 = _bell(parts[0].strip(), parser)
         d2 = _bell(parts[1].strip(), parser)
         interp = _interp(parts[2].strip(), parser)
-        exact = quantum_probability_table(d1, d2, interp).contexts
+        exact = quantum_probability_table(d1, d2, interp)
         return exact, {
             "source": source,
             "d1": d1.value,
@@ -184,17 +159,10 @@ def _load_table_source(source: str, tol: float, parser):
         path = Path(source[len("file:") :])
         try:
             if not path.is_file():
-                parser.error(f"table file {path} does not exist")
-            raw = json.loads(path.read_text(encoding="utf-8"))
-            if not isinstance(raw, dict):
-                raise ValueError("the top level must be an object of contexts")
-            contexts = {
-                key: [[_table_cell(cell) for cell in row] for row in grid]
-                for key, grid in raw.items()
-            }
-            exact = rationalize_table(contexts, tol)
-        except (HardyLabError, OSError, ValueError, KeyError, TypeError, RecursionError) as err:
-            parser.error(f"unreadable table file {path}: {err}")
+                parser.error(f"table file {str(path)!r} does not exist")
+            exact = rationalize_table(json.loads(path.read_text(encoding="utf-8")), tol)
+        except (HardyLabError, OSError, ValueError, RecursionError) as err:
+            parser.error(f"unreadable table file {str(path)!r}: {err}")
         return exact, {"source": source}
     parser.error(
         f"unknown source {source!r} (want paper-claims, quantum:D1,D2,INTERP, or file:PATH)"
@@ -207,7 +175,9 @@ def cmd_lhv(args, parser) -> int:
     # and raises (exit 1) if that check fails; a returned one is validated
     cert = feasibility(exact)
     results = {
-        "table": _exact_table_json(exact),
+        "table": {
+            key: [[rational_json(p) for p in row] for row in grid] for key, grid in exact.items()
+        },
         "certificate": cert.to_jsonable(),
         "validated": True,
     }
@@ -223,12 +193,10 @@ def cmd_sample(args, parser) -> int:
     d1 = _bell(args.d1, parser)
     d2 = _bell(args.d2, parser)
     interp = _interp(args.interp, parser)
-    if args.shots < 0:
-        parser.error("--shots must be nonnegative")
     try:
         first, second = context_observables(args.context, d1, d2, interp)
         cfg = RunConfig(first, second, args.shots, args.seed)
-    except (NonCommutingError, HardyLabError) as err:
+    except HardyLabError as err:
         parser.error(str(err))
     state = make_total_state()
     counts = sample(state, cfg)
@@ -320,7 +288,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # so that a closed pipe fails inside the try
+    except BrokenPipeError:  # stdout to devnull, or the flush at exit fails again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -161,8 +161,6 @@ class ObservableOp:
     target: StateVector
     name: str = ""
 
-    is_projector = True
-
     def __post_init__(self) -> None:
         if not self.target.normalized:
             raise NormalizationError("projector target must be normalized")

@@ -26,7 +26,7 @@ from operator import mul
 from typing import Mapping, Sequence
 
 from .core import TOLERANCE, HardyLabError
-from .observables import CONTEXT_KEYS, HardyClaimSet, ProbabilityTable
+from .observables import CONTEXT_KEYS, HardyClaimSet
 
 #: Denominator bound used when converting float tables to exact rationals.
 MAX_DENOMINATOR = 2**20
@@ -51,6 +51,7 @@ CELLS: tuple[Cell, ...] = tuple(
     (key, a, b) for key in CONTEXT_KEYS for a in (0, 1) for b in (0, 1)
 )
 
+Table = dict[str, Sequence[Sequence]]  # as :func:`rationalize_table` accepts it
 ExactTable = dict[str, list[list[Fraction]]]
 
 
@@ -86,41 +87,61 @@ def _on_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def rationalize_table(
-    table: ProbabilityTable | Mapping[str, Sequence[Sequence]], tol: float = TOLERANCE
-) -> ExactTable:
+_LISTS = (list, tuple)
+
+
+def rational_json(value: Fraction) -> dict:
+    """An exact rational as reports write it: ``{"num": int, "den": int}``."""
+    return {"num": value.numerator, "den": value.denominator}
+
+
+def rationalize_table(table: Table, tol: float = TOLERANCE) -> ExactTable:
     """Convert a table to exact rationals, refusing to round silently.
 
-    Each float entry must be within ``tol`` of a rational with denominator
-    at most :data:`MAX_DENOMINATOR`; each context must then sum to exactly
-    1, checked on integers over the context's common denominator.  Entries
-    that are already Fractions or ints pass through unchanged.
+    The one definition of a table: a dict of exactly the four
+    ``CONTEXT_KEYS``, each a 2x2 grid of lists or tuples.  A cell is a
+    Fraction, an int (not a bool), ``{"num": int, "den": int}`` with
+    ``den > 0``, or a finite float within ``tol`` of a rational with
+    denominator at most :data:`MAX_DENOMINATOR`.  Cells must be >= 0 and
+    each context must sum to exactly 1, checked on integers over its
+    common denominator.  Anything else raises a :class:`HardyLabError`.
     """
-    raw = table.contexts if isinstance(table, ProbabilityTable) else table
-    if set(raw) != set(CONTEXT_KEYS):
-        raise MalformedTableError(f"contexts must be exactly {CONTEXT_KEYS}")
+    if not isinstance(table, dict) or table.keys() != set(CONTEXT_KEYS):
+        raise MalformedTableError(f"a table is a dict of exactly the contexts {CONTEXT_KEYS}")
     exact: ExactTable = {}
     for key in CONTEXT_KEYS:
-        grid = [list(row) for row in raw[key]]
-        if len(grid) != 2 or any(len(row) != 2 for row in grid):
-            raise MalformedTableError(f"context {key!r} is not a 2x2 table")
+        grid = table[key]
+        if not isinstance(grid, _LISTS) or len(grid) != 2 or any(
+            not isinstance(row, _LISTS) or len(row) != 2 for row in grid
+        ):
+            raise MalformedTableError(f"context {key!r} is not a 2x2 grid of lists")
         rows = []
         for row in grid:
             out = []
             for value in row:
+                # Fractions first: they are most of the cells a caller passes
                 if isinstance(value, Fraction):
                     frac = value
-                elif isinstance(value, int):
-                    frac = Fraction(value)
-                else:
-                    frac = Fraction(float(value)).limit_denominator(MAX_DENOMINATOR)
-                    if abs(float(frac) - float(value)) > tol:
+                elif isinstance(value, float) and math.isfinite(value):
+                    frac = Fraction(value).limit_denominator(MAX_DENOMINATOR)
+                    if abs(float(frac) - value) > tol:
                         raise RationalizationError(
                             f"{value!r} in context {key!r} is not within {tol} of a "
                             f"rational with denominator <= {MAX_DENOMINATOR}"
                         )
-                if frac.numerator < 0:
-                    raise MalformedTableError(f"negative entry {frac} in {key!r}")
+                elif type(value) is int:
+                    frac = Fraction(value)
+                elif type(value) is dict and value.keys() == {"num", "den"} and (
+                    type(value["num"]) is type(value["den"]) is int and value["den"] > 0
+                ):
+                    frac = Fraction(value["num"], value["den"])
+                else:
+                    raise MalformedTableError(
+                        f"bad cell {value!r} in context {key!r} (want a Fraction, an int, "
+                        "a finite float, or {num, den} with den > 0)"
+                    )
+                if frac.numerator < 0:  # no value in the message: str() of a huge int raises
+                    raise MalformedTableError(f"negative entry in context {key!r}")
                 out.append(frac)
             rows.append(out)
         numerators, den = _on_common_denominator(rows[0] + rows[1])
@@ -267,7 +288,7 @@ class LhvModel:
             "weights": [
                 {
                     "assignment": {"d1": a[0], "d2": a[1], "u1": a[2], "u2": a[3]},
-                    "weight": {"num": w.numerator, "den": w.denominator},
+                    "weight": rational_json(w),
                 }
                 for a, w in sorted(self.weights.items())
                 if w != 0
@@ -300,7 +321,7 @@ class InfeasibilityWitness:
                     "context": key,
                     "first": a,
                     "second": b,
-                    "coefficient": {"num": c.numerator, "den": c.denominator},
+                    "coefficient": rational_json(c),
                 }
                 for (key, a, b), c in sorted(self.functional.items())
             ],
@@ -445,14 +466,13 @@ def _chain_for_pattern(exact: ExactTable) -> tuple[DeductionStep, ...]:
     return replay_deductions(claims, tol=0.0).steps
 
 
-def feasibility(
-    table: ProbabilityTable | Mapping[str, Sequence[Sequence]] | ExactTable,
-) -> LhvCertificate:
+def feasibility(table: Table) -> LhvCertificate:
     """Decide whether a table is a mixture of deterministic assignments.
 
-    Accepts float or exact tables; the table is rationalized once at
-    :data:`~hardylab.core.TOLERANCE` (see :func:`rationalize_table`, which
-    a float table can go through first for another tolerance), and the
+    Takes any table :func:`rationalize_table` accepts, and raises what it
+    raises on one it rejects.  The table is rationalized once at
+    :data:`~hardylab.core.TOLERANCE` (a float table can go through
+    :func:`rationalize_table` first for another tolerance), and the
     decision and the re-check both use that exact table.  The decision runs in exact arithmetic:
     a phase-1 simplex over the 16 deterministic assignments, pivoted on
     Python ints.  Its tableau holds each value times ``det``, the current
@@ -488,14 +508,12 @@ def feasibility(
     return cert
 
 
-def validate_certificate(
-    table: ProbabilityTable | Mapping[str, Sequence[Sequence]] | ExactTable,
-    cert: LhvCertificate,
-) -> bool:
+def validate_certificate(table: Table, cert: LhvCertificate) -> bool:
     """Re-check a certificate against a table, exactly.
 
-    The table is rationalized as :func:`feasibility` does (a table that
-    fails that does not validate) and checked in integers.  Feasible: the model must pass its invariants
+    The table is rationalized as :func:`feasibility` does; a table that
+    :func:`rationalize_table` rejects returns False, never an exception.
+    The check is in integers.  Feasible: the model must pass its invariants
     again, and every cell must be reproduced with exact rational equality.
     Infeasible: the functional must be keyed on table cells, strictly
     negative on the table and nonnegative on all 16 deterministic

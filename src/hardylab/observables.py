@@ -257,39 +257,16 @@ def enumerate_all_pairs(
     return reports, summary
 
 
-@dataclass(frozen=True)
-class ProbabilityTable:
-    """Exact joint outcome tables for the four commuting measurement contexts."""
-
-    contexts: Mapping[str, tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]]
-
-    def __post_init__(self) -> None:
-        if set(self.contexts) != set(CONTEXT_KEYS):
-            raise HardyLabError(f"contexts must be exactly {CONTEXT_KEYS}")
-        frozen = {}
-        for key in CONTEXT_KEYS:
-            grid = tuple(tuple(Fraction(p) for p in row) for row in self.contexts[key])
-            if len(grid) != 2 or any(len(row) != 2 for row in grid):
-                raise HardyLabError(f"context {key!r} is not a 2x2 table")
-            frozen[key] = grid
-        object.__setattr__(self, "contexts", frozen)
-
-    def to_jsonable(self) -> dict:
-        return {
-            key: [[float(p) for p in row] for row in self.contexts[key]] for key in CONTEXT_KEYS
-        }
-
-
 def quantum_probability_table(
     i: BellIndex, j: BellIndex, interp: Interpretation
-) -> ProbabilityTable:
-    """The exact statistics an experiment on the total state would collect."""
-    return ProbabilityTable(
-        {
-            key: joint_outcome_table(*context_observables(key, i, j, interp), TOTAL_STATE)
-            for key in CONTEXT_KEYS
-        }
-    )
+) -> dict[str, tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]]:
+    """The exact statistics an experiment on the total state would collect:
+    each context key maps to its :func:`joint_outcome_table`, a table as
+    :func:`hardylab.lhv.rationalize_table` takes it."""
+    return {
+        key: joint_outcome_table(*context_observables(key, i, j, interp), TOTAL_STATE)
+        for key in CONTEXT_KEYS
+    }
 
 
 def context_observables(

@@ -1,10 +1,19 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from hardylab import __version__
 from hardylab.cli import main
+from hardylab.lhv import claimed_hardy_table, rationalize_table
+from hardylab.observables import Interpretation, quantum_probability_table
+from hardylab.protocol import BellIndex
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 ENVELOPE_KEYS = {"command", "parameters", "results", "tool_version", "tolerance"}
 
@@ -180,6 +189,20 @@ class TestLhvCommand:
         with pytest.raises(SystemExit) as err:
             main(["lhv", "--source", "folklore"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "golden, decided",
+        [
+            ("lhv_paper_claims", claimed_hardy_table),
+            ("lhv_quantum_collapsed", lambda: quantum_probability_table(
+                BellIndex.PSI_MINUS, BellIndex.PSI_MINUS, Interpretation.COLLAPSED_STATE)),
+            ("lhv_file", lambda: json.loads((GOLDEN / "table.json").read_text())),
+            ("lhv_file_feasible", lambda: json.loads((GOLDEN / "table_feasible.json").read_text())),
+        ],
+    )
+    def test_a_reported_table_reads_back_as_the_table_decided(self, golden, decided):
+        reported = json.loads((GOLDEN / f"{golden}.out").read_text())["results"]["table"]
+        assert rationalize_table(reported) == rationalize_table(decided())
 
 
 class TestSampleCommand:
@@ -361,6 +384,7 @@ class TestErrorsAreOneLine:
             ["lhv", "--source", "quantum:psi-,psi-"],
             ["sample", "--context", "d1u1", "--shots", "10"],
             ["sample", "--context", "d1d2", "--shots", str(2**63)],
+            ["lhv", "--source", "file:a\nb"],
         ],
     )
     def test_usage_errors(self, capsys, argv):
@@ -420,3 +444,31 @@ def test_only_sample_imports_numpy(argv):
         timeout=120,
     )
     assert done.stdout.split() == ["0", str(argv[0] == "sample")], done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "--slots", "A1"],
+        ["audit", "--all"],
+        ["lhv", "--source", "paper-claims"],
+        ["sample", "--context", "d1d2", "--shots", "1000"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_closed_output_pipe_exits_1_without_a_traceback(argv):
+    read, write = os.pipe()
+    os.close(read)  # the reader has gone before the first write
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "hardylab", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == 1
+    assert done.stderr == b""

@@ -343,6 +343,50 @@ class TestRationalization:
             rationalize_table(bad)
 
 
+#: A deterministic table: each context has a 1 at [1][1] and 0 elsewhere.
+DETERMINISTIC = table_of_model(LhvModel({(1, 1, 1, 1): Fraction(1)}))
+
+
+def with_cell(a: int, b: int, value) -> dict:
+    table = {key: [list(row) for row in grid] for key, grid in DETERMINISTIC.items()}
+    table["d1d2"][a][b] = value
+    return table
+
+
+class TestOneTableContract:
+    """``feasibility`` and ``validate_certificate`` share one table contract.
+
+    The bool and numeric-string cells stand where 1 and 0 are, so read as
+    numbers they would make a valid table.
+    """
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            with_cell(1, 1, True),
+            with_cell(0, 0, False),
+            with_cell(1, 1, "1"),
+            with_cell(0, 0, "0.0"),
+            with_cell(1, 1, None),
+            with_cell(1, 1, float("nan")),
+            with_cell(1, 1, float("inf")),
+            with_cell(0, 0, float("-inf")),
+            with_cell(0, 0, -(10**5000)),
+            {**DETERMINISTIC, "u1d2": 5},
+            {**DETERMINISTIC, "u1d2": None},
+            {**DETERMINISTIC, "u1d2": [[1, 0], 7]},
+        ],
+        ids=["true", "false", "string-1", "string-0.0", "none", "nan", "inf", "-inf",
+             "negative-5001-digits", "context-5", "context-none", "ragged-context"],
+    )
+    def test_a_malformed_table_is_rejected_by_both(self, table):
+        cert = feasibility(DETERMINISTIC)
+        assert cert.verdict == "feasible"
+        assert validate_certificate(table, cert) is False
+        with pytest.raises(MalformedTableError):
+            feasibility(table)
+
+
 # --- generated tables for the property tests --------------------------------
 
 

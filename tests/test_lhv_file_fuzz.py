@@ -4,7 +4,8 @@ Random table documents (wrong keys, ragged or non-list grids, bools,
 strings, huge ints, ``{num, den}`` with ``den <= 0``, near-valid tables)
 are crossed with ``--tolerance`` strings, valid and not.  Every run must
 end in a validated report (exit 0) or a one-line usage error (exit 2),
-never in a traceback.
+never in a traceback.  The library must accept exactly the documents the
+CLI accepts.
 """
 
 import contextlib
@@ -12,11 +13,12 @@ import io
 import json
 from fractions import Fraction
 
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from hardylab.cli import main
-from hardylab.lhv import claimed_hardy_table
+from hardylab.core import HardyLabError
+from hardylab.lhv import claimed_hardy_table, feasibility, rationalize_table, validate_certificate
 from hardylab.observables import CONTEXT_KEYS, Interpretation, quantum_probability_table
 from hardylab.protocol import BellIndex
 
@@ -26,9 +28,9 @@ VALID_TABLES = [
     claimed_hardy_table(),
     claimed_hardy_table(Fraction(1, 8)),
     quantum_probability_table(BellIndex.PSI_MINUS, BellIndex.PSI_MINUS,
-                              Interpretation.FIXED_BASIS).contexts,
+                              Interpretation.FIXED_BASIS),
     quantum_probability_table(BellIndex.PHI_PLUS, BellIndex.PSI_MINUS,
-                              Interpretation.COLLAPSED_STATE).contexts,
+                              Interpretation.COLLAPSED_STATE),
     {key: [[Fraction(1, 3), Fraction(1, 3)], [Fraction(1, 3), 0]] for key in CONTEXT_KEYS},
 ]
 
@@ -113,9 +115,8 @@ DOCUMENTS = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(document=DOCUMENTS, tol=TOLERANCES)
-def test_a_table_file_gives_a_report_or_one_usage_error(tmp_path_factory, document, tol):
+def run_lhv(tmp_path_factory, document: bytes, tol: str | None):
+    """Exit code, stdout and stderr of ``lhv --source file:`` on ``document``."""
     path = tmp_path_factory.getbasetemp() / "fuzzed_table.json"
     path.write_bytes(document)
     argv = ["lhv", "--source", f"file:{path}"]
@@ -127,6 +128,13 @@ def test_a_table_file_gives_a_report_or_one_usage_error(tmp_path_factory, docume
             code = main(argv)
         except SystemExit as exit_:
             code = exit_.code
+    return code, out, err
+
+
+@settings(max_examples=300, deadline=None)
+@given(document=DOCUMENTS, tol=TOLERANCES)
+def test_a_table_file_gives_a_report_or_one_usage_error(tmp_path_factory, document, tol):
+    code, out, err = run_lhv(tmp_path_factory, document, tol)
     event(f"exit {code}")
     assert "Traceback" not in err.getvalue()
     if code == 0:
@@ -135,3 +143,25 @@ def test_a_table_file_gives_a_report_or_one_usage_error(tmp_path_factory, docume
         assert code == 2, err.getvalue()
         assert out.getvalue() == ""
         assert sum("error:" in line for line in err.getvalue().splitlines()) == 1
+
+
+#: A valid certificate, re-checked against every fuzzed document.
+CERTIFICATE = feasibility(claimed_hardy_table())
+
+
+@settings(max_examples=300, deadline=None)
+@given(document=DOCUMENTS, tol=st.sampled_from([1e-12, 1e-9, 0.07]))
+def test_the_library_accepts_exactly_the_files_the_cli_accepts(tmp_path_factory, document, tol):
+    try:
+        table = json.loads(document)
+    except (ValueError, RecursionError):
+        assume(False)
+    try:
+        rationalize_table(table, tol)
+        accepted = True
+    except HardyLabError:
+        accepted = False
+    code, _, _ = run_lhv(tmp_path_factory, document, repr(tol))
+    event(f"exit {code}")
+    assert accepted == (code == 0)
+    assert validate_certificate(table, CERTIFICATE) in (True, False)

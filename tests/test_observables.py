@@ -53,7 +53,6 @@ class TestBuildD:
     def test_rank_counts_via_trace(self):
         op = build_d("A1", PSIM)
         assert np.trace(dense(op)).real == pytest.approx(4.0, abs=TOL)
-        assert op.is_projector
 
     def test_matches_raw_kron_oracle(self):
         for index in BELL_ORDER:
@@ -252,18 +251,18 @@ class TestProbabilityTables:
     def test_fixed_tables_match_frozen_oracle(self):
         table = quantum_probability_table(PSIM, PSIM, Interpretation.FIXED_BASIS)
         for key, grid in FIXED_TABLES_X16.items():
-            assert table.contexts[key] == tuple(tuple(Fraction(c, 16) for c in row) for row in grid)
+            assert table[key] == tuple(tuple(Fraction(c, 16) for c in row) for row in grid)
 
     def test_collapsed_tables_match_frozen_oracle(self):
         table = quantum_probability_table(PSIM, PSIM, Interpretation.COLLAPSED_STATE)
         for key, grid in COLLAPSED_TABLES_X16.items():
-            assert table.contexts[key] == tuple(tuple(Fraction(c, 16) for c in row) for row in grid)
+            assert table[key] == tuple(tuple(Fraction(c, 16) for c in row) for row in grid)
 
     def test_impossible_cells_are_exactly_zero(self):
         table = quantum_probability_table(PSIM, PSIM, Interpretation.FIXED_BASIS)
-        assert table.contexts["u1u2"][1][1] == 0.0
-        assert table.contexts["u1u2"][0][0] == 0.0
-        assert table.contexts["d1u2"][1][0] == 0.0
+        assert table["u1u2"][1][1] == 0.0
+        assert table["u1u2"][0][0] == 0.0
+        assert table["d1u2"][1][0] == 0.0
 
     def test_every_context_sums_to_one(self):
         for interp in Interpretation:
@@ -271,14 +270,14 @@ class TestProbabilityTables:
                 for j in BELL_ORDER:
                     table = quantum_probability_table(i, j, interp)
                     for key in CONTEXT_KEYS:
-                        assert sum(map(sum, table.contexts[key])) == 1
+                        assert sum(map(sum, table[key])) == 1
 
     def test_no_signaling_marginals_agree_across_contexts(self):
         # any observable appearing in two contexts must show one marginal
         for interp in Interpretation:
             for i in BELL_ORDER:
                 for j in BELL_ORDER:
-                    t = quantum_probability_table(i, j, interp).contexts
+                    t = quantum_probability_table(i, j, interp)
 
                     def rows(key):
                         return [sum(row) for row in t[key]]

@@ -215,16 +215,6 @@ class TestReferenceComparison:
         b = verify_expansion("2B")
         assert a == b
 
-    def test_product_state_still_produces_verdicts(self):
-        state = exact_tensor(
-            exact_tensor(exact_ket("++", ("A", "1")), exact_ket("-", ("2",))), exact_ket("+", ("B",))
-        )
-        report = verify_expansion("A1", state=state)
-        assert len(report.comparisons) == 4
-        empties = [c for c in report.comparisons if c.empty]
-        assert len(empties) == 2
-        assert not any(c.exact_match for c in empties)
-
     def test_reference_table_parses(self):
         slots, table = load_reference_table("A1")
         assert slots == ("2", "B")
