@@ -11,7 +11,8 @@ Its modules are imported directly: ``core`` (exact states and projectors),
 ``protocol`` (the state and its expansions), ``observables`` (the audit),
 ``lhv`` (deduction replay and feasibility), ``sampler`` (the finite-shot
 runs, the one module that needs numpy) and ``cli``.  Everything but the
-sampler is exact integer and Fraction arithmetic.
+sampler is exact integer and Fraction arithmetic.  The CLI loads layers
+per command: each subcommand imports only the modules it calls.
 """
 
 __version__ = "0.1.0"

@@ -23,38 +23,26 @@ from pathlib import Path
 
 from . import __version__
 from .core import TOLERANCE, HardyLabError
-from .lhv import (
-    CLAIMED_TABLE_NOTES,
-    claimed_hardy_table,
-    feasibility,
-    rational_json,
-    rationalize_table,
-    replay_deductions,
-)
-from .observables import (
-    Interpretation,
-    audit_pair,
-    context_observables,
-    enumerate_all_pairs,
-    quantum_probability_table,
-)
-from .protocol import BELL_ORDER, BellIndex, make_total_state, verify_expansion
 
-_BELL_LABELS = {b.value: b for b in BELL_ORDER}
-_INTERP_LABELS = {i.value: i for i in Interpretation}
+# Each handler imports the layers it calls, so that a cold run loads only
+# those (``expand`` never imports ``lhv`` or ``observables``).
 
 
-def _bell(label: str, parser: argparse.ArgumentParser) -> BellIndex:
+def _bell(label: str, parser: argparse.ArgumentParser):
+    from .protocol import BellIndex
+
     try:
-        return _BELL_LABELS[label]
-    except KeyError:
+        return BellIndex(label)
+    except ValueError:
         parser.error(f"unknown Bell label {label!r} (want psi-, psi+, phi-, phi+)")
 
 
-def _interp(label: str, parser: argparse.ArgumentParser) -> Interpretation:
+def _interp(label: str, parser: argparse.ArgumentParser):
+    from .observables import Interpretation
+
     try:
-        return _INTERP_LABELS[label]
-    except KeyError:
+        return Interpretation(label)
+    except ValueError:
         parser.error(f"unknown interpretation {label!r} (want fixed or collapsed)")
 
 
@@ -102,6 +90,8 @@ def _print_table(envelope: dict, indent: int = 0) -> None:
 
 
 def cmd_expand(args, parser) -> int:
+    from .protocol import verify_expansion
+
     if args.slots not in ("A1", "2B"):
         parser.error(f"unknown slot pair {args.slots!r} (want A1 or 2B)")
     report = verify_expansion(args.slots)
@@ -111,6 +101,8 @@ def cmd_expand(args, parser) -> int:
 
 
 def cmd_audit(args, parser) -> int:
+    from .observables import audit_pair, enumerate_all_pairs
+
     interp = _interp(args.interp, parser)
     if args.all:
         reports, summary = enumerate_all_pairs(interp, args.tolerance)
@@ -120,6 +112,8 @@ def cmd_audit(args, parser) -> int:
         }
         parameters = {"all": True, "interp": interp.value}
     else:
+        from .lhv import replay_deductions
+
         d1 = _bell(args.d1, parser)
         d2 = _bell(args.d2, parser)
         report = audit_pair(d1, d2, interp, args.tolerance)
@@ -138,10 +132,14 @@ def _load_table_source(source: str, tol: float, parser):
 
     Only a ``file:`` table can hold floats; its cells are rationalized at ``tol``.
     """
+    from .lhv import CLAIMED_TABLE_NOTES, claimed_hardy_table, rationalize_table
+
     if source == "paper-claims":
         exact = claimed_hardy_table()
         return exact, {"source": source, "completion": CLAIMED_TABLE_NOTES}
     if source.startswith("quantum:"):
+        from .observables import quantum_probability_table
+
         parts = source[len("quantum:") :].split(",")
         if len(parts) != 3:
             parser.error("quantum source must look like quantum:psi-,psi-,fixed")
@@ -159,7 +157,8 @@ def _load_table_source(source: str, tol: float, parser):
         path = Path(source[len("file:") :])
         try:
             if not path.is_file():
-                parser.error(f"table file {str(path)!r} does not exist")
+                what = "is not a regular file" if path.exists() else "does not exist"
+                parser.error(f"table file {str(path)!r} {what}")
             exact = rationalize_table(json.loads(path.read_text(encoding="utf-8")), tol)
         except (HardyLabError, OSError, ValueError, RecursionError) as err:
             parser.error(f"unreadable table file {str(path)!r}: {err}")
@@ -170,6 +169,8 @@ def _load_table_source(source: str, tol: float, parser):
 
 
 def cmd_lhv(args, parser) -> int:
+    from .lhv import feasibility, rational_json
+
     exact, description = _load_table_source(args.source, args.tolerance, parser)
     # feasibility re-checks its certificate against the table, in integers,
     # and raises (exit 1) if that check fails; a returned one is validated
@@ -187,6 +188,8 @@ def cmd_lhv(args, parser) -> int:
 
 
 def cmd_sample(args, parser) -> int:
+    from .observables import context_observables
+    from .protocol import make_total_state
     # the sampler is the one module that needs numpy, so only sample loads it
     from .sampler import RunConfig, compare_frequencies, exact_context_probabilities, sample
 

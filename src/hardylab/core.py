@@ -13,18 +13,26 @@ factors can never be silently reordered.  Basis convention: each qubit
 uses the (+, -) basis with "+" mapped to index 0, and multi-qubit
 amplitudes are stored row-major with the first slot label as the most
 significant bit.  The canonical full slot order is (A, 1, 2, B).
+
+The module also holds what the audit and the LHV side share: the four
+context keys of a probability table and :class:`HardyClaimSet`.  Records
+that validate their fields derive from :class:`Frozen`, which refuses
+assignment once ``__init__`` has run; the others are named tuples.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from operator import mul
+from typing import NamedTuple
 
 CANONICAL_SLOTS = ("A", "1", "2", "B")
+
+#: The four measurement contexts of a probability table, in report order.
+CONTEXT_KEYS = ("d1d2", "d1u2", "u1d2", "u1u2")
 
 #: Default comparison tolerance.  It is read only where a value is compared
 #: against a target (the audit's verdicts, the deduction replay) and where
@@ -72,37 +80,54 @@ def _validate_slots(slots: tuple[str, ...]) -> None:
         raise DimensionMismatchError(f"unknown slot labels {sorted(unknown)}")
 
 
-@dataclass(frozen=True)
-class StateVector:
+class Frozen:
+    """Base of the records that validate their fields: after ``__init__``
+    has set them with ``object.__setattr__``, they cannot be changed."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+
+class StateVector(Frozen):
     """A real pure state over labelled qubits: ``amps / sqrt(norm2)``.
 
     ``amps`` holds one integer per basis state of ``slots``.  The public
     constructor makes a unit state, whose ``norm2`` is the squared length
     of ``amps``; unnormalized intermediates (projection residues) are
-    created through :meth:`raw` with their own ``norm2``.
+    created through :meth:`raw` with their own ``norm2``.  States compare
+    and hash by ``(amps, slots, norm2)``.
     """
 
-    amps: tuple[int, ...]
-    slots: tuple[str, ...]
-    norm2: int | None = None
-    normalized: bool = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        slots = tuple(self.slots)
+    def __init__(self, amps, slots: tuple[str, ...], norm2: int | None = None) -> None:
+        slots = tuple(slots)
         _validate_slots(slots)
-        amps = tuple(self.amps)
+        amps = tuple(amps)
         if len(amps) != 2 ** len(slots):
             raise DimensionMismatchError(f"{len(amps)} amplitudes for slots {slots}")
         if not {int}.issuperset(map(type, amps)):
             raise HardyLabError(f"amplitudes must be integers, got {amps}")
         length2 = sum(map(mul, amps, amps))
-        if self.norm2 is None and not length2:
+        if norm2 is None and not length2:
             raise NormalizationError(f"the zero vector on {slots} is not a state")
-        norm2 = length2 if self.norm2 is None else self.norm2
+        norm2 = length2 if norm2 is None else norm2
         object.__setattr__(self, "amps", amps)
         object.__setattr__(self, "slots", slots)
         object.__setattr__(self, "norm2", norm2)
         object.__setattr__(self, "normalized", length2 == norm2)
+
+    def __eq__(self, other):
+        if type(other) is not StateVector:
+            return NotImplemented
+        return (self.amps, self.slots, self.norm2) == (other.amps, other.slots, other.norm2)
+
+    def __hash__(self) -> int:
+        return hash((self.amps, self.slots, self.norm2))
+
+    def __repr__(self) -> str:
+        return f"StateVector(amps={self.amps!r}, slots={self.slots!r}, norm2={self.norm2!r})"
 
     @classmethod
     def raw(cls, amps, slots: tuple[str, ...], norm2: int) -> "StateVector":
@@ -148,8 +173,7 @@ def partial_overlap(target: StateVector, s: StateVector) -> list[int]:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class ObservableOp:
+class ObservableOp(Frozen):
     """The projector onto the unit state ``target`` on its slots, identity
     on every other slot.
 
@@ -158,12 +182,11 @@ class ObservableOp:
     operator can key a cache.
     """
 
-    target: StateVector
-    name: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.target.normalized:
+    def __init__(self, target: StateVector, name: str = "") -> None:
+        if not target.normalized:
             raise NormalizationError("projector target must be normalized")
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "name", name)
 
     @cached_property
     def acts_on(self) -> frozenset:
@@ -245,3 +268,20 @@ def commutator_norm(a: ObservableOp, b: ObservableOp) -> Fraction:
     ba = [[sum(x * y for x, y in zip(row, col)) for col in zip(*ma)] for row in mb]
     largest = max(abs(x - y) for r, q in zip(ab, ba) for x, y in zip(r, q))
     return Fraction(largest, a.target.norm2 * b.target.norm2)
+
+
+class HardyClaimSet(NamedTuple):
+    """The four audited quantities (measured or claimed), exact or float."""
+
+    p_joint: Fraction | float
+    c_d1u2: Fraction | float
+    c_d2u1: Fraction | float
+    p_u1u2: Fraction | float
+
+    def to_jsonable(self) -> dict:
+        return {
+            "p_joint": float(self.p_joint),
+            "c_d1u2": float(self.c_d1u2),
+            "c_d2u1": float(self.c_d2u1),
+            "p_u1u2": float(self.p_u1u2),
+        }

@@ -19,14 +19,12 @@ over the 16-vertex polytope loses no generality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import mul
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .core import TOLERANCE, HardyLabError
-from .observables import CONTEXT_KEYS, HardyClaimSet
+from .core import CONTEXT_KEYS, TOLERANCE, Frozen, HardyClaimSet, HardyLabError
 
 #: Denominator bound used when converting float tables to exact rationals.
 MAX_DENOMINATOR = 2**20
@@ -136,11 +134,14 @@ def rationalize_table(table: Table, tol: float = TOLERANCE) -> ExactTable:
                 ):
                     frac = Fraction(value["num"], value["den"])
                 else:
+                    # named by place and type: a cell's repr may hold an int
+                    # too long for str(), which would raise in the message
                     raise MalformedTableError(
-                        f"bad cell {value!r} in context {key!r} (want a Fraction, an int, "
-                        "a finite float, or {num, den} with den > 0)"
+                        f"bad cell [{len(rows)}][{len(out)}] in context {key!r}: a "
+                        f"{type(value).__name__} (want a Fraction, an int, a finite float, "
+                        "or {num, den} with den > 0)"
                     )
-                if frac.numerator < 0:  # no value in the message: str() of a huge int raises
+                if frac.numerator < 0:  # no value in the message, as above
                     raise MalformedTableError(f"negative entry in context {key!r}")
                 out.append(frac)
             rows.append(out)
@@ -161,8 +162,7 @@ def _shown(value):
     return f if f or not value else value
 
 
-@dataclass(frozen=True)
-class DeductionStep:
+class DeductionStep(NamedTuple):
     index: int
     name: str
     fired: bool
@@ -177,8 +177,7 @@ class DeductionStep:
         }
 
 
-@dataclass(frozen=True)
-class DeductionTrace:
+class DeductionTrace(NamedTuple):
     steps: tuple[DeductionStep, ...]
     contradiction: bool
     halted_at: int | None
@@ -199,7 +198,7 @@ def replay_deductions(claims: HardyClaimSet, tol: float = TOLERANCE) -> Deductio
     records each step; if a premise fails, later steps are not reached and
     ``halted_at`` names the first rule that could not fire.
     """
-    shown = {key: _shown(value) for key, value in vars(claims).items()}
+    shown = {key: _shown(value) for key, value in claims._asdict().items()}
     exists = claims.p_joint > tol
     c12_certain = abs(claims.c_d1u2 - 1.0) <= tol
     c21_certain = abs(claims.c_d2u1 - 1.0) <= tol
@@ -264,18 +263,15 @@ def replay_deductions(claims: HardyClaimSet, tol: float = TOLERANCE) -> Deductio
 # --- certificates ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LhvModel:
+class LhvModel(Frozen):
     """Mixture over deterministic assignments, exact weights summing to 1.
 
     The invariants are checked on the weights' numerators over their common
     denominator: each must be >= 0, and together they must sum to it.
     """
 
-    weights: Mapping[Assignment, Fraction]
-
-    def __post_init__(self) -> None:
-        weights = {k: Fraction(v) for k, v in self.weights.items()}
+    def __init__(self, weights: Mapping[Assignment, Fraction]) -> None:
+        weights = {k: Fraction(v) for k, v in weights.items()}
         numerators, den = _on_common_denominator(list(weights.values()))
         if any(w < 0 for w in numerators):
             raise HardyLabError("model weights must be nonnegative")
@@ -296,8 +292,7 @@ class LhvModel:
         }
 
 
-@dataclass(frozen=True)
-class InfeasibilityWitness:
+class InfeasibilityWitness(NamedTuple):
     """Separating functional, optionally with the deduction chain behind it.
 
     ``functional`` maps table cells to rational coefficients f such that
@@ -331,19 +326,22 @@ class InfeasibilityWitness:
         return payload
 
 
-@dataclass(frozen=True)
-class LhvCertificate:
-    verdict: str  # "feasible" | "infeasible"
-    model: LhvModel | None = None
-    witness: InfeasibilityWitness | None = None
-
-    def __post_init__(self) -> None:
-        if self.verdict not in ("feasible", "infeasible"):
-            raise HardyLabError(f"bad verdict {self.verdict!r}")
-        if (self.verdict == "feasible") != (self.model is not None) or (
-            self.verdict == "infeasible"
-        ) != (self.witness is not None):
+class LhvCertificate(Frozen):
+    def __init__(
+        self,
+        verdict: str,  # "feasible" | "infeasible"
+        model: LhvModel | None = None,
+        witness: InfeasibilityWitness | None = None,
+    ) -> None:
+        if verdict not in ("feasible", "infeasible"):
+            raise HardyLabError(f"bad verdict {verdict!r}")
+        if (verdict == "feasible") != (model is not None) or (
+            verdict == "infeasible"
+        ) != (witness is not None):
             raise HardyLabError("certificate must carry exactly the matching payload")
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "witness", witness)
 
     def to_jsonable(self) -> dict:
         out: dict = {"verdict": self.verdict}

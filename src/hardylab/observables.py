@@ -27,15 +27,16 @@ computed afresh on every call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache
 from operator import mul
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .core import (
+    CONTEXT_KEYS,
     EmptyBranchError,
+    HardyClaimSet,
     HardyLabError,
     NonCommutingError,
     ObservableOp,
@@ -57,12 +58,10 @@ class Interpretation(Enum):
     COLLAPSED_STATE = "collapsed"
 
 
-CONTEXT_KEYS = ("d1d2", "d1u2", "u1d2", "u1u2")
-
-
 # --- the lab ----------------------------------------------------------------
 # Every entry is built on its first lookup and kept for the process.
-# Entries are immutable, so sharing them is safe.
+# Entries are immutable (operators and states refuse assignment through
+# core.Frozen), so sharing them is safe.
 
 
 @cache
@@ -163,32 +162,13 @@ def joint_outcome_table(
     return table
 
 
-@dataclass(frozen=True)
-class HardyClaimSet:
-    """The four audited quantities (measured or claimed), exact or float."""
-
-    p_joint: Fraction | float
-    c_d1u2: Fraction | float
-    c_d2u1: Fraction | float
-    p_u1u2: Fraction | float
-
-    def to_jsonable(self) -> dict:
-        return {
-            "p_joint": float(self.p_joint),
-            "c_d1u2": float(self.c_d1u2),
-            "c_d2u1": float(self.c_d2u1),
-            "p_u1u2": float(self.p_u1u2),
-        }
-
-
 #: The advertised values the audit compares against.
 CLAIM_TARGETS = HardyClaimSet(
     p_joint=Fraction(1, 16), c_d1u2=Fraction(1), c_d2u1=Fraction(1), p_u1u2=Fraction(0)
 )
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     d1_bell: BellIndex
     d2_bell: BellIndex
     interpretation: Interpretation

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache
 from importlib import resources
+from typing import NamedTuple
 
 from .core import (
     DimensionMismatchError,
@@ -85,8 +85,7 @@ def make_total_state() -> StateVector:
     return TOTAL_STATE
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     """One Bell outcome of a pair measurement.
 
     The branch is ``coefficient * residual`` with ``weight`` =
@@ -111,8 +110,7 @@ class Branch:
         return self.weight == 0
 
 
-@dataclass(frozen=True)
-class BranchExpansion:
+class BranchExpansion(NamedTuple):
     source_slots: tuple[str, ...]
     measured_slots: tuple[str, str]
     residual_slots: tuple[str, ...]
@@ -279,8 +277,7 @@ def load_reference_table(pair: str) -> tuple[tuple[str, ...], dict[BellIndex, li
     return remaining, table
 
 
-@dataclass(frozen=True)
-class BranchComparison:
+class BranchComparison(NamedTuple):
     bell: BellIndex
     empty: bool
     exact_match: bool
@@ -288,8 +285,7 @@ class BranchComparison:
     phase: int | None  # derived branch = phase * reference branch, phase = +-1
 
 
-@dataclass(frozen=True)
-class ExpansionReport:
+class ExpansionReport(NamedTuple):
     measured_slots: tuple[str, str]
     comparisons: tuple[BranchComparison, ...]
     all_exact: bool

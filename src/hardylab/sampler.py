@@ -14,13 +14,20 @@ kept, so a run of any length holds O(``_BLOCK``) memory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import HardyLabError, NonCommutingError, ObservableOp, StateVector, commutator_norm
+from .core import (
+    Frozen,
+    HardyLabError,
+    NonCommutingError,
+    ObservableOp,
+    StateVector,
+    commutator_norm,
+)
 from .observables import joint_outcome_table
 
 #: Outcome cells in draw order.
@@ -30,39 +37,32 @@ CELL_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
 _BLOCK = 2**16
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Frozen):
     """One measurement run: a commuting context, a shot count, a seed."""
 
-    first: ObservableOp
-    second: ObservableOp
-    shots: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.shots < 0:
-            raise HardyLabError(f"shots must be nonnegative, got {self.shots}")
-        if self.shots >= 2**63:  # ``sample`` tallies the shots in int64
-            raise HardyLabError(f"shots must be below 2**63, got {self.shots}")
-        if not 0 <= self.seed < 2**64:
+    def __init__(self, first: ObservableOp, second: ObservableOp, shots: int, seed: int) -> None:
+        if shots < 0:
+            raise HardyLabError(f"shots must be nonnegative, got {shots}")
+        if shots >= 2**63:  # ``sample`` tallies the shots in int64
+            raise HardyLabError(f"shots must be below 2**63, got {shots}")
+        if not 0 <= seed < 2**64:
             raise HardyLabError("seed must fit in 64 unsigned bits")
-        if commutator_norm(self.first, self.second):
-            raise NonCommutingError(
-                f"context ({self.first.name}, {self.second.name}) does not commute"
-            )
+        if commutator_norm(first, second):
+            raise NonCommutingError(f"context ({first.name}, {second.name}) does not commute")
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
+        object.__setattr__(self, "shots", shots)
+        object.__setattr__(self, "seed", seed)
 
 
-@dataclass(frozen=True)
-class CountTable:
-    counts: np.ndarray  # [a][b] nonnegative ints
-    shots: int
-
-    def __post_init__(self) -> None:
-        counts = np.array(self.counts, dtype=np.int64).reshape(2, 2)
-        if (counts < 0).any() or int(counts.sum()) != self.shots:
+class CountTable(Frozen):
+    def __init__(self, counts, shots: int) -> None:  # counts: [a][b] nonnegative ints
+        counts = np.array(counts, dtype=np.int64).reshape(2, 2)
+        if (counts < 0).any() or int(counts.sum()) != shots:
             raise HardyLabError("counts must be nonnegative and sum to shots")
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "shots", shots)
 
     def to_jsonable(self) -> dict:
         return {"shots": self.shots, "counts": self.counts.tolist()}
@@ -118,8 +118,7 @@ def sample(state: StateVector, cfg: RunConfig, first_shot: int = 0) -> CountTabl
     return CountTable(-np.diff(above), cfg.shots)
 
 
-@dataclass(frozen=True)
-class CellDeviation:
+class CellDeviation(NamedTuple):
     outcome: tuple[int, int]
     count: int
     frequency: float
@@ -140,8 +139,7 @@ class CellDeviation:
         }
 
 
-@dataclass(frozen=True)
-class DeviationReport:
+class DeviationReport(NamedTuple):
     cells: tuple[CellDeviation, ...]
     max_abs_z: float
     impossible_violations: tuple[tuple[int, int], ...]

@@ -330,7 +330,7 @@ class TestExactValuesIgnoreTheTolerance:
 class TestTableIsRationalizedOnce:
     @pytest.mark.parametrize("source", ["paper-claims", "quantum:psi-,psi-,collapsed"])
     def test_one_rationalization_per_run(self, capsys, monkeypatch, source):
-        from hardylab import cli, lhv
+        from hardylab import lhv
 
         calls = []
         rationalize = lhv.rationalize_table
@@ -339,8 +339,8 @@ class TestTableIsRationalizedOnce:
             calls.append(args)
             return rationalize(*args, **kwargs)
 
+        # the CLI looks the name up in hardylab.lhv when it runs
         monkeypatch.setattr(lhv, "rationalize_table", counting)
-        monkeypatch.setattr(cli, "rationalize_table", counting)
         code, env = run_json(capsys, "lhv", "--source", source)
         assert code == 0 and env["results"]["validated"] is True
         assert len(calls) == 1
@@ -385,6 +385,7 @@ class TestErrorsAreOneLine:
             ["sample", "--context", "d1u1", "--shots", "10"],
             ["sample", "--context", "d1d2", "--shots", str(2**63)],
             ["lhv", "--source", "file:a\nb"],
+            ["lhv", "--source", f"file:{GOLDEN}"],  # a directory
         ],
     )
     def test_usage_errors(self, capsys, argv):
@@ -395,14 +396,22 @@ class TestErrorsAreOneLine:
         assert lines[-1].startswith("hardylab: error: ")
         assert sum("error:" in line for line in lines) == 1
 
+    def test_a_directory_is_not_called_missing(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["lhv", "--source", f"file:{GOLDEN}"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"hardylab: error: table file {str(GOLDEN)!r} is not a regular file"
+        )
+
     def test_a_multi_line_failure_is_reported_on_one_line(self, capsys, monkeypatch):
-        from hardylab import cli
+        from hardylab import lhv
         from hardylab.core import HardyLabError
 
         def failing(*args):
             raise HardyLabError("malformed outcome table [[0.375, 0.0],\n [0.625, 0.0]]")
 
-        monkeypatch.setattr(cli, "feasibility", failing)
+        monkeypatch.setattr(lhv, "feasibility", failing)
         assert main(["lhv", "--source", "paper-claims"]) == 1
         assert capsys.readouterr().err == (
             "error: malformed outcome table [[0.375, 0.0], [0.625, 0.0]]\n"
@@ -421,29 +430,74 @@ CLI_COLD_ARGV = [
 ]
 
 
-@pytest.mark.parametrize("argv", CLI_COLD_ARGV, ids=lambda argv: "-".join(argv[:3]))
-def test_only_sample_imports_numpy(argv):
-    import os
-    import subprocess
-    import sys
+#: The hardylab modules each subcommand's run loads, beyond hardylab and
+#: hardylab.cli: each handler imports only the layers it calls.
+LAYERS = {
+    "expand": {"core", "protocol"},
+    "audit --all": {"core", "protocol", "observables"},
+    "audit": {"core", "protocol", "observables", "lhv"},  # replay_deductions
+    "lhv": {"core", "lhv"},  # paper-claims and file: tables
+    "lhv quantum:": {"core", "protocol", "observables", "lhv"},
+    "sample": {"core", "protocol", "observables", "sampler"},
+}
 
-    child = (
-        "import contextlib, io, sys\n"
-        "from hardylab.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = main(sys.argv[1:])\n"
-        "print(code, 'numpy' in sys.modules)\n"
-    )
-    src = Path(__file__).resolve().parent.parent / "src"
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+
+def _layers_of(argv: list[str]) -> set[str]:
+    if argv[0] == "audit":
+        return LAYERS["audit --all" if "--all" in argv else "audit"]
+    if argv[0] == "lhv" and argv[2].startswith("quantum:"):
+        return LAYERS["lhv quantum:"]
+    return LAYERS[argv[0]]
+
+
+def _child_modules(*argv: str, code: str = "") -> set[str]:
+    """The names in sys.modules of a child interpreter after ``code``."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", child, *argv],
+        [sys.executable, "-c", code + "import sys\nprint(*sys.modules)", *argv],
+        cwd=SRC.parent,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=120,
     )
-    assert done.stdout.split() == ["0", str(argv[0] == "sample")], done.stderr
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
+@pytest.fixture(scope="module")
+def preloaded():
+    """Modules a bare interpreter already has (``site`` loads some on its
+    own), and those ``import numpy`` adds to that."""
+    bare = _child_modules()
+    return bare, _child_modules(code="import numpy\n") - bare
+
+
+@pytest.mark.parametrize(
+    "argv",
+    CLI_COLD_ARGV + [
+        ["audit", "--d1", "psi-", "--d2", "phi+"],
+        ["lhv", "--source", "file:tests/golden/table.json"],
+    ],
+    ids=lambda argv: "-".join(argv[:3]),
+)
+def test_only_sample_imports_numpy(argv, preloaded):
+    bare, numpy_brings = preloaded
+    child = (
+        "import contextlib, io, sys\n"
+        "from hardylab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "if code:\n"
+        "    sys.exit(code)\n"
+    )
+    loaded = _child_modules(*argv, code=child)
+    assert ("numpy" in loaded) == (argv[0] == "sample")
+    assert {m for m in loaded if m.startswith("hardylab")} == {
+        "hardylab", "hardylab.cli", *(f"hardylab.{m}" for m in _layers_of(argv))
+    }
+    new = loaded - bare - (numpy_brings if argv[0] == "sample" else set())
+    assert not new & {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize(

@@ -375,9 +375,14 @@ class TestOneTableContract:
             {**DETERMINISTIC, "u1d2": 5},
             {**DETERMINISTIC, "u1d2": None},
             {**DETERMINISTIC, "u1d2": [[1, 0], 7]},
+            # str() of an int over 4300 digits raises, so no message may print one
+            with_cell(0, 0, {"num": 10**5000, "den": 0}),
+            with_cell(0, 0, [10**5000]),
+            {**DETERMINISTIC, "d1d2": [[10**5000], [0, 1]]},
         ],
         ids=["true", "false", "string-1", "string-0.0", "none", "nan", "inf", "-inf",
-             "negative-5001-digits", "context-5", "context-none", "ragged-context"],
+             "negative-5001-digits", "context-5", "context-none", "ragged-context",
+             "num-den-5001-digits-over-0", "cell-list-5001-digits", "row-5001-digits"],
     )
     def test_a_malformed_table_is_rejected_by_both(self, table):
         cert = feasibility(DETERMINISTIC)
