@@ -22,12 +22,17 @@ CASES = {
     "audit_all_fixed": ["audit", "--all", "--interp", "fixed"],
     "audit_all_collapsed": ["audit", "--all", "--interp", "collapsed"],
     "audit_pair_collapsed": ["audit", "--d1", "phi+", "--d2", "psi-", "--interp", "collapsed"],
+    # c_d2u1 = 1/2, so the deduction replay halts at step 3
+    "audit_pair_fixed": ["audit", "--d1", "psi-", "--d2", "psi-", "--interp", "fixed"],
     "expand_A1": ["expand", "--slots", "A1"],
     "expand_2B": ["expand", "--slots", "2B"],
     "lhv_paper_claims": ["lhv", "--source", "paper-claims"],
     "lhv_quantum_collapsed": ["lhv", "--source", "quantum:psi-,psi-,collapsed"],
+    "lhv_quantum_fixed": ["lhv", "--source", "quantum:psi-,psi-,fixed"],
     "lhv_file": ["lhv", "--source", "file:tests/golden/table.json"],
     "lhv_file_feasible": ["lhv", "--source", "file:tests/golden/table_feasible.json"],
+    # a degenerate context: one projector measured twice
+    "sample_d1d1": ["sample", "--context", "d1d1", "--shots", "1000", "--seed", "7"],
     "sample_u1u2_collapsed": [
         "sample", "--context", "u1u2", "--interp", "collapsed",
         "--shots", "1000", "--seed", "7",
