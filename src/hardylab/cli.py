@@ -104,6 +104,8 @@ def cmd_audit(args, parser) -> int:
     from .observables import audit_pair, enumerate_all_pairs
 
     interp = _interp(args.interp, parser)
+    d1 = _bell(args.d1, parser)  # checked with --all too, where no pair is used
+    d2 = _bell(args.d2, parser)
     if args.all:
         reports, summary = enumerate_all_pairs(interp, args.tolerance)
         results = {
@@ -114,8 +116,6 @@ def cmd_audit(args, parser) -> int:
     else:
         from .lhv import replay_deductions
 
-        d1 = _bell(args.d1, parser)
-        d2 = _bell(args.d2, parser)
         report = audit_pair(d1, d2, interp, args.tolerance)
         trace = replay_deductions(report.measured, args.tolerance)
         results = {

@@ -194,7 +194,10 @@ class ObservableOp(Frozen):
 
     def __matmul__(self, other: "ObservableOp") -> "ObservableOp":
         """Product of projectors on disjoint slots: the projector onto
-        the tensor product of their targets."""
+        the tensor product of their targets.  A projector times itself is
+        itself."""
+        if other.target == self.target:
+            return self
         if self.acts_on & other.acts_on:
             raise HardyLabError(
                 f"{self.name} and {other.name} share slots; products are formed "
@@ -279,9 +282,4 @@ class HardyClaimSet(NamedTuple):
     p_u1u2: Fraction | float
 
     def to_jsonable(self) -> dict:
-        return {
-            "p_joint": float(self.p_joint),
-            "c_d1u2": float(self.c_d1u2),
-            "c_d2u1": float(self.c_d2u1),
-            "p_u1u2": float(self.p_u1u2),
-        }
+        return {key: float(value) for key, value in self._asdict().items()}

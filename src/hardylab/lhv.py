@@ -334,7 +334,7 @@ class LhvCertificate(Frozen):
         witness: InfeasibilityWitness | None = None,
     ) -> None:
         if verdict not in ("feasible", "infeasible"):
-            raise HardyLabError(f"bad verdict {verdict!r}")
+            raise HardyLabError("the verdict must be 'feasible' or 'infeasible'")
         if (verdict == "feasible") != (model is not None) or (
             verdict == "infeasible"
         ) != (witness is not None):
@@ -578,7 +578,7 @@ def claimed_hardy_table(p_joint: Fraction = Fraction(1, 16)) -> ExactTable:
     """
     p = Fraction(p_joint)
     if not 0 < p <= Fraction(1, 4):
-        raise HardyLabError(f"p_joint must lie in (0, 1/4], got {p}")
+        raise HardyLabError("p_joint must lie in (0, 1/4]")
     q = Fraction(1, 4)  # P(D1=1) = P(D2=1)
     h = Fraction(1, 2)  # P(U1=1) = P(U2=1)
     return {

@@ -18,10 +18,14 @@ and the audit measures all four under two explicit readings of U1/U2:
 The two readings genuinely disagree on one conditional; the audit reports
 both and never silently picks one.
 
-Every probability is an exact Fraction.  The 18 distinct operators and the
-commuting products the audit forms are built on their first lookup and
-then reused for the rest of the process; probabilities and reports are
-computed afresh on every call.
+Every reported probability is the exact Born probability (a Fraction) of
+one cached projector on the total state: a D, a U, or the product of a
+context's commuting pair.  A conditional is a joint probability over a
+marginal, P(U2=1 | D1=1) = P(D1=1, U2=1) / P(D1=1), and a context's 2x2
+table follows from its two marginals and its joint.  The 18 distinct
+operators and the products of the context pairs are built on their first
+lookup and then reused for the rest of the process; probabilities and
+reports are computed afresh on every call.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import math
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from operator import mul
 from typing import Mapping, NamedTuple
 
 from .core import (
@@ -41,9 +44,7 @@ from .core import (
     NonCommutingError,
     ObservableOp,
     StateVector,
-    apply,
     born_probability,
-    collapse,
     commutator_norm,
     TOLERANCE,
     partial_overlap,
@@ -128,34 +129,14 @@ def build_u(slot: str, interp: Interpretation, partner_outcome: BellIndex) -> Ob
     return _u(slot, interp, partner_outcome)
 
 
-def _require_commuting(first: ObservableOp, second: ObservableOp, what: str) -> None:
-    if commutator_norm(first, second):
-        raise NonCommutingError(f"{first.name} and {second.name} do not commute{what}")
-
-
-def conditional_probability(cond: ObservableOp, then: ObservableOp, s: StateVector) -> Fraction:
-    """P(then = 1 | cond = 1) for commuting projectors on a pure state.
-
-    Refuses non-commuting pairs outright: the quantity would depend on an
-    arbitrary ordering convention, and every pair this construction uses
-    commutes, so a non-commuting argument signals a misuse.
-    """
-    _require_commuting(cond, then, "; refusing a convention-dependent conditional")
-    _, post = collapse(cond, s)  # raises ZeroProbabilityError for P(cond) = 0
-    return born_probability(then, post)
-
-
 def joint_outcome_table(
     first: ObservableOp, second: ObservableOp, s: StateVector
 ) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-    """Exact 2x2 joint distribution [a][b] of two commuting projectors."""
-    _require_commuting(first, second, "")
-    u, v = apply(first, s), apply(second, s)
-    p_a = Fraction(sum(map(mul, u.amps, u.amps)), u.norm2)
-    p_b = Fraction(sum(map(mul, v.amps, v.amps)), v.norm2)
-    # <u|v> = u.v / sqrt(u.norm2 * v.norm2); that product is a square, as
-    # both are a projector's norm2 squared times s.norm2
-    p11 = Fraction(sum(map(mul, u.amps, v.amps)), math.isqrt(u.norm2 * v.norm2))
+    """Exact 2x2 joint distribution [a][b] of two commuting projectors:
+    the Born probabilities of ``first``, ``second`` and their product."""
+    if commutator_norm(first, second):
+        raise NonCommutingError(f"{first.name} and {second.name} do not commute")
+    p_a, p_b, p11 = (born_probability(op, s) for op in (first, second, _product(first, second)))
     table = ((1 - p_a - p_b + p11, p_b - p11), (p_a - p11, p11))
     if any(p < 0 for row in table for p in row):
         raise HardyLabError(f"malformed outcome table {[[str(p) for p in row] for row in table]}")
@@ -197,21 +178,25 @@ def audit_pair(
     """Measure all four Hardy quantities for the pair (D1=i, D2=j).
 
     The values are exact; the verdicts accept |value - target| <= tol.
+    Each conditional is the joint probability of its context over the
+    marginal of the condition (a Bell branch, of weight 1/4).
     """
     d1, d2 = context_observables("d1d2", i, j, interp)
     u1, u2 = context_observables("u1u2", i, j, interp)
+
+    def born(op: ObservableOp) -> Fraction:
+        return born_probability(op, TOTAL_STATE)
+
     measured = HardyClaimSet(
-        p_joint=born_probability(_product(d1, d2), TOTAL_STATE),
-        c_d1u2=conditional_probability(d1, u2, TOTAL_STATE),
-        c_d2u1=conditional_probability(d2, u1, TOTAL_STATE),
-        p_u1u2=born_probability(_product(u1, u2), TOTAL_STATE),
+        p_joint=born(_product(d1, d2)),
+        c_d1u2=born(_product(d1, u2)) / born(d1),
+        c_d2u1=born(_product(u1, d2)) / born(d2),
+        p_u1u2=born(_product(u1, u2)),
     )
     tol_v = Fraction(tol)  # the float's exact value, converted once
     verdicts = {
-        "p_joint": abs(measured.p_joint - CLAIM_TARGETS.p_joint) <= tol_v,
-        "c_d1u2": abs(measured.c_d1u2 - CLAIM_TARGETS.c_d1u2) <= tol_v,
-        "c_d2u1": abs(measured.c_d2u1 - CLAIM_TARGETS.c_d2u1) <= tol_v,
-        "p_u1u2": abs(measured.p_u1u2 - CLAIM_TARGETS.p_u1u2) <= tol_v,
+        key: abs(value - target) <= tol_v
+        for key, value, target in zip(HardyClaimSet._fields, measured, CLAIM_TARGETS)
     }
     return AuditReport(i, j, interp, measured, verdicts)
 
@@ -225,10 +210,7 @@ def enumerate_all_pairs(
     crossed with the same for D2, so repeated runs are byte-identical.
     """
     reports = [audit_pair(i, j, interp, tol) for i in BELL_ORDER for j in BELL_ORDER]
-    per_claim = {
-        key: sum(1 for r in reports if r.verdicts[key])
-        for key in ("p_joint", "c_d1u2", "c_d2u1", "p_u1u2")
-    }
+    per_claim = {key: sum(1 for r in reports if r.verdicts[key]) for key in HardyClaimSet._fields}
     summary = {
         "sum_p_joint": float(sum(r.measured.p_joint for r in reports)),
         "pairs_passing_all": sum(1 for r in reports if r.all_pass),

@@ -386,6 +386,8 @@ class TestErrorsAreOneLine:
             ["sample", "--context", "d1d2", "--shots", str(2**63)],
             ["lhv", "--source", "file:a\nb"],
             ["lhv", "--source", f"file:{GOLDEN}"],  # a directory
+            ["audit", "--all", "--d1", "bogus"],
+            ["audit", "--all", "--d2", "bogus"],
         ],
     )
     def test_usage_errors(self, capsys, argv):

@@ -428,6 +428,17 @@ class TestExactCore:
         d1 = exact.ObservableOp(exact_bell_state(BELL_ORDER[0], ("A", "1")))
         with pytest.raises(exact.HardyLabError):
             d1 @ exact_projector((1, 0), ("1",))
+        # orthogonal projectors on one slot commute, but their targets differ
+        plus, minus = exact_projector((1, 0), ("1",)), exact_projector((0, 1), ("1",))
+        assert not exact.commutator_norm(plus, minus)
+        with pytest.raises(exact.HardyLabError, match="share slots"):
+            plus @ minus
+
+    def test_a_projector_times_itself_is_itself(self):
+        d1 = exact.ObservableOp(exact_bell_state(BELL_ORDER[0], ("A", "1")), "D1")
+        assert d1 @ d1 is d1
+        twin = exact.ObservableOp(exact_bell_state(BELL_ORDER[0], ("A", "1")), "twin")
+        assert d1 @ twin is d1
 
     def test_partial_overlap_reads_the_residual(self):
         # <psi-|_(A,1) on the total state leaves -(|+>_2 (|+> + |->)_B)

@@ -150,6 +150,8 @@ class TestClaimedTable:
             claimed_hardy_table(Fraction(1, 2))
         with pytest.raises(HardyLabError):
             claimed_hardy_table(Fraction(0))
+        with pytest.raises(HardyLabError):  # too long to print: str() would raise
+            claimed_hardy_table(Fraction(10**5000))
 
 
 class TestQuantumTables:
@@ -272,6 +274,8 @@ class TestCertificateValidation:
             LhvCertificate("feasible")
         with pytest.raises(HardyLabError):
             LhvCertificate("infeasible", model=LhvModel({ASSIGNMENTS[0]: Fraction(1)}))
+        with pytest.raises(HardyLabError):  # too long to print: repr() would raise
+            LhvCertificate(10**5000)
 
 
 class TestRelabelingSymmetry:

@@ -6,9 +6,7 @@ import pytest
 from hardylab.core import (
     HardyLabError,
     NonCommutingError,
-    ObservableOp,
     StateVector,
-    ZeroProbabilityError,
     born_probability,
     commutator_norm,
 )
@@ -19,7 +17,6 @@ from hardylab.observables import (
     audit_pair,
     build_d,
     build_u,
-    conditional_probability,
     context_observables,
     enumerate_all_pairs,
     joint_outcome_table,
@@ -136,20 +133,14 @@ class TestBuildU:
 
 
 class TestConditionalProbability:
+    """The conditionals ``audit_pair`` reports: a joint over a marginal."""
+
     def test_teleportation_certainty_fixed(self):
-        psi = make_total_state()
-        p = conditional_probability(
-            build_d("A1", PSIM), build_u("2", Interpretation.FIXED_BASIS, PSIM), psi
-        )
+        p = audit_pair(PSIM, PSIM, Interpretation.FIXED_BASIS).measured.c_d1u2
         assert p == pytest.approx(1.0, abs=TOL)
 
     def test_collapsed_u1_certainty(self):
-        psi = make_total_state()
-        p = conditional_probability(
-            build_d("2B", PSIM),
-            build_u("1", Interpretation.COLLAPSED_STATE, PSIM),
-            psi,
-        )
+        p = audit_pair(PSIM, PSIM, Interpretation.COLLAPSED_STATE).measured.c_d2u1
         assert p == pytest.approx(1.0, abs=TOL)
 
     def test_fixed_u1_is_only_even_odds(self):
@@ -160,27 +151,8 @@ class TestConditionalProbability:
         expected = oracle.born(d2 @ u1 @ d2, psi_vec) / oracle.born(d2, psi_vec)
         assert expected == pytest.approx(0.5, abs=TOL)
 
-        p = conditional_probability(
-            build_d("2B", PSIM),
-            build_u("1", Interpretation.FIXED_BASIS, PSIM),
-            make_total_state(),
-        )
+        p = audit_pair(PSIM, PSIM, Interpretation.FIXED_BASIS).measured.c_d2u1
         assert p == pytest.approx(expected, abs=TOL)
-
-    def test_non_commuting_pair_refused(self):
-        psi = make_total_state()
-        with pytest.raises(NonCommutingError):
-            conditional_probability(
-                build_d("A1", PSIM), build_u("1", Interpretation.FIXED_BASIS, PSIM), psi
-            )
-
-    def test_zero_probability_condition_refused(self):
-        psi = make_total_state()
-        minus_a = ObservableOp(StateVector((0, 1), ("A",)), "P-[A]")
-        with pytest.raises(ZeroProbabilityError):
-            conditional_probability(
-                minus_a, build_u("2", Interpretation.FIXED_BASIS, PSIM), psi
-            )
 
 
 class TestAuditPair:
@@ -213,6 +185,19 @@ class TestAuditPair:
         b = audit_pair(PSIM, PSIM, Interpretation.FIXED_BASIS)
         assert a.measured == b.measured
         assert dict(a.verdicts) == dict(b.verdicts)
+
+    @pytest.mark.parametrize("interp", list(Interpretation))
+    def test_measured_values_are_read_off_the_tables(self, interp):
+        # the audit and the tables share one Born rule, so they agree exactly
+        for i in BELL_ORDER:
+            for j in BELL_ORDER:
+                t = quantum_probability_table(i, j, interp)
+                assert audit_pair(i, j, interp).measured == (
+                    t["d1d2"][1][1],
+                    t["d1u2"][1][1] / sum(t["d1u2"][1]),
+                    t["u1d2"][1][1] / sum(row[1] for row in t["u1d2"]),
+                    t["u1u2"][1][1],
+                )
 
     def test_claim_targets(self):
         assert CLAIM_TARGETS.p_joint == 1.0 / 16.0
