@@ -154,6 +154,8 @@ def _load_table_source(source: str, tol: float, parser):
             "interp": interp.value,
         }
     if source.startswith("file:"):
+        if source == "file:":  # Path("") would name the working directory
+            parser.error("the file: source names no table file (want file:PATH)")
         path = Path(source[len("file:") :])
         try:
             if not path.is_file():

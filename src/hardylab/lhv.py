@@ -81,8 +81,38 @@ def _on_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
     sign of any sum of values, and any equality between such sums, carries
     over to the integers unchanged.
     """
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+    dens = [v.denominator for v in values]
+    den = math.lcm(*dens)
+    return [v.numerator * (den // q) for v, q in zip(values, dens)], den
+
+
+def _nearest_rational(value: float) -> Fraction:
+    """``Fraction(value).limit_denominator(MAX_DENOMINATOR)`` for a finite
+    float, computed on the ints of ``value.as_integer_ratio()``.
+
+    The continued-fraction steps are the stdlib method's.  ``value`` (over
+    ``den``) lies between the last convergent ``p1/q1`` within the bound
+    and the semiconvergent ``(p0 + k*p1)/q``, ``q = q0 + k*q1``, with the
+    largest ``q`` within it.  The two are ``1/(q1*q)`` apart, and ``p1/q1``
+    is ``d/(q1*den)`` from ``value``.  So ``p1/q1`` is the nearer one, or
+    ties, iff ``2*d*q <= den``; a tie goes to it, as in the stdlib.
+    """
+    n, d = value.as_integer_ratio()
+    if d <= MAX_DENOMINATOR:
+        return Fraction(n, d)
+    den = d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > MAX_DENOMINATOR:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (MAX_DENOMINATOR - q0) // q1
+    if 2 * d * (q0 + k * q1) <= den:
+        return Fraction(p1, q1)
+    return Fraction(p0 + k * p1, q0 + k * q1)
 
 
 _LISTS = (list, tuple)
@@ -121,7 +151,7 @@ def rationalize_table(table: Table, tol: float = TOLERANCE) -> ExactTable:
                 if isinstance(value, Fraction):
                     frac = value
                 elif isinstance(value, float) and math.isfinite(value):
-                    frac = Fraction(value).limit_denominator(MAX_DENOMINATOR)
+                    frac = _nearest_rational(value)
                     if abs(float(frac) - value) > tol:
                         raise RationalizationError(
                             f"{value!r} in context {key!r} is not within {tol} of a "
@@ -271,7 +301,7 @@ class LhvModel(Frozen):
     """
 
     def __init__(self, weights: Mapping[Assignment, Fraction]) -> None:
-        weights = {k: Fraction(v) for k, v in weights.items()}
+        weights = {k: v if isinstance(v, Fraction) else Fraction(v) for k, v in weights.items()}
         numerators, den = _on_common_denominator(list(weights.values()))
         if any(w < 0 for w in numerators):
             raise HardyLabError("model weights must be nonnegative")
@@ -471,35 +501,36 @@ def feasibility(table: Table) -> LhvCertificate:
     raises on one it rejects.  The table is rationalized once at
     :data:`~hardylab.core.TOLERANCE` (a float table can go through
     :func:`rationalize_table` first for another tolerance), and the
-    decision and the re-check both use that exact table.  The decision runs in exact arithmetic:
-    a phase-1 simplex over the 16 deterministic assignments, pivoted on
-    Python ints.  Its tableau holds each value times ``det``, the current
-    basis determinant (> 0), and every pivot divides exactly by the
-    previous ``det`` (Edmonds 1967; Avis's lrs), so x and y come out as
-    the same Fractions a Fraction tableau gives.  Infeasible
-    tables showing the Hardy pattern get the deduction-chain witness with
-    its canonical functional; otherwise the simplex dual supplies the
-    separating functional.  Every certificate is validated by
+    decision and the re-check both use that exact table.
+
+    A table showing the Hardy pattern (P(D1=1,D2=1) > 0 and the three
+    zero cells) is settled by the pattern alone: its functional
+    -P(D1=1,D2=1) + P(D1=1,U2=0) + P(U1=0,D2=1) + P(U1=1,U2=1) is >= 0
+    on every assignment and < 0 on the table (L. Hardy, PRL 71, 1665
+    (1993)), so it gets the deduction-chain witness with that functional
+    and no simplex runs.  Any other table is decided by a phase-1
+    simplex over the 16 deterministic assignments, pivoted on Python
+    ints.  Its tableau holds each value times ``det``, the current basis
+    determinant (> 0), and every pivot divides exactly by the previous
+    ``det`` (Edmonds 1967; Avis's lrs), so x and y come out as the same
+    Fractions a Fraction tableau gives: x is the model's weights, and -y
+    the separating functional.  Every certificate is validated by
     re-substitution, in integers, before it is returned (the check of
     :func:`validate_certificate`).
     """
     exact = rationalize_table(table)
-    rhs = [exact[key][a][b] for (key, a, b) in CELLS]
-    x, y = _phase1_simplex([_INCIDENCE[cell] for cell in CELLS], rhs)
-
-    if x is not None:
-        model = LhvModel(dict(zip(ASSIGNMENTS, x)))
-        cert = LhvCertificate("feasible", model=model)
-    else:
-        pattern = _hardy_pattern_cells(exact)
-        if pattern is not None:
-            witness = InfeasibilityWitness(pattern, chain=_chain_for_pattern(exact))
-        else:
-            functional = {
-                cell: -y[k] for k, cell in enumerate(CELLS) if y[k] != 0
-            }
-            witness = InfeasibilityWitness(functional)
+    pattern = _hardy_pattern_cells(exact)
+    if pattern is not None:
+        witness = InfeasibilityWitness(pattern, chain=_chain_for_pattern(exact))
         cert = LhvCertificate("infeasible", witness=witness)
+    else:
+        rhs = [exact[key][a][b] for (key, a, b) in CELLS]
+        x, y = _phase1_simplex([_INCIDENCE[cell] for cell in CELLS], rhs)
+        if x is not None:
+            cert = LhvCertificate("feasible", model=LhvModel(dict(zip(ASSIGNMENTS, x))))
+        else:
+            functional = {cell: -y[k] for k, cell in enumerate(CELLS) if y[k] != 0}
+            cert = LhvCertificate("infeasible", witness=InfeasibilityWitness(functional))
 
     if not _validate_exact(exact, cert):
         raise HardyLabError("internal error: produced certificate failed validation")

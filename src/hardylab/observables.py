@@ -19,13 +19,15 @@ The two readings genuinely disagree on one conditional; the audit reports
 both and never silently picks one.
 
 Every reported probability is the exact Born probability (a Fraction) of
-one cached projector on the total state: a D, a U, or the product of a
-context's commuting pair.  A conditional is a joint probability over a
-marginal, P(U2=1 | D1=1) = P(D1=1, U2=1) / P(D1=1), and a context's 2x2
-table follows from its two marginals and its joint.  The 18 distinct
-operators and the products of the context pairs are built on their first
-lookup and then reused for the rest of the process; probabilities and
-reports are computed afresh on every call.
+one projector on the total state: a D, a U, or the product of a context's
+commuting pair.  A conditional is a joint probability over a marginal,
+P(U2=1 | D1=1) = P(D1=1, U2=1) / P(D1=1), and a context's 2x2 table
+follows from its two marginals and its joint.  The 18 distinct operators,
+and the products :func:`audit_pair` takes of their context pairs, are
+built on their first lookup and then reused for the rest of the process.
+:func:`joint_outcome_table` accepts any operators, so it forms its
+product itself and keeps nothing.  Probabilities and reports are computed
+afresh on every call.
 """
 
 from __future__ import annotations
@@ -88,6 +90,7 @@ def _u(slot: str, interp: Interpretation, partner_outcome: BellIndex | None) -> 
 
 @cache
 def _product(first: ObservableOp, second: ObservableOp) -> ObservableOp:
+    # keyed on operator identity: only for the lab's own operators
     return first @ second
 
 
@@ -136,7 +139,7 @@ def joint_outcome_table(
     the Born probabilities of ``first``, ``second`` and their product."""
     if commutator_norm(first, second):
         raise NonCommutingError(f"{first.name} and {second.name} do not commute")
-    p_a, p_b, p11 = (born_probability(op, s) for op in (first, second, _product(first, second)))
+    p_a, p_b, p11 = (born_probability(op, s) for op in (first, second, first @ second))
     table = ((1 - p_a - p_b + p11, p_b - p11), (p_a - p11, p11))
     if any(p < 0 for row in table for p in row):
         raise HardyLabError(f"malformed outcome table {[[str(p) for p in row] for row in table]}")

@@ -388,6 +388,7 @@ class TestErrorsAreOneLine:
             ["lhv", "--source", f"file:{GOLDEN}"],  # a directory
             ["audit", "--all", "--d1", "bogus"],
             ["audit", "--all", "--d2", "bogus"],
+            ["lhv", "--source", "file:"],
         ],
     )
     def test_usage_errors(self, capsys, argv):
@@ -404,6 +405,14 @@ class TestErrorsAreOneLine:
         assert err.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1] == (
             f"hardylab: error: table file {str(GOLDEN)!r} is not a regular file"
+        )
+
+    def test_an_empty_file_path_is_named_as_missing(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["lhv", "--source", "file:"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "hardylab: error: the file: source names no table file (want file:PATH)"
         )
 
     def test_a_multi_line_failure_is_reported_on_one_line(self, capsys, monkeypatch):

@@ -6,11 +6,13 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from hardylab import lhv
 from hardylab.core import HardyLabError
 from hardylab.lhv import (
     _INCIDENCE,
     ASSIGNMENTS,
     CELLS,
+    MAX_DENOMINATOR,
     InfeasibilityWitness,
     LhvCertificate,
     LhvModel,
@@ -19,6 +21,7 @@ from hardylab.lhv import (
     assignment_matches,
     claimed_hardy_table,
     feasibility,
+    _nearest_rational,
     _phase1_simplex,
     rationalize_table,
     replay_deductions,
@@ -523,6 +526,87 @@ class TestIntegerSimplexMatchesReference:
 NON_CELLS = [("d1d2", -1, 0), ("d1d2", 2, 0), ("d1u1", 0, 0)]
 
 
+class TestHardyPatternDecidesAlone:
+    """A table showing the Hardy pattern is settled before the simplex runs."""
+
+    @staticmethod
+    def decided_without_simplex(table: dict) -> LhvCertificate:
+        def no_simplex(*args):
+            raise AssertionError("the simplex ran on a Hardy-pattern table")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lhv, "_phase1_simplex", no_simplex)
+            return feasibility(table)
+
+    def test_claimed_table(self):
+        table = claimed_hardy_table()
+        cert = self.decided_without_simplex(table)
+        assert cert.witness.kind == "deduction-chain"
+        assert cert.to_jsonable() == feasibility(table).to_jsonable()
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=hardy_pattern_tables())
+    def test_drawn_pattern_tables(self, table):
+        cert = self.decided_without_simplex(table)
+        assert cert.witness.kind == "deduction-chain"
+        assert cert.to_jsonable() == feasibility(table).to_jsonable()
+        assert validate_certificate(table, cert)
+
+    def test_other_tables_still_reach_the_simplex(self):
+        with pytest.raises(AssertionError, match="the simplex ran"):
+            self.decided_without_simplex(
+                quantum_probability_table(PSIM, PSIM, Interpretation.FIXED_BASIS)
+            )
+
+
+def stdlib_nearest(value: float) -> Fraction:
+    return Fraction(value).limit_denominator(MAX_DENOMINATOR)
+
+
+class TestNearestRational:
+    """The integer rationalization of a float cell against the stdlib's."""
+
+    @settings(max_examples=2000, deadline=None)
+    @given(value=st.floats(allow_nan=False, allow_infinity=False))
+    def test_matches_the_stdlib(self, value):
+        got = _nearest_rational(value)
+        assert got == stdlib_nearest(value)
+        assert type(got) is Fraction
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            # n +- 2**-21 is midway between the integer and the nearest
+            # fraction over 2**20: a tie, which goes to the integer
+            *(n + d for n in range(-2, 3) for d in (2**-21, -(2**-21))),
+            0.0,
+            -0.0,
+            5e-324,  # the smallest subnormal
+            2.225073858507201e-308,  # the largest subnormal
+            1 / 2**20,
+            1 / (2**20 + 1),
+            1 / (2**20 - 1),
+            3 * 2**-22,
+            0.1,
+            1 / 3,
+            1e300,
+        ],
+    )
+    def test_explicit_cases(self, value):
+        assert _nearest_rational(value) == stdlib_nearest(value)
+
+    def test_ties_go_to_the_convergent(self):
+        assert _nearest_rational(2**-21) == 0
+        assert _nearest_rational(1 - 2**-21) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(exact=tables_at_the_bound())
+    def test_cells_of_tables_at_the_bound(self, exact):
+        for grid in exact.values():
+            for cell in (c for row in grid for c in row):
+                assert _nearest_rational(float(cell)) == stdlib_nearest(float(cell)) == cell
+
+
 def tampered_model(weights: dict, kind: str, data) -> dict:
     """A copy of feasible weights broken in the way ``kind`` names."""
     weights = {a: weights.get(a, Fraction(0)) for a in ASSIGNMENTS}
@@ -607,8 +691,6 @@ class TestRationalizedOnce:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        from hardylab import lhv
-
         calls = []
 
         def counting(*args, **kwargs):

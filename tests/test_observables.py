@@ -330,6 +330,19 @@ class TestLabIsBuiltOnce:
         assert counts == {"ObservableOp": 0, "make_total_state": 0, "expand_in_bell_basis": 0}
         assert [r.to_jsonable() for r in again[0]] == [r.to_jsonable() for r in warm[0]]
 
+    def test_fresh_operators_leave_the_product_cache_alone(self):
+        from hardylab import observables
+        from hardylab.core import ObservableOp
+        from hardylab.protocol import TOTAL_STATE
+
+        before = observables._product.cache_info().currsize
+        for _ in range(1000):
+            first = ObservableOp(StateVector((1, 0), ("1",)), "U1[z+]")
+            second = ObservableOp(StateVector((1, 0), ("2",)), "U2[z+]")
+            table = joint_outcome_table(first, second, TOTAL_STATE)
+        assert observables._product.cache_info().currsize == before
+        assert [[x * 16 for x in row] for row in table] == FIXED_TABLES_X16["u1u2"]
+
     def test_lookups_return_one_object(self):
         for index in BELL_ORDER:
             assert build_d("A1", index) is build_d("A1", index)
