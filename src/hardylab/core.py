@@ -65,10 +65,6 @@ class NonCommutingError(HardyLabError):
     """A jointly measured pair of observables does not commute."""
 
 
-class EmptyBranchError(HardyLabError):
-    """A measurement branch with zero weight was requested."""
-
-
 @cache
 def _validate_slots(slots: tuple[str, ...]) -> None:
     if not 1 <= len(slots) <= 4:

@@ -40,7 +40,6 @@ from typing import Mapping, NamedTuple
 
 from .core import (
     CONTEXT_KEYS,
-    EmptyBranchError,
     HardyClaimSet,
     HardyLabError,
     NonCommutingError,
@@ -79,11 +78,9 @@ def _u(slot: str, interp: Interpretation, partner_outcome: BellIndex | None) -> 
     if interp is Interpretation.FIXED_BASIS:
         return ObservableOp(StateVector((1, 0), (slot,)), f"{which}[z+]")
     pair = "A1" if slot == "2" else "2B"
-    branch = bell_expansion(pair).branch(partner_outcome)
-    if branch.empty:
-        raise EmptyBranchError(f"branch {partner_outcome.value} of the {pair} expansion is empty")
+    # every branch of TOTAL_STATE weighs 1/4, so each has a residual
     return ObservableOp(
-        _pure_slot_state(branch.residual, slot),
+        _pure_slot_state(bell_expansion(pair).branch(partner_outcome).residual, slot),
         f"{which}[collapsed:{partner_outcome.value}]",
     )
 

@@ -8,8 +8,9 @@ mechanically and compares against the reference branch table shipped in
 ``data/reference_expansions.txt``.
 
 The state is a module constant, and each of its two expansions is derived
-once per process, on first use.  Branch vectors are compared exactly, in
-Q(sqrt 2): every value is written ``a + b*sqrt(2)`` with rational a, b.
+once per process, on first use.  Branch vectors are compared exactly
+through the signed square x*|x| of every entry, which is a Fraction on
+both sides; a branch reports a phase only when +1 or -1 makes it match.
 """
 
 from __future__ import annotations
@@ -173,45 +174,23 @@ def bell_expansion(pair: str) -> BranchExpansion:
 
 
 # --- comparison against the shipped reference branch table ---------------
-
-#: A value of Q(sqrt 2): the pair (a, b) stands for a + b*sqrt(2).
-Q2 = tuple[Fraction, Fraction]
+# Entries are compared through their signed squares x*|x|: the map is
+# strictly increasing, and it takes a rational, a rational over sqrt(2) and
+# a derived entry sign * sqrt(weight/norm2) * amp alike to a Fraction.
 
 _COEFF_RE = re.compile(r"^([+-]?)(\d+)(?:/(\d*)(sqrt2)?)?$")
 _KET_RE = re.compile(r"^\|([+-]+)>$")
 
 
-def _parse_coeff(token: str) -> Q2:
+def _parse_coeff(token: str) -> Fraction:
+    """The signed square of one coefficient token."""
     m = _COEFF_RE.match(token.strip())
     if not m:
         raise HardyLabError(f"bad coefficient token {token!r}")
-    value = Fraction(int(m.group(2)), int(m.group(3)) if m.group(3) else 1)
-    if m.group(1) == "-":
-        value = -value
-    # v / sqrt(2) = (v / 2) * sqrt(2)
-    return (Fraction(0), value / 2) if m.group(4) else (value, Fraction(0))
-
-
-def _times(x: Q2, y: Q2) -> Q2:
-    return x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-
-def _sign(x: Q2) -> int:
-    """The sign of a + b*sqrt(2): a decides where a^2 > 2 b^2, else b."""
-    a, b = x
-    lead = a if a * a > 2 * b * b else b
-    return (lead > 0) - (lead < 0)
-
-
-def _sqrt(q: Fraction) -> Q2 | None:
-    """sqrt(q) in Q(sqrt 2), or None where it lies outside."""
-    m = q.numerator * q.denominator  # sqrt(n/d) = sqrt(n*d)/d
-    for f in (1, 2):
-        t = math.isqrt(m // f)
-        if f * t * t == m:
-            root = Fraction(t, q.denominator)
-            return (root, Fraction(0)) if f == 1 else (Fraction(0), root)
-    return None
+    square = Fraction(int(m.group(2)), int(m.group(3)) if m.group(3) else 1) ** 2
+    if m.group(4):
+        square /= 2
+    return -square if m.group(1) == "-" else square
 
 
 def _parse_ket(token: str, n: int) -> int:
@@ -224,11 +203,12 @@ def _parse_ket(token: str, n: int) -> int:
     return index
 
 
-def load_reference_table(pair: str) -> tuple[tuple[str, ...], dict[BellIndex, list[Q2]]]:
+def load_reference_table(pair: str) -> tuple[tuple[str, ...], dict[BellIndex, list[Fraction]]]:
     """Parse one section of data/reference_expansions.txt.
 
-    Returns the residual slot order and, per Bell label, the full signed
-    branch vector (overall scale folded in) over Q(sqrt 2).
+    Returns the residual slot order and, per Bell label, the signed square
+    x*|x| of every entry of the full branch vector, overall scale folded in
+    (the signed square of a product is the product of the signed squares).
     """
     if pair not in PAIR_SLOTS:
         raise HardyLabError(f"unknown expansion pair {pair!r}")
@@ -239,8 +219,8 @@ def load_reference_table(pair: str) -> tuple[tuple[str, ...], dict[BellIndex, li
     )
     section = None
     remaining: tuple[str, ...] = ()
-    scale = (Fraction(1), Fraction(0))
-    table: dict[BellIndex, list[Q2]] = {}
+    scale = Fraction(1)
+    table: dict[BellIndex, list[Fraction]] = {}
     labels = {b.value: b for b in BELL_ORDER}
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -265,13 +245,16 @@ def load_reference_table(pair: str) -> tuple[tuple[str, ...], dict[BellIndex, li
         bell = labels.get(label.strip())
         if bell is None:
             raise HardyLabError(f"unknown branch label {label.strip()!r}")
-        vec = [(Fraction(0), Fraction(0))] * 2 ** len(remaining)
+        vec = [Fraction(0)] * 2 ** len(remaining)
+        seen = set()
         for term in body.split(","):
             coeff_tok, ket_tok = term.split("|", 1)
             k = _parse_ket("|" + ket_tok, len(remaining))
-            c = _parse_coeff(coeff_tok)
-            vec[k] = (vec[k][0] + c[0], vec[k][1] + c[1])
-        table[bell] = [_times(scale, v) for v in vec]
+            if k in seen:
+                raise HardyLabError(f"ket |{ket_tok.strip()} repeated in branch {bell.value}")
+            seen.add(k)
+            vec[k] = scale * _parse_coeff(coeff_tok)
+        table[bell] = vec
     if len(table) != 4:
         raise HardyLabError(f"reference table for {pair!r} is incomplete")
     return remaining, table
@@ -280,16 +263,28 @@ def load_reference_table(pair: str) -> tuple[tuple[str, ...], dict[BellIndex, li
 class BranchComparison(NamedTuple):
     bell: BellIndex
     empty: bool
-    exact_match: bool
-    phase_match: bool
     phase: int | None  # derived branch = phase * reference branch, phase = +-1
+
+    @property
+    def exact_match(self) -> bool:
+        return self.phase == 1
+
+    @property
+    def phase_match(self) -> bool:
+        return self.phase is not None
 
 
 class ExpansionReport(NamedTuple):
     measured_slots: tuple[str, str]
     comparisons: tuple[BranchComparison, ...]
-    all_exact: bool
-    all_phase: bool
+
+    @property
+    def all_exact(self) -> bool:
+        return all(c.exact_match for c in self.comparisons)
+
+    @property
+    def all_phase(self) -> bool:
+        return all(c.phase_match for c in self.comparisons)
 
     def to_jsonable(self) -> dict:
         return {
@@ -311,28 +306,23 @@ class ExpansionReport(NamedTuple):
         }
 
 
-def _compare(br: Branch, ref: list[Q2]) -> BranchComparison:
-    """One derived branch against its reference vector, exactly.  Every
+def _compare(br: Branch, ref: list[Fraction]) -> BranchComparison:
+    """One derived branch against its reference signed squares.  Every
     branch of :data:`TOTAL_STATE`'s expansions has weight 1/4, so a residual."""
-    amps = br.residual.amps
-    # derived = sign * sqrt(weight / |amps|^2) * amps, if that root is in Q(sqrt 2)
-    root = _sqrt(br.weight / br.residual.norm2)
-    derived = None if root is None else [(root[0] * br.sign * x, root[1] * br.sign * x) for x in amps]
-    dot = (sum(a * x for (a, _), x in zip(ref, amps)), sum(b * x for (_, b), x in zip(ref, amps)))
-    phase = br.sign * _sign(dot) or None
-    exact = derived == ref
-    phase_ok = phase is not None and derived == [(phase * a, phase * b) for a, b in ref]
-    return BranchComparison(br.bell, br.empty, exact, phase_ok, phase)
+    q = br.sign * br.weight / br.residual.norm2
+    derived = [q * x * abs(x) for x in br.residual.amps]
+    phase = 1 if derived == ref else -1 if derived == [-v for v in ref] else None
+    return BranchComparison(br.bell, br.empty, phase)
 
 
 def verify_expansion(pair: str) -> ExpansionReport:
     """Compare the expansion of :data:`TOTAL_STATE` over ``pair`` (``A1``
     or ``2B``) with the reference branch table.
 
-    Each branch is checked two ways: exact amplitude match (including the
-    reference's overall sign) and match up to one phase factor per branch,
-    which is the physically meaningful criterion.  The extracted phase is
-    recorded either way.  Both checks are exact equalities in Q(sqrt 2).
+    A branch's phase is +1 if it equals its reference exactly, -1 if it
+    equals the reference's negation, and None if neither; a per-branch
+    phase is unobservable, so a phase match is the physically meaningful
+    criterion.  Both tests compare signed squares as Fractions.
     """
     if pair not in PAIR_SLOTS:
         raise HardyLabError(f"unknown expansion pair {pair!r} (want A1 or 2B)")
@@ -342,10 +332,7 @@ def verify_expansion(pair: str) -> ExpansionReport:
         raise HardyLabError(
             f"reference residual slots {ref_slots} != derived {expansion.residual_slots}"
         )
-    comparisons = tuple(_compare(br, ref_table[br.bell]) for br in expansion.branches)
     return ExpansionReport(
         expansion.measured_slots,
-        comparisons,
-        all(c.exact_match for c in comparisons),
-        all(c.phase_match for c in comparisons),
+        tuple(_compare(br, ref_table[br.bell]) for br in expansion.branches),
     )

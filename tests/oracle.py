@@ -22,7 +22,6 @@ import numpy as np
 from hardylab.core import (
     CANONICAL_SLOTS,
     DimensionMismatchError,
-    EmptyBranchError,
     HardyLabError,
     NonCommutingError,
     NormalizationError,
@@ -557,7 +556,7 @@ def build_u(
     measured = ("A", "1") if slot == "2" else ("2", "B")
     branch = expand_in_bell_basis(make_total_state(), measured, tol).branch(partner_outcome)
     if branch.empty:
-        raise EmptyBranchError(f"branch {partner_outcome.value} of {measured} is empty")
+        raise HardyLabError(f"branch {partner_outcome.value} of {measured} is empty")
     return ObservableOp.projector_onto(
         _pure_slot_state(branch.residual, slot, tolerance(tol)),
         within=CANONICAL_SLOTS,

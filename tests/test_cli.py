@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from hardylab import __version__
+from hardylab import __version__, protocol
 from hardylab.cli import main
 from hardylab.lhv import claimed_hardy_table, rationalize_table
 from hardylab.observables import Interpretation, quantum_probability_table
@@ -55,6 +57,51 @@ class TestExpandCommand:
         with pytest.raises(SystemExit) as err:
             main(["expand", "--slots", "XY"])
         assert err.value.code == 2
+
+    def test_a_branch_no_phase_matches_reports_no_phase(self, capsys, monkeypatch):
+        real = protocol.load_reference_table
+
+        def scaled(pair):
+            slots, table = real(pair)
+            table[BellIndex.PSI_PLUS][0] *= 4
+            return slots, table
+
+        monkeypatch.setattr(protocol, "load_reference_table", scaled)
+        code, env = run_json(capsys, "expand", "--slots", "2B")
+        golden = json.loads((GOLDEN / "expand_2B.out").read_text(encoding="utf-8"))
+        assert code == 1
+        assert env["results"]["all_up_to_phase"] is False
+        assert env["results"]["all_exact"] is False
+        branches = env["results"]["branches"]
+        assert branches[1] == {
+            "bell": "psi+", "empty": False, "exact_match": False,
+            "phase_match": False, "phase": None,
+        }
+        expected = golden["results"]["branches"]
+        assert branches[:1] + branches[2:] == expected[:1] + expected[2:]
+
+    # the first splits a term in two, the second adds a zero term first
+    @pytest.mark.parametrize("line", [
+        "psi+ :  1/2 |++>, 1/2 |++>, -1 |+->",
+        "psi+ :  0 |++>, 1 |++>, -1 |+->",
+    ])
+    def test_a_repeated_ket_is_an_error(self, capsys, monkeypatch, line):
+        text = (
+            resources.files("hardylab") / "data/reference_expansions.txt"
+        ).read_text(encoding="utf-8")
+        edited = text.replace("psi+ :  1 |++>, -1 |+->", line)
+        assert edited != text
+
+        class Files:
+            def joinpath(self, _):
+                return self
+
+            def read_text(self, encoding):
+                return edited
+
+        monkeypatch.setattr(protocol, "resources", SimpleNamespace(files=lambda _: Files()))
+        assert main(["expand", "--slots", "2B"]) == 1
+        assert capsys.readouterr() == ("", "error: ket |++> repeated in branch psi+\n")
 
 
 class TestAuditCommand:

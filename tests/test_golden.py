@@ -26,6 +26,7 @@ CASES = {
     "audit_pair_fixed": ["audit", "--d1", "psi-", "--d2", "psi-", "--interp", "fixed"],
     "expand_A1": ["expand", "--slots", "A1"],
     "expand_2B": ["expand", "--slots", "2B"],
+    "expand_2B_table": ["expand", "--slots", "2B", "--format", "table"],
     "lhv_paper_claims": ["lhv", "--source", "paper-claims"],
     "lhv_quantum_collapsed": ["lhv", "--source", "quantum:psi-,psi-,collapsed"],
     "lhv_quantum_fixed": ["lhv", "--source", "quantum:psi-,psi-,fixed"],

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -219,14 +220,15 @@ class TestReferenceComparison:
         slots, table = load_reference_table("A1")
         assert slots == ("2", "B")
         assert set(table) == set(BELL_ORDER)
-        # the first branch line is -1/2 * |+> x (|+> + |->)/sqrt2
+        # the first branch line is -1/2 * |+> x (|+> + |->)/sqrt2, held as
+        # the signed square x*|x| of each entry
         np.testing.assert_allclose(
-            [float(a) + float(b) * SQRT2 for a, b in table[BellIndex.PSI_MINUS]],
+            [math.copysign(math.sqrt(abs(v)), v) for v in table[BellIndex.PSI_MINUS]],
             [-0.5 / SQRT2, -0.5 / SQRT2, 0.0, 0.0],
             atol=TOL,
         )
-        # exactly: -1/(2 sqrt 2) = -sqrt(2)/4
-        assert table[BellIndex.PSI_MINUS][0] == (0, Fraction(-1, 4))
+        # exactly: the signed square of -1/(2 sqrt 2) is -1/8
+        assert table[BellIndex.PSI_MINUS][0] == Fraction(-1, 8)
 
     def test_unknown_pair_rejected(self):
         with pytest.raises(HardyLabError):
