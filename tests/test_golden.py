@@ -32,6 +32,8 @@ CASES = {
     "lhv_quantum_fixed": ["lhv", "--source", "quantum:psi-,psi-,fixed"],
     "lhv_file": ["lhv", "--source", "file:tests/golden/table.json"],
     "lhv_file_feasible": ["lhv", "--source", "file:tests/golden/table_feasible.json"],
+    # a noisy PR box (visibility 3/4): no-signalling, with CHSH = 3
+    "lhv_file_chsh": ["lhv", "--source", "file:tests/golden/table_chsh.json"],
     # a degenerate context: one projector measured twice
     "sample_d1d1": ["sample", "--context", "d1d1", "--shots", "1000", "--seed", "7"],
     "sample_u1u2_collapsed": [
