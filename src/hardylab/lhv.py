@@ -9,8 +9,9 @@ such a mixture, and always emits a machine-checkable certificate:
 * feasible   -> an explicit weight vector reproducing every cell exactly;
 * infeasible -> a separating linear functional (rational coefficients)
   that is nonnegative on every deterministic assignment but strictly
-  negative on the table, together with the human-readable deduction chain
-  whenever the table exhibits the Hardy pattern.
+  negative on the table, named by what it shows: the human-readable
+  deduction chain when the table exhibits the Hardy pattern, else the
+  signalling marginal or the violated CHSH inequality (Fine's theorem).
 
 Stochastic local models are mixtures of deterministic ones, so deciding
 over the 16-vertex polytope loses no generality.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from operator import mul
 from typing import Mapping, NamedTuple, Sequence
@@ -323,20 +325,29 @@ class LhvModel(Frozen):
 
 
 class InfeasibilityWitness(NamedTuple):
-    """Separating functional, optionally with the deduction chain behind it.
+    """Separating functional, named by the fact that makes it one.
 
     ``functional`` maps table cells to rational coefficients f such that
     sum(f * cell_value) < 0 for the rejected table while
     sum(f * [assignment hits cell]) >= 0 for all 16 assignments; no
-    nonnegative mixture can therefore reproduce the table.
+    nonnegative mixture can therefore reproduce the table.  ``kind`` is
+
+    * ``deduction-chain``: Hardy's functional on a table showing the Hardy
+      pattern, with the replayed deduction ``chain``;
+    * ``no-signalling``: +-(P(X=1) in one context - P(X=1) in the other)
+      for the ``observable`` X, which is 0 on every assignment; ``gap``,
+      minus its value on the table, is the gap between the two marginals;
+    * ``chsh-facet``: Hardy's functional under a relabelling of settings
+      and outcomes, on a no-signalling table; ``chsh``, 2 - 4 times its
+      value on the table, is the violated CHSH value (> 2).
     """
 
+    kind: str
     functional: Mapping[Cell, Fraction]
     chain: tuple[DeductionStep, ...] | None = None
-
-    @property
-    def kind(self) -> str:
-        return "deduction-chain" if self.chain is not None else "separating-functional"
+    observable: str | None = None
+    gap: Fraction | None = None
+    chsh: Fraction | None = None
 
     def to_jsonable(self) -> dict:
         payload = {
@@ -353,6 +364,12 @@ class InfeasibilityWitness(NamedTuple):
         }
         if self.chain is not None:
             payload["chain"] = [s.to_jsonable() for s in self.chain]
+        if self.observable is not None:
+            payload["observable"] = self.observable
+        if self.gap is not None:
+            payload["gap"] = rational_json(self.gap)
+        if self.chsh is not None:
+            payload["chsh"] = rational_json(self.chsh)
         return payload
 
 
@@ -468,6 +485,50 @@ def _phase1_simplex(
 
 # --- feasibility decision -------------------------------------------------
 
+#: Hardy's functional -P(D1=1,D2=1) + P(D1=1,U2=0) + P(U1=0,D2=1) +
+#: P(U1=1,U2=1): >= 0 on every assignment (L. Hardy, PRL 71, 1665 (1993)).
+_HARDY_FUNCTIONAL: Mapping[Cell, int] = {
+    ("d1d2", 1, 1): -1,
+    ("d1u2", 1, 0): 1,
+    ("u1d2", 0, 1): 1,
+    ("u1u2", 1, 1): 1,
+}
+
+#: Each observable, with the two cells that read it as 1 in each of the
+#: two contexts that measure it.
+_MARGINALS: tuple[tuple[str, tuple[Cell, Cell], tuple[Cell, Cell]], ...] = (
+    ("d1", (("d1d2", 1, 0), ("d1d2", 1, 1)), (("d1u2", 1, 0), ("d1u2", 1, 1))),
+    ("u1", (("u1d2", 1, 0), ("u1d2", 1, 1)), (("u1u2", 1, 0), ("u1u2", 1, 1))),
+    ("d2", (("d1d2", 0, 1), ("d1d2", 1, 1)), (("u1d2", 0, 1), ("u1d2", 1, 1))),
+    ("u2", (("d1u2", 0, 1), ("d1u2", 1, 1)), (("u1u2", 0, 1), ("u1u2", 1, 1))),
+)
+
+_OTHER_SETTING = {"d1": "u1", "u1": "d1", "d2": "u2", "u2": "d2"}
+
+
+@cache
+def _chsh_facets() -> tuple[dict[Cell, int], ...]:
+    """Hardy's functional under each of the 64 relabellings: either side's
+    two settings swapped or not, times each observable's outcome flipped or
+    not.  The identity comes first.
+
+    A relabelling permutes the 16 assignments, so every image is >= 0 on
+    all of them too.  On a no-signalling table each image equals
+    (2 - CHSH) / 4 for one of the 8 CHSH expressions, so some value is < 0
+    iff some CHSH value is > 2.  Built on first use, by a CHSH violator.
+    """
+    images = []
+    for swap_1, swap_2, *flips in product((False, True), repeat=6):
+        flip = dict(zip(("d1", "d2", "u1", "u2"), flips))
+        image = {}
+        for (key, a, b), c in _HARDY_FUNCTIONAL.items():
+            x, y = key[:2], key[2:]
+            x = _OTHER_SETTING[x] if swap_1 else x
+            y = _OTHER_SETTING[y] if swap_2 else y
+            image[(x + y, a ^ flip[x], b ^ flip[y])] = c
+        images.append(image)
+    return tuple(images)
+
 
 def _hardy_pattern_cells(exact: ExactTable) -> dict[Cell, Fraction] | None:
     """The four-cell Hardy pattern, if this table exhibits it."""
@@ -478,12 +539,7 @@ def _hardy_pattern_cells(exact: ExactTable) -> dict[Cell, Fraction] | None:
         and exact["u1d2"][0][1] == 0
         and exact["u1u2"][1][1] == 0
     ):
-        return {
-            ("d1d2", 1, 1): Fraction(-1),
-            ("d1u2", 1, 0): Fraction(1),
-            ("u1d2", 0, 1): Fraction(1),
-            ("u1u2", 1, 1): Fraction(1),
-        }
+        return {cell: Fraction(c) for cell, c in _HARDY_FUNCTIONAL.items()}
     return None
 
 
@@ -492,6 +548,46 @@ def _chain_for_pattern(exact: ExactTable) -> tuple[DeductionStep, ...]:
     # covers p below the float tolerance.
     claims = HardyClaimSet(p_joint=exact["d1d2"][1][1], c_d1u2=1, c_d2u1=1, p_u1u2=0)
     return replay_deductions(claims, tol=0.0).steps
+
+
+def _fine_witness(cells: Sequence[Fraction]) -> InfeasibilityWitness | None:
+    """The named witness of a table that is not local, or None if it is.
+
+    ``cells`` are the table's values in :data:`CELLS` order.  With two
+    binary settings per side, a table is local iff it is no-signalling and
+    meets all 8 CHSH inequalities (A. Fine, PRL 48, 291 (1982); Brunner et
+    al., Rev. Mod. Phys. 86, 419 (2014), sec. II).  Both tests compare the
+    cells' numerators over their common denominator ``den``.  A signalling
+    observable gets its marginal functional; a CHSH violation gets the
+    relabelled Hardy functional of least value, whose CHSH value is the
+    largest of the 8.
+    """
+    numerators, den = _on_common_denominator(cells)
+    n = dict(zip(CELLS, numerators))
+    for observable, first, second in _MARGINALS:
+        diff = n[first[0]] + n[first[1]] - n[second[0]] - n[second[1]]
+        if diff:
+            sign = -1 if diff > 0 else 1
+            functional = {cell: Fraction(sign) for cell in first}
+            functional.update({cell: Fraction(-sign) for cell in second})
+            return InfeasibilityWitness(
+                "no-signalling", functional, observable=observable, gap=Fraction(abs(diff), den)
+            )
+    corr = [n[key, 0, 0] - n[key, 0, 1] - n[key, 1, 0] + n[key, 1, 1] for key in CONTEXT_KEYS]
+    total = sum(corr)
+    # the 8 CHSH expressions are +-(E_00 + E_01 + E_10 + E_11 - 2 E_xy)
+    if all(abs(total - 2 * e) <= 2 * den for e in corr):
+        return None
+
+    def value(functional: Mapping[Cell, int]) -> int:
+        return sum(c * n[cell] for cell, c in functional.items())
+
+    facet = min(_chsh_facets(), key=value)
+    return InfeasibilityWitness(
+        "chsh-facet",
+        {cell: Fraction(c) for cell, c in facet.items()},
+        chsh=Fraction(2 * den - 4 * value(facet), den),
+    )
 
 
 def feasibility(table: Table) -> LhvCertificate:
@@ -507,32 +603,35 @@ def feasibility(table: Table) -> LhvCertificate:
     zero cells) is settled by the pattern alone: its functional
     -P(D1=1,D2=1) + P(D1=1,U2=0) + P(U1=0,D2=1) + P(U1=1,U2=1) is >= 0
     on every assignment and < 0 on the table (L. Hardy, PRL 71, 1665
-    (1993)), so it gets the deduction-chain witness with that functional
-    and no simplex runs.  Any other table is decided by a phase-1
-    simplex over the 16 deterministic assignments, pivoted on Python
-    ints.  Its tableau holds each value times ``det``, the current basis
-    determinant (> 0), and every pivot divides exactly by the previous
-    ``det`` (Edmonds 1967; Avis's lrs), so x and y come out as the same
-    Fractions a Fraction tableau gives: x is the model's weights, and -y
-    the separating functional.  Every certificate is validated by
-    re-substitution, in integers, before it is returned (the check of
+    (1993)), so it gets the deduction-chain witness with that functional.
+    Any other table is decided by Fine's theorem (:func:`_fine_witness`):
+    a signalling table gets a ``no-signalling`` witness, and one with a
+    CHSH value above 2 a ``chsh-facet`` witness.  Only a local table
+    reaches the phase-1 simplex over the 16 deterministic assignments,
+    pivoted on Python ints, which builds its model.  Its tableau holds
+    each value times ``det``, the current basis determinant (> 0), and
+    every pivot divides exactly by the previous ``det`` (Edmonds 1967;
+    Avis's lrs), so x comes out as the same Fractions a Fraction tableau
+    gives.  Every certificate is validated by re-substitution, in
+    integers, before it is returned (the check of
     :func:`validate_certificate`).
     """
     exact = rationalize_table(table)
+    cells = [exact[key][a][b] for (key, a, b) in CELLS]
     pattern = _hardy_pattern_cells(exact)
     if pattern is not None:
-        witness = InfeasibilityWitness(pattern, chain=_chain_for_pattern(exact))
+        witness = InfeasibilityWitness("deduction-chain", pattern, chain=_chain_for_pattern(exact))
+    else:
+        witness = _fine_witness(cells)
+    if witness is not None:
         cert = LhvCertificate("infeasible", witness=witness)
     else:
-        rhs = [exact[key][a][b] for (key, a, b) in CELLS]
-        x, y = _phase1_simplex([_INCIDENCE[cell] for cell in CELLS], rhs)
-        if x is not None:
-            cert = LhvCertificate("feasible", model=LhvModel(dict(zip(ASSIGNMENTS, x))))
-        else:
-            functional = {cell: -y[k] for k, cell in enumerate(CELLS) if y[k] != 0}
-            cert = LhvCertificate("infeasible", witness=InfeasibilityWitness(functional))
-
-    if not _validate_exact(exact, cert):
+        # a local table by Fine's theorem, so the simplex finds a model
+        x, _ = _phase1_simplex([_INCIDENCE[cell] for cell in CELLS], cells)
+        cert = None if x is None else LhvCertificate(
+            "feasible", model=LhvModel(dict(zip(ASSIGNMENTS, x)))
+        )
+    if cert is None or not _validate_exact(exact, cert):
         raise HardyLabError("internal error: produced certificate failed validation")
     return cert
 
@@ -547,7 +646,9 @@ def validate_certificate(table: Table, cert: LhvCertificate) -> bool:
     Infeasible: the functional must be keyed on table cells, strictly
     negative on the table and nonnegative on all 16 deterministic
     assignments (an all-zero or empty functional therefore never
-    validates).
+    validates).  The witness's kind must be one of the three, and a
+    reported ``gap`` or ``chsh`` must equal the one the functional's value
+    on the table gives.
     """
     try:
         exact = rationalize_table(table)
@@ -584,12 +685,19 @@ def _validate_exact(exact: ExactTable, cert: LhvCertificate) -> bool:
         return False
     if not witness.functional.keys() <= _INCIDENCE.keys():
         return False
-    coefficients, _ = _on_common_denominator(list(witness.functional.values()))
-    values, _ = _on_common_denominator([exact[key][a][b] for key, a, b in witness.functional])
-    if sum(map(mul, coefficients, values)) >= 0:
+    coefficients, c_den = _on_common_denominator(list(witness.functional.values()))
+    values, v_den = _on_common_denominator([exact[key][a][b] for key, a, b in witness.functional])
+    total = sum(map(mul, coefficients, values))
+    if total >= 0:
         return False
     columns = zip(*(_INCIDENCE[cell] for cell in witness.functional))
-    return all(sum(map(mul, coefficients, column)) >= 0 for column in columns)
+    if not all(sum(map(mul, coefficients, column)) >= 0 for column in columns):
+        return False
+    if witness.kind == "no-signalling":
+        return witness.gap == -Fraction(total, c_den * v_den)
+    if witness.kind == "chsh-facet":
+        return witness.chsh == 2 - 4 * Fraction(total, c_den * v_den)
+    return witness.kind == "deduction-chain"
 
 
 # --- the advertised-claims table -------------------------------------------

@@ -184,10 +184,14 @@ _KET_RE = re.compile(r"^\|([+-]+)>$")
 
 def _parse_coeff(token: str) -> Fraction:
     """The signed square of one coefficient token."""
-    m = _COEFF_RE.match(token.strip())
-    if not m:
+    token = token.strip()
+    m = _COEFF_RE.match(token)
+    if not m or m.group(3) == "" and not m.group(4):  # "1/" names no denominator
         raise HardyLabError(f"bad coefficient token {token!r}")
-    square = Fraction(int(m.group(2)), int(m.group(3)) if m.group(3) else 1) ** 2
+    den = int(m.group(3) or 1)
+    if den == 0:
+        raise HardyLabError(f"zero denominator in coefficient token {token!r}")
+    square = Fraction(int(m.group(2)), den) ** 2
     if m.group(4):
         square /= 2
     return -square if m.group(1) == "-" else square

@@ -771,7 +771,9 @@ def validate_certificate_reference(table, cert, tol: float | None = None) -> boo
     Feasible: every constrained cell must be reproduced by the model with
     exact rational equality.  Infeasible: the functional must be strictly
     negative on the table while nonnegative on all 16 deterministic
-    assignments (an all-zero functional therefore never validates).
+    assignments (an all-zero functional therefore never validates), and a
+    ``no-signalling`` witness's ``gap`` must be minus its value on the
+    table, a ``chsh-facet`` witness's ``chsh`` 2 - 4 times that value.
 
     Reference for ``hardylab.lhv.validate_certificate``: the same checks as
     sums of Fractions, cell by cell and column by column.
@@ -807,10 +809,16 @@ def validate_certificate_reference(table, cert, tol: float | None = None) -> boo
         return False
     coefficients = list(witness.functional.values())
     columns = zip(*(_INCIDENCE[cell] for cell in witness.functional))
-    return all(
+    if not all(
         sum((c for c, hit in zip(coefficients, column) if hit), Fraction(0)) >= 0
         for column in columns
-    )
+    ):
+        return False
+    return {
+        "deduction-chain": True,
+        "no-signalling": witness.gap == -value,
+        "chsh-facet": witness.chsh == 2 - 4 * value,
+    }.get(witness.kind, False)
 
 
 def shot_uniforms(seed: int, start: int, count: int) -> np.ndarray:

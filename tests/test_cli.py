@@ -80,12 +80,10 @@ class TestExpandCommand:
         expected = golden["results"]["branches"]
         assert branches[:1] + branches[2:] == expected[:1] + expected[2:]
 
-    # the first splits a term in two, the second adds a zero term first
-    @pytest.mark.parametrize("line", [
-        "psi+ :  1/2 |++>, 1/2 |++>, -1 |+->",
-        "psi+ :  0 |++>, 1 |++>, -1 |+->",
-    ])
-    def test_a_repeated_ket_is_an_error(self, capsys, monkeypatch, line):
+    @staticmethod
+    def edit_reference(monkeypatch, line: str) -> None:
+        """Make ``expand`` read the shipped reference file with the 2B
+        ``psi+`` branch line replaced by ``line``."""
         text = (
             resources.files("hardylab") / "data/reference_expansions.txt"
         ).read_text(encoding="utf-8")
@@ -100,8 +98,26 @@ class TestExpandCommand:
                 return edited
 
         monkeypatch.setattr(protocol, "resources", SimpleNamespace(files=lambda _: Files()))
+
+    # the first splits a term in two, the second adds a zero term first
+    @pytest.mark.parametrize("line", [
+        "psi+ :  1/2 |++>, 1/2 |++>, -1 |+->",
+        "psi+ :  0 |++>, 1 |++>, -1 |+->",
+    ])
+    def test_a_repeated_ket_is_an_error(self, capsys, monkeypatch, line):
+        self.edit_reference(monkeypatch, line)
         assert main(["expand", "--slots", "2B"]) == 1
         assert capsys.readouterr() == ("", "error: ket |++> repeated in branch psi+\n")
+
+    @pytest.mark.parametrize("coeff, message", [
+        ("1/0", "zero denominator in coefficient token '1/0'"),
+        ("1/0sqrt2", "zero denominator in coefficient token '1/0sqrt2'"),
+        ("1/", "bad coefficient token '1/'"),
+    ])
+    def test_a_bad_coefficient_is_an_error(self, capsys, monkeypatch, coeff, message):
+        self.edit_reference(monkeypatch, f"psi+ :  {coeff} |++>, -1 |+->")
+        assert main(["expand", "--slots", "2B"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestAuditCommand:

@@ -69,6 +69,33 @@ def linprog_feasible(exact: dict) -> bool:
     return res.status == 0
 
 
+#: tests/golden/table.json: P(U1=1) is 1/4 in u1d2 but 1/2 in u1u2.
+SIGNALLING = {
+    "d1d2": [[Fraction(9, 16), Fraction(3, 16)], [Fraction(3, 16), Fraction(1, 16)]],
+    "d1u2": [[Fraction(3, 8), Fraction(3, 8)], [Fraction(1, 8), Fraction(1, 8)]],
+    "u1d2": [[Fraction(1, 2), Fraction(1, 4)], [Fraction(1, 8), Fraction(1, 8)]],
+    "u1u2": [[Fraction(1, 4), Fraction(1, 4)], [Fraction(1, 4), Fraction(1, 4)]],
+}
+
+
+def noisy_pr_box(visibility: Fraction) -> dict:
+    """The PR box mixed with uniform noise: no-signalling, CHSH = 4 v.
+
+    The PR box (v = 1) has unbiased marginals, perfect correlation in three
+    contexts and perfect anticorrelation in u1u2.
+    """
+    same, other = (1 + visibility) / 4, (1 - visibility) / 4
+    return {
+        key: [[other, same], [same, other]] if key == "u1u2" else [[same, other], [other, same]]
+        for key in CONTEXT_KEYS
+    }
+
+
+PR_BOX = noisy_pr_box(Fraction(1))
+#: tests/golden/table_chsh.json: CHSH = 3 and no zero cell.
+NOISY_PR_BOX = noisy_pr_box(Fraction(3, 4))
+
+
 class TestReplayDeductions:
     def test_advertised_claims_reach_the_contradiction(self):
         trace = replay_deductions(HardyClaimSet(1 / 16, 1.0, 1.0, 0.0))
@@ -199,7 +226,7 @@ class TestFeasibilityOnMixtures:
 
     def test_arbitrary_tables_agree_with_lp_oracle_both_ways(self):
         # contexts normalized independently rarely share marginals, so
-        # these exercise the Farkas side of the solver against the oracle
+        # these exercise the no-signalling witness against the oracle
         rng = np.random.default_rng(99)
         verdicts = {"feasible": 0, "infeasible": 0}
         for _ in range(40):
@@ -248,7 +275,7 @@ class TestCertificateValidation:
     def test_all_zero_functional_fails(self):
         exact = claimed_hardy_table()
         cert = LhvCertificate(
-            "infeasible", witness=InfeasibilityWitness(functional={})
+            "infeasible", witness=InfeasibilityWitness("deduction-chain", functional={})
         )
         assert not validate_certificate(exact, cert)
 
@@ -257,15 +284,31 @@ class TestCertificateValidation:
         # cell, so it constrains no assignment and must not validate
         exact = claimed_hardy_table()
         bogus = {("d1d2", -1, 0): Fraction(-1)}
-        cert = LhvCertificate("infeasible", witness=InfeasibilityWitness(bogus))
+        cert = LhvCertificate("infeasible", witness=InfeasibilityWitness("deduction-chain", bogus))
         assert not validate_certificate(exact, cert)
 
     def test_sign_flipped_functional_fails(self):
         exact = claimed_hardy_table()
         cert = feasibility(exact)
         flipped = {cell: -c for cell, c in cert.witness.functional.items()}
-        bad = LhvCertificate("infeasible", witness=InfeasibilityWitness(flipped))
+        bad = LhvCertificate("infeasible", witness=cert.witness._replace(functional=flipped))
         assert not validate_certificate(exact, bad)
+
+    @pytest.mark.parametrize(
+        "table", [SIGNALLING, NOISY_PR_BOX], ids=["signalling", "noisy-pr-box"]
+    )
+    @pytest.mark.parametrize("step", [1, -1])
+    def test_a_reported_gap_or_chsh_off_by_one_over_den_fails(self, table, step):
+        witness = feasibility(table).witness
+        field = "gap" if witness.kind == "no-signalling" else "chsh"
+        value = getattr(witness, field)
+        shifted = witness._replace(**{field: value + Fraction(step, value.denominator)})
+        assert validate_certificate(table, LhvCertificate("infeasible", witness=witness))
+        assert not validate_certificate(table, LhvCertificate("infeasible", witness=shifted))
+
+    def test_an_unknown_kind_fails(self):
+        witness = feasibility(SIGNALLING).witness._replace(kind="separating-functional")
+        assert not validate_certificate(SIGNALLING, LhvCertificate("infeasible", witness=witness))
 
     def test_witness_on_a_feasible_table_fails(self):
         table = table_of_model(random_model(3))
@@ -304,12 +347,14 @@ class TestRelabelingSymmetry:
         assert feasibility(flipped).verdict == "feasible"
 
     def test_flipped_table_gets_a_plain_functional_witness(self):
-        # the flip destroys the canonical Hardy cell pattern, so the
-        # witness must come from the simplex dual and still validate
+        # the flip destroys the canonical Hardy cell pattern, so the witness
+        # is the CHSH facet it became: the table is no-signalling, with
+        # CHSH = 2 + 4 P(D1=1,D2=1) = 9/4
         flipped = self.flip_observable(claimed_hardy_table(), "d1")
         cert = feasibility(flipped)
         assert cert.verdict == "infeasible"
-        assert cert.witness.kind == "separating-functional"
+        assert cert.witness.kind == "chsh-facet"
+        assert cert.witness.chsh == Fraction(9, 4)
         assert cert.witness.chain is None
         assert validate_certificate(flipped, cert)
 
@@ -469,6 +514,81 @@ def tables_at_the_bound(draw):
     )
 
 
+# Fine's theorem, written out on Fractions as an independent LHV oracle.
+
+#: Alice measures d1 or u1, Bob d2 or u2; a context key joins the two names.
+ALICE, BOB = ("d1", "u1"), ("d2", "u2")
+
+
+def sign(outcome: int) -> int:
+    return 1 if outcome == 1 else -1
+
+
+def marginals(exact: dict, observable: str) -> tuple[Fraction, Fraction]:
+    """P(observable = 1) in each of the two contexts that measure it."""
+    if observable in ALICE:
+        return tuple(sum(exact[observable + y][1]) for y in BOB)
+    return tuple(exact[x + observable][0][1] + exact[x + observable][1][1] for x in ALICE)
+
+
+def signals(exact: dict) -> bool:
+    """Whether some observable's marginal differs between its two contexts."""
+    return any(len(set(marginals(exact, o))) > 1 for o in ALICE + BOB)
+
+
+def chsh_value(exact: dict) -> Fraction:
+    """The largest of the 8 CHSH values."""
+    corr = {
+        key: sum(sign(a) * sign(b) * exact[key][a][b] for a in (0, 1) for b in (0, 1))
+        for key in CONTEXT_KEYS
+    }
+    total = sum(corr.values())
+    # the 8 CHSH expressions are +-(E00 + E01 + E10 + E11 - 2 E_xy)
+    return max(abs(total - 2 * e) for e in corr.values())
+
+
+def fine_local(exact: dict) -> bool:
+    """Fine's theorem: local iff no-signalling and all 8 CHSH values <= 2."""
+    return not signals(exact) and chsh_value(exact) <= 2
+
+
+def no_signalling_table(m: dict, n: dict, t: dict) -> dict:
+    """P(a,b|x,y) = (1 + s_a m_x + s_b n_y + s_a s_b E_xy) / 4.
+
+    ``m`` and ``n`` are the marginals <A_x>, <B_y> in [-1, 1]; each
+    correlator E_xy sits at the fraction ``t[xy]`` of the interval
+    [|m_x + n_y| - 1, 1 - |m_x - n_y|] that keeps all four cells
+    nonnegative.  The table is no-signalling by construction.
+    """
+    table = {}
+    for x in ALICE:
+        for y in BOB:
+            lo, hi = abs(m[x] + n[y]) - 1, 1 - abs(m[x] - n[y])
+            e = lo + t[x + y] * (hi - lo)
+            table[x + y] = [
+                [(1 + sign(a) * m[x] + sign(b) * n[y] + sign(a) * sign(b) * e) / 4
+                 for b in (0, 1)]
+                for a in (0, 1)
+            ]
+    return table
+
+
+@st.composite
+def no_signalling_tables(draw):
+    den = draw(st.integers(1, 12))
+    unit = st.integers(-den, den).map(lambda k: Fraction(k, den))
+    # the ends of the correlator interval are where CHSH can fail
+    share = st.one_of(
+        st.sampled_from([Fraction(0), Fraction(1)]),
+        st.integers(0, den).map(lambda k: Fraction(k, den)),
+    )
+    return no_signalling_table(
+        {x: draw(unit) for x in ALICE},
+        {y: draw(unit) for y in BOB},
+        {key: draw(share) for key in CONTEXT_KEYS},
+    )
+
+
 _COPRIME = st.sampled_from([1, 2**7, 3, 5, 7, 11, 13, 999_983, 9_999_991])
 _SPARSE_PART = st.sampled_from([0, 0, 0, 1, 2, 5]).map(Fraction)
 
@@ -485,6 +605,7 @@ TABLE_CLASSES = {
     "degenerate-zeros": st.one_of(
         local_mixtures(st.just(1), zeros=True), independent_contexts(_SPARSE_PART)
     ),
+    "no-signalling": no_signalling_tables(),
 }
 
 
@@ -526,35 +647,37 @@ class TestIntegerSimplexMatchesReference:
 NON_CELLS = [("d1d2", -1, 0), ("d1d2", 2, 0), ("d1u1", 0, 0)]
 
 
+def decided_without_simplex(table: dict) -> LhvCertificate:
+    """``feasibility(table)`` with a simplex that raises if it is called."""
+
+    def no_simplex(*args):
+        raise AssertionError("the simplex ran")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lhv, "_phase1_simplex", no_simplex)
+        return feasibility(table)
+
+
 class TestHardyPatternDecidesAlone:
     """A table showing the Hardy pattern is settled before the simplex runs."""
 
-    @staticmethod
-    def decided_without_simplex(table: dict) -> LhvCertificate:
-        def no_simplex(*args):
-            raise AssertionError("the simplex ran on a Hardy-pattern table")
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lhv, "_phase1_simplex", no_simplex)
-            return feasibility(table)
-
     def test_claimed_table(self):
         table = claimed_hardy_table()
-        cert = self.decided_without_simplex(table)
+        cert = decided_without_simplex(table)
         assert cert.witness.kind == "deduction-chain"
         assert cert.to_jsonable() == feasibility(table).to_jsonable()
 
     @settings(max_examples=200, deadline=None)
     @given(table=hardy_pattern_tables())
     def test_drawn_pattern_tables(self, table):
-        cert = self.decided_without_simplex(table)
+        cert = decided_without_simplex(table)
         assert cert.witness.kind == "deduction-chain"
         assert cert.to_jsonable() == feasibility(table).to_jsonable()
         assert validate_certificate(table, cert)
 
     def test_other_tables_still_reach_the_simplex(self):
         with pytest.raises(AssertionError, match="the simplex ran"):
-            self.decided_without_simplex(
+            decided_without_simplex(
                 quantum_probability_table(PSIM, PSIM, Interpretation.FIXED_BASIS)
             )
 
@@ -672,11 +795,20 @@ class TestIntegerValidatorMatchesReference:
             tampered.model.weights.update(weights)
             expected = False  # every kind changes some cell or breaks an invariant
         else:
-            kind = data.draw(
-                st.sampled_from(["sign-flip", "nudge", "non-cell", "empty", "zero-valued"])
-            )
-            functional = tampered_functional(cert.witness.functional, kind, data)
-            tampered = LhvCertificate("infeasible", witness=InfeasibilityWitness(functional))
+            witness = cert.witness
+            event(f"witness {witness.kind}")
+            # the value a named witness reports, which the validator re-derives
+            field = {"no-signalling": "gap", "chsh-facet": "chsh"}.get(witness.kind)
+            kinds = ["sign-flip", "nudge", "non-cell", "empty", "zero-valued"]
+            kind = data.draw(st.sampled_from(kinds + [field] if field else kinds))
+            if kind == field:
+                value = getattr(witness, field)
+                step = Fraction(data.draw(st.sampled_from([1, -1])), value.denominator)
+                witness = witness._replace(**{field: value + step})
+            else:
+                functional = tampered_functional(witness.functional, kind, data)
+                witness = witness._replace(functional=functional)
+            tampered = LhvCertificate("infeasible", witness=witness)
             expected = None if kind == "nudge" else False
 
         got = validate_certificate(exact, tampered)
@@ -723,69 +855,6 @@ class TestRationalizedOnce:
 
 # --- Fine's theorem ---------------------------------------------------------
 
-#: Alice measures d1 or u1, Bob d2 or u2; a context key joins the two names.
-ALICE, BOB = ("d1", "u1"), ("d2", "u2")
-
-
-def sign(outcome: int) -> int:
-    return 1 if outcome == 1 else -1
-
-
-def fine_local(exact: dict) -> bool:
-    """Fine's theorem: local iff no-signalling and all 8 CHSH values <= 2."""
-    for x in ALICE:
-        first, second = (exact[x + y] for y in BOB)
-        if any(sum(first[a]) != sum(second[a]) for a in (0, 1)):
-            return False
-    for y in BOB:
-        first, second = (exact[x + y] for x in ALICE)
-        if any(first[0][b] + first[1][b] != second[0][b] + second[1][b] for b in (0, 1)):
-            return False
-    corr = {
-        key: sum(sign(a) * sign(b) * exact[key][a][b] for a in (0, 1) for b in (0, 1))
-        for key in CONTEXT_KEYS
-    }
-    total = sum(corr.values())
-    # the 8 CHSH expressions are +-(E00 + E01 + E10 + E11 - 2 E_xy)
-    return all(abs(total - 2 * e) <= 2 for e in corr.values())
-
-
-def no_signalling_table(m: dict, n: dict, t: dict) -> dict:
-    """P(a,b|x,y) = (1 + s_a m_x + s_b n_y + s_a s_b E_xy) / 4.
-
-    ``m`` and ``n`` are the marginals <A_x>, <B_y> in [-1, 1]; each
-    correlator E_xy sits at the fraction ``t[xy]`` of the interval
-    [|m_x + n_y| - 1, 1 - |m_x - n_y|] that keeps all four cells
-    nonnegative.  The table is no-signalling by construction.
-    """
-    table = {}
-    for x in ALICE:
-        for y in BOB:
-            lo, hi = abs(m[x] + n[y]) - 1, 1 - abs(m[x] - n[y])
-            e = lo + t[x + y] * (hi - lo)
-            table[x + y] = [
-                [(1 + sign(a) * m[x] + sign(b) * n[y] + sign(a) * sign(b) * e) / 4
-                 for b in (0, 1)]
-                for a in (0, 1)
-            ]
-    return table
-
-
-@st.composite
-def no_signalling_tables(draw):
-    den = draw(st.integers(1, 12))
-    unit = st.integers(-den, den).map(lambda k: Fraction(k, den))
-    # the ends of the correlator interval are where CHSH can fail
-    share = st.one_of(
-        st.sampled_from([Fraction(0), Fraction(1)]),
-        st.integers(0, den).map(lambda k: Fraction(k, den)),
-    )
-    return no_signalling_table(
-        {x: draw(unit) for x in ALICE},
-        {y: draw(unit) for y in BOB},
-        {key: draw(share) for key in CONTEXT_KEYS},
-    )
-
 
 class TestFineTheorem:
     """A third LHV oracle: no-signalling plus the 8 CHSH inequalities."""
@@ -798,15 +867,13 @@ class TestFineTheorem:
         event("local" if local else "not local")
 
     def test_pr_box_violates_chsh(self):
-        # unbiased marginals, perfect correlation in three contexts and
-        # perfect anticorrelation in u1u2: no-signalling with CHSH = 4
-        zero, half = Fraction(0), Fraction(1, 2)
+        zero = Fraction(0)
         box = no_signalling_table(
             dict.fromkeys(ALICE, zero),
             dict.fromkeys(BOB, zero),
             {"d1d2": 1, "d1u2": 1, "u1d2": 1, "u1u2": 0},
         )
-        assert box["u1u2"] == [[zero, half], [half, zero]]
+        assert box == PR_BOX
         assert not fine_local(box)
         assert feasibility(box).verdict == "infeasible"
 
@@ -823,3 +890,63 @@ class TestFineTheorem:
             assert (verdict == "feasible") == fine_local(exact)
             verdicts[verdict] += 1
         assert min(verdicts.values()) >= 10
+
+
+class TestNamedWitnesses:
+    """Fine's theorem names the witness of every infeasible table, and only
+    a local table reaches the simplex."""
+
+    @pytest.mark.parametrize("name", sorted(TABLE_CLASSES))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_kind_and_value(self, name, data):
+        exact = data.draw(TABLE_CLASSES[name])
+        if fine_local(exact):
+            with pytest.raises(AssertionError, match="the simplex ran"):
+                decided_without_simplex(exact)
+            event("local: the simplex ran")
+            return
+        cert = decided_without_simplex(exact)
+        witness = cert.witness
+        if exact["d1d2"][1][1] > 0 and not (
+            exact["d1u2"][1][0] or exact["u1d2"][0][1] or exact["u1u2"][1][1]
+        ):
+            assert witness.kind == "deduction-chain"
+        elif signals(exact):
+            assert witness.kind == "no-signalling"
+            first, second = marginals(exact, witness.observable)
+            assert witness.gap == abs(first - second) > 0
+        else:
+            assert witness.kind == "chsh-facet"
+            assert witness.chsh == chsh_value(exact) > 2
+        assert validate_certificate(exact, cert)
+        event(witness.kind)
+
+    def test_signalling_table(self):
+        witness = decided_without_simplex(SIGNALLING).witness
+        assert (witness.kind, witness.observable, witness.gap) == (
+            "no-signalling", "u1", Fraction(1, 4)
+        )
+        # +(P(U1=1) in u1d2 - P(U1=1) in u1u2): 0 on every assignment
+        assert witness.functional == {
+            ("u1d2", 1, 0): 1, ("u1d2", 1, 1): 1, ("u1u2", 1, 0): -1, ("u1u2", 1, 1): -1,
+        }
+
+    def test_pr_boxes(self):
+        # the PR box has Hardy's three zeros with P(D1=1,D2=1) = 1/2
+        assert decided_without_simplex(PR_BOX).witness.kind == "deduction-chain"
+        # at visibility 3/4 no cell is 0: Hardy's own functional is the facet,
+        # at -7/16 + 1/16 + 1/16 + 1/16 = -1/4, so CHSH = 2 + 4/4 = 3
+        witness = decided_without_simplex(NOISY_PR_BOX).witness
+        assert (witness.kind, witness.chsh) == ("chsh-facet", 3)
+        assert witness.functional == {
+            ("d1d2", 1, 1): -1, ("d1u2", 1, 0): 1, ("u1d2", 0, 1): 1, ("u1u2", 1, 1): 1,
+        }
+        # at visibility 1/2, CHSH = 2: local, so the simplex builds the model
+        with pytest.raises(AssertionError, match="the simplex ran"):
+            decided_without_simplex(noisy_pr_box(Fraction(1, 2)))
+
+    def test_an_infeasible_simplex_on_a_local_table_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(lhv, "_phase1_simplex", lambda rows, rhs: (None, [1] * len(rhs)))
+        with pytest.raises(HardyLabError, match="internal error"):
+            feasibility(noisy_pr_box(Fraction(1, 2)))

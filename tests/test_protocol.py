@@ -11,6 +11,7 @@ from hardylab.core import tensor as exact_tensor
 from hardylab.protocol import (
     BELL_ORDER,
     BellIndex,
+    _parse_coeff,
     bell_state,
     expand_in_bell_basis,
     load_reference_table,
@@ -233,3 +234,23 @@ class TestReferenceComparison:
     def test_unknown_pair_rejected(self):
         with pytest.raises(HardyLabError):
             load_reference_table("AB")
+
+    @pytest.mark.parametrize(
+        "token, square",
+        [
+            ("1/sqrt2", Fraction(1, 2)),
+            ("3/4", Fraction(9, 16)),
+            ("-1/2sqrt2", Fraction(-1, 8)),
+            ("1/0", None),
+            ("1/0sqrt2", None),
+            ("-3/00", None),
+            ("1/", None),
+            ("-1/", None),
+        ],
+    )
+    def test_coefficient_tokens(self, token, square):
+        if square is None:
+            with pytest.raises(HardyLabError):
+                _parse_coeff(token)
+        else:
+            assert _parse_coeff(token) == square
