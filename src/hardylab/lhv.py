@@ -6,7 +6,8 @@ observables; a local model in general is a probability mixture over the
 arithmetic end to end, whether a given four-context probability table is
 such a mixture, and always emits a machine-checkable certificate:
 
-* feasible   -> an explicit weight vector reproducing every cell exactly;
+* feasible   -> an explicit weight vector reproducing every cell exactly,
+  built in closed form by gluing two triangles over a chord (Fine's proof);
 * infeasible -> a separating linear functional (rational coefficients)
   that is nonnegative on every deterministic assignment but strictly
   negative on the table, named by what it shows: the human-readable
@@ -69,8 +70,8 @@ def assignment_matches(assignment: Assignment, cell: Cell) -> bool:
     return assignment[i] == a and assignment[j] == b
 
 
-#: Cell -> its 0/1 row over ASSIGNMENTS: the constraint matrix of the
-#: feasibility LP, built once and shared by the solver and the validators.
+#: Cell -> its 0/1 row over ASSIGNMENTS: which assignments hit the cell,
+#: built once for the validator, which sums weights and coefficients by it.
 _INCIDENCE: Mapping[Cell, tuple[int, ...]] = {
     cell: tuple(int(assignment_matches(a, cell)) for a in ASSIGNMENTS) for cell in CELLS
 }
@@ -399,88 +400,53 @@ class LhvCertificate(Frozen):
         return out
 
 
-# --- exact phase-1 simplex ------------------------------------------------
+# --- local models by chord gluing -----------------------------------------
 
 
-def _phase1_simplex(
-    rows: Sequence[Sequence[int]], rhs: Sequence[Fraction]
-) -> tuple[list[Fraction] | None, list[Fraction] | None]:
-    """Exact feasibility of ``A x = b, x >= 0`` with ``b >= 0``.
+def _local_model(cells: Sequence[Fraction]) -> dict[Assignment, Fraction] | None:
+    """A local model of a no-signalling table, or None if none exists.
 
-    ``rows`` holds the integer matrix A, one row per constraint.  Returns
-    ``(x, None)`` when feasible.  Otherwise returns ``(None, y)`` with the
-    Farkas dual satisfying ``y . A_j <= 0`` for every column and
-    ``y . b > 0``.  Bland's rule guarantees termination.
-
-    The tableau is integer-preserving (fraction-free pivoting: J. Edmonds,
-    J. Res. NBS 71B, 241 (1967); D. Avis, lrs).  b is scaled by D, the lcm
-    of its denominators, and every entry is held as its true value times
-    ``det``, the last pivot (1 at the start).  Each pivot is a positive
-    coefficient, so ``det > 0`` and signs read off directly.  A pivot on
-    ``p`` maps each other row and the cost row to ``(p*v - f*q) // det``
-    and sets ``det = p``.  The division is exact: ``det`` equals det(B)
-    for the current basis B, and det(B) * B^-1 = adj(B) is an integer
-    matrix (Cramer's rule), so every entry of ``adj(B) [A | I | D b]``, and
-    of the cost row built from it, is an integer.  Ratios are compared by
-    cross-multiplication.  The pivot rules are those of the same simplex
-    on Fractions, so it visits the same bases and returns the same x and y.
+    Fine's construction (A. Fine, PRL 48, 291 (1982)): glue two triangles
+    over a chord, as in N. N. Vorob'ev, Theory Probab. Appl. 7, 147 (1962).
+    ``cells`` are the table's values in :data:`CELLS` order, counted as
+    numerators over their common denominator ``den``.  The chord is
+    t = #(d1=1,u1=1), which no context measures.  With p = #(d1=1) and
+    r = #(u1=1), each triangle (d1, u1, z), z = d2 or u2, with
+    a = #(d1=1,z=1), b = #(u1=1,z=1) and c = #(z=1), has one free cell
+    s = #(1,1,1), and its cells are >= 0 iff
+    max(0, a+b-c, t+a-p, t+b-r) <= s <= min(a, b, t, den-p-r-c+a+b+t).
+    Each lower-upper pair bounds t from below, from above, or not at all,
+    so ``t`` below is the least chord, and if it fails no chord works.
+    Each s takes its largest lower bound.  On each chord cell the two
+    triangles' z = 1 weights are coupled monotonically, so at most 12 of
+    the 16 weights are nonzero, each an integer over ``den``.
     """
-    m, n = len(rhs), len(rows[0])
-    scaled, scale = _on_common_denominator(rhs)
-    # rows of [A | I | D*b], starting basis = artificial columns
-    zeros = [0] * m
-    tableau = [
-        [*row, *zeros[:i], 1, *zeros[i + 1 :], b]
-        for i, (row, b) in enumerate(zip(rows, scaled))
+    numerators, den = _on_common_denominator(cells)
+    n = dict(zip(CELLS, numerators))
+    p = n["d1d2", 1, 0] + n["d1d2", 1, 1]
+    r = n["u1d2", 1, 0] + n["u1d2", 1, 1]
+    triangles = [
+        (n["d1" + z, 1, 1], n["u1" + z, 1, 1], n["d1" + z, 0, 1] + n["d1" + z, 1, 1])
+        for z in ("d2", "u2")
     ]
-    basis = [n + i for i in range(m)]
-    det = 1
-
-    # reduced-cost row for objective: minimize the sum of artificials.  It
-    # is c_j minus the column sum, and an artificial column sums to its c_j.
-    cost = [-sum(column) for column in zip(*rows)] + zeros + [-sum(scaled)]
-
-    while True:
-        entering = next((j for j in range(n + m) if cost[j] < 0), None)
-        if entering is None:
-            break
-        pivot_row = None
-        for i, row in enumerate(tableau):
-            coef = row[entering]
-            if coef > 0:
-                if pivot_row is None:
-                    pivot_row = i
-                    continue
-                here = row[-1] * tableau[pivot_row][entering]
-                best = tableau[pivot_row][-1] * coef
-                if here < best or (here == best and basis[i] < basis[pivot_row]):
-                    pivot_row = i
-        if pivot_row is None:
-            # Σ artificials is bounded below by 0; an unbounded pivot
-            # column cannot occur for this objective.
-            raise HardyLabError("phase-1 simplex lost boundedness")
-        prow = tableau[pivot_row]
-        p = prow[entering]
-        for i, row in enumerate(tableau):
-            f = row[entering]
-            # a row with f == 0 is unchanged when p == det
-            if i != pivot_row and (f or p != det):
-                tableau[i] = [(p * v - f * q) // det for v, q in zip(row, prow)]
-        f = cost[entering]
-        cost = [(p * v - f * q) // det for v, q in zip(cost, prow)]
-        det = p
-        basis[pivot_row] = entering
-
-    if cost[-1] == 0:
-        x = [Fraction(0)] * n
-        for i, var in enumerate(basis):
-            if var < n:
-                x[var] = Fraction(tableau[i][-1], det * scale)
-        return x, None
-    # duality: y_i = 1 - reduced cost of artificial column i; then
-    # y.A_j = -cost_j <= 0 for structural columns and y.b = objective > 0.
-    y = [Fraction(det - cost[n + i], det) for i in range(m)]
-    return None, y
+    t = max(0, p + r - den, *(max(a + b - c, p + r + c - a - b - den) for a, b, c in triangles))
+    sides = []
+    for a, b, c in triangles:
+        s = max(0, a + b - c, t + a - p, t + b - r)
+        if s > min(a, b, t, den - p - r - c + a + b + t):
+            return None
+        # each chord cell (d1, u1) -> its weight with z = 1
+        sides.append({(1, 1): s, (1, 0): a - s, (0, 1): b - s, (0, 0): c - a - b + s})
+    chord = {(1, 1): t, (1, 0): p - t, (0, 1): r - t, (0, 0): den - p - r + t}
+    weights = {}
+    for (d1, u1), m in chord.items():
+        on_d2, on_u2 = sides[0][d1, u1], sides[1][d1, u1]
+        both = min(on_d2, on_u2)
+        weights[d1, 1, u1, 1] = Fraction(both, den)
+        weights[d1, 1, u1, 0] = Fraction(on_d2 - both, den)
+        weights[d1, 0, u1, 1] = Fraction(on_u2 - both, den)
+        weights[d1, 0, u1, 0] = Fraction(m - on_d2 - on_u2 + both, den)
+    return weights
 
 
 # --- feasibility decision -------------------------------------------------
@@ -607,12 +573,11 @@ def feasibility(table: Table) -> LhvCertificate:
     Any other table is decided by Fine's theorem (:func:`_fine_witness`):
     a signalling table gets a ``no-signalling`` witness, and one with a
     CHSH value above 2 a ``chsh-facet`` witness.  Only a local table
-    reaches the phase-1 simplex over the 16 deterministic assignments,
-    pivoted on Python ints, which builds its model.  Its tableau holds
-    each value times ``det``, the current basis determinant (> 0), and
-    every pivot divides exactly by the previous ``det`` (Edmonds 1967;
-    Avis's lrs), so x comes out as the same Fractions a Fraction tableau
-    gives.  Every certificate is validated by re-substitution, in
+    reaches :func:`_local_model`, which builds its model in closed form
+    by Fine's proof: a chord t = P(D1=1,U1=1), the least that both
+    triangles (D1, U1, D2) and (D1, U1, U2) admit, glued as in Vorob'ev
+    (1962).  Every weight is an integer over the table's common
+    denominator.  Every certificate is validated by re-substitution, in
     integers, before it is returned (the check of
     :func:`validate_certificate`).
     """
@@ -626,11 +591,9 @@ def feasibility(table: Table) -> LhvCertificate:
     if witness is not None:
         cert = LhvCertificate("infeasible", witness=witness)
     else:
-        # a local table by Fine's theorem, so the simplex finds a model
-        x, _ = _phase1_simplex([_INCIDENCE[cell] for cell in CELLS], cells)
-        cert = None if x is None else LhvCertificate(
-            "feasible", model=LhvModel(dict(zip(ASSIGNMENTS, x)))
-        )
+        # a local table by Fine's theorem, so the chord gluing finds a model
+        weights = _local_model(cells)
+        cert = None if weights is None else LhvCertificate("feasible", model=LhvModel(weights))
     if cert is None or not _validate_exact(exact, cert):
         raise HardyLabError("internal error: produced certificate failed validation")
     return cert

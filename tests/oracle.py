@@ -701,8 +701,10 @@ def phase1_simplex(
     with the Farkas dual satisfying ``y . A_j <= 0`` for every column and
     ``y . b > 0``.  Bland's rule guarantees termination.
 
-    Reference for ``hardylab.lhv._phase1_simplex``: the same rules on a
-    tableau of Fractions, one division per entry per pivot.
+    The independent LP verdict reference for ``hardylab.lhv.feasibility``,
+    on a tableau of Fractions, one division per entry per pivot.  It has
+    no twin in the package, which builds its models by Fine's chord
+    gluing instead.
     """
     m = len(rhs)
     n = len(columns)

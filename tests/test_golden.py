@@ -2,12 +2,17 @@
 
 Each file under ``tests/golden/`` holds the exact stdout of one ``cli.main``
 run.  A refactor that changes any byte of a report fails here.  To
-regenerate the files after an intended schema change, run from the repo
-root::
+regenerate the named files after an intended change, or every file when
+no stem is given, run from the repo root::
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [STEM ...]
+
+An unknown stem is refused with exit code 2, and no file is written.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -75,14 +80,31 @@ def test_tolerance_override_does_not_leak_between_runs(capsys):
     assert third == (0, golden)
 
 
+def test_regeneration_refuses_an_unknown_stem():
+    before = {path: path.read_bytes() for path in GOLDEN.iterdir()}
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, __file__, "lhv_file", "no_such_stem"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: unknown golden stem(s): no_such_stem\n"
+    assert {path: path.read_bytes() for path in GOLDEN.iterdir()} == before
+
+
 if __name__ == "__main__":
     import contextlib
     import io
-    import os
 
+    stems = sys.argv[1:] or list(CASES)
+    unknown = [stem for stem in stems if stem not in CASES]
+    if unknown:
+        print(f"error: unknown golden stem(s): {', '.join(unknown)}", file=sys.stderr)
+        sys.exit(2)
     os.chdir(ROOT)
-    for stem, argv in CASES.items():
+    for stem in stems:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            assert main(argv) == 0, argv
+            assert main(CASES[stem]) == 0, CASES[stem]
         (GOLDEN / f"{stem}.out").write_text(buf.getvalue(), encoding="utf-8")

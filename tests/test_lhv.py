@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -21,8 +22,9 @@ from hardylab.lhv import (
     assignment_matches,
     claimed_hardy_table,
     feasibility,
+    _local_model,
     _nearest_rational,
-    _phase1_simplex,
+    _validate_exact,
     rationalize_table,
     replay_deductions,
     validate_certificate,
@@ -609,37 +611,42 @@ TABLE_CLASSES = {
 }
 
 
-class TestIntegerSimplexMatchesReference:
-    """The integer-preserving simplex against the Fraction tableau it replaced."""
+class TestLocalModelMatchesReference:
+    """The chord-gluing model against the Fraction simplex's verdict and
+    the Fraction validator."""
 
     COLUMNS = [[Fraction(_INCIDENCE[cell][j]) for cell in CELLS] for j in range(16)]
 
     @pytest.mark.parametrize("name", sorted(TABLE_CLASSES))
     @settings(max_examples=350, deadline=None)
     @given(data=st.data())
-    def test_same_primal_and_dual(self, name, data):
+    def test_same_verdict_and_a_valid_model(self, name, data):
         exact = data.draw(TABLE_CLASSES[name])
-        rhs = [exact[key][a][b] for (key, a, b) in CELLS]
-        expected = oracle.phase1_simplex(self.COLUMNS, rhs)
-        got = _phase1_simplex([_INCIDENCE[cell] for cell in CELLS], rhs)
-        assert got == expected
-        assert all(type(v) is Fraction for v in got[0] or got[1])
-        event("feasible" if got[0] is not None else "infeasible")
+        cells = [exact[key][a][b] for (key, a, b) in CELLS]
+        x, _ = oracle.phase1_simplex(self.COLUMNS, cells)
+        cert = feasibility(exact)
+        assert (cert.verdict == "feasible") == (x is not None)
+        event(cert.verdict)
         if name == "hardy-pattern":
-            assert got[0] is None
+            assert x is None
+        if x is None:
+            return
+        weights = _local_model(cells)
+        assert weights == cert.model.weights
+        assert _validate_exact(exact, cert)
+        assert oracle.validate_certificate_reference(exact, cert)
+        den = math.lcm(*(c.denominator for c in cells))
+        assert all(type(w) is Fraction and den % w.denominator == 0 for w in weights.values())
+        assert sum(w != 0 for w in weights.values()) <= 12
 
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_same_primal_and_dual_on_integer_matrices(self, data):
-        # on the incidence matrix nearly every pivot is 1, so the exact
-        # division by a last pivot > 1 is exercised on general matrices
-        m, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8))
-        entry = st.integers(-3, 4)
-        share = st.builds(Fraction, st.integers(0, 20), st.integers(1, 12))
-        rows = [data.draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
-        rhs = [data.draw(share) for _ in range(m)]
-        columns = [[Fraction(row[j]) for row in rows] for j in range(n)]
-        assert _phase1_simplex(rows, rhs) == oracle.phase1_simplex(columns, rhs)
+    @settings(max_examples=350, deadline=None)
+    @given(exact=no_signalling_tables())
+    def test_a_model_exists_iff_fine_says_local(self, exact):
+        # Fine's theorem, checked constructively
+        local = fine_local(exact)
+        weights = _local_model([exact[key][a][b] for (key, a, b) in CELLS])
+        assert (weights is not None) == local
+        event("local" if local else "not local")
 
 
 #: Functional keys that name no cell; ("d1d2", -1, 0) still reads a real
@@ -647,37 +654,37 @@ class TestIntegerSimplexMatchesReference:
 NON_CELLS = [("d1d2", -1, 0), ("d1d2", 2, 0), ("d1u1", 0, 0)]
 
 
-def decided_without_simplex(table: dict) -> LhvCertificate:
-    """``feasibility(table)`` with a simplex that raises if it is called."""
+def decided_without_model(table: dict) -> LhvCertificate:
+    """``feasibility(table)`` with a model builder that raises if it is called."""
 
-    def no_simplex(*args):
-        raise AssertionError("the simplex ran")
+    def no_model(*args):
+        raise AssertionError("the model builder ran")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lhv, "_phase1_simplex", no_simplex)
+        mp.setattr(lhv, "_local_model", no_model)
         return feasibility(table)
 
 
 class TestHardyPatternDecidesAlone:
-    """A table showing the Hardy pattern is settled before the simplex runs."""
+    """A table showing the Hardy pattern is settled before a model is built."""
 
     def test_claimed_table(self):
         table = claimed_hardy_table()
-        cert = decided_without_simplex(table)
+        cert = decided_without_model(table)
         assert cert.witness.kind == "deduction-chain"
         assert cert.to_jsonable() == feasibility(table).to_jsonable()
 
     @settings(max_examples=200, deadline=None)
     @given(table=hardy_pattern_tables())
     def test_drawn_pattern_tables(self, table):
-        cert = decided_without_simplex(table)
+        cert = decided_without_model(table)
         assert cert.witness.kind == "deduction-chain"
         assert cert.to_jsonable() == feasibility(table).to_jsonable()
         assert validate_certificate(table, cert)
 
-    def test_other_tables_still_reach_the_simplex(self):
-        with pytest.raises(AssertionError, match="the simplex ran"):
-            decided_without_simplex(
+    def test_other_tables_still_reach_the_model_builder(self):
+        with pytest.raises(AssertionError, match="the model builder ran"):
+            decided_without_model(
                 quantum_probability_table(PSIM, PSIM, Interpretation.FIXED_BASIS)
             )
 
@@ -894,7 +901,7 @@ class TestFineTheorem:
 
 class TestNamedWitnesses:
     """Fine's theorem names the witness of every infeasible table, and only
-    a local table reaches the simplex."""
+    a local table reaches the model builder."""
 
     @pytest.mark.parametrize("name", sorted(TABLE_CLASSES))
     @settings(max_examples=150, deadline=None)
@@ -902,11 +909,11 @@ class TestNamedWitnesses:
     def test_kind_and_value(self, name, data):
         exact = data.draw(TABLE_CLASSES[name])
         if fine_local(exact):
-            with pytest.raises(AssertionError, match="the simplex ran"):
-                decided_without_simplex(exact)
-            event("local: the simplex ran")
+            with pytest.raises(AssertionError, match="the model builder ran"):
+                decided_without_model(exact)
+            event("local: the model builder ran")
             return
-        cert = decided_without_simplex(exact)
+        cert = decided_without_model(exact)
         witness = cert.witness
         if exact["d1d2"][1][1] > 0 and not (
             exact["d1u2"][1][0] or exact["u1d2"][0][1] or exact["u1u2"][1][1]
@@ -923,7 +930,7 @@ class TestNamedWitnesses:
         event(witness.kind)
 
     def test_signalling_table(self):
-        witness = decided_without_simplex(SIGNALLING).witness
+        witness = decided_without_model(SIGNALLING).witness
         assert (witness.kind, witness.observable, witness.gap) == (
             "no-signalling", "u1", Fraction(1, 4)
         )
@@ -934,19 +941,19 @@ class TestNamedWitnesses:
 
     def test_pr_boxes(self):
         # the PR box has Hardy's three zeros with P(D1=1,D2=1) = 1/2
-        assert decided_without_simplex(PR_BOX).witness.kind == "deduction-chain"
+        assert decided_without_model(PR_BOX).witness.kind == "deduction-chain"
         # at visibility 3/4 no cell is 0: Hardy's own functional is the facet,
         # at -7/16 + 1/16 + 1/16 + 1/16 = -1/4, so CHSH = 2 + 4/4 = 3
-        witness = decided_without_simplex(NOISY_PR_BOX).witness
+        witness = decided_without_model(NOISY_PR_BOX).witness
         assert (witness.kind, witness.chsh) == ("chsh-facet", 3)
         assert witness.functional == {
             ("d1d2", 1, 1): -1, ("d1u2", 1, 0): 1, ("u1d2", 0, 1): 1, ("u1u2", 1, 1): 1,
         }
-        # at visibility 1/2, CHSH = 2: local, so the simplex builds the model
-        with pytest.raises(AssertionError, match="the simplex ran"):
-            decided_without_simplex(noisy_pr_box(Fraction(1, 2)))
+        # at visibility 1/2, CHSH = 2: local, so the chord gluing builds the model
+        with pytest.raises(AssertionError, match="the model builder ran"):
+            decided_without_model(noisy_pr_box(Fraction(1, 2)))
 
-    def test_an_infeasible_simplex_on_a_local_table_is_an_internal_error(self, monkeypatch):
-        monkeypatch.setattr(lhv, "_phase1_simplex", lambda rows, rhs: (None, [1] * len(rhs)))
+    def test_no_model_for_a_local_table_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(lhv, "_local_model", lambda cells: None)
         with pytest.raises(HardyLabError, match="internal error"):
             feasibility(noisy_pr_box(Fraction(1, 2)))
