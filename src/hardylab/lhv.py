@@ -12,7 +12,7 @@ such a mixture, and always emits a machine-checkable certificate:
   that is nonnegative on every deterministic assignment but strictly
   negative on the table, named by what it shows: the human-readable
   deduction chain when the table exhibits the Hardy pattern, else the
-  signalling marginal or the violated CHSH inequality (Fine's theorem).
+  signalling marginal, else the violated CHSH inequality (Fine's theorem).
 
 Stochastic local models are mixtures of deterministic ones, so deciding
 over the 16-vertex polytope loses no generality.
@@ -87,6 +87,11 @@ def _on_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
     dens = [v.denominator for v in values]
     den = math.lcm(*dens)
     return [v.numerator * (den // q) for v, q in zip(values, dens)], den
+
+
+def _as_fractions(values) -> list[Fraction]:
+    """Each value as a Fraction: a Fraction as it is, any other through ``Fraction(v)``."""
+    return [v if isinstance(v, Fraction) else Fraction(v) for v in values]
 
 
 def _nearest_rational(value: float) -> Fraction:
@@ -304,7 +309,7 @@ class LhvModel(Frozen):
     """
 
     def __init__(self, weights: Mapping[Assignment, Fraction]) -> None:
-        weights = {k: v if isinstance(v, Fraction) else Fraction(v) for k, v in weights.items()}
+        weights = dict(zip(weights, _as_fractions(weights.values())))
         numerators, den = _on_common_denominator(list(weights.values()))
         if any(w < 0 for w in numerators):
             raise HardyLabError("model weights must be nonnegative")
@@ -403,13 +408,13 @@ class LhvCertificate(Frozen):
 # --- local models by chord gluing -----------------------------------------
 
 
-def _local_model(cells: Sequence[Fraction]) -> dict[Assignment, Fraction] | None:
+def _local_model(n: Mapping[Cell, int], den: int) -> dict[Assignment, Fraction] | None:
     """A local model of a no-signalling table, or None if none exists.
 
     Fine's construction (A. Fine, PRL 48, 291 (1982)): glue two triangles
     over a chord, as in N. N. Vorob'ev, Theory Probab. Appl. 7, 147 (1962).
-    ``cells`` are the table's values in :data:`CELLS` order, counted as
-    numerators over their common denominator ``den``.  The chord is
+    ``n`` maps each cell to its numerator over the table's common
+    denominator ``den`` (:func:`_integer_cells`).  The chord is
     t = #(d1=1,u1=1), which no context measures.  With p = #(d1=1) and
     r = #(u1=1), each triangle (d1, u1, z), z = d2 or u2, with
     a = #(d1=1,z=1), b = #(u1=1,z=1) and c = #(z=1), has one free cell
@@ -419,10 +424,9 @@ def _local_model(cells: Sequence[Fraction]) -> dict[Assignment, Fraction] | None
     so ``t`` below is the least chord, and if it fails no chord works.
     Each s takes its largest lower bound.  On each chord cell the two
     triangles' z = 1 weights are coupled monotonically, so at most 12 of
-    the 16 weights are nonzero, each an integer over ``den``.
+    the 16 weights are nonzero, each an integer over ``den``.  A chord
+    exists iff the table meets all 8 CHSH inequalities (Fine's theorem).
     """
-    numerators, den = _on_common_denominator(cells)
-    n = dict(zip(CELLS, numerators))
     p = n["d1d2", 1, 0] + n["d1d2", 1, 1]
     r = n["u1d2", 1, 0] + n["u1d2", 1, 1]
     triangles = [
@@ -496,40 +500,15 @@ def _chsh_facets() -> tuple[dict[Cell, int], ...]:
     return tuple(images)
 
 
-def _hardy_pattern_cells(exact: ExactTable) -> dict[Cell, Fraction] | None:
-    """The four-cell Hardy pattern, if this table exhibits it."""
-    p = exact["d1d2"][1][1]
-    if (
-        p > 0
-        and exact["d1u2"][1][0] == 0
-        and exact["u1d2"][0][1] == 0
-        and exact["u1u2"][1][1] == 0
-    ):
-        return {cell: Fraction(c) for cell, c in _HARDY_FUNCTIONAL.items()}
-    return None
+def _integer_cells(exact: ExactTable) -> tuple[dict[Cell, int], int]:
+    """Each cell's numerator over the table's common denominator ``den``."""
+    numerators, den = _on_common_denominator([exact[key][a][b] for (key, a, b) in CELLS])
+    return dict(zip(CELLS, numerators)), den
 
 
-def _chain_for_pattern(exact: ExactTable) -> tuple[DeductionStep, ...]:
-    # The pattern established p > 0 exactly, so the replay must fire: tol=0
-    # covers p below the float tolerance.
-    claims = HardyClaimSet(p_joint=exact["d1d2"][1][1], c_d1u2=1, c_d2u1=1, p_u1u2=0)
-    return replay_deductions(claims, tol=0.0).steps
-
-
-def _fine_witness(cells: Sequence[Fraction]) -> InfeasibilityWitness | None:
-    """The named witness of a table that is not local, or None if it is.
-
-    ``cells`` are the table's values in :data:`CELLS` order.  With two
-    binary settings per side, a table is local iff it is no-signalling and
-    meets all 8 CHSH inequalities (A. Fine, PRL 48, 291 (1982); Brunner et
-    al., Rev. Mod. Phys. 86, 419 (2014), sec. II).  Both tests compare the
-    cells' numerators over their common denominator ``den``.  A signalling
-    observable gets its marginal functional; a CHSH violation gets the
-    relabelled Hardy functional of least value, whose CHSH value is the
-    largest of the 8.
-    """
-    numerators, den = _on_common_denominator(cells)
-    n = dict(zip(CELLS, numerators))
+def _signalling_witness(n: Mapping[Cell, int], den: int) -> InfeasibilityWitness | None:
+    """The ``no-signalling`` witness of the first observable whose two
+    marginals differ in the :func:`_integer_cells` ``n`` over ``den``, or None."""
     for observable, first, second in _MARGINALS:
         diff = n[first[0]] + n[first[1]] - n[second[0]] - n[second[1]]
         if diff:
@@ -539,11 +518,13 @@ def _fine_witness(cells: Sequence[Fraction]) -> InfeasibilityWitness | None:
             return InfeasibilityWitness(
                 "no-signalling", functional, observable=observable, gap=Fraction(abs(diff), den)
             )
-    corr = [n[key, 0, 0] - n[key, 0, 1] - n[key, 1, 0] + n[key, 1, 1] for key in CONTEXT_KEYS]
-    total = sum(corr)
-    # the 8 CHSH expressions are +-(E_00 + E_01 + E_10 + E_11 - 2 E_xy)
-    if all(abs(total - 2 * e) <= 2 * den for e in corr):
-        return None
+    return None
+
+
+def _facet_witness(n: Mapping[Cell, int], den: int) -> InfeasibilityWitness:
+    """The ``chsh-facet`` witness on the :func:`_integer_cells` ``n`` over
+    ``den``: the relabelled Hardy functional of least value on the table,
+    whose CHSH value is the largest of the 8."""
 
     def value(functional: Mapping[Cell, int]) -> int:
         return sum(c * n[cell] for cell, c in functional.items())
@@ -565,36 +546,39 @@ def feasibility(table: Table) -> LhvCertificate:
     :func:`rationalize_table` first for another tolerance), and the
     decision and the re-check both use that exact table.
 
-    A table showing the Hardy pattern (P(D1=1,D2=1) > 0 and the three
-    zero cells) is settled by the pattern alone: its functional
-    -P(D1=1,D2=1) + P(D1=1,U2=0) + P(U1=0,D2=1) + P(U1=1,U2=1) is >= 0
-    on every assignment and < 0 on the table (L. Hardy, PRL 71, 1665
-    (1993)), so it gets the deduction-chain witness with that functional.
-    Any other table is decided by Fine's theorem (:func:`_fine_witness`):
-    a signalling table gets a ``no-signalling`` witness, and one with a
-    CHSH value above 2 a ``chsh-facet`` witness.  Only a local table
-    reaches :func:`_local_model`, which builds its model in closed form
-    by Fine's proof: a chord t = P(D1=1,U1=1), the least that both
-    triangles (D1, U1, D2) and (D1, U1, U2) admit, glued as in Vorob'ev
-    (1962).  Every weight is an integer over the table's common
-    denominator.  Every certificate is validated by re-substitution, in
-    integers, before it is returned (the check of
-    :func:`validate_certificate`).
+    One chain of four stages, each with its own certificate.  (1) A table
+    showing the Hardy pattern (P(D1=1,D2=1) > 0 and the three zero cells)
+    gets Hardy's functional, >= 0 on every assignment and < 0 on the table
+    (L. Hardy, PRL 71, 1665 (1993)), as a ``deduction-chain`` witness.
+    Stages 2-4 read any other table's :func:`_integer_cells`: (2) a
+    signalling table gets a ``no-signalling`` witness; (3)
+    :func:`_local_model` glues a model by Fine's proof; (4) if no chord
+    works, the table violates a CHSH inequality by Fine's theorem (A. Fine,
+    PRL 48, 291 (1982)) and gets a ``chsh-facet`` witness.  Every
+    certificate is re-checked in integers on the rationalized table before
+    it is returned (the check of :func:`validate_certificate`).
     """
     exact = rationalize_table(table)
-    cells = [exact[key][a][b] for (key, a, b) in CELLS]
-    pattern = _hardy_pattern_cells(exact)
-    if pattern is not None:
-        witness = InfeasibilityWitness("deduction-chain", pattern, chain=_chain_for_pattern(exact))
-    else:
-        witness = _fine_witness(cells)
-    if witness is not None:
+    p = exact["d1d2"][1][1]
+    if p > 0 and not (exact["d1u2"][1][0] or exact["u1d2"][0][1] or exact["u1u2"][1][1]):
+        # The pattern established p > 0 exactly, so the replay must fire:
+        # tol=0 covers p below the float tolerance.
+        claims = HardyClaimSet(p_joint=p, c_d1u2=1, c_d2u1=1, p_u1u2=0)
+        witness = InfeasibilityWitness(
+            "deduction-chain",
+            {cell: Fraction(c) for cell, c in _HARDY_FUNCTIONAL.items()},
+            chain=replay_deductions(claims, tol=0.0).steps,
+        )
         cert = LhvCertificate("infeasible", witness=witness)
     else:
-        # a local table by Fine's theorem, so the chord gluing finds a model
-        weights = _local_model(cells)
-        cert = None if weights is None else LhvCertificate("feasible", model=LhvModel(weights))
-    if cert is None or not _validate_exact(exact, cert):
+        n, den = _integer_cells(exact)
+        witness = _signalling_witness(n, den)
+        weights = None if witness else _local_model(n, den)
+        if weights is None:
+            cert = LhvCertificate("infeasible", witness=witness or _facet_witness(n, den))
+        else:
+            cert = LhvCertificate("feasible", model=LhvModel(weights))
+    if not _validate_exact(exact, cert):
         raise HardyLabError("internal error: produced certificate failed validation")
     return cert
 
@@ -603,7 +587,9 @@ def validate_certificate(table: Table, cert: LhvCertificate) -> bool:
     """Re-check a certificate against a table, exactly.
 
     The table is rationalized as :func:`feasibility` does; a table that
-    :func:`rationalize_table` rejects returns False, never an exception.
+    :func:`rationalize_table` rejects returns False, never an exception,
+    and so does a weight or coefficient that ``Fraction(value)`` rejects
+    (a Fraction is read as it is, like a weight by :class:`LhvModel`).
     The check is in integers.  Feasible: the model must pass its invariants
     again, and every cell must be reproduced with exact rational equality.
     Infeasible: the functional must be keyed on table cells, strictly
@@ -624,22 +610,28 @@ def _validate_exact(exact: ExactTable, cert: LhvCertificate) -> bool:
     """:func:`validate_certificate` on a rationalized table.
 
     The model's weights, the functional's coefficients and the table cells
-    the functional reads are each put on their common denominator, which is
-    positive, so each check compares integers: a model's cell sum against
-    the table cell by cross-multiplication, the functional's value on the
-    table against 0, and its sum over each assignment's cells against 0.
+    the functional reads are each put on their common denominator once,
+    which is positive, so each check compares integers: the model's
+    invariants, its cell sums against the table cells by cross-multiplying,
+    the functional's value on the table against 0, and its sum over each
+    assignment's cells against 0.
     """
     if cert.verdict == "feasible":
         if cert.model is None:
             return False
+        weights = cert.model.weights
         try:
-            weights = LhvModel(cert.model.weights).weights  # re-run the invariants
-        except HardyLabError:
+            numerators, den = _on_common_denominator(_as_fractions(weights.values()))
+        except (ArithmeticError, TypeError, ValueError):
             return False
-        numerators, den = _on_common_denominator([weights.get(a, 0) for a in ASSIGNMENTS])
+        # the model's invariants again, on every weight it carries
+        if any(w < 0 for w in numerators) or sum(numerators) != den:
+            return False
+        by_assignment = dict(zip(weights, numerators))
+        column = [by_assignment.get(a, 0) for a in ASSIGNMENTS]
         for (key, a, b), hits in _INCIDENCE.items():
             p = exact[key][a][b]
-            if sum(map(mul, numerators, hits)) * p.denominator != p.numerator * den:
+            if sum(map(mul, column, hits)) * p.denominator != p.numerator * den:
                 return False
         return True
 
@@ -648,7 +640,10 @@ def _validate_exact(exact: ExactTable, cert: LhvCertificate) -> bool:
         return False
     if not witness.functional.keys() <= _INCIDENCE.keys():
         return False
-    coefficients, c_den = _on_common_denominator(list(witness.functional.values()))
+    try:
+        coefficients, c_den = _on_common_denominator(_as_fractions(witness.functional.values()))
+    except (ArithmeticError, TypeError, ValueError):
+        return False
     values, v_den = _on_common_denominator([exact[key][a][b] for key, a, b in witness.functional])
     total = sum(map(mul, coefficients, values))
     if total >= 0:

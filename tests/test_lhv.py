@@ -22,6 +22,7 @@ from hardylab.lhv import (
     assignment_matches,
     claimed_hardy_table,
     feasibility,
+    _integer_cells,
     _local_model,
     _nearest_rational,
     _validate_exact,
@@ -316,6 +317,39 @@ class TestCertificateValidation:
         table = table_of_model(random_model(3))
         cert = feasibility(claimed_hardy_table())
         assert not validate_certificate(table, cert)
+
+    @pytest.mark.parametrize(
+        "part, value, as_fraction",
+        [
+            ("weight", "x", None),
+            ("weight", math.nan, None),
+            ("coefficient", "x", None),
+            ("coefficient", math.nan, None),
+            ("coefficient", math.inf, None),
+            ("weight", 1.0, Fraction(1)),
+            ("coefficient", 1.5, Fraction(3, 2)),
+        ],
+    )
+    def test_a_value_is_read_through_fraction(self, part, value, as_fraction):
+        # an unreadable value (as_fraction None) makes the certificate
+        # invalid; a readable one answers as its Fraction form does
+        def validates(v) -> bool:
+            if part == "weight":
+                table = table_of_model(LhvModel({ASSIGNMENTS[5]: Fraction(1)}))
+                cert = feasibility(table)
+                cert.model.weights.clear()
+                cert.model.weights[ASSIGNMENTS[5]] = v
+            else:
+                table = claimed_hardy_table()
+                witness = feasibility(table).witness
+                functional = {**witness.functional, ("d1u2", 1, 0): v}
+                cert = LhvCertificate("infeasible", witness=witness._replace(functional=functional))
+            return validate_certificate(table, cert)
+
+        if as_fraction is None:
+            assert validates(value) is False
+        else:
+            assert validates(value) is validates(as_fraction) is True
 
     def test_certificate_payload_must_match_verdict(self):
         with pytest.raises(HardyLabError):
@@ -631,7 +665,7 @@ class TestLocalModelMatchesReference:
             assert x is None
         if x is None:
             return
-        weights = _local_model(cells)
+        weights = _local_model(*_integer_cells(exact))
         assert weights == cert.model.weights
         assert _validate_exact(exact, cert)
         assert oracle.validate_certificate_reference(exact, cert)
@@ -644,7 +678,7 @@ class TestLocalModelMatchesReference:
     def test_a_model_exists_iff_fine_says_local(self, exact):
         # Fine's theorem, checked constructively
         local = fine_local(exact)
-        weights = _local_model([exact[key][a][b] for (key, a, b) in CELLS])
+        weights = _local_model(*_integer_cells(exact))
         assert (weights is not None) == local
         event("local" if local else "not local")
 
@@ -663,6 +697,19 @@ def decided_without_model(table: dict) -> LhvCertificate:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lhv, "_local_model", no_model)
         return feasibility(table)
+
+
+def decided_with_builds(table: dict) -> tuple[LhvCertificate, list]:
+    """``feasibility(table)``, and what each model-builder call returned."""
+    built = []
+
+    def recording(*args):
+        built.append(_local_model(*args))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lhv, "_local_model", recording)
+        return feasibility(table), built
 
 
 class TestHardyPatternDecidesAlone:
@@ -860,6 +907,41 @@ class TestRationalizedOnce:
         assert len(calls) == 1
 
 
+class TestOneDenominatorPerPass:
+    """A local table's numbers go on a common denominator once per pass:
+    ``feasibility`` makes 4 calls for the contexts, 1 for the cells, 1 for
+    the model and 1 for its re-check; ``validate_certificate`` makes 4 and
+    1."""
+
+    LOCAL = {
+        "quantum": quantum_probability_table(PSIM, PSIM, Interpretation.COLLAPSED_STATE),
+        "mixture": table_of_model(random_model(4)),
+        "noisy-pr-box-1/2": noisy_pr_box(Fraction(1, 2)),
+    }
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        common = lhv._on_common_denominator
+
+        def counting(values):
+            calls.append(values)
+            return common(values)
+
+        monkeypatch.setattr(lhv, "_on_common_denominator", counting)
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(LOCAL))
+    def test_feasibility_and_its_check(self, calls, name):
+        table = self.LOCAL[name]
+        cert = feasibility(table)
+        assert cert.verdict == "feasible"
+        assert len(calls) <= 7
+        calls.clear()
+        assert validate_certificate(table, cert)
+        assert len(calls) <= 5
+
+
 # --- Fine's theorem ---------------------------------------------------------
 
 
@@ -900,34 +982,35 @@ class TestFineTheorem:
 
 
 class TestNamedWitnesses:
-    """Fine's theorem names the witness of every infeasible table, and only
-    a local table reaches the model builder."""
+    """Fine's theorem names the witness of every infeasible table.  A
+    Hardy-pattern or signalling table never reaches the model builder;
+    every other table does, and the builder finds no model exactly when
+    the witness is ``chsh-facet``."""
 
     @pytest.mark.parametrize("name", sorted(TABLE_CLASSES))
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_kind_and_value(self, name, data):
         exact = data.draw(TABLE_CLASSES[name])
-        if fine_local(exact):
-            with pytest.raises(AssertionError, match="the model builder ran"):
-                decided_without_model(exact)
-            event("local: the model builder ran")
-            return
-        cert = decided_without_model(exact)
-        witness = cert.witness
+        cert, built = decided_with_builds(exact)
+        assert validate_certificate(exact, cert)
         if exact["d1d2"][1][1] > 0 and not (
             exact["d1u2"][1][0] or exact["u1d2"][0][1] or exact["u1u2"][1][1]
         ):
-            assert witness.kind == "deduction-chain"
+            assert (cert.witness.kind, built) == ("deduction-chain", [])
         elif signals(exact):
-            assert witness.kind == "no-signalling"
-            first, second = marginals(exact, witness.observable)
-            assert witness.gap == abs(first - second) > 0
+            assert (cert.witness.kind, built) == ("no-signalling", [])
+            first, second = marginals(exact, cert.witness.observable)
+            assert cert.witness.gap == abs(first - second) > 0
         else:
-            assert witness.kind == "chsh-facet"
-            assert witness.chsh == chsh_value(exact) > 2
-        assert validate_certificate(exact, cert)
-        event(witness.kind)
+            assert len(built) == 1
+            assert (built[0] is None) == (cert.verdict == "infeasible") == (not fine_local(exact))
+            if cert.verdict == "feasible":
+                event("local: the model builder built it")
+                return
+            assert cert.witness.kind == "chsh-facet"
+            assert cert.witness.chsh == chsh_value(exact) > 2
+        event(cert.witness.kind)
 
     def test_signalling_table(self):
         witness = decided_without_model(SIGNALLING).witness
@@ -942,18 +1025,20 @@ class TestNamedWitnesses:
     def test_pr_boxes(self):
         # the PR box has Hardy's three zeros with P(D1=1,D2=1) = 1/2
         assert decided_without_model(PR_BOX).witness.kind == "deduction-chain"
-        # at visibility 3/4 no cell is 0: Hardy's own functional is the facet,
-        # at -7/16 + 1/16 + 1/16 + 1/16 = -1/4, so CHSH = 2 + 4/4 = 3
-        witness = decided_without_model(NOISY_PR_BOX).witness
-        assert (witness.kind, witness.chsh) == ("chsh-facet", 3)
-        assert witness.functional == {
+        # at visibility 3/4 no cell is 0 and no chord glues a model: Hardy's
+        # own functional is the facet, at -7/16 + 1/16 + 1/16 + 1/16 = -1/4,
+        # so CHSH = 2 + 4/4 = 3
+        cert, built = decided_with_builds(NOISY_PR_BOX)
+        assert (built, cert.witness.kind, cert.witness.chsh) == ([None], "chsh-facet", 3)
+        assert cert.witness.functional == {
             ("d1d2", 1, 1): -1, ("d1u2", 1, 0): 1, ("u1d2", 0, 1): 1, ("u1u2", 1, 1): 1,
         }
         # at visibility 1/2, CHSH = 2: local, so the chord gluing builds the model
-        with pytest.raises(AssertionError, match="the model builder ran"):
-            decided_without_model(noisy_pr_box(Fraction(1, 2)))
+        cert, built = decided_with_builds(noisy_pr_box(Fraction(1, 2)))
+        assert cert.verdict == "feasible" and built == [cert.model.weights]
 
     def test_no_model_for_a_local_table_is_an_internal_error(self, monkeypatch):
-        monkeypatch.setattr(lhv, "_local_model", lambda cells: None)
+        # the facet witness of a local table is >= 0 on it, so it fails its check
+        monkeypatch.setattr(lhv, "_local_model", lambda n, den: None)
         with pytest.raises(HardyLabError, match="internal error"):
             feasibility(noisy_pr_box(Fraction(1, 2)))
