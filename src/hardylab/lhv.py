@@ -573,7 +573,7 @@ def feasibility(table: Table) -> LhvCertificate:
     else:
         n, den = _integer_cells(exact)
         witness = _signalling_witness(n, den)
-        weights = None if witness else _local_model(n, den)
+        weights = _local_model(n, den) if witness is None else None
         if weights is None:
             cert = LhvCertificate("infeasible", witness=witness or _facet_witness(n, den))
         else:
@@ -621,9 +621,10 @@ def _validate_exact(exact: ExactTable, cert: LhvCertificate) -> bool:
             return False
         weights = cert.model.weights
         try:
-            numerators, den = _on_common_denominator(_as_fractions(weights.values()))
+            read = _as_fractions(weights.values())
         except (ArithmeticError, TypeError, ValueError):
             return False
+        numerators, den = _on_common_denominator(read)
         # the model's invariants again, on every weight it carries
         if any(w < 0 for w in numerators) or sum(numerators) != den:
             return False
@@ -641,9 +642,10 @@ def _validate_exact(exact: ExactTable, cert: LhvCertificate) -> bool:
     if not witness.functional.keys() <= _INCIDENCE.keys():
         return False
     try:
-        coefficients, c_den = _on_common_denominator(_as_fractions(witness.functional.values()))
+        read = _as_fractions(witness.functional.values())
     except (ArithmeticError, TypeError, ValueError):
         return False
+    coefficients, c_den = _on_common_denominator(read)
     values, v_den = _on_common_denominator([exact[key][a][b] for key, a, b in witness.functional])
     total = sum(map(mul, coefficients, values))
     if total >= 0:
