@@ -1,13 +1,18 @@
 """Finite-shot Monte Carlo stand-in for the proposed measurement runs.
 
 Outcomes are drawn from the exact joint distribution of one commuting
-context.  Randomness is counter-based and fully positional: shot ``k``
-consumes the k-th 64-bit word of the Philox-4x64 stream keyed by the run
-seed (lane ``k % 4`` of counter block ``k // 4``).  Sampling any shot
-range therefore merges bit-for-bit with any partition of that range, so
+context.  Randomness is counter-based and fully positional.  Word ``j``
+of the Philox-4x64 stream keyed by the run seed is lane ``j % 4`` of
+counter block ``j // 4``, and shot ``k`` reads byte ``k % 8`` of word
+``k // 8``, the word's bytes taken little-endian whatever the host's
+order.  Every distribution of the lab has cells with denominators
+dividing 16, so every cell edge is a multiple of 1/256 and one byte
+decides a shot exactly.  A hand-built state whose edges leave that grid
+is sampled at one whole word per shot instead.  Sampling any shot range
+therefore merges bit-for-bit with any partition of that range, so
 results are reproducible and independent of scheduling.
 
-The words are streamed in blocks of ``_BLOCK`` and only counted, never
+The shots are streamed in blocks of ``_BLOCK`` and only counted, never
 kept, so a run of any length holds O(``_BLOCK``) memory.
 """
 
@@ -33,7 +38,7 @@ from .observables import joint_outcome_table
 #: Outcome cells in draw order.
 CELL_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
 
-#: Philox words drawn and counted per step of ``sample``.
+#: Shots drawn and counted per step of ``sample``; a multiple of 8.
 _BLOCK = 2**16
 
 
@@ -68,21 +73,25 @@ class CountTable(Frozen):
         return {"shots": self.shots, "counts": self.counts.tolist()}
 
 
-def _word_edges(flat) -> list[tuple[int, np.uint64]]:
-    """The cell edges some shot word can reach, as ``(index, cut)`` pairs.
+def _lane_edges(flat) -> tuple[int, list[tuple[int, int]]]:
+    """The lane width in bits and the reachable cell edges, as ``(index, cut)``.
 
-    Shot word ``w`` gives the uniform ``u = (w >> 11) * 2**-53``, which is
-    exact, so for the edge ``b`` after cell ``i`` of the running sum of
-    ``flat``, ``u >= b`` iff ``w >> 11 >= ceil(b * 2**53)`` iff
-    ``w >= cut = ceil(b * 2**53) << 11``.  The sum is exact for Fractions
-    and rounds as float addition does for floats.  A cut of ``2**53 << 11``
-    or more is never reached, and neither is any edge from the last
-    nonzero cell on: that cell takes the top end however the sum rounds,
-    so a cell of probability zero never fires.
+    A shot lies past edge ``i``, the running sum ``b`` of ``flat`` up to
+    cell ``i``, iff its lane is at least ``cut``.  When every edge is a
+    multiple of 1/256 a lane is one byte and the cut is ``256 * b``.
+    Otherwise a lane is a whole word ``w`` with the exact uniform
+    ``(w >> 11) * 2**-53``, and the cut is ``ceil(b * 2**53) << 11``.  The
+    sum is exact for Fractions and rounds as float addition does for
+    floats.  A cut past the largest lane is never reached, and neither is
+    any edge from the last nonzero cell on: that cell takes the top end
+    however the sum rounds, so a cell of probability zero never fires.
     """
     last = max(i for i, p in enumerate(flat) if p)
-    cuts = [math.ceil(b * 2**53) for b in accumulate(flat[:last])]
-    return [(i, np.uint64(t << 11)) for i, t in enumerate(cuts) if t < 2**53]
+    sums = list(accumulate(flat[:last]))
+    if all(b * 256 % 1 == 0 for b in sums):
+        return 8, [(i, int(b * 256)) for i, b in enumerate(sums) if b < 1]
+    cuts = [math.ceil(b * 2**53) for b in sums]
+    return 64, [(i, t << 11) for i, t in enumerate(cuts) if t < 2**53]
 
 
 def exact_context_probabilities(
@@ -97,24 +106,36 @@ def sample(state: StateVector, cfg: RunConfig, first_shot: int = 0) -> CountTabl
 
     ``first_shot`` selects the substream position, letting disjoint shot
     ranges of one logical run be sampled separately and merged; identical
-    ``(state, cfg)`` always reproduces identical counts bit-for-bit.
-    Cells of exact probability zero can never accumulate counts.
+    ``(state, cfg)`` always reproduces identical counts bit-for-bit.  It
+    must fit in 64 unsigned bits.  Cells of exact probability zero can
+    never accumulate counts.
 
-    The cell edges are the exact running sums of the distribution.  The
-    words are drawn ``_BLOCK`` at a time from one Philox stream, and
-    each block only counts how many words reach each cell edge
-    (``u >= b`` iff ``w >= ceil(b * 2**53) * 2**11``); memory stays
-    O(``_BLOCK``) whatever ``cfg.shots`` is.
+    The cell edges are the exact running sums of the distribution.  Shot
+    ``k`` reads byte ``k % 8`` of Philox word ``k // 8``, little-endian,
+    and lies past edge ``b`` iff its byte is at least ``256 * b``.  A
+    distribution with an edge off the 1/256 grid gives each shot a whole
+    word instead: shot ``k`` reads word ``k`` and lies past ``b`` iff the
+    word is at least ``ceil(b * 2**53) * 2**11``.  The shots are drawn
+    ``_BLOCK`` at a time from one Philox stream, and each block only counts
+    how many reach each cell edge; memory stays O(``_BLOCK``) whatever
+    ``cfg.shots`` is.
     """
+    if not 0 <= first_shot < 2**64:
+        raise HardyLabError(f"first_shot must fit in 64 unsigned bits, got {first_shot}")
     probs = exact_context_probabilities(state, cfg)
-    edges = _word_edges([probs[a][b] for a, b in CELL_ORDER])
+    bits, edges = _lane_edges([probs[a][b] for a, b in CELL_ORDER])
+    lane, per_word = np.dtype(f"<u{bits // 8}"), 64 // bits
+    word, skip = divmod(first_shot, per_word)
     above = np.array([cfg.shots, 0, 0, 0, 0])  # above[i + 1]: shots past edge i
-    bitgen = np.random.Philox(key=cfg.seed, counter=[first_shot // 4, 0, 0, 0])
-    bitgen.random_raw(first_shot % 4)
-    for done in range(0, cfg.shots, _BLOCK):
-        words = bitgen.random_raw(min(_BLOCK, cfg.shots - done))
+    bitgen = np.random.Philox(key=cfg.seed, counter=[word // 4, 0, 0, 0])
+    bitgen.random_raw(word % 4)
+    end = skip + cfg.shots  # lanes from the first lane of ``word``
+    for done in range(0, end, _BLOCK):
+        size = min(_BLOCK, end - done)
+        words = bitgen.random_raw(-(-size // per_word))
+        lanes = words.astype("<u8", copy=False).view(lane)[max(skip - done, 0) : size]
         for i, cut in edges:
-            above[i + 1] += np.count_nonzero(words >= cut)
+            above[i + 1] += np.count_nonzero(lanes >= lane.type(cut))
     return CountTable(-np.diff(above), cfg.shots)
 
 

@@ -823,31 +823,57 @@ def validate_certificate_reference(table, cert, tol: float | None = None) -> boo
     }.get(witness.kind, False)
 
 
-def shot_uniforms(seed: int, start: int, count: int) -> np.ndarray:
-    """Uniforms for shots [start, start+count) under the substream rule."""
-    if count == 0:
-        return np.zeros(0)
+def _philox_words(seed: int, start: int, count: int) -> np.ndarray:
+    """Philox words [start, start+count): word j is lane j % 4 of block j // 4."""
     first_block, offset = divmod(start, 4)
     n_blocks = -(-(offset + count) // 4)
     bitgen = np.random.Philox(key=seed, counter=[first_block, 0, 0, 0])
     words = np.random.Generator(bitgen).integers(
         0, 2**64, size=4 * n_blocks, dtype=np.uint64, endpoint=False
     )
-    return (words[offset : offset + count] >> np.uint64(11)) * 2.0**-53
+    return words[offset : offset + count]
 
 
-def sample_reference(state, cfg, first_shot: int = 0):
-    """Reference sampler: one float uniform per shot, placed by searchsorted.
+def shot_uniforms(seed: int, start: int, count: int) -> np.ndarray:
+    """Uniforms for shots [start, start+count) at one whole word per shot."""
+    return (_philox_words(seed, start, count) >> np.uint64(11)) * 2.0**-53
 
-    It holds every shot's word, uniform and cell index at once.
+
+def shot_bytes(seed: int, start: int, count: int) -> np.ndarray:
+    """Bytes for shots [start, start+count): byte k % 8 of word k // 8.
+
+    Byte ``j`` of word ``w`` is ``(w >> 8*j) & 0xFF``, the little-endian
+    order, computed by shifts rather than by viewing memory.
     """
+    first_word, offset = divmod(start, 8)
+    words = _philox_words(seed, first_word, -(-(offset + count) // 8))
+    shifts = np.arange(0, 64, 8, dtype=np.uint64)
+    lanes = (words[:, None] >> shifts) & np.uint64(0xFF)
+    return lanes.ravel()[offset : offset + count]
+
+
+def _place(state, cfg, u):
+    """Counts of uniforms ``u`` placed among the running sums by searchsorted."""
     probs = exact_context_probabilities(state, cfg)
     flat = np.array([float(probs[a][b]) for a, b in CELL_ORDER])
     flat = flat / flat.sum()
     boundaries = np.cumsum(flat)
     boundaries[-1] = 1.0  # guard against float shortfall at the top end
-
-    u = shot_uniforms(cfg.seed, first_shot, cfg.shots)
     outcomes = np.searchsorted(boundaries, u, side="right")
     counts = np.bincount(outcomes, minlength=4).reshape(2, 2)
     return CountTable(counts, cfg.shots)
+
+
+def sample_reference(state, cfg, first_shot: int = 0):
+    """Reference sampler: shot k's uniform is byte k % 8 of word k // 8 over
+    256, placed by searchsorted.  Exact for edges on the 1/256 grid.
+
+    It holds every shot's byte, uniform and cell index at once.
+    """
+    return _place(state, cfg, shot_bytes(cfg.seed, first_shot, cfg.shots) / 256.0)
+
+
+def sample_word_reference(state, cfg, first_shot: int = 0):
+    """Reference sampler at one float uniform per shot from a whole word,
+    the rule for distributions with an edge off the 1/256 grid."""
+    return _place(state, cfg, shot_uniforms(cfg.seed, first_shot, cfg.shots))

@@ -1,6 +1,9 @@
 import os
 import subprocess
 import sys
+from bisect import bisect_right
+from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -8,14 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardylab.core import HardyLabError, NonCommutingError
+from hardylab.core import HardyLabError, NonCommutingError, StateVector
 from hardylab.observables import Interpretation, build_d, build_u, context_observables
 from hardylab.protocol import BELL_ORDER, BellIndex, make_total_state
 from hardylab.sampler import (
     _BLOCK,
     CountTable,
     RunConfig,
-    _word_edges,
+    _lane_edges,
     compare_frequencies,
     exact_context_probabilities,
     sample,
@@ -86,6 +89,33 @@ class TestSampling:
             merged += part.counts
         np.testing.assert_array_equal(full.counts, merged)
 
+    def test_first_shot_must_fit_64_bits(self, state):
+        first, second = context_observables("d1d2")
+        cfg = RunConfig(first, second, 10, 5)
+        for bad in (-1, 2**64, 2**300):
+            with pytest.raises(HardyLabError):
+                sample(state, cfg, first_shot=bad)
+        np.testing.assert_array_equal(  # the largest accepted value samples
+            sample(state, cfg, first_shot=2**64 - 1).counts,
+            oracle.sample_reference(state, cfg, first_shot=2**64 - 1).counts,
+        )
+
+    def test_shot_bytes_are_little_endian(self, state):
+        # shots 0-7 read the bytes of word 0, low byte first
+        first, second = context_observables("d1d2")
+        probs = exact_context_probabilities(state, RunConfig(first, second, 1, 0))
+        flat = [probs[a][b] for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))]
+        sums = list(accumulate(flat))[:3]
+        seed = 2002
+        word = int(np.random.Philox(key=seed).random_raw(1)[0])
+        expected = [bisect_right(sums, x / 256) for x in word.to_bytes(8, "little")]
+        cells = []
+        for k in range(8):
+            counts = sample(state, RunConfig(first, second, 1, seed), first_shot=k).counts
+            cells.append(int(np.flatnonzero(counts.ravel())[0]))
+        assert cells == expected
+        assert len(set(cells)) > 1
+
     def test_zero_shots(self, state):
         first, second = context_observables("d1d2")
         table = sample(state, RunConfig(first, second, 0, 3))
@@ -139,21 +169,28 @@ class TestWordEdges:
         # the cumulative sum stops one ulp short of 1 before the zero cell
         flat = np.array([0.2908058851918934, 0.5044399923036108, 0.20475412250449568, 0.0])
         assert np.cumsum(flat)[2] == 0.9999999999999999
-        edges = _word_edges(flat)
-        assert [i for i, _ in edges] == [0, 1]
-        top = np.uint64(2**64 - 1)  # u = 1 - 2**-53, the largest uniform
-        assert sum(bool(top >= cut) for _, cut in edges) == 2  # lands in cell 2
+        bits, edges = _lane_edges(flat)
+        assert bits == 64 and [i for i, _ in edges] == [0, 1]
+        top = 2**64 - 1  # u = 1 - 2**-53, the largest uniform
+        assert sum(top >= cut for _, cut in edges) == 2  # lands in cell 2
 
     def test_cut_matches_the_float_comparison(self):
         flat = np.array([0.1, 0.2, 0.3, 0.4])
-        for i, cut in _word_edges(flat):
-            below, at = int(cut) - 1, int(cut)
+        bits, edges = _lane_edges(flat)
+        assert bits == 64
+        for i, cut in edges:
+            below, at = cut - 1, cut
             b = np.cumsum(flat)[i]
             assert (below >> 11) * 2.0**-53 < b <= (at >> 11) * 2.0**-53
 
+    def test_edges_on_the_grid_cut_bytes(self):
+        flat = [Fraction(1, 16), Fraction(3, 16), Fraction(0), Fraction(3, 4)]
+        assert _lane_edges(flat) == (8, [(0, 16), (1, 64), (2, 64)])
+        assert _lane_edges([Fraction(1), Fraction(0), Fraction(0), Fraction(0)]) == (8, [])
+
 
 class TestMatchesReference:
-    """Counts equal the per-shot float sampler kept in ``tests/oracle.py``."""
+    """Counts equal the per-shot byte sampler kept in ``tests/oracle.py``."""
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -164,8 +201,9 @@ class TestMatchesReference:
         seed=st.integers(0, 2**64 - 1),
         first_shot=st.one_of(
             st.just(0),
-            st.integers(0, 2**30).map(lambda k: 4 * k + 1),
-            st.integers(0, 2**30).map(lambda k: 4 * k + 3),
+            st.tuples(st.integers(0, 2**30), st.integers(1, 7)).map(lambda t: 8 * t[0] + t[1]),
+            # the last 31 shots before a 4-word counter block and the first 31 after
+            st.tuples(st.integers(1, 2**30), st.integers(-31, 31)).map(lambda t: 32 * t[0] + t[1]),
             st.integers(2**32 + 1, 2**40),
         ),
         shots=st.one_of(
@@ -191,6 +229,21 @@ class TestMatchesReference:
         np.testing.assert_array_equal(
             sample(state, cfg, first_shot=2**33 + 1).counts,
             oracle.sample_reference(state, cfg, first_shot=2**33 + 1).counts,
+        )
+
+
+def test_edges_off_the_byte_grid_take_a_word_per_shot():
+    # cells 1/5 and 4/5: qubit 1 has amplitudes (1, 2), and u2 is certain
+    amps = [0] * 16
+    amps[0b0000], amps[0b0100] = 1, 2
+    state = StateVector(amps, ("A", "1", "2", "B"))
+    first, second = context_observables("u1u2")
+    for shots, seed, first_shot in [(1000, 3, 0), (_BLOCK + 5, 2**63 + 1, 2**33 + 7)]:
+        cfg = RunConfig(first, second, shots, seed)
+        assert exact_context_probabilities(state, cfg)[0][1] == Fraction(4, 5)
+        np.testing.assert_array_equal(
+            sample(state, cfg, first_shot).counts,
+            oracle.sample_word_reference(state, cfg, first_shot).counts,
         )
 
 
