@@ -15,6 +15,7 @@ that property tests compare the package against.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +30,7 @@ from hardylab.core import (
     SlotCollisionError,
     ZeroProbabilityError,
 )
-from hardylab.lhv import _INCIDENCE, ASSIGNMENTS, CELLS, LhvModel, rationalize_table
+from hardylab.lhv import CELLS, LhvModel, rationalize_table
 from hardylab.observables import CLAIM_TARGETS, Interpretation
 from hardylab.protocol import BELL_ORDER, BellIndex
 from hardylab.sampler import CELL_ORDER, CountTable, exact_context_probabilities
@@ -652,10 +653,23 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+#: The 16 deterministic assignments (d1, d2, u1, u2), and for each context
+#: the indices in an assignment of the two observables it measures.  The
+#: references keep their own copy of the polytope rather than the package's.
+ASSIGNMENTS = tuple(product((0, 1), repeat=4))
+CONTEXT_SLOTS = {"d1d2": (0, 1), "d1u2": (0, 3), "u1d2": (2, 1), "u1u2": (2, 3)}
+
+
+def hits(assignment, cell) -> bool:
+    """Whether a deterministic assignment gives a cell's two outcomes."""
+    key, a, b = cell
+    i, j = CONTEXT_SLOTS[key]
+    return assignment[i] == a and assignment[j] == b
+
+
 def cell_probability(model: LhvModel, cell) -> Fraction:
     """The probability a mixture of deterministic assignments gives one cell."""
-    hits = zip(ASSIGNMENTS, _INCIDENCE[cell])
-    return sum((model.weights.get(a, 0) for a, hit in hits if hit), Fraction(0))
+    return sum((model.weights.get(a, 0) for a in ASSIGNMENTS if hits(a, cell)), Fraction(0))
 
 
 def acts_trivially(mat: np.ndarray, n: int, axis: int, tol: float) -> bool:
@@ -801,7 +815,7 @@ def validate_certificate_reference(table, cert, tol: float | None = None) -> boo
     witness = cert.witness
     if witness is None or not witness.functional:
         return False
-    if not witness.functional.keys() <= _INCIDENCE.keys():
+    if not witness.functional.keys() <= set(CELLS):
         return False
     value = sum(
         (c * exact[key][a][b] for (key, a, b), c in witness.functional.items()),
@@ -809,11 +823,9 @@ def validate_certificate_reference(table, cert, tol: float | None = None) -> boo
     )
     if value >= 0:
         return False
-    coefficients = list(witness.functional.values())
-    columns = zip(*(_INCIDENCE[cell] for cell in witness.functional))
     if not all(
-        sum((c for c, hit in zip(coefficients, column) if hit), Fraction(0)) >= 0
-        for column in columns
+        sum((c for cell, c in witness.functional.items() if hits(a, cell)), Fraction(0)) >= 0
+        for a in ASSIGNMENTS
     ):
         return False
     return {

@@ -10,7 +10,6 @@ from scipy.optimize import linprog
 from hardylab import lhv
 from hardylab.core import HardyLabError
 from hardylab.lhv import (
-    _INCIDENCE,
     ASSIGNMENTS,
     CELLS,
     MAX_DENOMINATOR,
@@ -19,7 +18,6 @@ from hardylab.lhv import (
     LhvModel,
     MalformedTableError,
     RationalizationError,
-    assignment_matches,
     claimed_hardy_table,
     feasibility,
     _integer_cells,
@@ -61,10 +59,7 @@ def random_model(seed: int) -> LhvModel:
 
 def linprog_feasible(exact: dict) -> bool:
     """Independent feasibility oracle: float LP over the same polytope."""
-    a_eq = [
-        [1.0 if assignment_matches(a, cell) else 0.0 for a in ASSIGNMENTS]
-        for cell in CELLS
-    ]
+    a_eq = [[float(oracle.hits(a, cell)) for a in oracle.ASSIGNMENTS] for cell in CELLS]
     b_eq = [float(exact[key][i][j]) for (key, i, j) in CELLS]
     res = linprog(
         c=[0.0] * 16, A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * 16, method="highs"
@@ -649,7 +644,7 @@ class TestLocalModelMatchesReference:
     """The chord-gluing model against the Fraction simplex's verdict and
     the Fraction validator."""
 
-    COLUMNS = [[Fraction(_INCIDENCE[cell][j]) for cell in CELLS] for j in range(16)]
+    COLUMNS = [[Fraction(oracle.hits(a, cell)) for cell in CELLS] for a in oracle.ASSIGNMENTS]
 
     @pytest.mark.parametrize("name", sorted(TABLE_CLASSES))
     @settings(max_examples=350, deadline=None)

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from hardylab.core import HardyClaimSet, ObservableOp, StateVector
+from hardylab.core import TOLERANCE, HardyClaimSet, ObservableOp, StateVector
 from hardylab.lhv import LhvModel, claimed_hardy_table, feasibility, replay_deductions
 from hardylab.observables import CLAIM_TARGETS, Interpretation, audit_pair, context_observables
 from hardylab.protocol import TOTAL_STATE, BellIndex, bell_expansion, verify_expansion
@@ -100,6 +100,8 @@ CONTRADICTION = (
     "the run would give U1=U2=1, yet P(U1=1,U2=1) = 0: the local model contradicts the statistics"
 )
 TINY = Fraction(1, 10**400)  # a nonzero joint probability that underflows as a float
+NO_RUN = "joint D1=D2=1 run has probability {}; no run to reason about"
+NOT_REACHED = ["not reached"] * 3
 
 
 @pytest.mark.parametrize(
@@ -115,8 +117,18 @@ TINY = Fraction(1, 10**400)  # a nonzero joint probability that underflows as a 
           "the run would give U1=U2=1, but P(U1=1,U2=1) = 0.25 does not forbid that outcome"]),
         (HardyClaimSet(TINY, Fraction(1), Fraction(1), Fraction(0)), 0.0, None,
          [EXISTS.format(TINY), TRANSFER, U1_REAL, CONTRADICTION]),
+        (HardyClaimSet(0.0, 1.0, 1.0, 0.0), 1e-12, 1, [NO_RUN.format(0.0), *NOT_REACHED]),
+        (HardyClaimSet(0.0625, 0.5, 1.0, 0.0), 1e-12, 1,
+         ["P(U2=1|D1=1) = 0.5 is not a certainty", *NOT_REACHED]),
+        # both step-1 premises fail: the missing run is the reason given
+        (HardyClaimSet(0.0, 0.5, 1.0, 0.0), 1e-12, 1, [NO_RUN.format(0.0), *NOT_REACHED]),
+        # a joint probability within the tolerance of 0 is no run either
+        (HardyClaimSet(1e-13, 1.0, 1.0, 0.0), TOLERANCE, 1, [NO_RUN.format(1e-13), *NOT_REACHED]),
     ],
-    ids=["float-contradiction", "float-halts", "fraction-halts", "fraction-underflow"],
+    ids=[
+        "float-contradiction", "float-halts", "fraction-halts", "fraction-underflow",
+        "float-no-run", "float-uncertain-u2", "float-both-premises-fail", "float-below-tolerance",
+    ],
 )
 def test_replay_gives_the_same_trace(claims, tol, halted_at, details):
     trace = replay_deductions(claims, tol)
