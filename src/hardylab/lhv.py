@@ -32,18 +32,13 @@ from .core import CONTEXT_KEYS, TOLERANCE, Frozen, HardyClaimSet, HardyLabError
 #: Denominator bound used when converting float tables to exact rationals.
 MAX_DENOMINATOR = 2**20
 
+#: The observables in the order an assignment lists their values.
+_OBSERVABLES = ("d1", "d2", "u1", "u2")
+
 #: One deterministic assignment: values (d1, d2, u1, u2), each 0 or 1.
 Assignment = tuple[int, int, int, int]
 
 ASSIGNMENTS: tuple[Assignment, ...] = tuple(product((0, 1), repeat=4))
-
-# context key -> the assignment components it constrains (first, second)
-_CONTEXT_SLOTS: Mapping[str, tuple[int, int]] = {
-    "d1d2": (0, 1),
-    "d1u2": (0, 3),
-    "u1d2": (2, 1),
-    "u1u2": (2, 3),
-}
 
 #: One table cell: (context key, outcome of first, outcome of second).
 Cell = tuple[str, int, int]
@@ -64,16 +59,14 @@ class MalformedTableError(HardyLabError):
     """A probability table fails its shape or normalization contract."""
 
 
-def assignment_matches(assignment: Assignment, cell: Cell) -> bool:
-    key, a, b = cell
-    i, j = _CONTEXT_SLOTS[key]
-    return assignment[i] == a and assignment[j] == b
-
-
 #: Cell -> its 0/1 row over ASSIGNMENTS: which assignments hit the cell,
 #: built once for the validator, which sums weights and coefficients by it.
 _INCIDENCE: Mapping[Cell, tuple[int, ...]] = {
-    cell: tuple(int(assignment_matches(a, cell)) for a in ASSIGNMENTS) for cell in CELLS
+    (key, a, b): tuple(
+        int(x[_OBSERVABLES.index(key[:2])] == a and x[_OBSERVABLES.index(key[2:])] == b)
+        for x in ASSIGNMENTS
+    )
+    for key, a, b in CELLS
 }
 
 
@@ -228,6 +221,29 @@ class DeductionTrace(NamedTuple):
         }
 
 
+#: Hardy's four steps in order: each rule's name, its premises (a test of
+#: the claims within the tolerance, with the detail printed when it fails)
+#: and the detail printed when it fires.  Details name claims as fields.
+_RULES = (
+    ("U2 is an element of reality", (
+        (lambda c, tol: c.p_joint > tol,
+         "joint D1=D2=1 run has probability {p_joint}; no run to reason about"),
+        (lambda c, tol: abs(c.c_d1u2 - 1.0) <= tol, "P(U2=1|D1=1) = {c_d1u2} is not a certainty"),
+    ), "a D1=D2=1 run exists (probability {p_joint}) and P(U2=1|D1=1) = 1, "
+       "so U2=1 is predetermined for it"),
+    ("locality transfer", (),
+     "the distant choice of measurement cannot change the predetermined U2"),
+    ("U1 is an element of reality",
+     ((lambda c, tol: abs(c.c_d2u1 - 1.0) <= tol, "P(U1=1|D2=1) = {c_d2u1} is not a certainty"),),
+     "the same run has D2=1 and P(U1=1|D2=1) = 1, so U1=1 is predetermined"),
+    ("joint contradiction",
+     ((lambda c, tol: abs(c.p_u1u2) <= tol,
+       "the run would give U1=U2=1, but P(U1=1,U2=1) = {p_u1u2} does not forbid that outcome"),),
+     "the run would give U1=U2=1, yet P(U1=1,U2=1) = 0: "
+     "the local model contradicts the statistics"),
+)
+
+
 def replay_deductions(claims: HardyClaimSet, tol: float = TOLERANCE) -> DeductionTrace:
     """Replay the element-of-reality argument on a set of claimed values.
 
@@ -237,65 +253,18 @@ def replay_deductions(claims: HardyClaimSet, tol: float = TOLERANCE) -> Deductio
     ``halted_at`` names the first rule that could not fire.
     """
     shown = {key: _shown(value) for key, value in claims._asdict().items()}
-    exists = claims.p_joint > tol
-    c12_certain = abs(claims.c_d1u2 - 1.0) <= tol
-    c21_certain = abs(claims.c_d2u1 - 1.0) <= tol
-    u1u2_zero = abs(claims.p_u1u2) <= tol
-
-    steps: list[DeductionStep] = []
-
-    fired1 = exists and c12_certain
-    if not exists:
-        detail = f"joint D1=D2=1 run has probability {shown['p_joint']}; no run to reason about"
-    elif not c12_certain:
-        detail = f"P(U2=1|D1=1) = {shown['c_d1u2']} is not a certainty"
-    else:
-        detail = (
-            f"a D1=D2=1 run exists (probability {shown['p_joint']}) and "
-            "P(U2=1|D1=1) = 1, so U2=1 is predetermined for it"
-        )
-    steps.append(DeductionStep(1, "U2 is an element of reality", fired1, detail))
-
-    fired2 = fired1
-    steps.append(
-        DeductionStep(
-            2,
-            "locality transfer",
-            fired2,
-            "the distant choice of measurement cannot change the predetermined U2"
-            if fired2
-            else "not reached",
-        )
-    )
-
-    fired3 = fired2 and c21_certain
-    if not fired2:
-        detail = "not reached"
-    elif not c21_certain:
-        detail = f"P(U1=1|D2=1) = {shown['c_d2u1']} is not a certainty"
-    else:
-        detail = "the same run has D2=1 and P(U1=1|D2=1) = 1, so U1=1 is predetermined"
-    steps.append(DeductionStep(3, "U1 is an element of reality", fired3, detail))
-
-    fired4 = fired3 and u1u2_zero
-    if not fired3:
-        detail = "not reached"
-    elif not u1u2_zero:
-        detail = (
-            f"the run would give U1=U2=1, but P(U1=1,U2=1) = {shown['p_u1u2']} "
-            "does not forbid that outcome"
-        )
-    else:
-        detail = (
-            "the run would give U1=U2=1, yet P(U1=1,U2=1) = 0: the local model "
-            "contradicts the statistics"
-        )
-    steps.append(DeductionStep(4, "joint contradiction", fired4, detail))
-
-    if fired4:
-        return DeductionTrace(tuple(steps), True, None)
-    halted = next(s.index for s in steps if not s.fired)
-    return DeductionTrace(tuple(steps), False, halted)
+    steps, halted = [], None
+    for index, (name, premises, fires) in enumerate(_RULES, 1):
+        if halted:
+            steps.append(DeductionStep(index, name, False, "not reached"))
+            continue
+        detail = fires
+        for holds, failure in premises:
+            if not holds(claims, tol):
+                detail, halted = failure, index
+                break
+        steps.append(DeductionStep(index, name, not halted, detail.format_map(shown)))
+    return DeductionTrace(tuple(steps), halted is None, halted)
 
 
 # --- certificates ---------------------------------------------------------
@@ -321,7 +290,7 @@ class LhvModel(Frozen):
         return {
             "weights": [
                 {
-                    "assignment": {"d1": a[0], "d2": a[1], "u1": a[2], "u2": a[3]},
+                    "assignment": dict(zip(_OBSERVABLES, a)),
                     "weight": rational_json(w),
                 }
                 for a, w in sorted(self.weights.items())
@@ -489,7 +458,7 @@ def _chsh_facets() -> tuple[dict[Cell, int], ...]:
     """
     images = []
     for swap_1, swap_2, *flips in product((False, True), repeat=6):
-        flip = dict(zip(("d1", "d2", "u1", "u2"), flips))
+        flip = dict(zip(_OBSERVABLES, flips))
         image = {}
         for (key, a, b), c in _HARDY_FUNCTIONAL.items():
             x, y = key[:2], key[2:]
