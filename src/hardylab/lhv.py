@@ -13,6 +13,8 @@ such a mixture, and always emits a machine-checkable certificate:
   negative on the table, named by what it shows: the human-readable
   deduction chain when the table exhibits the Hardy pattern, else the
   signalling marginal, else the violated CHSH inequality (Fine's theorem).
+  The name is checked too: :func:`validate_certificate` accepts a witness
+  only if its functional is the one its kind names on that table.
 
 Stochastic local models are mixtures of deterministic ones, so deciding
 over the 16-vertex polytope loses no generality.
@@ -469,6 +471,21 @@ def _chsh_facets() -> tuple[dict[Cell, int], ...]:
     return tuple(images)
 
 
+def _hardy_chain(exact: ExactTable) -> tuple[DeductionStep, ...] | None:
+    """The replayed deduction of a table showing the Hardy pattern, else None.
+
+    The pattern is read off :data:`_HARDY_FUNCTIONAL`: a cell is > 0 iff
+    its coefficient is < 0, so P(D1=1,D2=1) > 0 and the three other cells
+    are 0.  That establishes p > 0 exactly, so the replay must fire:
+    tol=0 covers p below the float tolerance.
+    """
+    terms = [(c, exact[key][a][b]) for (key, a, b), c in _HARDY_FUNCTIONAL.items()]
+    if any((v > 0) != (c < 0) for c, v in terms):
+        return None
+    claims = HardyClaimSet(p_joint=-sum(c * v for c, v in terms), c_d1u2=1, c_d2u1=1, p_u1u2=0)
+    return replay_deductions(claims, tol=0.0).steps
+
+
 def _integer_cells(exact: ExactTable) -> tuple[dict[Cell, int], int]:
     """Each cell's numerator over the table's common denominator ``den``."""
     numerators, den = _on_common_denominator([exact[key][a][b] for (key, a, b) in CELLS])
@@ -528,16 +545,10 @@ def feasibility(table: Table) -> LhvCertificate:
     it is returned (the check of :func:`validate_certificate`).
     """
     exact = rationalize_table(table)
-    p = exact["d1d2"][1][1]
-    if p > 0 and not (exact["d1u2"][1][0] or exact["u1d2"][0][1] or exact["u1u2"][1][1]):
-        # The pattern established p > 0 exactly, so the replay must fire:
-        # tol=0 covers p below the float tolerance.
-        claims = HardyClaimSet(p_joint=p, c_d1u2=1, c_d2u1=1, p_u1u2=0)
-        witness = InfeasibilityWitness(
-            "deduction-chain",
-            {cell: Fraction(c) for cell, c in _HARDY_FUNCTIONAL.items()},
-            chain=replay_deductions(claims, tol=0.0).steps,
-        )
+    chain = _hardy_chain(exact)
+    if chain is not None:
+        functional = {cell: Fraction(c) for cell, c in _HARDY_FUNCTIONAL.items()}
+        witness = InfeasibilityWitness("deduction-chain", functional, chain=chain)
         cert = LhvCertificate("infeasible", witness=witness)
     else:
         n, den = _integer_cells(exact)
@@ -564,9 +575,13 @@ def validate_certificate(table: Table, cert: LhvCertificate) -> bool:
     Infeasible: the functional must be keyed on table cells, strictly
     negative on the table and nonnegative on all 16 deterministic
     assignments (an all-zero or empty functional therefore never
-    validates).  The witness's kind must be one of the three, and a
-    reported ``gap`` or ``chsh`` must equal the one the functional's value
-    on the table gives.
+    validates).  The witness must be one its kind names on the table,
+    field for field: a ``no-signalling`` functional is one of ``observable``'s
+    marginal differences, with the ``gap`` it gives; a ``chsh-facet`` one
+    is Hardy's relabelled, on a no-signalling table, with the ``chsh`` it
+    gives; a ``deduction-chain`` one is Hardy's own, on a table showing the
+    Hardy pattern, with the replayed ``chain``.  So a scaled or extra-cell
+    functional fails under every name.
     """
     try:
         exact = rationalize_table(table)
@@ -583,7 +598,8 @@ def _validate_exact(exact: ExactTable, cert: LhvCertificate) -> bool:
     which is positive, so each check compares integers: the model's
     invariants, its cell sums against the table cells by cross-multiplying,
     the functional's value on the table against 0, and its sum over each
-    assignment's cells against 0.
+    assignment's cells against 0.  Last, the witness, its coefficients read
+    as Fractions, must equal one of those its kind names on the table.
     """
     if cert.verdict == "feasible":
         if cert.model is None:
@@ -622,11 +638,24 @@ def _validate_exact(exact: ExactTable, cert: LhvCertificate) -> bool:
     columns = zip(*(_INCIDENCE[cell] for cell in witness.functional))
     if not all(sum(map(mul, coefficients, column)) >= 0 for column in columns):
         return False
+    value = Fraction(total, c_den * v_den)
+    named = witness._replace(functional=dict(zip(witness.functional, read)))
     if witness.kind == "no-signalling":
-        return witness.gap == -Fraction(total, c_den * v_den)
+        return named in (
+            InfeasibilityWitness(
+                "no-signalling", dict.fromkeys(first, s) | dict.fromkeys(second, -s),
+                observable=observable, gap=-value,
+            )
+            for observable, first, second in _MARGINALS for s in (1, -1)
+        )
     if witness.kind == "chsh-facet":
-        return witness.chsh == 2 - 4 * Fraction(total, c_den * v_den)
-    return witness.kind == "deduction-chain"
+        return _signalling_witness(*_integer_cells(exact)) is None and named in (
+            InfeasibilityWitness("chsh-facet", f, chsh=2 - 4 * value) for f in _chsh_facets()
+        )
+    chain = _hardy_chain(exact)
+    return chain is not None and named == InfeasibilityWitness(
+        "deduction-chain", _HARDY_FUNCTIONAL, chain=chain
+    )
 
 
 # --- the advertised-claims table -------------------------------------------

@@ -15,6 +15,7 @@ that property tests compare the package against.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from typing import Sequence
 
@@ -23,6 +24,7 @@ import numpy as np
 from hardylab.core import (
     CANONICAL_SLOTS,
     DimensionMismatchError,
+    HardyClaimSet,
     HardyLabError,
     NonCommutingError,
     NormalizationError,
@@ -30,7 +32,7 @@ from hardylab.core import (
     SlotCollisionError,
     ZeroProbabilityError,
 )
-from hardylab.lhv import CELLS, LhvModel, rationalize_table
+from hardylab.lhv import CELLS, LhvModel, rationalize_table, replay_deductions
 from hardylab.observables import CLAIM_TARGETS, Interpretation
 from hardylab.protocol import BELL_ORDER, BellIndex
 from hardylab.sampler import CELL_ORDER, CountTable, exact_context_probabilities
@@ -672,6 +674,45 @@ def cell_probability(model: LhvModel, cell) -> Fraction:
     return sum((model.weights.get(a, 0) for a in ASSIGNMENTS if hits(a, cell)), Fraction(0))
 
 
+#: Hardy's functional, -P(D1=1,D2=1) + P(D1=1,U2=0) + P(U1=0,D2=1) + P(U1=1,U2=1).
+HARDY_FUNCTIONAL = {("d1d2", 1, 1): -1, ("d1u2", 1, 0): 1, ("u1d2", 0, 1): 1, ("u1u2", 1, 1): 1}
+OBSERVABLES = ("d1", "d2", "u1", "u2")
+
+
+def functional_value(functional, exact) -> Fraction:
+    """A functional's value on an exact table."""
+    return sum((c * exact[key][a][b] for (key, a, b), c in functional.items()), Fraction(0))
+
+
+def marginal_functionals(observable: str) -> list[dict]:
+    """+-(P(X=1) in one context - P(X=1) in the other) for the observable X.
+
+    X's cells in a context that measures it are the cells that only
+    assignments with X = 1 hit.
+    """
+    k = OBSERVABLES.index(observable)
+    sides = [
+        [c for c in CELLS if c[0] == key and all(a[k] for a in ASSIGNMENTS if hits(a, c))]
+        for key, slots in CONTEXT_SLOTS.items()
+        if k in slots
+    ]
+    return [{**dict.fromkeys(sides[0], s), **dict.fromkeys(sides[1], -s)} for s in (1, -1)]
+
+
+@cache
+def chsh_facets() -> list[dict]:
+    """Every functional that is -1 on one cell, +1 on one cell of each other
+    context and >= 0 on every assignment, found by brute force over the
+    1024 such functionals: Hardy's functional under each relabelling."""
+    facets = []
+    for picks in product(*([cell for cell in CELLS if cell[0] == key] for key in CONTEXT_SLOTS)):
+        for negative in picks:
+            f = {cell: -1 if cell == negative else 1 for cell in picks}
+            if all(sum(c for cell, c in f.items() if hits(a, cell)) >= 0 for a in ASSIGNMENTS):
+                facets.append(f)
+    return facets
+
+
 def acts_trivially(mat: np.ndarray, n: int, axis: int, tol: float) -> bool:
     """Reference identity-on-slot test: both commutators [P, M] for P in
     {X, Z} on qubit ``axis``, formed with explicit tensor contractions."""
@@ -790,9 +831,16 @@ def validate_certificate_reference(table, cert, tol: float | None = None) -> boo
     assignments (an all-zero functional therefore never validates), and a
     ``no-signalling`` witness's ``gap`` must be minus its value on the
     table, a ``chsh-facet`` witness's ``chsh`` 2 - 4 times that value.
+    Each kind must also be true of the table, field for field: a
+    ``no-signalling`` functional is one of its observable's two marginal
+    differences; a ``chsh-facet`` one is one of :func:`chsh_facets` on a
+    no-signalling table; a ``deduction-chain`` one is Hardy's, on a table
+    showing the Hardy pattern, with the package's replay of that table's
+    claims as its chain (``tests/test_records.py`` pins the replay).
 
     Reference for ``hardylab.lhv.validate_certificate``: the same checks as
-    sums of Fractions, cell by cell and column by column.
+    sums of Fractions, cell by cell and assignment by assignment, with the
+    named functionals built here from :data:`CONTEXT_SLOTS`.
     """
     try:
         exact = rationalize_table(table, tolerance(tol))
@@ -828,11 +876,31 @@ def validate_certificate_reference(table, cert, tol: float | None = None) -> boo
         for a in ASSIGNMENTS
     ):
         return False
-    return {
-        "deduction-chain": True,
-        "no-signalling": witness.gap == -value,
-        "chsh-facet": witness.chsh == 2 - 4 * value,
-    }.get(witness.kind, False)
+    functional = dict(witness.functional)
+    fields = (witness.chain, witness.observable, witness.gap, witness.chsh)
+    if witness.kind == "no-signalling":
+        x = witness.observable
+        return (
+            x in OBSERVABLES
+            and functional in marginal_functionals(x)
+            and fields == (None, x, -value, None)
+        )
+    if witness.kind == "chsh-facet":
+        no_signalling = all(
+            functional_value(marginal_functionals(x)[0], exact) == 0 for x in OBSERVABLES
+        )
+        return (
+            no_signalling
+            and functional in chsh_facets()
+            and fields == (None, None, None, 2 - 4 * value)
+        )
+    if witness.kind == "deduction-chain":
+        p = exact["d1d2"][1][1]
+        if not (p > 0 and exact["d1u2"][1][0] == exact["u1d2"][0][1] == exact["u1u2"][1][1] == 0):
+            return False
+        chain = replay_deductions(HardyClaimSet(p, 1, 1, 0), tol=0.0).steps
+        return functional == HARDY_FUNCTIONAL and fields == (chain, None, None, None)
+    return False
 
 
 def _philox_words(seed: int, start: int, count: int) -> np.ndarray:

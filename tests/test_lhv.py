@@ -323,11 +323,14 @@ class TestCertificateValidation:
             ("coefficient", math.inf, None),
             ("weight", 1.0, Fraction(1)),
             ("coefficient", 1.5, Fraction(3, 2)),
+            ("coefficient", 1.0, Fraction(1)),
         ],
     )
     def test_a_value_is_read_through_fraction(self, part, value, as_fraction):
         # an unreadable value (as_fraction None) makes the certificate
-        # invalid; a readable one answers as its Fraction form does
+        # invalid; a readable one answers as its Fraction form does: a
+        # coefficient is set on a cell where Hardy's functional has 1, so
+        # any other coefficient leaves no functional the witness can name
         def validates(v) -> bool:
             if part == "weight":
                 table = table_of_model(LhvModel({ASSIGNMENTS[5]: Fraction(1)}))
@@ -344,7 +347,29 @@ class TestCertificateValidation:
         if as_fraction is None:
             assert validates(value) is False
         else:
-            assert validates(value) is validates(as_fraction) is True
+            named = part == "weight" or as_fraction == 1
+            assert validates(value) is validates(as_fraction) is named
+
+    @pytest.mark.parametrize(
+        "table, tamper",
+        [
+            (NOISY_PR_BOX, lambda w, value: w._replace(
+                kind="no-signalling", chsh=None, observable="d1", gap=-value)),
+            (NOISY_PR_BOX, lambda w, value: w._replace(kind="deduction-chain", chsh=None)),
+            (SIGNALLING, lambda w, value: w._replace(
+                kind="chsh-facet", observable=None, gap=None, chsh=2 - 4 * value)),
+            (SIGNALLING, lambda w, value: w._replace(observable="u2")),
+        ],
+        ids=["facet-as-signalling", "facet-as-chain", "signalling-as-facet", "wrong-observable"],
+    )
+    def test_a_witness_under_a_name_the_table_does_not_earn_fails(self, table, tamper):
+        # each tampered witness still separates the table from every
+        # assignment and reports the value its functional gives
+        witness = feasibility(table).witness
+        forged = tamper(witness, oracle.functional_value(witness.functional, table))
+        for validate in (validate_certificate, oracle.validate_certificate_reference):
+            assert validate(table, LhvCertificate("infeasible", witness=witness))
+            assert not validate(table, LhvCertificate("infeasible", witness=forged))
 
     def test_certificate_payload_must_match_verdict(self):
         with pytest.raises(HardyLabError):
@@ -823,6 +848,22 @@ def tampered_functional(functional: dict, kind: str, data) -> dict:
     return functional
 
 
+def renamed(exact: dict, witness: InfeasibilityWitness, data) -> InfeasibilityWitness:
+    """``witness``'s functional under another kind's name, with the fields
+    that kind reports forged to match the functional's value on the table."""
+    value = oracle.functional_value(witness.functional, exact)
+    kind = data.draw(st.sampled_from(
+        sorted({"deduction-chain", "no-signalling", "chsh-facet"} - {witness.kind})
+    ))
+    if kind == "no-signalling":
+        observable = data.draw(st.sampled_from(oracle.OBSERVABLES))
+        return InfeasibilityWitness(kind, witness.functional, observable=observable, gap=-value)
+    if kind == "chsh-facet":
+        return InfeasibilityWitness(kind, witness.functional, chsh=2 - 4 * value)
+    chain = replay_deductions(HardyClaimSet(exact["d1d2"][1][1], 1, 1, 0), 0.0).steps
+    return InfeasibilityWitness(kind, witness.functional, chain=chain)
+
+
 class TestIntegerValidatorMatchesReference:
     """The integer validator against the Fraction validator it replaced."""
 
@@ -848,17 +889,21 @@ class TestIntegerValidatorMatchesReference:
             event(f"witness {witness.kind}")
             # the value a named witness reports, which the validator re-derives
             field = {"no-signalling": "gap", "chsh-facet": "chsh"}.get(witness.kind)
-            kinds = ["sign-flip", "nudge", "non-cell", "empty", "zero-valued"]
+            kinds = ["sign-flip", "nudge", "non-cell", "empty", "zero-valued", "rename"]
             kind = data.draw(st.sampled_from(kinds + [field] if field else kinds))
             if kind == field:
                 value = getattr(witness, field)
                 step = Fraction(data.draw(st.sampled_from([1, -1])), value.denominator)
                 witness = witness._replace(**{field: value + step})
+            elif kind == "rename":
+                witness = renamed(exact, witness, data)
             else:
                 functional = tampered_functional(witness.functional, kind, data)
                 witness = witness._replace(functional=functional)
             tampered = LhvCertificate("infeasible", witness=witness)
-            expected = None if kind == "nudge" else False
+            # a nudged functional is no longer the one its kind names; a
+            # renamed one may be: a Hardy-pattern table can violate CHSH too
+            expected = None if kind == "rename" else False
 
         got = validate_certificate(exact, tampered)
         assert got == oracle.validate_certificate_reference(exact, tampered)
@@ -1031,6 +1076,12 @@ class TestNamedWitnesses:
         # at visibility 1/2, CHSH = 2: local, so the chord gluing builds the model
         cert, built = decided_with_builds(noisy_pr_box(Fraction(1, 2)))
         assert cert.verdict == "feasible" and built == [cert.model.weights]
+
+    def test_the_reference_finds_the_same_facets(self):
+        # brute force finds exactly the 64 relabellings of Hardy's functional
+        facets = {frozenset(f.items()) for f in oracle.chsh_facets()}
+        assert len(facets) == 64
+        assert facets == {frozenset(f.items()) for f in lhv._chsh_facets()}
 
     def test_no_model_for_a_local_table_is_an_internal_error(self, monkeypatch):
         # the facet witness of a local table is >= 0 on it, so it fails its check
