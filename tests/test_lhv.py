@@ -76,6 +76,15 @@ SIGNALLING = {
 }
 
 
+#: The Hardy pattern on a signalling table: P(U2=1) is 1/2 in d1u2 but 1/4 in u1u2.
+SIGNALLING_HARDY = {
+    "d1d2": [[Fraction(9, 16), Fraction(3, 16)], [Fraction(3, 16), Fraction(1, 16)]],
+    "d1u2": [[Fraction(1, 2), Fraction(1, 4)], [Fraction(0), Fraction(1, 4)]],
+    "u1d2": [[Fraction(1, 2), Fraction(0)], [Fraction(1, 4), Fraction(1, 4)]],
+    "u1u2": [[Fraction(1, 4), Fraction(1, 4)], [Fraction(1, 2), Fraction(0)]],
+}
+
+
 def noisy_pr_box(visibility: Fraction) -> dict:
     """The PR box mixed with uniform noise: no-signalling, CHSH = 4 v.
 
@@ -324,6 +333,7 @@ class TestCertificateValidation:
             ("weight", 1.0, Fraction(1)),
             ("coefficient", 1.5, Fraction(3, 2)),
             ("coefficient", 1.0, Fraction(1)),
+            ("coefficient", "1", Fraction(1)),
         ],
     )
     def test_a_value_is_read_through_fraction(self, part, value, as_fraction):
@@ -359,8 +369,14 @@ class TestCertificateValidation:
             (SIGNALLING, lambda w, value: w._replace(
                 kind="chsh-facet", observable=None, gap=None, chsh=2 - 4 * value)),
             (SIGNALLING, lambda w, value: w._replace(observable="u2")),
+            (SIGNALLING_HARDY, lambda w, value: w._replace(
+                kind="chsh-facet", chain=None, chsh=2 - 4 * value)),
+            (claimed_hardy_table(), lambda w, value: w._replace(chain=None)),
+            (claimed_hardy_table(), lambda w, value: w._replace(chain=replay_deductions(
+                HardyClaimSet(Fraction(1, 8), 1, 1, 0), 0.0).steps)),
         ],
-        ids=["facet-as-signalling", "facet-as-chain", "signalling-as-facet", "wrong-observable"],
+        ids=["facet-as-signalling", "facet-as-chain", "signalling-as-facet", "wrong-observable",
+             "chain-as-facet-on-a-signalling-table", "chain-dropped", "chain-of-another-p"],
     )
     def test_a_witness_under_a_name_the_table_does_not_earn_fails(self, table, tamper):
         # each tampered witness still separates the table from every
