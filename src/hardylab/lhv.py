@@ -428,6 +428,7 @@ def _local_model(n: Mapping[Cell, int], den: int) -> dict[Assignment, Fraction] 
 
 #: Hardy's functional -P(D1=1,D2=1) + P(D1=1,U2=0) + P(U1=0,D2=1) +
 #: P(U1=1,U2=1): >= 0 on every assignment (L. Hardy, PRL 71, 1665 (1993)).
+#: Its negative cell comes first.
 _HARDY_FUNCTIONAL: Mapping[Cell, int] = {
     ("d1d2", 1, 1): -1,
     ("d1u2", 1, 0): 1,
@@ -474,16 +475,16 @@ def _chsh_facets() -> tuple[dict[Cell, int], ...]:
 def _hardy_chain(exact: ExactTable) -> tuple[DeductionStep, ...] | None:
     """The replayed deduction of a table showing the Hardy pattern, else None.
 
-    The pattern is read off :data:`_HARDY_FUNCTIONAL`: a cell is > 0 iff
-    its coefficient is < 0, so P(D1=1,D2=1) > 0 and the three other cells
-    are 0.  That establishes p > 0 exactly, so the replay must fire:
-    tol=0 covers p below the float tolerance.
+    The pattern is read off :data:`_HARDY_FUNCTIONAL`: its negative cell
+    P(D1=1,D2=1) is > 0 and its three positive cells are 0.  That
+    establishes p > 0 exactly, so the replay must fire: tol=0 covers p
+    below the float tolerance (an int: a Fraction compares with it fast).
     """
-    terms = [(c, exact[key][a][b]) for (key, a, b), c in _HARDY_FUNCTIONAL.items()]
-    if any((v > 0) != (c < 0) for c, v in terms):
+    p, *zeros = (exact[key][a][b] for key, a, b in _HARDY_FUNCTIONAL)
+    if not p or any(zeros):
         return None
-    claims = HardyClaimSet(p_joint=-sum(c * v for c, v in terms), c_d1u2=1, c_d2u1=1, p_u1u2=0)
-    return replay_deductions(claims, tol=0.0).steps
+    claims = HardyClaimSet(p_joint=p, c_d1u2=1, c_d2u1=1, p_u1u2=0)
+    return replay_deductions(claims, tol=0).steps
 
 
 def _integer_cells(exact: ExactTable) -> tuple[dict[Cell, int], int]:
@@ -498,9 +499,8 @@ def _signalling_witness(n: Mapping[Cell, int], den: int) -> InfeasibilityWitness
     for observable, first, second in _MARGINALS:
         diff = n[first[0]] + n[first[1]] - n[second[0]] - n[second[1]]
         if diff:
-            sign = -1 if diff > 0 else 1
-            functional = {cell: Fraction(sign) for cell in first}
-            functional.update({cell: Fraction(-sign) for cell in second})
+            sign = Fraction(-1 if diff > 0 else 1)
+            functional = dict.fromkeys(first, sign) | dict.fromkeys(second, -sign)
             return InfeasibilityWitness(
                 "no-signalling", functional, observable=observable, gap=Fraction(abs(diff), den)
             )
@@ -638,24 +638,24 @@ def _validate_exact(exact: ExactTable, cert: LhvCertificate) -> bool:
     columns = zip(*(_INCIDENCE[cell] for cell in witness.functional))
     if not all(sum(map(mul, coefficients, column)) >= 0 for column in columns):
         return False
+    # the functional must be one its kind names, and every other field the one it gives
     value = Fraction(total, c_den * v_den)
-    named = witness._replace(functional=dict(zip(witness.functional, read)))
+    functional = dict(zip(witness.functional, read))
     if witness.kind == "no-signalling":
-        return named in (
-            InfeasibilityWitness(
-                "no-signalling", dict.fromkeys(first, s) | dict.fromkeys(second, -s),
-                observable=observable, gap=-value,
-            )
-            for observable, first, second in _MARGINALS for s in (1, -1)
-        )
-    if witness.kind == "chsh-facet":
-        return _signalling_witness(*_integer_cells(exact)) is None and named in (
-            InfeasibilityWitness("chsh-facet", f, chsh=2 - 4 * value) for f in _chsh_facets()
-        )
-    chain = _hardy_chain(exact)
-    return chain is not None and named == InfeasibilityWitness(
-        "deduction-chain", _HARDY_FUNCTIONAL, chain=chain
-    )
+        x = witness.observable
+        named = [
+            dict.fromkeys(first, s) | dict.fromkeys(second, -s)
+            for observable, first, second in _MARGINALS if observable == x for s in (1, -1)
+        ]
+        expected = InfeasibilityWitness(witness.kind, witness.functional, observable=x, gap=-value)
+    elif witness.kind == "chsh-facet":
+        named = _chsh_facets() if _signalling_witness(*_integer_cells(exact)) is None else ()
+        expected = InfeasibilityWitness(witness.kind, witness.functional, chsh=2 - 4 * value)
+    else:
+        chain = _hardy_chain(exact)
+        named = () if chain is None else (_HARDY_FUNCTIONAL,)
+        expected = InfeasibilityWitness("deduction-chain", witness.functional, chain=chain)
+    return functional in named and witness == expected
 
 
 # --- the advertised-claims table -------------------------------------------

@@ -379,8 +379,8 @@ class TestCertificateValidation:
              "chain-as-facet-on-a-signalling-table", "chain-dropped", "chain-of-another-p"],
     )
     def test_a_witness_under_a_name_the_table_does_not_earn_fails(self, table, tamper):
-        # each tampered witness still separates the table from every
-        # assignment and reports the value its functional gives
+        # each forged witness still separates the table from every
+        # assignment, so only its name can fail it
         witness = feasibility(table).witness
         forged = tamper(witness, oracle.functional_value(witness.functional, table))
         for validate in (validate_certificate, oracle.validate_certificate_reference):
