@@ -181,7 +181,7 @@ def cmd_lhv(args, parser) -> int:
         "table": {
             key: [[rational_json(p) for p in row] for row in grid] for key, grid in exact.items()
         },
-        "certificate": cert.to_jsonable(),
+        "certificate": cert.to_jsonable(exact),
         "validated": True,
     }
     results.update(description)

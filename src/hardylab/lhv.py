@@ -13,8 +13,9 @@ such a mixture, and always emits a machine-checkable certificate:
   negative on the table, named by what it shows: the human-readable
   deduction chain when the table exhibits the Hardy pattern, else the
   signalling marginal, else the violated CHSH inequality (Fine's theorem).
+  A report reads the chain, observable, gap or CHSH value off the table.
   The name is checked too: :func:`validate_certificate` accepts a witness
-  only if its functional is the one its kind names on that table.
+  only if its functional is one its kind names on that table.
 
 Stochastic local models are mixtures of deterministic ones, so deciding
 over the 16-vertex polytope loses no generality.
@@ -310,23 +311,25 @@ class InfeasibilityWitness(NamedTuple):
     nonnegative mixture can therefore reproduce the table.  ``kind`` is
 
     * ``deduction-chain``: Hardy's functional on a table showing the Hardy
-      pattern, with the replayed deduction ``chain``;
+      pattern, reported with the replayed deduction ``chain``;
     * ``no-signalling``: +-(P(X=1) in one context - P(X=1) in the other)
       for the ``observable`` X, which is 0 on every assignment; ``gap``,
       minus its value on the table, is the gap between the two marginals;
     * ``chsh-facet``: Hardy's functional under a relabelling of settings
       and outcomes, on a no-signalling table; ``chsh``, 2 - 4 times its
       value on the table, is the violated CHSH value (> 2).
+
+    The witness holds only these two: a report reads ``chain``,
+    ``observable``, ``gap`` and ``chsh`` off the table (:meth:`to_jsonable`).
     """
 
     kind: str
     functional: Mapping[Cell, Fraction]
-    chain: tuple[DeductionStep, ...] | None = None
-    observable: str | None = None
-    gap: Fraction | None = None
-    chsh: Fraction | None = None
 
-    def to_jsonable(self) -> dict:
+    def to_jsonable(self, exact: ExactTable) -> dict:
+        """The witness as a report prints it, with the fields its kind adds
+        read off ``exact``, the table it was validated on."""
+        value = sum(c * exact[key][a][b] for (key, a, b), c in self.functional.items())
         payload = {
             "kind": self.kind,
             "functional": [
@@ -339,14 +342,14 @@ class InfeasibilityWitness(NamedTuple):
                 for (key, a, b), c in sorted(self.functional.items())
             ],
         }
-        if self.chain is not None:
-            payload["chain"] = [s.to_jsonable() for s in self.chain]
-        if self.observable is not None:
-            payload["observable"] = self.observable
-        if self.gap is not None:
-            payload["gap"] = rational_json(self.gap)
-        if self.chsh is not None:
-            payload["chsh"] = rational_json(self.chsh)
+        if self.kind == "deduction-chain":
+            payload["chain"] = [s.to_jsonable() for s in _hardy_chain(exact)]
+        elif self.kind == "no-signalling":
+            cells = self.functional.keys()
+            payload["observable"] = next(x for x, one, two in _MARGINALS if cells == {*one, *two})
+            payload["gap"] = rational_json(-value)
+        elif self.kind == "chsh-facet":
+            payload["chsh"] = rational_json(2 - 4 * value)
         return payload
 
 
@@ -367,12 +370,14 @@ class LhvCertificate(Frozen):
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "witness", witness)
 
-    def to_jsonable(self) -> dict:
+    def to_jsonable(self, exact: ExactTable) -> dict:
+        """The certificate as a report prints it for ``exact``, the table it
+        was validated on (see :meth:`InfeasibilityWitness.to_jsonable`)."""
         out: dict = {"verdict": self.verdict}
         if self.model is not None:
             out["model"] = self.model.to_jsonable()
         if self.witness is not None:
-            out["witness"] = self.witness.to_jsonable()
+            out["witness"] = self.witness.to_jsonable(exact)
         return out
 
 
@@ -472,19 +477,28 @@ def _chsh_facets() -> tuple[dict[Cell, int], ...]:
     return tuple(images)
 
 
-def _hardy_chain(exact: ExactTable) -> tuple[DeductionStep, ...] | None:
-    """The replayed deduction of a table showing the Hardy pattern, else None.
-
-    The pattern is read off :data:`_HARDY_FUNCTIONAL`: its negative cell
-    P(D1=1,D2=1) is > 0 and its three positive cells are 0.  That
-    establishes p > 0 exactly, so the replay must fire: tol=0 covers p
-    below the float tolerance (an int: a Fraction compares with it fast).
-    """
+def _hardy_pattern(exact: ExactTable) -> bool:
+    """Whether a table shows the Hardy pattern, read off
+    :data:`_HARDY_FUNCTIONAL`: its negative cell P(D1=1,D2=1) is > 0 and
+    its three positive cells are 0."""
     p, *zeros = (exact[key][a][b] for key, a, b in _HARDY_FUNCTIONAL)
-    if not p or any(zeros):
-        return None
-    claims = HardyClaimSet(p_joint=p, c_d1u2=1, c_d2u1=1, p_u1u2=0)
+    return p > 0 and not any(zeros)
+
+
+def _hardy_chain(exact: ExactTable) -> tuple[DeductionStep, ...]:
+    """The replayed deduction of a table showing the Hardy pattern.  The
+    pattern has p > 0 exactly, so the replay must fire: tol=0 covers p below
+    the float tolerance (an int: a Fraction compares with it fast)."""
+    claims = HardyClaimSet(p_joint=exact["d1d2"][1][1], c_d1u2=1, c_d2u1=1, p_u1u2=0)
     return replay_deductions(claims, tol=0).steps
+
+
+#: The 8 marginal differences, each observable's in :data:`_MARGINALS`
+#: order with either sign: 0 on every assignment.
+_MARGINAL_DIFFERENCES: tuple[dict[Cell, int], ...] = tuple(
+    dict.fromkeys(first, s) | dict.fromkeys(second, -s)
+    for _, first, second in _MARGINALS for s in (1, -1)
+)
 
 
 def _integer_cells(exact: ExactTable) -> tuple[dict[Cell, int], int]:
@@ -493,34 +507,23 @@ def _integer_cells(exact: ExactTable) -> tuple[dict[Cell, int], int]:
     return dict(zip(CELLS, numerators)), den
 
 
-def _signalling_witness(n: Mapping[Cell, int], den: int) -> InfeasibilityWitness | None:
-    """The ``no-signalling`` witness of the first observable whose two
-    marginals differ in the :func:`_integer_cells` ``n`` over ``den``, or None."""
-    for observable, first, second in _MARGINALS:
-        diff = n[first[0]] + n[first[1]] - n[second[0]] - n[second[1]]
-        if diff:
-            sign = Fraction(-1 if diff > 0 else 1)
-            functional = dict.fromkeys(first, sign) | dict.fromkeys(second, -sign)
-            return InfeasibilityWitness(
-                "no-signalling", functional, observable=observable, gap=Fraction(abs(diff), den)
-            )
-    return None
+def _value(functional: Mapping[Cell, int], n: Mapping[Cell, int]) -> int:
+    """A functional's value on the :func:`_integer_cells` ``n``, times ``den``."""
+    return sum(c * n[cell] for cell, c in functional.items())
 
 
-def _facet_witness(n: Mapping[Cell, int], den: int) -> InfeasibilityWitness:
-    """The ``chsh-facet`` witness on the :func:`_integer_cells` ``n`` over
-    ``den``: the relabelled Hardy functional of least value on the table,
-    whose CHSH value is the largest of the 8."""
+def _signalling_witness(n: Mapping[Cell, int]) -> dict[Cell, int] | None:
+    """The first marginal difference < 0 on the :func:`_integer_cells`
+    ``n``, the ``no-signalling`` witness, or None if the table is
+    no-signalling."""
+    return next((f for f in _MARGINAL_DIFFERENCES if _value(f, n) < 0), None)
 
-    def value(functional: Mapping[Cell, int]) -> int:
-        return sum(c * n[cell] for cell, c in functional.items())
 
-    facet = min(_chsh_facets(), key=value)
-    return InfeasibilityWitness(
-        "chsh-facet",
-        {cell: Fraction(c) for cell, c in facet.items()},
-        chsh=Fraction(2 * den - 4 * value(facet), den),
-    )
+def _facet_witness(n: Mapping[Cell, int]) -> dict[Cell, int]:
+    """The relabelled Hardy functional of least value on the
+    :func:`_integer_cells` ``n``, the ``chsh-facet`` witness, whose CHSH
+    value is the largest of the 8."""
+    return min(_chsh_facets(), key=lambda f: _value(f, n))
 
 
 def feasibility(table: Table) -> LhvCertificate:
@@ -545,19 +548,21 @@ def feasibility(table: Table) -> LhvCertificate:
     it is returned (the check of :func:`validate_certificate`).
     """
     exact = rationalize_table(table)
-    chain = _hardy_chain(exact)
-    if chain is not None:
-        functional = {cell: Fraction(c) for cell, c in _HARDY_FUNCTIONAL.items()}
-        witness = InfeasibilityWitness("deduction-chain", functional, chain=chain)
-        cert = LhvCertificate("infeasible", witness=witness)
+    weights = None
+    if _hardy_pattern(exact):
+        kind, functional = "deduction-chain", _HARDY_FUNCTIONAL
     else:
         n, den = _integer_cells(exact)
-        witness = _signalling_witness(n, den)
-        weights = _local_model(n, den) if witness is None else None
-        if weights is None:
-            cert = LhvCertificate("infeasible", witness=witness or _facet_witness(n, den))
-        else:
-            cert = LhvCertificate("feasible", model=LhvModel(weights))
+        kind, functional = "no-signalling", _signalling_witness(n)
+        if functional is None:
+            weights = _local_model(n, den)
+            if weights is None:
+                kind, functional = "chsh-facet", _facet_witness(n)
+    if weights is None:
+        witness = InfeasibilityWitness(kind, {cell: Fraction(c) for cell, c in functional.items()})
+        cert = LhvCertificate("infeasible", witness=witness)
+    else:
+        cert = LhvCertificate("feasible", model=LhvModel(weights))
     if not _validate_exact(exact, cert):
         raise HardyLabError("internal error: produced certificate failed validation")
     return cert
@@ -575,13 +580,13 @@ def validate_certificate(table: Table, cert: LhvCertificate) -> bool:
     Infeasible: the functional must be keyed on table cells, strictly
     negative on the table and nonnegative on all 16 deterministic
     assignments (an all-zero or empty functional therefore never
-    validates).  The witness must be one its kind names on the table,
-    field for field: a ``no-signalling`` functional is one of ``observable``'s
-    marginal differences, with the ``gap`` it gives; a ``chsh-facet`` one
-    is Hardy's relabelled, on a no-signalling table, with the ``chsh`` it
-    gives; a ``deduction-chain`` one is Hardy's own, on a table showing the
-    Hardy pattern, with the replayed ``chain``.  So a scaled or extra-cell
-    functional fails under every name.
+    validates).  The witness must also be one its kind names on the table:
+    a ``no-signalling`` functional is one of the 8 marginal differences; a
+    ``chsh-facet`` one is Hardy's relabelled, on a no-signalling table; a
+    ``deduction-chain`` one is Hardy's own, on a table showing the Hardy
+    pattern.  So a scaled or extra-cell functional fails under every name.
+    A witness holds no other field: what a report adds to it is read off
+    the table (:meth:`InfeasibilityWitness.to_jsonable`).
     """
     try:
         exact = rationalize_table(table)
@@ -598,8 +603,8 @@ def _validate_exact(exact: ExactTable, cert: LhvCertificate) -> bool:
     which is positive, so each check compares integers: the model's
     invariants, its cell sums against the table cells by cross-multiplying,
     the functional's value on the table against 0, and its sum over each
-    assignment's cells against 0.  Last, the witness, its coefficients read
-    as Fractions, must equal one of those its kind names on the table.
+    assignment's cells against 0.  Last, the functional, its coefficients
+    read as Fractions, must be one of those its kind names on the table.
     """
     if cert.verdict == "feasible":
         if cert.model is None:
@@ -630,32 +635,23 @@ def _validate_exact(exact: ExactTable, cert: LhvCertificate) -> bool:
         read = _as_fractions(witness.functional.values())
     except (ArithmeticError, TypeError, ValueError):
         return False
-    coefficients, c_den = _on_common_denominator(read)
-    values, v_den = _on_common_denominator([exact[key][a][b] for key, a, b in witness.functional])
-    total = sum(map(mul, coefficients, values))
-    if total >= 0:
+    coefficients, _ = _on_common_denominator(read)
+    values, _ = _on_common_denominator([exact[key][a][b] for key, a, b in witness.functional])
+    if sum(map(mul, coefficients, values)) >= 0:
         return False
     columns = zip(*(_INCIDENCE[cell] for cell in witness.functional))
     if not all(sum(map(mul, coefficients, column)) >= 0 for column in columns):
         return False
-    # the functional must be one its kind names, and every other field the one it gives
-    value = Fraction(total, c_den * v_den)
-    functional = dict(zip(witness.functional, read))
+    # the functional must be one its kind names on the table
     if witness.kind == "no-signalling":
-        x = witness.observable
-        named = [
-            dict.fromkeys(first, s) | dict.fromkeys(second, -s)
-            for observable, first, second in _MARGINALS if observable == x for s in (1, -1)
-        ]
-        expected = InfeasibilityWitness(witness.kind, witness.functional, observable=x, gap=-value)
+        named = _MARGINAL_DIFFERENCES
     elif witness.kind == "chsh-facet":
-        named = _chsh_facets() if _signalling_witness(*_integer_cells(exact)) is None else ()
-        expected = InfeasibilityWitness(witness.kind, witness.functional, chsh=2 - 4 * value)
+        named = () if _signalling_witness(_integer_cells(exact)[0]) else _chsh_facets()
+    elif witness.kind == "deduction-chain" and _hardy_pattern(exact):
+        named = (_HARDY_FUNCTIONAL,)
     else:
-        chain = _hardy_chain(exact)
-        named = () if chain is None else (_HARDY_FUNCTIONAL,)
-        expected = InfeasibilityWitness("deduction-chain", witness.functional, chain=chain)
-    return functional in named and witness == expected
+        named = ()
+    return dict(zip(witness.functional, read)) in named
 
 
 # --- the advertised-claims table -------------------------------------------

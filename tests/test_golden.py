@@ -10,6 +10,7 @@ no stem is given, run from the repo root::
 An unknown stem is refused with exit code 2, and no file is written.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from hardylab.cli import main
+from hardylab.lhv import feasibility, rationalize_table
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -67,6 +69,15 @@ def test_output_matches_golden(capsys, name):
     code, out = run(capsys, CASES[name])
     assert code == 0
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("lhv_*.out")), ids=lambda path: path.stem)
+def test_a_printed_certificate_is_the_decision_of_its_printed_table(path):
+    # what a check of a saved report does: decide the printed exact table
+    # again, and print its certificate for that table
+    results = json.loads(path.read_text(encoding="utf-8"))["results"]
+    exact = rationalize_table(results["table"])
+    assert feasibility(exact).to_jsonable(exact) == results["certificate"]
 
 
 def test_tolerance_override_does_not_leak_between_runs(capsys):

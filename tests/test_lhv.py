@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from hardylab import lhv
+from hardylab.cli import main
 from hardylab.core import HardyLabError
 from hardylab.lhv import (
     ASSIGNMENTS,
@@ -158,8 +159,9 @@ class TestClaimedTable:
         assert cert.verdict == "infeasible"
         assert cert.witness is not None
         assert cert.witness.kind == "deduction-chain"
-        assert len(cert.witness.chain) == 4
-        assert all(step.fired for step in cert.witness.chain)
+        chain = cert.to_jsonable(exact)["witness"]["chain"]
+        assert len(chain) == 4
+        assert all(step["fired"] for step in chain)
         assert validate_certificate(exact, cert)
         assert not linprog_feasible(exact)
 
@@ -177,10 +179,25 @@ class TestClaimedTable:
     def test_chain_fires_for_a_joint_weight_that_underflows_as_a_float(self):
         p = Fraction(1, 10**400)
         assert float(p) == 0.0
-        cert = feasibility(claimed_hardy_table(p))
+        table = claimed_hardy_table(p)
+        cert = feasibility(table)
         assert cert.witness.kind == "deduction-chain"
-        assert all(step.fired for step in cert.witness.chain)
-        assert f"probability {p})" in cert.witness.chain[0].detail
+        chain = cert.to_jsonable(table)["witness"]["chain"]
+        assert all(step["fired"] for step in chain)
+        assert f"probability {p})" in chain[0]["detail"]
+
+    @pytest.mark.parametrize(
+        "p", [Fraction(1, 4), Fraction(1, 8), Fraction(3, 64), Fraction(1, 10**400)]
+    )
+    def test_the_paper_claims_witness_reports_the_p_of_each_table(self, p):
+        # a witness holds no chain: on another claimed table it validates,
+        # and its report replays that table's own p
+        cert = feasibility(claimed_hardy_table())
+        table = claimed_hardy_table(p)
+        assert validate_certificate(table, cert)
+        assert oracle.validate_certificate_reference(table, cert)
+        first = cert.to_jsonable(table)["witness"]["chain"][0]
+        assert first["fired"] and f"(probability {float(p) or p})" in first["detail"]
 
     def test_rejects_joint_weight_outside_range(self):
         with pytest.raises(HardyLabError):
@@ -301,18 +318,6 @@ class TestCertificateValidation:
         bad = LhvCertificate("infeasible", witness=cert.witness._replace(functional=flipped))
         assert not validate_certificate(exact, bad)
 
-    @pytest.mark.parametrize(
-        "table", [SIGNALLING, NOISY_PR_BOX], ids=["signalling", "noisy-pr-box"]
-    )
-    @pytest.mark.parametrize("step", [1, -1])
-    def test_a_reported_gap_or_chsh_off_by_one_over_den_fails(self, table, step):
-        witness = feasibility(table).witness
-        field = "gap" if witness.kind == "no-signalling" else "chsh"
-        value = getattr(witness, field)
-        shifted = witness._replace(**{field: value + Fraction(step, value.denominator)})
-        assert validate_certificate(table, LhvCertificate("infeasible", witness=witness))
-        assert not validate_certificate(table, LhvCertificate("infeasible", witness=shifted))
-
     def test_an_unknown_kind_fails(self):
         witness = feasibility(SIGNALLING).witness._replace(kind="separating-functional")
         assert not validate_certificate(SIGNALLING, LhvCertificate("infeasible", witness=witness))
@@ -340,8 +345,9 @@ class TestCertificateValidation:
         # an unreadable value (as_fraction None) makes the certificate
         # invalid; a readable one answers as its Fraction form does: a
         # coefficient is set on a cell where Hardy's functional has 1, so
-        # any other coefficient leaves no functional the witness can name
-        def validates(v) -> bool:
+        # any other coefficient leaves no functional the witness can name.
+        # The package and the reference answer alike on every case.
+        def validates(v) -> tuple[bool, bool]:
             if part == "weight":
                 table = table_of_model(LhvModel({ASSIGNMENTS[5]: Fraction(1)}))
                 cert = feasibility(table)
@@ -352,37 +358,31 @@ class TestCertificateValidation:
                 witness = feasibility(table).witness
                 functional = {**witness.functional, ("d1u2", 1, 0): v}
                 cert = LhvCertificate("infeasible", witness=witness._replace(functional=functional))
-            return validate_certificate(table, cert)
+            return (validate_certificate(table, cert),
+                    oracle.validate_certificate_reference(table, cert))
 
         if as_fraction is None:
-            assert validates(value) is False
+            assert validates(value) == (False, False)
         else:
             named = part == "weight" or as_fraction == 1
-            assert validates(value) is validates(as_fraction) is named
+            assert validates(value) == validates(as_fraction) == (named, named)
 
     @pytest.mark.parametrize(
-        "table, tamper",
+        "table, kind",
         [
-            (NOISY_PR_BOX, lambda w, value: w._replace(
-                kind="no-signalling", chsh=None, observable="d1", gap=-value)),
-            (NOISY_PR_BOX, lambda w, value: w._replace(kind="deduction-chain", chsh=None)),
-            (SIGNALLING, lambda w, value: w._replace(
-                kind="chsh-facet", observable=None, gap=None, chsh=2 - 4 * value)),
-            (SIGNALLING, lambda w, value: w._replace(observable="u2")),
-            (SIGNALLING_HARDY, lambda w, value: w._replace(
-                kind="chsh-facet", chain=None, chsh=2 - 4 * value)),
-            (claimed_hardy_table(), lambda w, value: w._replace(chain=None)),
-            (claimed_hardy_table(), lambda w, value: w._replace(chain=replay_deductions(
-                HardyClaimSet(Fraction(1, 8), 1, 1, 0), 0.0).steps)),
+            (NOISY_PR_BOX, "no-signalling"),
+            (NOISY_PR_BOX, "deduction-chain"),
+            (SIGNALLING, "chsh-facet"),
+            (SIGNALLING_HARDY, "chsh-facet"),
         ],
-        ids=["facet-as-signalling", "facet-as-chain", "signalling-as-facet", "wrong-observable",
-             "chain-as-facet-on-a-signalling-table", "chain-dropped", "chain-of-another-p"],
+        ids=["facet-as-signalling", "facet-as-chain", "signalling-as-facet",
+             "chain-as-facet-on-a-signalling-table"],
     )
-    def test_a_witness_under_a_name_the_table_does_not_earn_fails(self, table, tamper):
-        # each forged witness still separates the table from every
+    def test_a_witness_under_a_name_the_table_does_not_earn_fails(self, table, kind):
+        # each renamed witness still separates the table from every
         # assignment, so only its name can fail it
         witness = feasibility(table).witness
-        forged = tamper(witness, oracle.functional_value(witness.functional, table))
+        forged = witness._replace(kind=kind)
         for validate in (validate_certificate, oracle.validate_certificate_reference):
             assert validate(table, LhvCertificate("infeasible", witness=witness))
             assert not validate(table, LhvCertificate("infeasible", witness=forged))
@@ -425,9 +425,9 @@ class TestRelabelingSymmetry:
         flipped = self.flip_observable(claimed_hardy_table(), "d1")
         cert = feasibility(flipped)
         assert cert.verdict == "infeasible"
-        assert cert.witness.kind == "chsh-facet"
-        assert cert.witness.chsh == Fraction(9, 4)
-        assert cert.witness.chain is None
+        report = cert.to_jsonable(flipped)["witness"]
+        assert (report["kind"], report["chsh"]) == ("chsh-facet", {"num": 9, "den": 4})
+        assert "chain" not in report
         assert validate_certificate(flipped, cert)
 
 
@@ -608,6 +608,11 @@ def signals(exact: dict) -> bool:
     return any(len(set(marginals(exact, o))) > 1 for o in ALICE + BOB)
 
 
+def rational(value: dict) -> Fraction:
+    """A ``{num, den}`` value of a report as a Fraction."""
+    return Fraction(value["num"], value["den"])
+
+
 def chsh_value(exact: dict) -> Fraction:
     """The largest of the 8 CHSH values."""
     corr = {
@@ -755,14 +760,14 @@ class TestHardyPatternDecidesAlone:
         table = claimed_hardy_table()
         cert = decided_without_model(table)
         assert cert.witness.kind == "deduction-chain"
-        assert cert.to_jsonable() == feasibility(table).to_jsonable()
+        assert cert.to_jsonable(table) == feasibility(table).to_jsonable(table)
 
     @settings(max_examples=200, deadline=None)
     @given(table=hardy_pattern_tables())
     def test_drawn_pattern_tables(self, table):
         cert = decided_without_model(table)
         assert cert.witness.kind == "deduction-chain"
-        assert cert.to_jsonable() == feasibility(table).to_jsonable()
+        assert cert.to_jsonable(table) == feasibility(table).to_jsonable(table)
         assert validate_certificate(table, cert)
 
     def test_other_tables_still_reach_the_model_builder(self):
@@ -864,22 +869,6 @@ def tampered_functional(functional: dict, kind: str, data) -> dict:
     return functional
 
 
-def renamed(exact: dict, witness: InfeasibilityWitness, data) -> InfeasibilityWitness:
-    """``witness``'s functional under another kind's name, with the fields
-    that kind reports forged to match the functional's value on the table."""
-    value = oracle.functional_value(witness.functional, exact)
-    kind = data.draw(st.sampled_from(
-        sorted({"deduction-chain", "no-signalling", "chsh-facet"} - {witness.kind})
-    ))
-    if kind == "no-signalling":
-        observable = data.draw(st.sampled_from(oracle.OBSERVABLES))
-        return InfeasibilityWitness(kind, witness.functional, observable=observable, gap=-value)
-    if kind == "chsh-facet":
-        return InfeasibilityWitness(kind, witness.functional, chsh=2 - 4 * value)
-    chain = replay_deductions(HardyClaimSet(exact["d1d2"][1][1], 1, 1, 0), 0.0).steps
-    return InfeasibilityWitness(kind, witness.functional, chain=chain)
-
-
 class TestIntegerValidatorMatchesReference:
     """The integer validator against the Fraction validator it replaced."""
 
@@ -903,16 +892,11 @@ class TestIntegerValidatorMatchesReference:
         else:
             witness = cert.witness
             event(f"witness {witness.kind}")
-            # the value a named witness reports, which the validator re-derives
-            field = {"no-signalling": "gap", "chsh-facet": "chsh"}.get(witness.kind)
             kinds = ["sign-flip", "nudge", "non-cell", "empty", "zero-valued", "rename"]
-            kind = data.draw(st.sampled_from(kinds + [field] if field else kinds))
-            if kind == field:
-                value = getattr(witness, field)
-                step = Fraction(data.draw(st.sampled_from([1, -1])), value.denominator)
-                witness = witness._replace(**{field: value + step})
-            elif kind == "rename":
-                witness = renamed(exact, witness, data)
+            kind = data.draw(st.sampled_from(kinds))
+            if kind == "rename":
+                others = {"deduction-chain", "no-signalling", "chsh-facet"} - {witness.kind}
+                witness = witness._replace(kind=data.draw(st.sampled_from(sorted(others))))
             else:
                 functional = tampered_functional(witness.functional, kind, data)
                 witness = witness._replace(functional=functional)
@@ -960,6 +944,34 @@ class TestRationalizedOnce:
         cert = feasibility(table)
         calls.clear()
         assert validate_certificate(table, cert)
+        assert len(calls) == 1
+
+
+class TestReplayedWhenReported:
+    """The deduction chain is replayed only to be printed: never by
+    ``feasibility`` or ``validate_certificate``, once by ``hardylab lhv``."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return replay_deductions(*args, **kwargs)
+
+        monkeypatch.setattr(lhv, "replay_deductions", counting)
+        return calls
+
+    def test_the_decision_and_its_check_replay_nothing(self, calls):
+        table = claimed_hardy_table()
+        cert = feasibility(table)
+        assert cert.witness.kind == "deduction-chain"
+        assert validate_certificate(table, cert)
+        assert calls == []
+
+    def test_the_paper_claims_report_replays_once(self, calls, capsys):
+        assert main(["lhv", "--source", "paper-claims"]) == 0
+        assert '"deduction-chain"' in capsys.readouterr().out
         assert len(calls) == 1
 
 
@@ -1047,17 +1059,20 @@ class TestNamedWitnesses:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_kind_and_value(self, name, data):
+        # the numbers a report prints with a witness, against the test side's
         exact = data.draw(TABLE_CLASSES[name])
         cert, built = decided_with_builds(exact)
         assert validate_certificate(exact, cert)
-        if exact["d1d2"][1][1] > 0 and not (
-            exact["d1u2"][1][0] or exact["u1d2"][0][1] or exact["u1u2"][1][1]
-        ):
+        report = cert.to_jsonable(exact).get("witness")
+        p = exact["d1d2"][1][1]
+        if p > 0 and not (exact["d1u2"][1][0] or exact["u1d2"][0][1] or exact["u1u2"][1][1]):
             assert (cert.witness.kind, built) == ("deduction-chain", [])
+            steps = replay_deductions(HardyClaimSet(p, 1, 1, 0), tol=0).steps
+            assert report["chain"] == [step.to_jsonable() for step in steps]
         elif signals(exact):
             assert (cert.witness.kind, built) == ("no-signalling", [])
-            first, second = marginals(exact, cert.witness.observable)
-            assert cert.witness.gap == abs(first - second) > 0
+            first, second = marginals(exact, report["observable"])
+            assert rational(report["gap"]) == abs(first - second) > 0
         else:
             assert len(built) == 1
             assert (built[0] is None) == (cert.verdict == "infeasible") == (not fine_local(exact))
@@ -1065,16 +1080,17 @@ class TestNamedWitnesses:
                 event("local: the model builder built it")
                 return
             assert cert.witness.kind == "chsh-facet"
-            assert cert.witness.chsh == chsh_value(exact) > 2
+            assert rational(report["chsh"]) == chsh_value(exact) > 2
         event(cert.witness.kind)
 
     def test_signalling_table(self):
-        witness = decided_without_model(SIGNALLING).witness
-        assert (witness.kind, witness.observable, witness.gap) == (
+        cert = decided_without_model(SIGNALLING)
+        report = cert.to_jsonable(SIGNALLING)["witness"]
+        assert (report["kind"], report["observable"], rational(report["gap"])) == (
             "no-signalling", "u1", Fraction(1, 4)
         )
         # +(P(U1=1) in u1d2 - P(U1=1) in u1u2): 0 on every assignment
-        assert witness.functional == {
+        assert cert.witness.functional == {
             ("u1d2", 1, 0): 1, ("u1d2", 1, 1): 1, ("u1u2", 1, 0): -1, ("u1u2", 1, 1): -1,
         }
 
@@ -1085,7 +1101,8 @@ class TestNamedWitnesses:
         # own functional is the facet, at -7/16 + 1/16 + 1/16 + 1/16 = -1/4,
         # so CHSH = 2 + 4/4 = 3
         cert, built = decided_with_builds(NOISY_PR_BOX)
-        assert (built, cert.witness.kind, cert.witness.chsh) == ([None], "chsh-facet", 3)
+        chsh = rational(cert.to_jsonable(NOISY_PR_BOX)["witness"]["chsh"])
+        assert (built, cert.witness.kind, chsh) == ([None], "chsh-facet", 3)
         assert cert.witness.functional == {
             ("d1d2", 1, 1): -1, ("d1u2", 1, 0): 1, ("u1d2", 0, 1): 1, ("u1u2", 1, 1): 1,
         }
