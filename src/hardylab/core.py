@@ -5,8 +5,9 @@ Every amplitude in this construction is an integer times a power of
 with integer ``amps`` stands for ``amps / sqrt(norm2)``, and a unit state's
 ``norm2`` is the squared length of ``amps``.  Every observable is a
 rank-one projector onto such a state on its own slots, identity on the
-rest.  Probabilities come out as exact :class:`~fractions.Fraction`\\ s,
-so zero means exact zero and no tolerance enters the algebra.
+rest.  A probability is an exact integer weight ``(num, den)``, and a
+:class:`~fractions.Fraction` is built from it only for a value that is
+reported, so zero means exact zero and no tolerance enters the algebra.
 
 States carry explicit slot labels (drawn from A, 1, 2, B), so tensor
 factors can never be silently reordered.  Basis convention: each qubit
@@ -63,6 +64,13 @@ class ZeroProbabilityError(HardyLabError):
 
 class NonCommutingError(HardyLabError):
     """A jointly measured pair of observables does not commute."""
+
+
+def check_tolerance(tol: float) -> float:
+    """Return ``tol`` if it is finite and >= 0 (0 compares exactly)."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise HardyLabError(f"a tolerance must be finite and >= 0, got {tol!r}")
+    return tol
 
 
 @cache
@@ -228,12 +236,18 @@ def apply(op: ObservableOp, s: StateVector) -> StateVector:
     return StateVector.raw(amps, s.slots, op.target.norm2**2 * s.norm2)
 
 
+def born_weight(op: ObservableOp, s: StateVector) -> tuple[int, int]:
+    """Exact probability of the projective outcome ``op`` on unit ``s``,
+    as integers ``(num, den)`` with ``den > 0``, not reduced."""
+    if not s.normalized:
+        raise NormalizationError("the Born rule requires a normalized state")
+    w = partial_overlap(op.target, s)
+    return sum(map(mul, w, w)), op.target.norm2 * s.norm2
+
+
 def born_probability(op: ObservableOp, s: StateVector) -> Fraction:
     """Exact probability of the projective outcome ``op`` on unit ``s``."""
-    if not s.normalized:
-        raise NormalizationError("born_probability requires a normalized state")
-    w = partial_overlap(op.target, s)
-    return Fraction(sum(map(mul, w, w)), op.target.norm2 * s.norm2)
+    return Fraction(*born_weight(op, s))
 
 
 def collapse(op: ObservableOp, s: StateVector) -> tuple[Fraction, StateVector]:

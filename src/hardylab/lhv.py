@@ -30,7 +30,7 @@ from itertools import product
 from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
-from .core import CONTEXT_KEYS, TOLERANCE, Frozen, HardyClaimSet, HardyLabError
+from .core import CONTEXT_KEYS, TOLERANCE, Frozen, HardyClaimSet, HardyLabError, check_tolerance
 
 #: Denominator bound used when converting float tables to exact rationals.
 MAX_DENOMINATOR = 2**20
@@ -138,6 +138,7 @@ def rationalize_table(table: Table, tol: float = TOLERANCE) -> ExactTable:
     each context must sum to exactly 1, checked on integers over its
     common denominator.  Anything else raises a :class:`HardyLabError`.
     """
+    check_tolerance(tol)
     if not isinstance(table, dict) or table.keys() != set(CONTEXT_KEYS):
         raise MalformedTableError(f"a table is a dict of exactly the contexts {CONTEXT_KEYS}")
     exact: ExactTable = {}
@@ -255,6 +256,7 @@ def replay_deductions(claims: HardyClaimSet, tol: float = TOLERANCE) -> Deductio
     records each step; if a premise fails, later steps are not reached and
     ``halted_at`` names the first rule that could not fire.
     """
+    check_tolerance(tol)
     shown = {key: _shown(value) for key, value in claims._asdict().items()}
     steps, halted = [], None
     for index, (name, premises, fires) in enumerate(_RULES, 1):

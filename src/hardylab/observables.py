@@ -18,13 +18,16 @@ and the audit measures all four under two explicit readings of U1/U2:
 The two readings genuinely disagree on one conditional; the audit reports
 both and never silently picks one.
 
-Every reported probability is the exact Born probability (a Fraction) of
-one projector on the total state: a D, a U, or the product of a context's
-commuting pair.  A conditional is a joint probability over a marginal,
+Every reported probability is the exact Born probability of one projector
+on the total state: a D, a U, or the product of a context's commuting
+pair.  A conditional is a joint probability over a marginal,
 P(U2=1 | D1=1) = P(D1=1, U2=1) / P(D1=1), and a context's 2x2 table
-follows from its two marginals and its joint.  The 18 distinct operators,
-and the products :func:`audit_pair` takes of their context pairs, are
-built on their first lookup and then reused for the rest of the process.
+follows from its two marginals and its joint.  The audit works on the
+integer Born weights ``(num, den)``: it builds one Fraction per reported
+value and decides each verdict by an integer comparison.  The 18 distinct
+operators, and the products :func:`audit_pair` takes of their context
+pairs, are built on their first lookup and then reused for the rest of
+the process.
 :func:`joint_outcome_table` accepts any operators, so it forms its
 product itself and keeps nothing.  Probabilities and reports are computed
 afresh on every call.
@@ -46,6 +49,8 @@ from .core import (
     ObservableOp,
     StateVector,
     born_probability,
+    born_weight,
+    check_tolerance,
     commutator_norm,
     TOLERANCE,
     partial_overlap,
@@ -147,6 +152,7 @@ def joint_outcome_table(
 CLAIM_TARGETS = HardyClaimSet(
     p_joint=Fraction(1, 16), c_d1u2=Fraction(1), c_d2u1=Fraction(1), p_u1u2=Fraction(0)
 )
+_TARGET_RATIOS = tuple(target.as_integer_ratio() for target in CLAIM_TARGETS)
 
 
 class AuditReport(NamedTuple):
@@ -181,22 +187,19 @@ def audit_pair(
     Each conditional is the joint probability of its context over the
     marginal of the condition (a Bell branch, of weight 1/4).
     """
+    t, s = Fraction(check_tolerance(tol)).as_integer_ratio()
     d1, d2 = context_observables("d1d2", i, j, interp)
     u1, u2 = context_observables("u1u2", i, j, interp)
-
-    def born(op: ObservableOp) -> Fraction:
-        return born_probability(op, TOTAL_STATE)
-
-    measured = HardyClaimSet(
-        p_joint=born(_product(d1, d2)),
-        c_d1u2=born(_product(d1, u2)) / born(d1),
-        c_d2u1=born(_product(u1, d2)) / born(d2),
-        p_u1u2=born(_product(u1, u2)),
-    )
-    tol_v = Fraction(tol)  # the float's exact value, converted once
+    ops = (_product(d1, d2), _product(d1, u2), d1, _product(u1, d2), d2, _product(u1, u2))
+    joint, (a, b), (c, d), (e, f), (g, h), u1u2 = (born_weight(op, TOTAL_STATE) for op in ops)
+    # each value as integers (p, q) standing for p/q; a conditional
+    # (a/b) / (c/d) is a*d / (b*c)
+    values = (joint, (a * d, b * c), (e * h, f * g), u1u2)
+    measured = HardyClaimSet(*(Fraction(p, q) for p, q in values))
+    # |p/q - x/y| <= t/s, cleared of its (positive) denominators
     verdicts = {
-        key: abs(value - target) <= tol_v
-        for key, value, target in zip(HardyClaimSet._fields, measured, CLAIM_TARGETS)
+        key: abs(p * y - x * q) * s <= t * q * y
+        for key, (p, q), (x, y) in zip(HardyClaimSet._fields, values, _TARGET_RATIOS)
     }
     return AuditReport(i, j, interp, measured, verdicts)
 
@@ -238,13 +241,17 @@ def context_observables(
     interp: Interpretation = Interpretation.FIXED_BASIS,
 ) -> tuple[ObservableOp, ObservableOp]:
     """Look up the observable pair of a context token like ``"d1u2"``."""
-    builders = {
-        "d1": lambda: build_d("A1", d1_bell),
-        "d2": lambda: build_d("2B", d2_bell),
-        "u1": lambda: build_u("1", interp, d2_bell),
-        "u2": lambda: build_u("2", interp, d1_bell),
-    }
     key = key.lower()
-    if len(key) != 4 or key[:2] not in builders or key[2:] not in builders:
+    first, second = _TOKENS.get(key[:2]), _TOKENS.get(key[2:])
+    if len(key) != 4 or first is None or second is None:
         raise HardyLabError(f"bad context {key!r}; want two of d1,d2,u1,u2")
-    return builders[key[:2]](), builders[key[2:]]()
+    return first(d1_bell, d2_bell, interp), second(d1_bell, d2_bell, interp)
+
+
+#: Each observable token's lookup, given (d1_bell, d2_bell, interp).
+_TOKENS = {
+    "d1": lambda i, j, interp: build_d("A1", i),
+    "d2": lambda i, j, interp: build_d("2B", j),
+    "u1": lambda i, j, interp: build_u("1", interp, j),
+    "u2": lambda i, j, interp: build_u("2", interp, i),
+}

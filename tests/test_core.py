@@ -2,6 +2,7 @@
 core), tested on its own, and the exact core it is cross-checked against."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -444,3 +445,64 @@ class TestExactCore:
         # <psi-|_(A,1) on the total state leaves -(|+>_2 (|+> + |->)_B)
         overlap = exact.partial_overlap(exact_bell_state(BELL_ORDER[0]), exact_total_state())
         assert overlap == [-1, -1, 0, 0]
+
+
+def lab_operators():
+    """The 18 distinct lab operators and every context product over them."""
+    from hardylab.observables import Interpretation, build_d, build_u, context_observables
+
+    ops = [build_d(pair, index) for pair in ("A1", "2B") for index in BELL_ORDER]
+    ops += [build_u(slot, interp, index)
+            for slot in ("1", "2") for interp in Interpretation for index in BELL_ORDER]
+    ops = list({id(op): op for op in ops}.values())
+    assert len(ops) == 18
+    products = [
+        first @ second
+        for interp in Interpretation for i in BELL_ORDER for j in BELL_ORDER
+        for first, second in (
+            context_observables(key, i, j, interp) for key in ("d1d2", "d1u2", "u1d2", "u1u2")
+        )
+    ]
+    return ops + products
+
+
+class TestBornWeight:
+    def test_probability_is_the_weight_as_a_fraction(self):
+        psi = exact_total_state()
+        for op in lab_operators():
+            num, den = exact.born_weight(op, psi)
+            assert type(num) is int and type(den) is int and den > 0
+            assert exact.born_probability(op, psi) == Fraction(num, den)
+
+    @pytest.mark.parametrize("born", [exact.born_weight, exact.born_probability])
+    def test_a_state_that_is_not_normalized_is_refused(self, born):
+        op = exact_projector((1, 0), ("1",))
+        with pytest.raises(NormalizationError):
+            born(op, exact.StateVector.raw((1, 1), ("1",), 1))
+
+
+class TestCheckTolerance:
+    @pytest.mark.parametrize("tol", [0, 0.0, 1e-12, 0.5, 1, 1e300])
+    def test_finite_nonnegative_tolerances_pass_through(self, tol):
+        assert exact.check_tolerance(tol) is tol
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1, -1e-300])
+    def test_other_tolerances_are_refused_by_name(self, tol):
+        with pytest.raises(exact.HardyLabError, match=re.escape(repr(tol))):
+            exact.check_tolerance(tol)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_every_tolerance_reader_refuses_them(self, tol):
+        # a nan tolerance would let rationalize_table round any float silently
+        from hardylab.lhv import claimed_hardy_table, rationalize_table, replay_deductions
+        from hardylab.observables import Interpretation, audit_pair
+
+        psim = BELL_ORDER[0]
+        calls = [
+            lambda: rationalize_table(claimed_hardy_table(), tol),
+            lambda: audit_pair(psim, psim, Interpretation.FIXED_BASIS, tol),
+            lambda: replay_deductions(exact.HardyClaimSet(1 / 16, 1.0, 1.0, 0.0), tol),
+        ]
+        for call in calls:
+            with pytest.raises(exact.HardyLabError, match=re.escape(repr(tol))):
+                call()

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hardylab.core import (
     NonCommutingError,
     StateVector,
     born_probability,
+    born_weight,
     commutator_norm,
 )
 from hardylab.observables import (
@@ -199,6 +201,28 @@ class TestAuditPair:
                     t["u1u2"][1][1],
                 )
 
+    # the targets as the paper states them, written out here, not read from the package
+    TARGETS = {"p_joint": Fraction(1, 16), "c_d1u2": 1, "c_d2u1": 1, "p_u1u2": 0}
+    MARGIN_TOLS = sorted(
+        {near for tol in (0.0, 1e-12, 0.25, 0.5, 1.0)
+         for near in (tol, math.nextafter(tol, -math.inf), math.nextafter(tol, math.inf))}
+    )
+
+    @pytest.mark.parametrize("tol", MARGIN_TOLS)
+    def test_verdicts_equal_the_exact_comparison_at_the_margins(self, tol):
+        if tol < 0:  # just below zero
+            with pytest.raises(HardyLabError):
+                audit_pair(PSIM, PSIM, Interpretation.FIXED_BASIS, tol)
+            return
+        for interp in Interpretation:
+            for i in BELL_ORDER:
+                for j in BELL_ORDER:
+                    report = audit_pair(i, j, interp, tol)
+                    for key, target in self.TARGETS.items():
+                        value = getattr(report.measured, key)
+                        expected = abs(Fraction(value) - target) <= Fraction(tol)
+                        assert report.verdicts[key] is expected, (i, j, interp, key, tol)
+
     def test_claim_targets(self):
         assert CLAIM_TARGETS.p_joint == 1.0 / 16.0
         assert CLAIM_TARGETS.p_u1u2 == 0.0
@@ -342,6 +366,29 @@ class TestLabIsBuiltOnce:
             table = joint_outcome_table(first, second, TOTAL_STATE)
         assert observables._product.cache_info().currsize == before
         assert [[x * 16 for x in row] for row in table] == FIXED_TABLES_X16["u1u2"]
+
+    @pytest.mark.parametrize("interp", list(Interpretation))
+    def test_an_audit_computes_six_born_weights(self, interp, monkeypatch):
+        from hardylab import observables
+        from hardylab.protocol import TOTAL_STATE
+
+        i, j = PSIM, BellIndex.PHI_PLUS
+        audit_pair(i, j, interp)  # warm
+        weighed = []
+
+        def counting(op, s):
+            weighed.append((op, s))
+            return born_weight(op, s)
+
+        monkeypatch.setattr(observables, "born_weight", counting)
+        monkeypatch.setattr(observables, "born_probability", None)  # unused by the audit
+        audit_pair(i, j, interp)
+        d1, u2 = context_observables("d1u2", i, j, interp)
+        u1, d2 = context_observables("u1d2", i, j, interp)
+        pairs = ((d1, d2), (d1, u2), (u1, d2), (u1, u2))
+        expected = [observables._product(a, b) for a, b in pairs] + [d1, d2]
+        assert all(s is TOTAL_STATE for _, s in weighed)
+        assert sorted(id(op) for op, _ in weighed) == sorted(map(id, expected))
 
     def test_lookups_return_one_object(self):
         for index in BELL_ORDER:
