@@ -135,7 +135,7 @@ def _load_table_source(source: str, tol: float, parser):
     from .lhv import CLAIMED_TABLE_NOTES, claimed_hardy_table, rationalize_table
 
     if source == "paper-claims":
-        exact = claimed_hardy_table()
+        exact = rationalize_table(claimed_hardy_table())
         return exact, {"source": source, "completion": CLAIMED_TABLE_NOTES}
     if source.startswith("quantum:"):
         from .observables import quantum_probability_table
@@ -146,7 +146,7 @@ def _load_table_source(source: str, tol: float, parser):
         d1 = _bell(parts[0].strip(), parser)
         d2 = _bell(parts[1].strip(), parser)
         interp = _interp(parts[2].strip(), parser)
-        exact = quantum_probability_table(d1, d2, interp)
+        exact = rationalize_table(quantum_probability_table(d1, d2, interp))
         return exact, {
             "source": source,
             "d1": d1.value,
@@ -171,16 +171,14 @@ def _load_table_source(source: str, tol: float, parser):
 
 
 def cmd_lhv(args, parser) -> int:
-    from .lhv import feasibility, rational_json
+    from .lhv import feasibility
 
     exact, description = _load_table_source(args.source, args.tolerance, parser)
     # feasibility re-checks its certificate against the table, in integers,
     # and raises (exit 1) if that check fails; a returned one is validated
     cert = feasibility(exact)
     results = {
-        "table": {
-            key: [[rational_json(p) for p in row] for row in grid] for key, grid in exact.items()
-        },
+        "table": exact.to_jsonable(),
         "certificate": cert.to_jsonable(exact),
         "validated": True,
     }

@@ -2,9 +2,9 @@
 
 A local deterministic model assigns a fixed 0/1 value to each of the four
 observables; a local model in general is a probability mixture over the
-16 such assignments.  :func:`feasibility` decides, in exact rational
-arithmetic end to end, whether a given four-context probability table is
-such a mixture, and always emits a machine-checkable certificate:
+16 such assignments.  :func:`feasibility` decides, on integer cells over
+one denominator (:class:`ExactTable`), whether a four-context probability
+table is such a mixture, and always emits a machine-checkable certificate:
 
 * feasible   -> an explicit weight vector reproducing every cell exactly,
   built in closed form by gluing two triangles over a chord (Fine's proof);
@@ -28,6 +28,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from operator import mul
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 from .core import CONTEXT_KEYS, TOLERANCE, Frozen, HardyClaimSet, HardyLabError, check_tolerance
@@ -51,7 +52,6 @@ CELLS: tuple[Cell, ...] = tuple(
 )
 
 Table = dict[str, Sequence[Sequence]]  # as :func:`rationalize_table` accepts it
-ExactTable = dict[str, list[list[Fraction]]]
 
 
 class RationalizationError(HardyLabError):
@@ -60,6 +60,30 @@ class RationalizationError(HardyLabError):
 
 class MalformedTableError(HardyLabError):
     """A probability table fails its shape or normalization contract."""
+
+
+class ExactTable(Frozen):
+    """A validated table, or :class:`MalformedTableError`: the read-only ``n``
+    maps each of the 16 :data:`CELLS`, given as 16 ints in that order, to its
+    numerator >= 0 over ``den``, the lcm of the reduced cell denominators,
+    and each context sums to ``den``."""
+
+    def __init__(self, numerators: Sequence[int], den: int) -> None:
+        ints = [*numerators, den] if isinstance(numerators, (list, tuple)) else []
+        if len(ints) != 17 or set(map(type, ints)) != {int} or den <= 0 or math.gcd(*ints) > 1:
+            raise MalformedTableError("an exact table is 16 int numerators over their lcm den")
+        for key, i in zip(CONTEXT_KEYS, range(0, 16, 4)):
+            context = ints[i : i + 4]
+            if min(context) < 0:  # no value in the message: it may be too long to print
+                raise MalformedTableError(f"negative entry in context {key!r}")
+            if sum(context) != den:
+                raise MalformedTableError(f"context {key!r} does not sum to 1")
+        object.__setattr__(self, "n", MappingProxyType(dict(zip(CELLS, ints))))
+        object.__setattr__(self, "den", den)
+
+    def to_jsonable(self) -> dict:
+        return {key: [[rational_json(Fraction(self.n[key, a, b], self.den)) for b in (0, 1)]
+                      for a in (0, 1)] for key in CONTEXT_KEYS}
 
 
 #: Cell -> its 0/1 row over ASSIGNMENTS: which assignments hit the cell,
@@ -119,72 +143,63 @@ def _nearest_rational(value: float) -> Fraction:
     return Fraction(p0 + k * p1, q0 + k * q1)
 
 
-_LISTS = (list, tuple)
-
-
 def rational_json(value: Fraction) -> dict:
     """An exact rational as reports write it: ``{"num": int, "den": int}``."""
     return {"num": value.numerator, "den": value.denominator}
 
 
 def rationalize_table(table: Table, tol: float = TOLERANCE) -> ExactTable:
-    """Convert a table to exact rationals, refusing to round silently.
+    """Convert a table to its :class:`ExactTable`, refusing to round silently.
 
     The one definition of a table: a dict of exactly the four
     ``CONTEXT_KEYS``, each a 2x2 grid of lists or tuples.  A cell is a
     Fraction, an int (not a bool), ``{"num": int, "den": int}`` with
     ``den > 0``, or a finite float within ``tol`` of a rational with
     denominator at most :data:`MAX_DENOMINATOR`.  Cells must be >= 0 and
-    each context must sum to exactly 1, checked on integers over its
-    common denominator.  Anything else raises a :class:`HardyLabError`.
+    each context must sum to exactly 1, checked in integers.  Anything else
+    raises a :class:`HardyLabError`.  An :class:`ExactTable` is returned as is.
     """
     check_tolerance(tol)
+    if isinstance(table, ExactTable):
+        return table
     if not isinstance(table, dict) or table.keys() != set(CONTEXT_KEYS):
         raise MalformedTableError(f"a table is a dict of exactly the contexts {CONTEXT_KEYS}")
-    exact: ExactTable = {}
+    cells = []  # each cell's reduced (numerator, denominator), in CELLS order
     for key in CONTEXT_KEYS:
         grid = table[key]
-        if not isinstance(grid, _LISTS) or len(grid) != 2 or any(
-            not isinstance(row, _LISTS) or len(row) != 2 for row in grid
-        ):
+        if not (isinstance(grid, (list, tuple)) and len(grid) == 2) or not (
+            isinstance(grid[0], (list, tuple)) and isinstance(grid[1], (list, tuple))
+        ) or len(grid[0]) != 2 or len(grid[1]) != 2:
             raise MalformedTableError(f"context {key!r} is not a 2x2 grid of lists")
-        rows = []
-        for row in grid:
-            out = []
-            for value in row:
-                # Fractions first: they are most of the cells a caller passes
-                if isinstance(value, Fraction):
-                    frac = value
-                elif isinstance(value, float) and math.isfinite(value):
-                    frac = _nearest_rational(value)
-                    if abs(float(frac) - value) > tol:
-                        raise RationalizationError(
-                            f"{value!r} in context {key!r} is not within {tol} of a "
-                            f"rational with denominator <= {MAX_DENOMINATOR}"
-                        )
-                elif type(value) is int:
-                    frac = Fraction(value)
-                elif type(value) is dict and value.keys() == {"num", "den"} and (
-                    type(value["num"]) is type(value["den"]) is int and value["den"] > 0
-                ):
-                    frac = Fraction(value["num"], value["den"])
-                else:
-                    # named by place and type: a cell's repr may hold an int
-                    # too long for str(), which would raise in the message
-                    raise MalformedTableError(
-                        f"bad cell [{len(rows)}][{len(out)}] in context {key!r}: a "
-                        f"{type(value).__name__} (want a Fraction, an int, a finite float, "
-                        "or {num, den} with den > 0)"
+        for value in (*grid[0], *grid[1]):
+            # Fractions first: they are most of the cells a caller passes
+            if isinstance(value, Fraction):
+                cells.append(value.as_integer_ratio())
+            elif isinstance(value, float) and math.isfinite(value):
+                frac = _nearest_rational(value)
+                if abs(float(frac) - value) > tol:
+                    raise RationalizationError(
+                        f"{value!r} in context {key!r} is not within {tol} of a "
+                        f"rational with denominator <= {MAX_DENOMINATOR}"
                     )
-                if frac.numerator < 0:  # no value in the message, as above
-                    raise MalformedTableError(f"negative entry in context {key!r}")
-                out.append(frac)
-            rows.append(out)
-        numerators, den = _on_common_denominator(rows[0] + rows[1])
-        if sum(numerators) != den:
-            raise MalformedTableError(f"context {key!r} does not sum to 1")
-        exact[key] = rows
-    return exact
+                cells.append(frac.as_integer_ratio())
+            elif type(value) is int:
+                cells.append((value, 1))
+            elif type(value) is dict and value.keys() == {"num", "den"} and (
+                type(value["num"]) is type(value["den"]) is int and value["den"] > 0
+            ):
+                g = math.gcd(value["num"], value["den"])
+                cells.append((value["num"] // g, value["den"] // g))
+            else:
+                # named by place and type: a cell's repr may hold an int
+                # too long for str(), which would raise in the message
+                _, a, b = CELLS[len(cells)]
+                raise MalformedTableError(
+                    f"bad cell [{a}][{b}] in context {key!r}: a {type(value).__name__} "
+                    "(want a Fraction, an int, a finite float, or {num, den} with den > 0)"
+                )
+    den = math.lcm(*[q for _, q in cells])
+    return ExactTable([p * (den // q) for p, q in cells], den)
 
 
 # --- deduction replay -----------------------------------------------------
@@ -328,10 +343,11 @@ class InfeasibilityWitness(NamedTuple):
     kind: str
     functional: Mapping[Cell, Fraction]
 
-    def to_jsonable(self, exact: ExactTable) -> dict:
+    def to_jsonable(self, table: Table) -> dict:
         """The witness as a report prints it, with the fields its kind adds
-        read off ``exact``, the table it was validated on."""
-        value = sum(c * exact[key][a][b] for (key, a, b), c in self.functional.items())
+        read off ``table``, the table it was validated on, rationalized."""
+        exact = rationalize_table(table)
+        value = Fraction(sum(c * exact.n[cell] for cell, c in self.functional.items()), exact.den)
         payload = {
             "kind": self.kind,
             "functional": [
@@ -372,14 +388,14 @@ class LhvCertificate(Frozen):
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "witness", witness)
 
-    def to_jsonable(self, exact: ExactTable) -> dict:
-        """The certificate as a report prints it for ``exact``, the table it
+    def to_jsonable(self, table: Table) -> dict:
+        """The certificate as a report prints it for ``table``, the table it
         was validated on (see :meth:`InfeasibilityWitness.to_jsonable`)."""
         out: dict = {"verdict": self.verdict}
         if self.model is not None:
             out["model"] = self.model.to_jsonable()
         if self.witness is not None:
-            out["witness"] = self.witness.to_jsonable(exact)
+            out["witness"] = self.witness.to_jsonable(table)
         return out
 
 
@@ -391,8 +407,7 @@ def _local_model(n: Mapping[Cell, int], den: int) -> dict[Assignment, Fraction] 
 
     Fine's construction (A. Fine, PRL 48, 291 (1982)): glue two triangles
     over a chord, as in N. N. Vorob'ev, Theory Probab. Appl. 7, 147 (1962).
-    ``n`` maps each cell to its numerator over the table's common
-    denominator ``den`` (:func:`_integer_cells`).  The chord is
+    ``n`` and ``den`` are the table's :class:`ExactTable` form.  The chord is
     t = #(d1=1,u1=1), which no context measures.  With p = #(d1=1) and
     r = #(u1=1), each triangle (d1, u1, z), z = d2 or u2, with
     a = #(d1=1,z=1), b = #(u1=1,z=1) and c = #(z=1), has one free cell
@@ -483,7 +498,7 @@ def _hardy_pattern(exact: ExactTable) -> bool:
     """Whether a table shows the Hardy pattern, read off
     :data:`_HARDY_FUNCTIONAL`: its negative cell P(D1=1,D2=1) is > 0 and
     its three positive cells are 0."""
-    p, *zeros = (exact[key][a][b] for key, a, b in _HARDY_FUNCTIONAL)
+    p, *zeros = map(exact.n.__getitem__, _HARDY_FUNCTIONAL)
     return p > 0 and not any(zeros)
 
 
@@ -491,7 +506,7 @@ def _hardy_chain(exact: ExactTable) -> tuple[DeductionStep, ...]:
     """The replayed deduction of a table showing the Hardy pattern.  The
     pattern has p > 0 exactly, so the replay must fire: tol=0 covers p below
     the float tolerance (an int: a Fraction compares with it fast)."""
-    claims = HardyClaimSet(p_joint=exact["d1d2"][1][1], c_d1u2=1, c_d2u1=1, p_u1u2=0)
+    claims = HardyClaimSet(Fraction(exact.n["d1d2", 1, 1], exact.den), 1, 1, 0)
     return replay_deductions(claims, tol=0).steps
 
 
@@ -503,19 +518,13 @@ _MARGINAL_DIFFERENCES: tuple[dict[Cell, int], ...] = tuple(
 )
 
 
-def _integer_cells(exact: ExactTable) -> tuple[dict[Cell, int], int]:
-    """Each cell's numerator over the table's common denominator ``den``."""
-    numerators, den = _on_common_denominator([exact[key][a][b] for (key, a, b) in CELLS])
-    return dict(zip(CELLS, numerators)), den
-
-
 def _value(functional: Mapping[Cell, int], n: Mapping[Cell, int]) -> int:
-    """A functional's value on the :func:`_integer_cells` ``n``, times ``den``."""
+    """A functional's value on the :class:`ExactTable` cells ``n``, times ``den``."""
     return sum(c * n[cell] for cell, c in functional.items())
 
 
 def _signalling_witness(n: Mapping[Cell, int]) -> dict[Cell, int] | None:
-    """The first marginal difference < 0 on the :func:`_integer_cells`
+    """The first marginal difference < 0 on the :class:`ExactTable` cells
     ``n``, the ``no-signalling`` witness, or None if the table is
     no-signalling."""
     return next((f for f in _MARGINAL_DIFFERENCES if _value(f, n) < 0), None)
@@ -523,7 +532,7 @@ def _signalling_witness(n: Mapping[Cell, int]) -> dict[Cell, int] | None:
 
 def _facet_witness(n: Mapping[Cell, int]) -> dict[Cell, int]:
     """The relabelled Hardy functional of least value on the
-    :func:`_integer_cells` ``n``, the ``chsh-facet`` witness, whose CHSH
+    :class:`ExactTable` cells ``n``, the ``chsh-facet`` witness, whose CHSH
     value is the largest of the 8."""
     return min(_chsh_facets(), key=lambda f: _value(f, n))
 
@@ -535,14 +544,13 @@ def feasibility(table: Table) -> LhvCertificate:
     raises on one it rejects.  The table is rationalized once at
     :data:`~hardylab.core.TOLERANCE` (a float table can go through
     :func:`rationalize_table` first for another tolerance), and the
-    decision and the re-check both use that exact table.
+    decision and the re-check both read its :class:`ExactTable`.
 
     One chain of four stages, each with its own certificate.  (1) A table
     showing the Hardy pattern (P(D1=1,D2=1) > 0 and the three zero cells)
     gets Hardy's functional, >= 0 on every assignment and < 0 on the table
     (L. Hardy, PRL 71, 1665 (1993)), as a ``deduction-chain`` witness.
-    Stages 2-4 read any other table's :func:`_integer_cells`: (2) a
-    signalling table gets a ``no-signalling`` witness; (3)
+    Stages 2-4: (2) a signalling table gets a ``no-signalling`` witness; (3)
     :func:`_local_model` glues a model by Fine's proof; (4) if no chord
     works, the table violates a CHSH inequality by Fine's theorem (A. Fine,
     PRL 48, 291 (1982)) and gets a ``chsh-facet`` witness.  Every
@@ -554,12 +562,11 @@ def feasibility(table: Table) -> LhvCertificate:
     if _hardy_pattern(exact):
         kind, functional = "deduction-chain", _HARDY_FUNCTIONAL
     else:
-        n, den = _integer_cells(exact)
-        kind, functional = "no-signalling", _signalling_witness(n)
+        kind, functional = "no-signalling", _signalling_witness(exact.n)
         if functional is None:
-            weights = _local_model(n, den)
+            weights = _local_model(exact.n, exact.den)
             if weights is None:
-                kind, functional = "chsh-facet", _facet_witness(n)
+                kind, functional = "chsh-facet", _facet_witness(exact.n)
     if weights is None:
         witness = InfeasibilityWitness(kind, {cell: Fraction(c) for cell, c in functional.items()})
         cert = LhvCertificate("infeasible", witness=witness)
@@ -600,9 +607,9 @@ def validate_certificate(table: Table, cert: LhvCertificate) -> bool:
 def _validate_exact(exact: ExactTable, cert: LhvCertificate) -> bool:
     """:func:`validate_certificate` on a rationalized table.
 
-    The model's weights, the functional's coefficients and the table cells
-    the functional reads are each put on their common denominator once,
-    which is positive, so each check compares integers: the model's
+    The model's weights and the functional's coefficients are each put on
+    their common denominator once; the table already is on its ``den``.
+    Each is positive, so each check compares integers: the model's
     invariants, its cell sums against the table cells by cross-multiplying,
     the functional's value on the table against 0, and its sum over each
     assignment's cells against 0.  Last, the functional, its coefficients
@@ -622,33 +629,28 @@ def _validate_exact(exact: ExactTable, cert: LhvCertificate) -> bool:
             return False
         by_assignment = dict(zip(weights, numerators))
         column = [by_assignment.get(a, 0) for a in ASSIGNMENTS]
-        for (key, a, b), hits in _INCIDENCE.items():
-            p = exact[key][a][b]
-            if sum(map(mul, column, hits)) * p.denominator != p.numerator * den:
-                return False
-        return True
+        return all(sum(map(mul, column, hits)) * exact.den == exact.n[cell] * den
+                   for cell, hits in _INCIDENCE.items())
 
     witness = cert.witness
-    if witness is None or not witness.functional:
-        return False
-    if not witness.functional.keys() <= _INCIDENCE.keys():
+    cells = witness.functional.keys() if witness else ()
+    if not cells or not cells <= _INCIDENCE.keys():
         return False
     try:
         read = _as_fractions(witness.functional.values())
     except (ArithmeticError, TypeError, ValueError):
         return False
     coefficients, _ = _on_common_denominator(read)
-    values, _ = _on_common_denominator([exact[key][a][b] for key, a, b in witness.functional])
-    if sum(map(mul, coefficients, values)) >= 0:
+    if sum(map(mul, coefficients, map(exact.n.__getitem__, cells))) >= 0:
         return False
-    columns = zip(*(_INCIDENCE[cell] for cell in witness.functional))
+    columns = zip(*(_INCIDENCE[cell] for cell in cells))
     if not all(sum(map(mul, coefficients, column)) >= 0 for column in columns):
         return False
     # the functional must be one its kind names on the table
     if witness.kind == "no-signalling":
         named = _MARGINAL_DIFFERENCES
     elif witness.kind == "chsh-facet":
-        named = () if _signalling_witness(_integer_cells(exact)[0]) else _chsh_facets()
+        named = () if _signalling_witness(exact.n) else _chsh_facets()
     elif witness.kind == "deduction-chain" and _hardy_pattern(exact):
         named = (_HARDY_FUNCTIONAL,)
     else:
@@ -659,7 +661,7 @@ def _validate_exact(exact: ExactTable, cert: LhvCertificate) -> bool:
 # --- the advertised-claims table -------------------------------------------
 
 
-def claimed_hardy_table(p_joint: Fraction = Fraction(1, 16)) -> ExactTable:
+def claimed_hardy_table(p_joint: Fraction = Fraction(1, 16)) -> Table:
     """The completed table encoding the advertised Hardy conditions.
 
     The conditions themselves pin only four facts: P(D1=1,D2=1) = p_joint,

@@ -89,8 +89,8 @@ def make_total_state() -> StateVector:
 class Branch(NamedTuple):
     """One Bell outcome of a pair measurement.
 
-    The branch is ``coefficient * residual`` with ``weight`` =
-    |coefficient|^2 exact and ``sign`` its sign.  ``residual`` is the unit
+    The branch is ``sign * sqrt(weight) * residual``, with ``weight`` exact
+    and ``sign`` +1 or -1 (0 for an empty branch).  ``residual`` is the unit
     state left on the unmeasured slots, with its largest-magnitude
     amplitude positive; it is ``None`` for an empty branch, so that
     nothing ever renormalizes a zero vector, and when every slot is
@@ -101,10 +101,6 @@ class Branch(NamedTuple):
     weight: Fraction
     sign: int
     residual: StateVector | None
-
-    @property
-    def coefficient(self) -> float:
-        return self.sign * math.sqrt(self.weight)
 
     @property
     def empty(self) -> bool:

@@ -678,9 +678,9 @@ HARDY_FUNCTIONAL = {("d1d2", 1, 1): -1, ("d1u2", 1, 0): 1, ("u1d2", 0, 1): 1, ("
 OBSERVABLES = ("d1", "d2", "u1", "u2")
 
 
-def functional_value(functional, exact) -> Fraction:
-    """A functional's value on an exact table."""
-    return sum((c * exact[key][a][b] for (key, a, b), c in functional.items()), Fraction(0))
+def functional_value(functional, cells) -> Fraction:
+    """A functional's value on a table's cells, each a Fraction."""
+    return sum((c * cells[cell] for cell, c in functional.items()), Fraction(0))
 
 
 def marginal_functionals(observable: str) -> list[dict]:
@@ -852,6 +852,7 @@ def validate_certificate_reference(table, cert, tol: float | None = None) -> boo
         exact = rationalize_table(table, tolerance(tol))
     except HardyLabError:
         return False
+    cells = {cell: Fraction(exact.n[cell], exact.den) for cell in CELLS}
 
     if cert.verdict == "feasible":
         if cert.model is None:
@@ -863,10 +864,7 @@ def validate_certificate_reference(table, cert, tol: float | None = None) -> boo
             model = LhvModel(dict(zip(cert.model.weights, weights)))  # re-run the invariants
         except HardyLabError:
             return False
-        return all(
-            cell_probability(model, cell) == exact[cell[0]][cell[1]][cell[2]]
-            for cell in CELLS
-        )
+        return all(cell_probability(model, cell) == cells[cell] for cell in CELLS)
 
     witness = cert.witness
     if witness is None or not witness.functional:
@@ -877,7 +875,7 @@ def validate_certificate_reference(table, cert, tol: float | None = None) -> boo
     if coefficients is None:
         return False
     functional = dict(zip(witness.functional, coefficients))
-    if functional_value(functional, exact) >= 0:
+    if functional_value(functional, cells) >= 0:
         return False
     if not all(
         sum((c for cell, c in functional.items() if hits(a, cell)), Fraction(0)) >= 0
@@ -888,12 +886,12 @@ def validate_certificate_reference(table, cert, tol: float | None = None) -> boo
         return any(functional in marginal_functionals(x) for x in OBSERVABLES)
     if witness.kind == "chsh-facet":
         no_signalling = all(
-            functional_value(marginal_functionals(x)[0], exact) == 0 for x in OBSERVABLES
+            functional_value(marginal_functionals(x)[0], cells) == 0 for x in OBSERVABLES
         )
         return no_signalling and functional in chsh_facets()
     if witness.kind == "deduction-chain":
-        p = exact["d1d2"][1][1]
-        pattern = p > 0 and exact["d1u2"][1][0] == exact["u1d2"][0][1] == exact["u1u2"][1][1] == 0
+        p = cells["d1d2", 1, 1]
+        pattern = p > 0 and cells["d1u2", 1, 0] == cells["u1d2", 0, 1] == cells["u1u2", 1, 1] == 0
         return pattern and functional == HARDY_FUNCTIONAL
     return False
 

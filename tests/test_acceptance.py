@@ -60,7 +60,7 @@ def test_criterion_1_expansion_fidelity(capsys):
     expansion = expand_in_bell_basis(make_total_state(), ("A", "1"))
     slot2_targets = {"psi-": "+", "psi+": "+", "phi-": "-", "phi+": "-"}
     for branch in expansion.branches:
-        assert abs(abs(branch.coefficient) - 0.5) <= TOL
+        assert branch.weight == Fraction(1, 4)
         target = ket(slot2_targets[branch.bell.value], ("2",))
         rho = as_float(branch.residual)
         overlap = np.vdot(

@@ -7,6 +7,7 @@ exact primitives are also compared with the float ones on generated
 integer states, slot orders and projectors.
 """
 
+import math
 from itertools import permutations
 
 import numpy as np
@@ -94,7 +95,7 @@ def test_expansion_matches_the_float_expansion(amps, order, pair):
         assert abs(float(got.weight) - abs(ref.coefficient) ** 2) <= 1e-12
         assert got.empty == (abs(ref.coefficient) <= 1e-12)
         if not got.empty:
-            vector = got.coefficient * oracle.as_float(got.residual).amps
+            vector = got.sign * math.sqrt(got.weight) * oracle.as_float(got.residual).amps
             np.testing.assert_allclose(vector, ref.coefficient * ref.residual.amps, atol=1e-12)
 
 

@@ -14,6 +14,7 @@ from hardylab.lhv import (
     ASSIGNMENTS,
     CELLS,
     MAX_DENOMINATOR,
+    ExactTable,
     InfeasibilityWitness,
     LhvCertificate,
     LhvModel,
@@ -21,7 +22,6 @@ from hardylab.lhv import (
     RationalizationError,
     claimed_hardy_table,
     feasibility,
-    _integer_cells,
     _local_model,
     _nearest_rational,
     _validate_exact,
@@ -58,10 +58,21 @@ def random_model(seed: int) -> LhvModel:
     return LhvModel({a: w / total for a, w in zip(ASSIGNMENTS, raw)})
 
 
-def linprog_feasible(exact: dict) -> bool:
+def grid(table) -> dict:
+    """Any table as a grid of Fractions: each cell of its :class:`ExactTable`
+    read as ``Fraction(n[cell], den)``."""
+    exact = rationalize_table(table)
+    return {
+        key: [[Fraction(exact.n[key, a, b], exact.den) for b in (0, 1)] for a in (0, 1)]
+        for key in CONTEXT_KEYS
+    }
+
+
+def linprog_feasible(table) -> bool:
     """Independent feasibility oracle: float LP over the same polytope."""
+    exact = rationalize_table(table)
     a_eq = [[float(oracle.hits(a, cell)) for a in oracle.ASSIGNMENTS] for cell in CELLS]
-    b_eq = [float(exact[key][i][j]) for (key, i, j) in CELLS]
+    b_eq = [float(Fraction(exact.n[cell], exact.den)) for cell in CELLS]
     res = linprog(
         c=[0.0] * 16, A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * 16, method="highs"
     )
@@ -219,8 +230,7 @@ class TestQuantumTables:
         # these single-pair statistics admit a local model
         assert cert.verdict == "feasible"
         for cell in CELLS:
-            key, a, b = cell
-            assert oracle.cell_probability(cert.model, cell) == exact[key][a][b]
+            assert oracle.cell_probability(cert.model, cell) == Fraction(exact.n[cell], exact.den)
 
 
 class TestFeasibilityOnMixtures:
@@ -435,8 +445,8 @@ class TestRationalization:
     def test_exact_dyadic_floats_pass(self):
         table = quantum_probability_table(PSIM, PSIM, Interpretation.FIXED_BASIS)
         exact = rationalize_table(table)
-        assert exact["d1d2"][1][1] == Fraction(1, 16)
-        assert exact["u1u2"][1][1] == 0
+        assert Fraction(exact.n["d1d2", 1, 1], exact.den) == Fraction(1, 16)
+        assert exact.n["u1u2", 1, 1] == 0
 
     def test_denominator_bound_is_enforced(self):
         # 3/2^21 is exactly representable but needs a denominator beyond 2^20
@@ -514,6 +524,70 @@ class TestOneTableContract:
         assert validate_certificate(table, cert) is False
         with pytest.raises(MalformedTableError):
             feasibility(table)
+
+
+#: The numerators of DETERMINISTIC's ExactTable, in CELLS order, over den 1.
+ONES = [int(cell[1:] == (1, 1)) for cell in CELLS]
+
+
+def changed(index: int, value) -> list:
+    """ONES with the numerator at ``index`` set to ``value``."""
+    return [value if i == index else v for i, v in enumerate(ONES)]
+
+
+#: (numerators, den) pairs that break the ExactTable contract, and whether
+#: the same cells can be written as a table of {num, den} cells.
+BROKEN_FORMS = {
+    "den-0": (ONES, 0, True),
+    "den-negative": ([-v for v in ONES], -1, True),
+    "den-float": (ONES, 1.0, True),
+    "den-bool": (ONES, True, True),
+    "missing-cell": (ONES[:-1], 1, False),
+    "extra-cell": (ONES + [0], 1, False),
+    "negative-cell": ([-1, 1, *ONES[2:]], 1, True),
+    "float-cell": (changed(3, 1.0), 1, True),
+    "bool-cell": (changed(3, True), 1, True),
+    "fraction-cell": (changed(3, Fraction(1)), 1, True),
+    "context-sums-to-2": (changed(8, 1), 1, True),
+    "context-sums-to-0": (changed(11, 0), 1, True),
+    "den-not-least": ([2 * v for v in ONES], 2, False),
+    "a-mapping": (dict(zip(CELLS, ONES)), 1, False),
+    "none": (None, 1, False),
+}
+
+
+class TestExactTableContract:
+    """An :class:`ExactTable` holds only a valid table in its one form: a
+    hand-built one that breaks the contract cannot be built."""
+
+    @pytest.mark.parametrize("name", sorted(BROKEN_FORMS))
+    def test_a_broken_form_cannot_be_built(self, name):
+        numerators, den, _ = BROKEN_FORMS[name]
+        with pytest.raises(MalformedTableError):
+            ExactTable(numerators, den)
+
+    @pytest.mark.parametrize("name", sorted(k for k, v in BROKEN_FORMS.items() if v[2]))
+    def test_its_cells_as_a_table_are_refused_by_both(self, name):
+        numerators, den, _ = BROKEN_FORMS[name]
+        n = dict(zip(CELLS, numerators))
+        table = {
+            key: [[{"num": n[key, a, b], "den": den} for b in (0, 1)] for a in (0, 1)]
+            for key in CONTEXT_KEYS
+        }
+        assert validate_certificate(table, feasibility(DETERMINISTIC)) is False
+        with pytest.raises(MalformedTableError):
+            feasibility(table)
+
+    def test_a_built_form_is_the_parse_and_cannot_be_changed(self):
+        exact = ExactTable(ONES, 1)
+        assert (dict(exact.n), exact.den) == (dict(zip(CELLS, ONES)), 1)
+        parsed = rationalize_table(DETERMINISTIC)
+        assert (parsed.n, parsed.den) == (exact.n, exact.den)
+        with pytest.raises(TypeError):
+            exact.n["d1d2", 1, 1] = 2
+        with pytest.raises(AttributeError):
+            exact.den = 2
+        assert validate_certificate(exact, feasibility(exact))
 
 
 # --- generated tables for the property tests --------------------------------
@@ -697,7 +771,8 @@ class TestLocalModelMatchesReference:
     @given(data=st.data())
     def test_same_verdict_and_a_valid_model(self, name, data):
         exact = data.draw(TABLE_CLASSES[name])
-        cells = [exact[key][a][b] for (key, a, b) in CELLS]
+        form = rationalize_table(exact)
+        cells = [Fraction(form.n[cell], form.den) for cell in CELLS]
         x, _ = oracle.phase1_simplex(self.COLUMNS, cells)
         cert = feasibility(exact)
         assert (cert.verdict == "feasible") == (x is not None)
@@ -706,12 +781,11 @@ class TestLocalModelMatchesReference:
             assert x is None
         if x is None:
             return
-        weights = _local_model(*_integer_cells(exact))
+        weights = _local_model(form.n, form.den)
         assert weights == cert.model.weights
-        assert _validate_exact(exact, cert)
+        assert _validate_exact(form, cert)
         assert oracle.validate_certificate_reference(exact, cert)
-        den = math.lcm(*(c.denominator for c in cells))
-        assert all(type(w) is Fraction and den % w.denominator == 0 for w in weights.values())
+        assert all(type(w) is Fraction and form.den % w.denominator == 0 for w in weights.values())
         assert sum(w != 0 for w in weights.values()) <= 12
 
     @settings(max_examples=350, deadline=None)
@@ -719,7 +793,8 @@ class TestLocalModelMatchesReference:
     def test_a_model_exists_iff_fine_says_local(self, exact):
         # Fine's theorem, checked constructively
         local = fine_local(exact)
-        weights = _local_model(*_integer_cells(exact))
+        form = rationalize_table(exact)
+        weights = _local_model(form.n, form.den)
         assert (weights is not None) == local
         event("local" if local else "not local")
 
@@ -820,9 +895,9 @@ class TestNearestRational:
     @settings(max_examples=200, deadline=None)
     @given(exact=tables_at_the_bound())
     def test_cells_of_tables_at_the_bound(self, exact):
-        for grid in exact.values():
-            for cell in (c for row in grid for c in row):
-                assert _nearest_rational(float(cell)) == stdlib_nearest(float(cell)) == cell
+        for cell in CELLS:
+            value = Fraction(exact.n[cell], exact.den)
+            assert _nearest_rational(float(value)) == stdlib_nearest(float(value)) == value
 
 
 def tampered_model(weights: dict, kind: str, data) -> dict:
@@ -913,17 +988,20 @@ class TestIntegerValidatorMatchesReference:
 
 
 class TestRationalizedOnce:
-    """One ``feasibility`` or ``validate_certificate`` call rationalizes once."""
+    """One ``feasibility`` or ``validate_certificate`` call parses its table
+    once, and an :class:`ExactTable` passed back is not parsed again.  Each
+    parse ends in building one ``ExactTable``, so that is what is counted."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = []
+        build = ExactTable.__init__
 
-        def counting(*args, **kwargs):
+        def counting(self, *args):
             calls.append(args)
-            return rationalize_table(*args, **kwargs)
+            build(self, *args)
 
-        monkeypatch.setattr(lhv, "rationalize_table", counting)
+        monkeypatch.setattr(ExactTable, "__init__", counting)
         return calls
 
     @staticmethod
@@ -944,6 +1022,16 @@ class TestRationalizedOnce:
         cert = feasibility(table)
         calls.clear()
         assert validate_certificate(table, cert)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("verdict", ["feasible", "infeasible"])
+    def test_an_exact_table_is_not_parsed_again(self, calls, verdict):
+        exact = rationalize_table(self.float_table(verdict))
+        assert len(calls) == 1
+        cert = feasibility(exact)
+        assert rationalize_table(exact) is exact
+        assert validate_certificate(exact, cert)
+        assert cert.to_jsonable(exact)["verdict"] == verdict
         assert len(calls) == 1
 
 
@@ -976,10 +1064,10 @@ class TestReplayedWhenReported:
 
 
 class TestOneDenominatorPerPass:
-    """A local table's numbers go on a common denominator once per pass:
-    ``feasibility`` makes 4 calls for the contexts, 1 for the cells, 1 for
-    the model and 1 for its re-check; ``validate_certificate`` makes 4 and
-    1."""
+    """A local table is on one denominator from its parse on, so only the
+    model's weights go on a common denominator: ``feasibility`` makes 1
+    call for the model and 1 for its re-check, ``validate_certificate``
+    makes 1."""
 
     LOCAL = {
         "quantum": quantum_probability_table(PSIM, PSIM, Interpretation.COLLAPSED_STATE),
@@ -1004,10 +1092,10 @@ class TestOneDenominatorPerPass:
         table = self.LOCAL[name]
         cert = feasibility(table)
         assert cert.verdict == "feasible"
-        assert len(calls) <= 7
+        assert len(calls) == 2
         calls.clear()
         assert validate_certificate(table, cert)
-        assert len(calls) <= 5
+        assert len(calls) == 1
 
 
 # --- Fine's theorem ---------------------------------------------------------
@@ -1064,23 +1152,24 @@ class TestNamedWitnesses:
         cert, built = decided_with_builds(exact)
         assert validate_certificate(exact, cert)
         report = cert.to_jsonable(exact).get("witness")
-        p = exact["d1d2"][1][1]
-        if p > 0 and not (exact["d1u2"][1][0] or exact["u1d2"][0][1] or exact["u1u2"][1][1]):
+        table = grid(exact)
+        p = table["d1d2"][1][1]
+        if p > 0 and not (table["d1u2"][1][0] or table["u1d2"][0][1] or table["u1u2"][1][1]):
             assert (cert.witness.kind, built) == ("deduction-chain", [])
             steps = replay_deductions(HardyClaimSet(p, 1, 1, 0), tol=0).steps
             assert report["chain"] == [step.to_jsonable() for step in steps]
-        elif signals(exact):
+        elif signals(table):
             assert (cert.witness.kind, built) == ("no-signalling", [])
-            first, second = marginals(exact, report["observable"])
+            first, second = marginals(table, report["observable"])
             assert rational(report["gap"]) == abs(first - second) > 0
         else:
             assert len(built) == 1
-            assert (built[0] is None) == (cert.verdict == "infeasible") == (not fine_local(exact))
+            assert (built[0] is None) == (cert.verdict == "infeasible") == (not fine_local(table))
             if cert.verdict == "feasible":
                 event("local: the model builder built it")
                 return
             assert cert.witness.kind == "chsh-facet"
-            assert rational(report["chsh"]) == chsh_value(exact) > 2
+            assert rational(report["chsh"]) == chsh_value(table) > 2
         event(cert.witness.kind)
 
     def test_signalling_table(self):

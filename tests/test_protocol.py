@@ -103,7 +103,7 @@ class TestExpansion:
         exp = expand_in_bell_basis(make_total_state(), ("A", "1"))
         assert exp.residual_slots == ("2", "B")
         br = exp.branch(BellIndex.PSI_MINUS)
-        assert abs(abs(br.coefficient) - 0.5) <= TOL
+        assert br.weight == Fraction(1, 4)
         residual = as_float(br.residual)
         assert reduced_projector_fidelity(residual, "2", ket("+", ("2",))) == pytest.approx(1.0, abs=TOL)
         b_state = as_float(make_ancillas()[1])
@@ -126,7 +126,7 @@ class TestExpansion:
         exp = expand_in_bell_basis(make_total_state(), ("2", "B"))
         assert exp.residual_slots == ("A", "1")
         br = exp.branch(BellIndex.PSI_MINUS)
-        assert abs(abs(br.coefficient) - 0.5) <= TOL
+        assert br.weight == Fraction(1, 4)
         xplus = StateVector(np.array([1, 1], dtype=complex) / SQRT2, ("1",))
         assert reduced_projector_fidelity(as_float(br.residual), "1", xplus) == pytest.approx(1.0, abs=TOL)
 
@@ -134,18 +134,18 @@ class TestExpansion:
         for pair in (("A", "1"), ("2", "B")):
             exp = expand_in_bell_basis(make_total_state(), pair)
             for br in exp.branches:
-                assert abs(abs(br.coefficient) ** 2 - 0.25) <= TOL
-                assert br.weight == Fraction(1, 4)
+                assert (br.weight, abs(br.sign)) == (Fraction(1, 4), 1)
 
     def test_split_convention_matches_the_float_expansion(self):
         # each residual's first largest-magnitude amplitude is positive, and
-        # the coefficient carries the sign, as in the float layer
+        # the branch carries the sign, as the float layer's coefficient does
         for pair in (("A", "1"), ("2", "B")):
             exact = expand_in_bell_basis(make_total_state(), pair)
             floats = oracle.expand_in_bell_basis(oracle.make_total_state(), pair)
             for got, ref in zip(exact.branches, floats.branches):
                 assert max(got.residual.amps, key=abs) > 0
-                assert got.coefficient == pytest.approx(ref.coefficient.real, abs=TOL)
+                assert got.weight == Fraction(1, 4)
+                assert got.sign == np.sign(ref.coefficient.real)
                 np.testing.assert_allclose(as_float(got.residual).amps, ref.residual.amps, atol=TOL)
         psim = expand_in_bell_basis(make_total_state(), ("A", "1")).branch(BellIndex.PSI_MINUS)
         assert (psim.sign, psim.residual.amps) == (-1, (1, 1, 0, 0))
@@ -154,7 +154,7 @@ class TestExpansion:
         for index in BELL_ORDER:
             exp = expand_in_bell_basis(bell_state(index, ("1", "2")), ("1", "2"))
             br = exp.branch(index)
-            assert abs(abs(br.coefficient) - 1.0) <= TOL
+            assert (br.weight, br.sign) == (1, 1)
             assert br.residual is None
             others = [b for b in exp.branches if b.bell is not index]
             assert all(b.empty for b in others)
