@@ -31,6 +31,11 @@ CASES = {
     "audit_pair_collapsed": ["audit", "--d1", "phi+", "--d2", "psi-", "--interp", "collapsed"],
     # c_d2u1 = 1/2, so the deduction replay halts at step 3
     "audit_pair_fixed": ["audit", "--d1", "psi-", "--d2", "psi-", "--interp", "fixed"],
+    # every verdict passes, c_d2u1 = 1/2 sits exactly on the margin, and the
+    # replay halts at step 1: 1/16 is not > 0.5
+    "audit_pair_fixed_margin": [
+        "audit", "--d1", "psi-", "--d2", "psi-", "--interp", "fixed", "--tolerance", "0.5",
+    ],
     "expand_A1": ["expand", "--slots", "A1"],
     "expand_2B": ["expand", "--slots", "2B"],
     "expand_2B_table": ["expand", "--slots", "2B", "--format", "table"],
@@ -41,6 +46,9 @@ CASES = {
     "lhv_file_feasible": ["lhv", "--source", "file:tests/golden/table_feasible.json"],
     # a noisy PR box (visibility 3/4): no-signalling, with CHSH = 3
     "lhv_file_chsh": ["lhv", "--source", "file:tests/golden/table_chsh.json"],
+    # float cells of thirds and sevenths (a product table): each lies well
+    # inside the tolerance of its 21sts
+    "lhv_file_non_dyadic": ["lhv", "--source", "file:tests/golden/table_non_dyadic.json"],
     # a degenerate context: one projector measured twice
     "sample_d1d1": ["sample", "--context", "d1d1", "--shots", "1000", "--seed", "7"],
     "sample_u1u2_collapsed": [
