@@ -16,9 +16,10 @@ amplitudes are stored row-major with the first slot label as the most
 significant bit.  The canonical full slot order is (A, 1, 2, B).
 
 The module also holds what the audit and the LHV side share: the four
-context keys of a probability table and :class:`HardyClaimSet`.  Records
-that validate their fields derive from :class:`Frozen`, which refuses
-assignment once ``__init__`` has run; the others are named tuples.
+context keys of a table, :class:`HardyClaimSet` with the paper's targets,
+and the one tolerance rule :func:`within_tolerance`.  Records that validate
+their fields derive from :class:`Frozen`, which refuses assignment once
+``__init__`` has run; the others are named tuples.
 """
 
 from __future__ import annotations
@@ -35,10 +36,9 @@ CANONICAL_SLOTS = ("A", "1", "2", "B")
 #: The four measurement contexts of a probability table, in report order.
 CONTEXT_KEYS = ("d1d2", "d1u2", "u1d2", "u1u2")
 
-#: Default comparison tolerance.  It is read only where a value is compared
-#: against a target (the audit's verdicts, the deduction replay) and where
-#: a float table cell is rationalized, each of which takes it as an
-#: argument; the exact algebra here never reads it.
+#: Default comparison tolerance, read only as an argument of the audit's
+#: verdicts, the deduction replay and the check of a float table cell, which
+#: all decide by :func:`within_tolerance`; the exact algebra never reads it.
 TOLERANCE = 1e-12
 
 
@@ -67,10 +67,19 @@ class NonCommutingError(HardyLabError):
 
 
 def check_tolerance(tol: float) -> float:
-    """Return ``tol`` if it is finite and >= 0 (0 compares exactly)."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise HardyLabError(f"a tolerance must be finite and >= 0, got {tol!r}")
+    """Return ``tol`` if it is a finite int, float or Fraction >= 0 (0 compares exactly)."""
+    if not (hasattr(tol, "as_integer_ratio") and 0 <= tol < math.inf):
+        raise HardyLabError(f"a tolerance must be a finite int, float or Fraction >= 0: {tol!r}")
     return tol
+
+
+def within_tolerance(value: tuple, target: tuple, tol: tuple) -> bool:
+    """Whether ``|p/q - x/y| <= t/s`` for the integer ratios ``value``,
+    ``target``, ``tol`` = ``(p, q)``, ``(x, y)``, ``(t, s)``, denominators > 0:
+    the one rule for the audit's verdicts, the replay's certainties and float
+    table cells, each float read exactly, as its ``as_integer_ratio()``."""
+    (p, q), (x, y), (t, s) = value, target, tol
+    return abs(p * y - x * q) * s <= t * q * y  # cleared of the denominators
 
 
 @cache
@@ -293,3 +302,8 @@ class HardyClaimSet(NamedTuple):
 
     def to_jsonable(self) -> dict:
         return {key: float(value) for key, value in self._asdict().items()}
+
+
+#: The advertised values the audit compares against, and their integer ratios.
+CLAIM_TARGETS = HardyClaimSet(Fraction(1, 16), Fraction(1), Fraction(1), Fraction(0))
+TARGET_RATIOS = {key: target.as_integer_ratio() for key, target in CLAIM_TARGETS._asdict().items()}

@@ -31,7 +31,8 @@ from operator import mul
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
-from .core import CONTEXT_KEYS, TOLERANCE, Frozen, HardyClaimSet, HardyLabError, check_tolerance
+from .core import CONTEXT_KEYS, TARGET_RATIOS, TOLERANCE, Frozen, HardyClaimSet, HardyLabError
+from .core import check_tolerance, within_tolerance
 
 #: Denominator bound used when converting float tables to exact rationals.
 MAX_DENOMINATOR = 2**20
@@ -154,12 +155,13 @@ def rationalize_table(table: Table, tol: float = TOLERANCE) -> ExactTable:
     The one definition of a table: a dict of exactly the four
     ``CONTEXT_KEYS``, each a 2x2 grid of lists or tuples.  A cell is a
     Fraction, an int (not a bool), ``{"num": int, "den": int}`` with
-    ``den > 0``, or a finite float within ``tol`` of a rational with
-    denominator at most :data:`MAX_DENOMINATOR`.  Cells must be >= 0 and
-    each context must sum to exactly 1, checked in integers.  Anything else
-    raises a :class:`HardyLabError`.  An :class:`ExactTable` is returned as is.
+    ``den > 0``, or a finite float whose exact value lies within ``tol`` of
+    a rational with denominator <= :data:`MAX_DENOMINATOR` (decided by
+    :func:`~hardylab.core.within_tolerance`).  Cells must be >= 0 and each
+    context must sum to 1 exactly, in integers.  Anything else raises a
+    :class:`HardyLabError`.  An :class:`ExactTable` is returned as is.
     """
-    check_tolerance(tol)
+    tol_ratio = check_tolerance(tol).as_integer_ratio()
     if isinstance(table, ExactTable):
         return table
     if not isinstance(table, dict) or table.keys() != set(CONTEXT_KEYS):
@@ -176,13 +178,13 @@ def rationalize_table(table: Table, tol: float = TOLERANCE) -> ExactTable:
             if isinstance(value, Fraction):
                 cells.append(value.as_integer_ratio())
             elif isinstance(value, float) and math.isfinite(value):
-                frac = _nearest_rational(value)
-                if abs(float(frac) - value) > tol:
+                cell = _nearest_rational(value).as_integer_ratio()
+                if not within_tolerance(value.as_integer_ratio(), cell, tol_ratio):
                     raise RationalizationError(
                         f"{value!r} in context {key!r} is not within {tol} of a "
                         f"rational with denominator <= {MAX_DENOMINATOR}"
                     )
-                cells.append(frac.as_integer_ratio())
+                cells.append(cell)
             elif type(value) is int:
                 cells.append((value, 1))
             elif type(value) is dict and value.keys() == {"num", "den"} and (
@@ -240,36 +242,43 @@ class DeductionTrace(NamedTuple):
         }
 
 
-#: Hardy's four steps in order: each rule's name, its premises (a test of
-#: the claims within the tolerance, with the detail printed when it fails)
-#: and the detail printed when it fires.  Details name claims as fields.
+#: Hardy's four steps in order: each rule's name, its premises (the claim
+#: each tests, with the detail printed when it fails) and the detail printed
+#: when it fires.  Details name claims as fields.
 _RULES = (
     ("U2 is an element of reality", (
-        (lambda c, tol: c.p_joint > tol,
-         "joint D1=D2=1 run has probability {p_joint}; no run to reason about"),
-        (lambda c, tol: abs(c.c_d1u2 - 1.0) <= tol, "P(U2=1|D1=1) = {c_d1u2} is not a certainty"),
+        ("p_joint", "joint D1=D2=1 run has probability {p_joint}; no run to reason about"),
+        ("c_d1u2", "P(U2=1|D1=1) = {c_d1u2} is not a certainty"),
     ), "a D1=D2=1 run exists (probability {p_joint}) and P(U2=1|D1=1) = 1, "
        "so U2=1 is predetermined for it"),
     ("locality transfer", (),
      "the distant choice of measurement cannot change the predetermined U2"),
     ("U1 is an element of reality",
-     ((lambda c, tol: abs(c.c_d2u1 - 1.0) <= tol, "P(U1=1|D2=1) = {c_d2u1} is not a certainty"),),
+     (("c_d2u1", "P(U1=1|D2=1) = {c_d2u1} is not a certainty"),),
      "the same run has D2=1 and P(U1=1|D2=1) = 1, so U1=1 is predetermined"),
     ("joint contradiction",
-     ((lambda c, tol: abs(c.p_u1u2) <= tol,
+     (("p_u1u2",
        "the run would give U1=U2=1, but P(U1=1,U2=1) = {p_u1u2} does not forbid that outcome"),),
      "the run would give U1=U2=1, yet P(U1=1,U2=1) = 0: "
      "the local model contradicts the statistics"),
 )
 
 
+def _certain(claims: HardyClaimSet, key: str, tol: float) -> bool:
+    """Whether a claim lies within ``tol`` of its target; nan or inf does not."""
+    value = getattr(claims, key)
+    return abs(value) < math.inf and within_tolerance(
+        Fraction(value).as_integer_ratio(), TARGET_RATIOS[key], tol.as_integer_ratio())
+
+
 def replay_deductions(claims: HardyClaimSet, tol: float = TOLERANCE) -> DeductionTrace:
     """Replay the element-of-reality argument on a set of claimed values.
 
-    The rules fire only on certainties: the conditionals must equal 1 and
-    the final joint probability must equal 0 (within ``tol``).  The trace
-    records each step; if a premise fails, later steps are not reached and
-    ``halted_at`` names the first rule that could not fire.
+    The rules fire only on certainties: given a run (``p_joint > tol``),
+    the conditionals must equal 1 and the final joint probability 0, within
+    ``tol`` of the exact claim (:func:`~hardylab.core.within_tolerance`).
+    The trace records each step; if a premise fails, later steps are not
+    reached and ``halted_at`` names the first rule that could not fire.
     """
     check_tolerance(tol)
     shown = {key: _shown(value) for key, value in claims._asdict().items()}
@@ -279,8 +288,8 @@ def replay_deductions(claims: HardyClaimSet, tol: float = TOLERANCE) -> Deductio
             steps.append(DeductionStep(index, name, False, "not reached"))
             continue
         detail = fires
-        for holds, failure in premises:
-            if not holds(claims, tol):
+        for key, failure in premises:
+            if not (claims.p_joint > tol if key == "p_joint" else _certain(claims, key, tol)):
                 detail, halted = failure, index
                 break
         steps.append(DeductionStep(index, name, not halted, detail.format_map(shown)))

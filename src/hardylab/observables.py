@@ -24,13 +24,12 @@ pair.  A conditional is a joint probability over a marginal,
 P(U2=1 | D1=1) = P(D1=1, U2=1) / P(D1=1), and a context's 2x2 table
 follows from its two marginals and its joint.  The audit works on the
 integer Born weights ``(num, den)``: it builds one Fraction per reported
-value and decides each verdict by an integer comparison.  The 18 distinct
-operators, and the products :func:`audit_pair` takes of their context
-pairs, are built on their first lookup and then reused for the rest of
-the process.
-:func:`joint_outcome_table` accepts any operators, so it forms its
-product itself and keeps nothing.  Probabilities and reports are computed
-afresh on every call.
+value and decides each verdict by :func:`~hardylab.core.within_tolerance`.
+The 18 distinct operators, and the products :func:`audit_pair` takes of
+their context pairs, are built on their first lookup and then reused for
+the rest of the process.  :func:`joint_outcome_table` accepts any
+operators, so it forms its product itself and keeps nothing.
+Probabilities and reports are computed afresh on every call.
 """
 
 from __future__ import annotations
@@ -41,20 +40,9 @@ from fractions import Fraction
 from functools import cache
 from typing import Mapping, NamedTuple
 
-from .core import (
-    CONTEXT_KEYS,
-    HardyClaimSet,
-    HardyLabError,
-    NonCommutingError,
-    ObservableOp,
-    StateVector,
-    born_probability,
-    born_weight,
-    check_tolerance,
-    commutator_norm,
-    TOLERANCE,
-    partial_overlap,
-)
+from .core import CLAIM_TARGETS, CONTEXT_KEYS, TARGET_RATIOS, TOLERANCE, HardyClaimSet
+from .core import HardyLabError, NonCommutingError, ObservableOp, StateVector, born_probability
+from .core import born_weight, check_tolerance, commutator_norm, partial_overlap, within_tolerance
 from .protocol import BELL_ORDER, PAIR_SLOTS, TOTAL_STATE, BellIndex, bell_expansion, bell_state
 
 
@@ -69,12 +57,6 @@ class Interpretation(Enum):
 # Every entry is built on its first lookup and kept for the process.
 # Entries are immutable (operators and states refuse assignment through
 # core.Frozen), so sharing them is safe.
-
-
-@cache
-def _d(pair_slot: str, index: BellIndex) -> ObservableOp:
-    which = "D1" if pair_slot == "A1" else "D2"
-    return ObservableOp(bell_state(index, PAIR_SLOTS[pair_slot]), f"{which}[{index.value}]")
 
 
 @cache
@@ -96,11 +78,14 @@ def _product(first: ObservableOp, second: ObservableOp) -> ObservableOp:
     return first @ second
 
 
-def build_d(pair_slot: str, index: BellIndex) -> ObservableOp:
-    """Bell-state projector on one station's pair, identity elsewhere."""
+@cache
+def build_d(pair_slot: str, index: BellIndex, /) -> ObservableOp:
+    """Bell-state projector on one station's pair, identity elsewhere.  The
+    arguments are positional, so each pair is one cache entry."""
     if pair_slot not in PAIR_SLOTS:
         raise HardyLabError(f"unknown pair slot {pair_slot!r} (want A1 or 2B)")
-    return _d(pair_slot, index)
+    which = "D1" if pair_slot == "A1" else "D2"
+    return ObservableOp(bell_state(index, PAIR_SLOTS[pair_slot]), f"{which}[{index.value}]")
 
 
 def _pure_slot_state(residual: StateVector, slot: str) -> StateVector:
@@ -148,13 +133,6 @@ def joint_outcome_table(
     return table
 
 
-#: The advertised values the audit compares against.
-CLAIM_TARGETS = HardyClaimSet(
-    p_joint=Fraction(1, 16), c_d1u2=Fraction(1), c_d2u1=Fraction(1), p_u1u2=Fraction(0)
-)
-_TARGET_RATIOS = tuple(target.as_integer_ratio() for target in CLAIM_TARGETS)
-
-
 class AuditReport(NamedTuple):
     d1_bell: BellIndex
     d2_bell: BellIndex
@@ -183,11 +161,12 @@ def audit_pair(
 ) -> AuditReport:
     """Measure all four Hardy quantities for the pair (D1=i, D2=j).
 
-    The values are exact; the verdicts accept |value - target| <= tol.
-    Each conditional is the joint probability of its context over the
-    marginal of the condition (a Bell branch, of weight 1/4).
+    The values are exact; each verdict is |value - target| <= tol, decided
+    by :func:`~hardylab.core.within_tolerance` on integer ratios.  Each
+    conditional is the joint probability of its context over the marginal
+    of the condition (a Bell branch, of weight 1/4).
     """
-    t, s = Fraction(check_tolerance(tol)).as_integer_ratio()
+    tol_ratio = check_tolerance(tol).as_integer_ratio()
     d1, d2 = context_observables("d1d2", i, j, interp)
     u1, u2 = context_observables("u1u2", i, j, interp)
     ops = (_product(d1, d2), _product(d1, u2), d1, _product(u1, d2), d2, _product(u1, u2))
@@ -196,10 +175,9 @@ def audit_pair(
     # (a/b) / (c/d) is a*d / (b*c)
     values = (joint, (a * d, b * c), (e * h, f * g), u1u2)
     measured = HardyClaimSet(*(Fraction(p, q) for p, q in values))
-    # |p/q - x/y| <= t/s, cleared of its (positive) denominators
     verdicts = {
-        key: abs(p * y - x * q) * s <= t * q * y
-        for key, (p, q), (x, y) in zip(HardyClaimSet._fields, values, _TARGET_RATIOS)
+        key: within_tolerance(value, target, tol_ratio)
+        for value, (key, target) in zip(values, TARGET_RATIOS.items())
     }
     return AuditReport(i, j, interp, measured, verdicts)
 

@@ -108,7 +108,6 @@ class Branch(NamedTuple):
 
 
 class BranchExpansion(NamedTuple):
-    source_slots: tuple[str, ...]
     measured_slots: tuple[str, str]
     residual_slots: tuple[str, ...]
     branches: tuple[Branch, ...]
@@ -156,7 +155,7 @@ def expand_in_bell_basis(s: StateVector, slots: tuple[str, str]) -> BranchExpans
     weight = sum(b.weight for b in branches)
     if weight != 1:
         raise HardyLabError(f"branch weights sum to {weight}, expected 1")
-    return BranchExpansion(s.slots, slots, residual_slots, tuple(branches))
+    return BranchExpansion(slots, residual_slots, tuple(branches))
 
 
 #: The measured pair of each station: Alice's (A, 1), Bob's (2, B).

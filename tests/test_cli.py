@@ -193,6 +193,31 @@ class TestLhvCommand:
         assert witness["kind"] == "deduction-chain"
         assert [step["fired"] for step in witness["chain"]] == [True] * 4
 
+    @pytest.mark.parametrize(
+        "cell, num, den, exit_code",
+        [(0.7018032530403948, 318472, 453791, 2), (0.1356465023366935, 4617, 34037, 0)],
+        ids=["beyond", "inside"],
+    )
+    def test_a_float_cell_is_checked_on_its_exact_value(
+        self, capsys, tmp_path, cell, num, den, exit_code
+    ):
+        # the first cell lies 2.7e-17 beyond 1e-12 of num/den, the second
+        # 1.5e-18 inside it: only the second is read as num/den
+        table = json.loads(TABLE_WITH_CELL % cell)
+        table["d1d2"][0][1] = {"num": den - num, "den": den}
+        path = tmp_path / "margin.json"
+        path.write_text(json.dumps(table))
+        argv = ["lhv", "--source", f"file:{path}", "--tolerance", "1e-12"]
+        if exit_code == 2:
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2
+            assert "is not within 1e-12 of a rational" in capsys.readouterr().err
+        else:
+            code, env = run_json(capsys, *argv)
+            assert code == 0
+            assert env["results"]["table"]["d1d2"][0][0] == {"num": num, "den": den}
+
     def test_missing_file_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["lhv", "--source", "file:does-not-exist.json"])

@@ -482,11 +482,15 @@ class TestBornWeight:
 
 
 class TestCheckTolerance:
-    @pytest.mark.parametrize("tol", [0, 0.0, 1e-12, 0.5, 1, 1e300])
+    @pytest.mark.parametrize(
+        "tol", [0, 0.0, 1e-12, 0.5, 1, 1e300, Fraction(1, 3), pytest.param(10**400, id="10**400")]
+    )
     def test_finite_nonnegative_tolerances_pass_through(self, tol):
         assert exact.check_tolerance(tol) is tol
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1, -1e-300])
+    @pytest.mark.parametrize(
+        "tol", [math.nan, math.inf, -math.inf, -1, -1e-300, "0.1", None, np.int64(1)]
+    )
     def test_other_tolerances_are_refused_by_name(self, tol):
         with pytest.raises(exact.HardyLabError, match=re.escape(repr(tol))):
             exact.check_tolerance(tol)
@@ -506,3 +510,58 @@ class TestCheckTolerance:
         for call in calls:
             with pytest.raises(exact.HardyLabError, match=re.escape(repr(tol))):
                 call()
+
+    def test_every_tolerance_reader_takes_an_int_beyond_the_float_range(self):
+        # every int is finite: it is read as its exact ratio, never as a float
+        from hardylab.lhv import claimed_hardy_table, rationalize_table, replay_deductions
+        from hardylab.observables import Interpretation, audit_pair
+
+        psim, tol = BELL_ORDER[0], 10**400
+        assert rationalize_table(claimed_hardy_table(), tol).den == 16
+        assert audit_pair(psim, psim, Interpretation.FIXED_BASIS, tol).all_pass
+        # no joint probability exceeds the tolerance, so there is no run
+        trace = replay_deductions(exact.HardyClaimSet(1 / 16, 1.0, 1.0, 0.0), tol)
+        assert trace.halted_at == 1
+
+
+def margin_values(target: Fraction, tol: Fraction) -> list:
+    """Values at, just inside and just outside ``|value - target| <= tol``:
+    the exact margins, and their floats with each float's two neighbours."""
+    values = []
+    for margin in (target - tol, target + tol):
+        near = float(margin)
+        values += [margin, near, math.nextafter(near, -math.inf), math.nextafter(near, math.inf)]
+        values += [margin - Fraction(1, 10**30), margin + Fraction(1, 10**30)]
+    if target.denominator == 1:
+        values += [int(target), int(target) - 1, int(target) + 1]
+    return values
+
+
+class TestWithinTolerance:
+    TARGETS = [Fraction(0), Fraction(1), Fraction(1, 16), Fraction(-2, 3)]
+    TOLERANCES = [0, 0.0, 1e-12, 0.25, 0.5, 1, Fraction(1, 3), 5e-324]
+
+    @pytest.mark.parametrize("tol", TOLERANCES, ids=repr)
+    @pytest.mark.parametrize("target", TARGETS, ids=str)
+    def test_the_rule_is_the_exact_comparison(self, target, tol):
+        # ints, Fractions and floats alike, on their exact values
+        outcomes = set()
+        for value in margin_values(target, Fraction(tol)):
+            expected = abs(Fraction(value) - target) <= Fraction(tol)
+            ratios = [Fraction(x).as_integer_ratio() for x in (value, target, tol)]
+            assert exact.within_tolerance(*ratios) is expected, (value, target, tol)
+            outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    def test_unreduced_ratios_give_the_same_decision(self):
+        # the audit passes Born weights (num, den) as they are, not reduced
+        for value in margin_values(Fraction(1), Fraction(1, 4)):
+            p, q = Fraction(value).as_integer_ratio()
+            reduced = exact.within_tolerance((p, q), (1, 1), (1, 4))
+            assert exact.within_tolerance((3 * p, 3 * q), (7, 7), (2, 8)) is reduced
+
+    def test_a_float_is_read_on_its_binary_value(self):
+        # 0.1 is 3602879701896397/2^55, a little above 1/10
+        assert not exact.within_tolerance((0.1).as_integer_ratio(), (1, 10), (0, 1))
+        assert exact.within_tolerance((0.1).as_integer_ratio(), (1, 10), (1, 2**55 * 5))
+        assert not exact.within_tolerance((0.1).as_integer_ratio(), (1, 10), (1, 2**56 * 5))

@@ -33,13 +33,30 @@ from hardylab.observables import (
     CONTEXT_KEYS,
     HardyClaimSet,
     Interpretation,
+    audit_pair,
     quantum_probability_table,
 )
-from hardylab.protocol import BellIndex
+from hardylab.protocol import BELL_ORDER, BellIndex
 
 import oracle
 
 PSIM = BellIndex.PSI_MINUS
+
+#: Floats that lie just beyond and just inside the default tolerance 1e-12 of
+#: their nearest rational with denominator <= 2^20, with that rational: the
+#: first 2.7e-17 beyond it, the second 1.5e-18 inside it.
+BEYOND_TOLERANCE = (0.7018032530403948, Fraction(318472, 453791))
+INSIDE_TOLERANCE = (0.1356465023366935, Fraction(4617, 34037))
+
+
+def table_with_float_cell(cell: float, near: Fraction) -> dict:
+    """A table whose d1d2 row 0 holds ``cell`` and the exact complement of
+    ``near``; every other context is certain."""
+    rest = 1 - near
+    return {
+        "d1d2": [[cell, {"num": rest.numerator, "den": rest.denominator}], [0, 0]],
+        **{key: [[1, 0], [0, 0]] for key in CONTEXT_KEYS[1:]},
+    }
 
 
 def table_of_model(model: LhvModel) -> dict:
@@ -138,6 +155,51 @@ class TestReplayDeductions:
         trace = replay_deductions(HardyClaimSet(1 / 16, 1.0, 1.0, 0.25))
         assert not trace.contradiction
         assert trace.halted_at == 4
+
+    def test_a_conditional_just_below_one_is_no_certainty(self):
+        # 1 - 10^-20 rounds to 1.0 as a float, yet lies 10^-20 > 10^-30 from 1
+        claims = HardyClaimSet(Fraction(1, 16), 1 - Fraction(1, 10**20), 1, 0)
+        assert replay_deductions(claims, tol=1e-30).halted_at == 1
+
+    def test_a_conditional_just_above_one_is_no_certainty_at_zero_tolerance(self):
+        claims = HardyClaimSet(Fraction(1, 16), 1, 1 + Fraction(1, 10**20), 0)
+        assert replay_deductions(claims, tol=0).halted_at == 3
+
+    @pytest.mark.parametrize(
+        "claims, halted_at",
+        [
+            (HardyClaimSet(math.nan, 1.0, 1.0, 0.0), 1),
+            (HardyClaimSet(1 / 16, math.nan, 1.0, 0.0), 1),
+            (HardyClaimSet(1 / 16, 1.0, math.inf, 0.0), 3),
+            (HardyClaimSet(1 / 16, 1.0, 1.0, -math.inf), 4),
+        ],
+        ids=["nan-joint", "nan-conditional", "inf-conditional", "inf-joint"],
+    )
+    def test_a_nan_or_infinite_claim_fails_its_premise(self, claims, halted_at):
+        assert replay_deductions(claims).halted_at == halted_at
+
+    @pytest.mark.parametrize("tol", [0, 1e-12, 0.25, 0.5, 1])
+    def test_certainty_steps_fire_exactly_when_the_audit_verdicts_pass(self, tol):
+        # steps 1, 3 and 4 test c_d1u2, c_d2u1 and p_u1u2 against their
+        # targets; each is reached only if the steps before it fired
+        replayed = 0
+        for interp in Interpretation:
+            for i in BELL_ORDER:
+                for j in BELL_ORDER:
+                    report = audit_pair(i, j, interp, tol)
+                    if not report.measured.p_joint > tol:
+                        continue
+                    trace = replay_deductions(report.measured, tol)
+                    replayed += 1
+                    for step, key in ((1, "c_d1u2"), (3, "c_d2u1"), (4, "p_u1u2")):
+                        assert trace.steps[step - 1].fired is report.verdicts[key], (i, j, key)
+                        if not report.verdicts[key]:
+                            assert trace.halted_at == step
+                            break
+                    else:
+                        assert trace.contradiction
+        # every joint probability is 1/16
+        assert replayed == (32 if tol < Fraction(1, 16) else 0)
 
     @given(
         num=st.integers(1, 10**6),
@@ -442,6 +504,20 @@ class TestRelabelingSymmetry:
 
 
 class TestRationalization:
+    def test_a_float_cell_just_beyond_the_tolerance_is_refused(self):
+        cell, near = BEYOND_TOLERANCE
+        assert _nearest_rational(cell) == near
+        assert abs(Fraction(cell) - near) > Fraction(1e-12)
+        with pytest.raises(RationalizationError):
+            rationalize_table(table_with_float_cell(cell, near), 1e-12)
+
+    def test_a_float_cell_just_inside_the_tolerance_reads_as_its_rational(self):
+        cell, near = INSIDE_TOLERANCE
+        assert _nearest_rational(cell) == near
+        assert abs(Fraction(cell) - near) <= Fraction(1e-12)
+        exact = rationalize_table(table_with_float_cell(cell, near), 1e-12)
+        assert Fraction(exact.n["d1d2", 0, 0], exact.den) == near
+
     def test_exact_dyadic_floats_pass(self):
         table = quantum_probability_table(PSIM, PSIM, Interpretation.FIXED_BASIS)
         exact = rationalize_table(table)

@@ -83,6 +83,19 @@ class TestBuildD:
         with pytest.raises(HardyLabError):
             build_d("12", PSIM)
 
+    def test_a_refused_pair_is_not_cached(self):
+        before = build_d.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(HardyLabError):
+                build_d("12", PSIM)
+        assert build_d.cache_info().currsize == before
+
+    def test_keywords_cannot_key_a_second_entry(self):
+        # a keyword call would be its own cache entry: an equal operator
+        # that is not the lab's, so products of it would be built again
+        with pytest.raises(TypeError):
+            build_d("A1", index=PSIM)
+
 
 class TestBuildU:
     def test_fixed_basis_ignores_partner(self):
@@ -207,8 +220,19 @@ class TestAuditPair:
         {near for tol in (0.0, 1e-12, 0.25, 0.5, 1.0)
          for near in (tol, math.nextafter(tol, -math.inf), math.nextafter(tol, math.inf))}
     )
+    # ints and Fractions are read on their exact values too: c_d2u1 = 1/2 on
+    # (psi-, psi-, fixed) sits 1/2 from its target, between the two near 1/2
+    EXACT_TOLS = [
+        pytest.param(0, id="int-0"),
+        pytest.param(1, id="int-1"),
+        pytest.param(Fraction(1, 2), id="1/2"),
+        pytest.param(Fraction(1, 2) - Fraction(1, 10**30), id="1/2-1e-30"),
+        pytest.param(Fraction(1, 2) + Fraction(1, 10**30), id="1/2+1e-30"),
+        pytest.param(Fraction(1, 16) - Fraction(1, 10**30), id="1/16-1e-30"),
+        pytest.param(10**400, id="int-10**400"),
+    ]
 
-    @pytest.mark.parametrize("tol", MARGIN_TOLS)
+    @pytest.mark.parametrize("tol", MARGIN_TOLS + EXACT_TOLS)
     def test_verdicts_equal_the_exact_comparison_at_the_margins(self, tol):
         if tol < 0:  # just below zero
             with pytest.raises(HardyLabError):
