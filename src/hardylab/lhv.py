@@ -7,8 +7,9 @@ one denominator (:class:`ExactTable`), whether a four-context probability
 table is such a mixture, and always emits a machine-checkable certificate:
 
 * feasible   -> an explicit weight vector reproducing every cell exactly,
-  built in closed form by gluing two triangles over a chord (Fine's proof);
-* infeasible -> a separating linear functional (rational coefficients)
+  built in closed form by gluing two triangles over a chord (Fine's proof),
+  16 int weights over the table's denominator (:class:`LhvModel`);
+* infeasible -> a separating linear functional (int coefficients)
   that is nonnegative on every deterministic assignment but strictly
   negative on the table, named by what it shows: the human-readable
   deduction chain when the table exhibits the Hardy pattern, else the
@@ -98,37 +99,20 @@ _INCIDENCE: Mapping[Cell, tuple[int, ...]] = {
 }
 
 
-def _on_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Numerators of ``values`` over ``den``, the lcm of their denominators.
+def _nearest_rational(n: int, d: int) -> tuple[int, int]:
+    """The reduced ``(p, q)`` of ``Fraction(n, d).limit_denominator(MAX_DENOMINATOR)``
+    for ``(n, d)``, a finite float's ``as_integer_ratio()`` (reduced, ``d > 0``).
 
-    Each value equals ``numerator / den``.  The scale is positive, so the
-    sign of any sum of values, and any equality between such sums, carries
-    over to the integers unchanged.
-    """
-    dens = [v.denominator for v in values]
-    den = math.lcm(*dens)
-    return [v.numerator * (den // q) for v, q in zip(values, dens)], den
-
-
-def _as_fractions(values) -> list[Fraction]:
-    """Each value as a Fraction: a Fraction as it is, any other through ``Fraction(v)``."""
-    return [v if isinstance(v, Fraction) else Fraction(v) for v in values]
-
-
-def _nearest_rational(value: float) -> Fraction:
-    """``Fraction(value).limit_denominator(MAX_DENOMINATOR)`` for a finite
-    float, computed on the ints of ``value.as_integer_ratio()``.
-
-    The continued-fraction steps are the stdlib method's.  ``value`` (over
+    The continued-fraction steps are the stdlib method's.  ``n/d`` (over
     ``den``) lies between the last convergent ``p1/q1`` within the bound
     and the semiconvergent ``(p0 + k*p1)/q``, ``q = q0 + k*q1``, with the
     largest ``q`` within it.  The two are ``1/(q1*q)`` apart, and ``p1/q1``
-    is ``d/(q1*den)`` from ``value``.  So ``p1/q1`` is the nearer one, or
-    ties, iff ``2*d*q <= den``; a tie goes to it, as in the stdlib.
+    is ``d/(q1*den)`` from ``n/d``.  So ``p1/q1`` is the nearer one, or
+    ties, iff ``2*d*q <= den``; a tie goes to it, as in the stdlib.  Both
+    candidates are reduced, as every (semi)convergent is.
     """
-    n, d = value.as_integer_ratio()
     if d <= MAX_DENOMINATOR:
-        return Fraction(n, d)
+        return n, d
     den = d
     p0, q0, p1, q1 = 0, 1, 1, 0
     while True:
@@ -140,8 +124,8 @@ def _nearest_rational(value: float) -> Fraction:
         n, d = d, n - a * d
     k = (MAX_DENOMINATOR - q0) // q1
     if 2 * d * (q0 + k * q1) <= den:
-        return Fraction(p1, q1)
-    return Fraction(p0 + k * p1, q0 + k * q1)
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
 
 
 def rational_json(value: Fraction) -> dict:
@@ -178,8 +162,9 @@ def rationalize_table(table: Table, tol: float = TOLERANCE) -> ExactTable:
             if isinstance(value, Fraction):
                 cells.append(value.as_integer_ratio())
             elif isinstance(value, float) and math.isfinite(value):
-                cell = _nearest_rational(value).as_integer_ratio()
-                if not within_tolerance(value.as_integer_ratio(), cell, tol_ratio):
+                ratio = value.as_integer_ratio()
+                cell = _nearest_rational(*ratio)
+                if not within_tolerance(ratio, cell, tol_ratio):
                     raise RationalizationError(
                         f"{value!r} in context {key!r} is not within {tol} of a "
                         f"rational with denominator <= {MAX_DENOMINATOR}"
@@ -300,30 +285,31 @@ def replay_deductions(claims: HardyClaimSet, tol: float = TOLERANCE) -> Deductio
 
 
 class LhvModel(Frozen):
-    """Mixture over deterministic assignments, exact weights summing to 1.
+    """A mixture of deterministic assignments, or :class:`HardyLabError`: the
+    read-only ``weights`` maps each of the 16 :data:`ASSIGNMENTS`, given as
+    16 ints in that order, to its numerator >= 0 over ``den`` > 0, and the
+    numerators sum to ``den``."""
 
-    The invariants are checked on the weights' numerators over their common
-    denominator: each must be >= 0, and together they must sum to it.
-    """
-
-    def __init__(self, weights: Mapping[Assignment, Fraction]) -> None:
-        weights = dict(zip(weights, _as_fractions(weights.values())))
-        numerators, den = _on_common_denominator(list(weights.values()))
-        if any(w < 0 for w in numerators):
+    def __init__(self, numerators: Sequence[int], den: int) -> None:
+        ints = [*numerators, den] if isinstance(numerators, (list, tuple)) else []
+        if len(ints) != 17 or set(map(type, ints)) != {int} or den <= 0:
+            raise HardyLabError("a model is 16 int weights over a den > 0")
+        if min(ints) < 0:
             raise HardyLabError("model weights must be nonnegative")
         if sum(numerators) != den:
             raise HardyLabError("model weights must sum to exactly 1")
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "weights", MappingProxyType(dict(zip(ASSIGNMENTS, numerators))))
+        object.__setattr__(self, "den", den)
 
     def to_jsonable(self) -> dict:
         return {
             "weights": [
                 {
                     "assignment": dict(zip(_OBSERVABLES, a)),
-                    "weight": rational_json(w),
+                    "weight": rational_json(Fraction(w, self.den)),
                 }
-                for a, w in sorted(self.weights.items())
-                if w != 0
+                for a, w in self.weights.items()
+                if w
             ]
         }
 
@@ -331,7 +317,7 @@ class LhvModel(Frozen):
 class InfeasibilityWitness(NamedTuple):
     """Separating functional, named by the fact that makes it one.
 
-    ``functional`` maps table cells to rational coefficients f such that
+    ``functional`` maps table cells to int coefficients f such that
     sum(f * cell_value) < 0 for the rejected table while
     sum(f * [assignment hits cell]) >= 0 for all 16 assignments; no
     nonnegative mixture can therefore reproduce the table.  ``kind`` is
@@ -350,7 +336,7 @@ class InfeasibilityWitness(NamedTuple):
     """
 
     kind: str
-    functional: Mapping[Cell, Fraction]
+    functional: Mapping[Cell, int]
 
     def to_jsonable(self, table: Table) -> dict:
         """The witness as a report prints it, with the fields its kind adds
@@ -389,9 +375,9 @@ class LhvCertificate(Frozen):
     ) -> None:
         if verdict not in ("feasible", "infeasible"):
             raise HardyLabError("the verdict must be 'feasible' or 'infeasible'")
-        if (verdict == "feasible") != (model is not None) or (
+        if (verdict == "feasible") != isinstance(model, LhvModel) or (
             verdict == "infeasible"
-        ) != (witness is not None):
+        ) != isinstance(witness, InfeasibilityWitness):
             raise HardyLabError("certificate must carry exactly the matching payload")
         object.__setattr__(self, "verdict", verdict)
         object.__setattr__(self, "model", model)
@@ -411,7 +397,7 @@ class LhvCertificate(Frozen):
 # --- local models by chord gluing -----------------------------------------
 
 
-def _local_model(n: Mapping[Cell, int], den: int) -> dict[Assignment, Fraction] | None:
+def _local_model(n: Mapping[Cell, int], den: int) -> list[int] | None:
     """A local model of a no-signalling table, or None if none exists.
 
     Fine's construction (A. Fine, PRL 48, 291 (1982)): glue two triangles
@@ -426,8 +412,9 @@ def _local_model(n: Mapping[Cell, int], den: int) -> dict[Assignment, Fraction] 
     so ``t`` below is the least chord, and if it fails no chord works.
     Each s takes its largest lower bound.  On each chord cell the two
     triangles' z = 1 weights are coupled monotonically, so at most 12 of
-    the 16 weights are nonzero, each an integer over ``den``.  A chord
-    exists iff the table meets all 8 CHSH inequalities (Fine's theorem).
+    the 16 weights are nonzero.  They are returned as ints over ``den``, in
+    :data:`ASSIGNMENTS` order.  A chord exists iff the table meets all 8
+    CHSH inequalities (Fine's theorem).
     """
     p = n["d1d2", 1, 0] + n["d1d2", 1, 1]
     r = n["u1d2", 1, 0] + n["u1d2", 1, 1]
@@ -448,11 +435,11 @@ def _local_model(n: Mapping[Cell, int], den: int) -> dict[Assignment, Fraction] 
     for (d1, u1), m in chord.items():
         on_d2, on_u2 = sides[0][d1, u1], sides[1][d1, u1]
         both = min(on_d2, on_u2)
-        weights[d1, 1, u1, 1] = Fraction(both, den)
-        weights[d1, 1, u1, 0] = Fraction(on_d2 - both, den)
-        weights[d1, 0, u1, 1] = Fraction(on_u2 - both, den)
-        weights[d1, 0, u1, 0] = Fraction(m - on_d2 - on_u2 + both, den)
-    return weights
+        weights[d1, 1, u1, 1] = both
+        weights[d1, 1, u1, 0] = on_d2 - both
+        weights[d1, 0, u1, 1] = on_u2 - both
+        weights[d1, 0, u1, 0] = m - on_d2 - on_u2 + both
+    return [weights[a] for a in ASSIGNMENTS]
 
 
 # --- feasibility decision -------------------------------------------------
@@ -577,10 +564,9 @@ def feasibility(table: Table) -> LhvCertificate:
             if weights is None:
                 kind, functional = "chsh-facet", _facet_witness(exact.n)
     if weights is None:
-        witness = InfeasibilityWitness(kind, {cell: Fraction(c) for cell, c in functional.items()})
-        cert = LhvCertificate("infeasible", witness=witness)
+        cert = LhvCertificate("infeasible", witness=InfeasibilityWitness(kind, dict(functional)))
     else:
-        cert = LhvCertificate("feasible", model=LhvModel(weights))
+        cert = LhvCertificate("feasible", model=LhvModel(weights, exact.den))
     if not _validate_exact(exact, cert):
         raise HardyLabError("internal error: produced certificate failed validation")
     return cert
@@ -591,10 +577,9 @@ def validate_certificate(table: Table, cert: LhvCertificate) -> bool:
 
     The table is rationalized as :func:`feasibility` does; a table that
     :func:`rationalize_table` rejects returns False, never an exception,
-    and so does a weight or coefficient that ``Fraction(value)`` rejects
-    (a Fraction is read as it is, like a weight by :class:`LhvModel`).
-    The check is in integers.  Feasible: the model must pass its invariants
-    again, and every cell must be reproduced with exact rational equality.
+    and so does a coefficient that is not an int.  The check is in
+    integers.  Feasible: the model, whose invariants its constructor
+    holds, must reproduce every cell with exact rational equality.
     Infeasible: the functional must be keyed on table cells, strictly
     negative on the table and nonnegative on all 16 deterministic
     assignments (an all-zero or empty functional therefore never
@@ -616,40 +601,25 @@ def validate_certificate(table: Table, cert: LhvCertificate) -> bool:
 def _validate_exact(exact: ExactTable, cert: LhvCertificate) -> bool:
     """:func:`validate_certificate` on a rationalized table.
 
-    The model's weights and the functional's coefficients are each put on
-    their common denominator once; the table already is on its ``den``.
-    Each is positive, so each check compares integers: the model's
-    invariants, its cell sums against the table cells by cross-multiplying,
-    the functional's value on the table against 0, and its sum over each
-    assignment's cells against 0.  Last, the functional, its coefficients
-    read as Fractions, must be one of those its kind names on the table.
+    The table, the model and the functional are all ints already: the
+    model's weights over its ``den``, the table's cells over theirs, and
+    the coefficients as they are.  So each check compares integers: the
+    model's cell sums against the table cells by cross-multiplying, the
+    functional's value on the table against 0, and its sum over each
+    assignment's cells against 0.  Last, the functional must be one of
+    those its kind names on the table.
     """
     if cert.verdict == "feasible":
-        if cert.model is None:
-            return False
-        weights = cert.model.weights
-        try:
-            read = _as_fractions(weights.values())
-        except (ArithmeticError, TypeError, ValueError):
-            return False
-        numerators, den = _on_common_denominator(read)
-        # the model's invariants again, on every weight it carries
-        if any(w < 0 for w in numerators) or sum(numerators) != den:
-            return False
-        by_assignment = dict(zip(weights, numerators))
-        column = [by_assignment.get(a, 0) for a in ASSIGNMENTS]
-        return all(sum(map(mul, column, hits)) * exact.den == exact.n[cell] * den
+        model = cert.model
+        column = list(model.weights.values())
+        return all(sum(map(mul, column, hits)) * exact.den == exact.n[cell] * model.den
                    for cell, hits in _INCIDENCE.items())
 
     witness = cert.witness
-    cells = witness.functional.keys() if witness else ()
-    if not cells or not cells <= _INCIDENCE.keys():
+    cells, coefficients = witness.functional.keys(), list(witness.functional.values())
+    # {int}: at least one coefficient, and each an int, not a bool
+    if not cells <= _INCIDENCE.keys() or set(map(type, coefficients)) != {int}:
         return False
-    try:
-        read = _as_fractions(witness.functional.values())
-    except (ArithmeticError, TypeError, ValueError):
-        return False
-    coefficients, _ = _on_common_denominator(read)
     if sum(map(mul, coefficients, map(exact.n.__getitem__, cells))) >= 0:
         return False
     columns = zip(*(_INCIDENCE[cell] for cell in cells))
@@ -664,7 +634,7 @@ def _validate_exact(exact: ExactTable, cert: LhvCertificate) -> bool:
         named = (_HARDY_FUNCTIONAL,)
     else:
         named = ()
-    return dict(zip(witness.functional, read)) in named
+    return witness.functional in named
 
 
 # --- the advertised-claims table -------------------------------------------

@@ -669,8 +669,11 @@ def hits(assignment, cell) -> bool:
 
 
 def cell_probability(model: LhvModel, cell) -> Fraction:
-    """The probability a mixture of deterministic assignments gives one cell."""
-    return sum((model.weights.get(a, 0) for a in ASSIGNMENTS if hits(a, cell)), Fraction(0))
+    """The probability a mixture of deterministic assignments gives one cell,
+    each weight read as ``Fraction(w, model.den)``."""
+    return sum(
+        (Fraction(model.weights[a], model.den) for a in ASSIGNMENTS if hits(a, cell)), Fraction(0)
+    )
 
 
 #: Hardy's functional, -P(D1=1,D2=1) + P(D1=1,U2=0) + P(U1=0,D2=1) + P(U1=1,U2=1).
@@ -821,24 +824,22 @@ def phase1_simplex(
     return None, y
 
 
-def _read(values) -> list[Fraction] | None:
-    """Each value through ``Fraction(value)``, or None if one does not convert."""
-    try:
-        return [Fraction(v) for v in values]
-    except (ArithmeticError, TypeError, ValueError):
-        return None
+def _ints(values) -> bool:
+    """Whether every value is an int, not a bool."""
+    return all(type(v) is int for v in values)
 
 
 def validate_certificate_reference(table, cert, tol: float | None = None) -> bool:
     """Re-check a certificate against a table, exactly.
 
-    Every weight and coefficient is read through ``Fraction(value)``; one
-    that does not convert makes the certificate invalid.  Feasible: the
-    model must pass its invariants and reproduce every constrained cell
-    with exact rational equality.  Infeasible: the functional must be
-    strictly negative on the table while nonnegative on all 16
-    deterministic assignments (an all-zero functional therefore never
-    validates), and one its kind names on the table: a ``no-signalling``
+    Every weight and coefficient must be an int, not a bool; one that is
+    not makes the certificate invalid.  Each weight is read as
+    ``Fraction(w, model.den)``.  Feasible: the model must pass its
+    invariants (16 weights >= 0 summing to 1) and reproduce every
+    constrained cell with exact rational equality.  Infeasible: the
+    functional must be strictly negative on the table while nonnegative on
+    all 16 deterministic assignments (an all-zero functional therefore
+    never validates), and one its kind names on the table: a ``no-signalling``
     functional is one of some observable's two marginal differences; a
     ``chsh-facet`` one is one of :func:`chsh_facets` on a no-signalling
     table; a ``deduction-chain`` one is Hardy's, on a table showing the
@@ -855,14 +856,11 @@ def validate_certificate_reference(table, cert, tol: float | None = None) -> boo
     cells = {cell: Fraction(exact.n[cell], exact.den) for cell in CELLS}
 
     if cert.verdict == "feasible":
-        if cert.model is None:
+        model = cert.model
+        if not _ints([*model.weights.values(), model.den]) or model.den <= 0:
             return False
-        weights = _read(cert.model.weights.values())
-        if weights is None:
-            return False
-        try:
-            model = LhvModel(dict(zip(cert.model.weights, weights)))  # re-run the invariants
-        except HardyLabError:
+        weights = [Fraction(w, model.den) for w in model.weights.values()]
+        if len(weights) != 16 or min(weights) < 0 or sum(weights) != 1:
             return False
         return all(cell_probability(model, cell) == cells[cell] for cell in CELLS)
 
@@ -871,10 +869,9 @@ def validate_certificate_reference(table, cert, tol: float | None = None) -> boo
         return False
     if not witness.functional.keys() <= set(CELLS):
         return False
-    coefficients = _read(witness.functional.values())
-    if coefficients is None:
+    if not _ints(witness.functional.values()):
         return False
-    functional = dict(zip(witness.functional, coefficients))
+    functional = dict(witness.functional)
     if functional_value(functional, cells) >= 0:
         return False
     if not all(

@@ -13,7 +13,6 @@ import pytest
 from hardylab.cli import main
 from hardylab.core import CANONICAL_SLOTS, born_probability, commutator_norm
 from hardylab.lhv import (
-    ASSIGNMENTS,
     LhvModel,
     claimed_hardy_table,
     feasibility,
@@ -149,11 +148,10 @@ def test_criterion_4_lhv_contradiction(capsys):
 def test_criterion_5_certificate_soundness():
     rng = np.random.default_rng(7)
     for trial in range(100):
-        raw = [Fraction(int(x)) for x in rng.integers(0, 30, size=16)]
+        raw = [int(x) for x in rng.integers(0, 30, size=16)]
         if sum(raw) == 0:
-            raw[trial % 16] = Fraction(1)
-        total = sum(raw)
-        model = LhvModel({a: w / total for a, w in zip(ASSIGNMENTS, raw)})
+            raw[trial % 16] = 1
+        model = LhvModel(raw, sum(raw))
         table = {
             key: [
                 [oracle.cell_probability(model, (key, a, b)) for b in (0, 1)]
@@ -165,15 +163,15 @@ def test_criterion_5_certificate_soundness():
         assert cert.verdict == "feasible"
         assert validate_certificate(table, cert)
 
-        # tampering with one weight must break the certificate
-        weights = dict(cert.model.weights)
-        donor = max(weights, key=weights.get)
-        receiver = next(a for a in ASSIGNMENTS if a != donor)
-        weights[donor] -= Fraction(1, 1000)
-        weights[receiver] = weights.get(receiver, Fraction(0)) + Fraction(1, 1000)
+        # moving 1/1000 of the weight must break the certificate
+        weights = [1000 * w for w in cert.model.weights.values()]
+        donor = weights.index(max(weights))
+        receiver = 1 if donor == 0 else 0
+        weights[donor] -= cert.model.den
+        weights[receiver] += cert.model.den
         from hardylab.lhv import LhvCertificate
 
-        tampered = LhvCertificate("feasible", model=LhvModel(weights))
+        tampered = LhvCertificate("feasible", model=LhvModel(weights, 1000 * cert.model.den))
         assert not validate_certificate(table, tampered)
     print("\nACCEPTANCE 5 PASS: 100 random mixtures reproduced exactly; every "
           "1/1000 weight perturbation caught")

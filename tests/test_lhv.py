@@ -1,5 +1,8 @@
+import json
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +42,9 @@ from hardylab.observables import (
 from hardylab.protocol import BELL_ORDER, BellIndex
 
 import oracle
+from test_pool_digest import POOL
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 PSIM = BellIndex.PSI_MINUS
 
@@ -66,13 +72,28 @@ def table_of_model(model: LhvModel) -> dict:
     }
 
 
+def point_model(assignment) -> LhvModel:
+    """All the weight on one assignment: its deterministic model."""
+    return LhvModel([int(a == assignment) for a in ASSIGNMENTS], 1)
+
+
+#: The weights of the model of (1, 1, 1, 1), in ASSIGNMENTS order, over den 1.
+POINT = list(point_model((1, 1, 1, 1)).weights.values())
+
+
+def model_of(weights: list[Fraction]) -> LhvModel:
+    """The model of 16 Fraction weights summing to 1, in ASSIGNMENTS order,
+    over the lcm of their denominators."""
+    den = math.lcm(*(w.denominator for w in weights))
+    return LhvModel([w.numerator * (den // w.denominator) for w in weights], den)
+
+
 def random_model(seed: int) -> LhvModel:
     rng = np.random.default_rng(seed)
-    raw = [Fraction(int(x)) for x in rng.integers(0, 20, size=16)]
+    raw = [int(x) for x in rng.integers(0, 20, size=16)]
     if sum(raw) == 0:
-        raw[0] = Fraction(1)
-    total = sum(raw)
-    return LhvModel({a: w / total for a, w in zip(ASSIGNMENTS, raw)})
+        raw[0] = 1
+    return LhvModel(raw, sum(raw))
 
 
 def grid(table) -> dict:
@@ -298,7 +319,7 @@ class TestQuantumTables:
 class TestFeasibilityOnMixtures:
     def test_product_statistics_are_feasible(self):
         # deterministic local outcomes: a single assignment gets all weight
-        model = LhvModel({ASSIGNMENTS[5]: Fraction(1)})
+        model = point_model(ASSIGNMENTS[5])
         table = table_of_model(model)
         cert = feasibility(table)
         assert cert.verdict == "feasible"
@@ -343,30 +364,28 @@ class TestFeasibilityOnMixtures:
 
 class TestCertificateValidation:
     def test_compensated_tampering_breaks_validation(self):
+        # 1/1000 of the weight moves from one assignment to another
         model = random_model(7)
         table = table_of_model(model)
         cert = feasibility(table)
-        weights = dict(cert.model.weights)
-        nonzero = next(a for a, w in weights.items() if w > Fraction(1, 1000))
-        other = next(a for a in ASSIGNMENTS if a != nonzero)
-        weights[nonzero] -= Fraction(1, 1000)
-        weights[other] = weights.get(other, Fraction(0)) + Fraction(1, 1000)
-        tampered = LhvCertificate("feasible", model=LhvModel(weights))
+        weights = [1000 * w for w in cert.model.weights.values()]
+        nonzero = next(i for i, w in enumerate(weights) if w > cert.model.den)
+        weights[nonzero] -= cert.model.den
+        weights[nonzero - 1] += cert.model.den
+        tampered = LhvCertificate("feasible", model=LhvModel(weights, 1000 * cert.model.den))
         assert not validate_certificate(table, tampered)
 
     def test_uncompensated_tampering_violates_model_invariants(self):
         model = random_model(9)
-        weights = dict(model.weights)
-        key = next(iter(weights))
-        weights[key] += Fraction(1, 1000)
-        with pytest.raises(HardyLabError):
-            LhvModel(weights)
+        weights = list(model.weights.values())
+        weights[0] += 1
+        with pytest.raises(HardyLabError, match="sum"):
+            LhvModel(weights, model.den)
 
     def test_negative_weight_violates_model_invariants(self):
-        # sums to exactly 1 over mixed denominators, one weight below 0
-        weights = dict(zip(ASSIGNMENTS, [Fraction(4, 3), Fraction(-1, 2), Fraction(1, 6)]))
+        # sums to exactly 1, one weight below 0
         with pytest.raises(HardyLabError, match="nonnegative"):
-            LhvModel(weights)
+            LhvModel([8, -3, 1, *[0] * 13], 6)
 
     def test_all_zero_functional_fails(self):
         exact = claimed_hardy_table()
@@ -400,44 +419,28 @@ class TestCertificateValidation:
         assert not validate_certificate(table, cert)
 
     @pytest.mark.parametrize(
-        "part, value, as_fraction",
-        [
-            ("weight", "x", None),
-            ("weight", math.nan, None),
-            ("coefficient", "x", None),
-            ("coefficient", math.nan, None),
-            ("coefficient", math.inf, None),
-            ("weight", 1.0, Fraction(1)),
-            ("coefficient", 1.5, Fraction(3, 2)),
-            ("coefficient", 1.0, Fraction(1)),
-            ("coefficient", "1", Fraction(1)),
-        ],
+        "value", [1.0, "1", Fraction(1), True, 1.5, "x", math.nan, math.inf],
+        ids=["float-1", "string-1", "fraction-1", "true", "1.5", "x", "nan", "inf"],
     )
-    def test_a_value_is_read_through_fraction(self, part, value, as_fraction):
-        # an unreadable value (as_fraction None) makes the certificate
-        # invalid; a readable one answers as its Fraction form does: a
-        # coefficient is set on a cell where Hardy's functional has 1, so
-        # any other coefficient leaves no functional the witness can name.
-        # The package and the reference answer alike on every case.
+    def test_a_weight_or_coefficient_that_is_not_an_int_is_refused(self, value):
+        # each value stands where the int 1 makes a valid certificate: the
+        # whole weight of a deterministic model, or the coefficient of a
+        # cell where Hardy's functional has 1
+        LhvModel(POINT, 1)
+        with pytest.raises(HardyLabError, match="int weights"):
+            LhvModel([value if w else 0 for w in POINT], 1)
+
+        table = claimed_hardy_table()
+        witness = feasibility(table).witness
+
         def validates(v) -> tuple[bool, bool]:
-            if part == "weight":
-                table = table_of_model(LhvModel({ASSIGNMENTS[5]: Fraction(1)}))
-                cert = feasibility(table)
-                cert.model.weights.clear()
-                cert.model.weights[ASSIGNMENTS[5]] = v
-            else:
-                table = claimed_hardy_table()
-                witness = feasibility(table).witness
-                functional = {**witness.functional, ("d1u2", 1, 0): v}
-                cert = LhvCertificate("infeasible", witness=witness._replace(functional=functional))
+            functional = {**witness.functional, ("d1u2", 1, 0): v}
+            cert = LhvCertificate("infeasible", witness=witness._replace(functional=functional))
             return (validate_certificate(table, cert),
                     oracle.validate_certificate_reference(table, cert))
 
-        if as_fraction is None:
-            assert validates(value) == (False, False)
-        else:
-            named = part == "weight" or as_fraction == 1
-            assert validates(value) == validates(as_fraction) == (named, named)
+        assert validates(1) == (True, True)
+        assert validates(value) == (False, False)
 
     @pytest.mark.parametrize(
         "table, kind",
@@ -463,7 +466,9 @@ class TestCertificateValidation:
         with pytest.raises(HardyLabError):
             LhvCertificate("feasible")
         with pytest.raises(HardyLabError):
-            LhvCertificate("infeasible", model=LhvModel({ASSIGNMENTS[0]: Fraction(1)}))
+            LhvCertificate("infeasible", model=point_model(ASSIGNMENTS[0]))
+        with pytest.raises(HardyLabError):  # a mapping of weights is no model
+            LhvCertificate("feasible", model={ASSIGNMENTS[0]: 1})
         with pytest.raises(HardyLabError):  # too long to print: repr() would raise
             LhvCertificate(10**5000)
 
@@ -506,14 +511,14 @@ class TestRelabelingSymmetry:
 class TestRationalization:
     def test_a_float_cell_just_beyond_the_tolerance_is_refused(self):
         cell, near = BEYOND_TOLERANCE
-        assert _nearest_rational(cell) == near
+        assert nearest(cell) == stdlib_nearest(cell) == near.as_integer_ratio()
         assert abs(Fraction(cell) - near) > Fraction(1e-12)
         with pytest.raises(RationalizationError):
             rationalize_table(table_with_float_cell(cell, near), 1e-12)
 
     def test_a_float_cell_just_inside_the_tolerance_reads_as_its_rational(self):
         cell, near = INSIDE_TOLERANCE
-        assert _nearest_rational(cell) == near
+        assert nearest(cell) == stdlib_nearest(cell) == near.as_integer_ratio()
         assert abs(Fraction(cell) - near) <= Fraction(1e-12)
         exact = rationalize_table(table_with_float_cell(cell, near), 1e-12)
         assert Fraction(exact.n["d1d2", 0, 0], exact.den) == near
@@ -554,7 +559,7 @@ class TestRationalization:
 
 
 #: A deterministic table: each context has a 1 at [1][1] and 0 elsewhere.
-DETERMINISTIC = table_of_model(LhvModel({(1, 1, 1, 1): Fraction(1)}))
+DETERMINISTIC = table_of_model(LhvModel(POINT, 1))
 
 
 def with_cell(a: int, b: int, value) -> dict:
@@ -666,6 +671,49 @@ class TestExactTableContract:
         assert validate_certificate(exact, feasibility(exact))
 
 
+#: (numerators, den) pairs that break the LhvModel contract.
+BROKEN_MODELS = {
+    "bool-weight": ([*POINT[:-1], True], 1),
+    "float-weight": ([*POINT[:-1], 1.0], 1),
+    "fraction-weight": ([*POINT[:-1], Fraction(1)], 1),
+    "negative-weight": ([*POINT[:-2], -1, 2], 1),
+    "15-weights": (POINT[1:], 1),
+    "17-weights": ([0, *POINT], 1),
+    "sum-below-den": (POINT, 2),
+    "sum-above-den": ([1, *POINT[1:]], 1),
+    "den-0": ([0] * 16, 0),
+    "den-negative": ([*POINT[:-1], -1], -1),
+    "den-bool": (POINT, True),
+    "a-mapping": (dict(zip(ASSIGNMENTS, POINT)), 1),
+    "none": (None, 1),
+}
+
+
+class TestLhvModelContract:
+    """An :class:`LhvModel` holds only a mixture in its one form, 16 int
+    weights over ``den``: a hand-built one that breaks the contract cannot
+    be built."""
+
+    @pytest.mark.parametrize("name", sorted(BROKEN_MODELS))
+    def test_a_broken_form_cannot_be_built(self, name):
+        numerators, den = BROKEN_MODELS[name]
+        with pytest.raises(HardyLabError):
+            LhvModel(numerators, den)
+
+    def test_a_built_model_is_the_decision_and_cannot_be_changed(self):
+        model = LhvModel(POINT, 1)
+        assert (dict(model.weights), model.den) == (dict(zip(ASSIGNMENTS, POINT)), 1)
+        cert = feasibility(DETERMINISTIC)
+        assert (cert.model.weights, cert.model.den) == (model.weights, model.den)
+        with pytest.raises(TypeError):
+            model.weights[1, 1, 1, 1] = 0
+        with pytest.raises(AttributeError):
+            model.weights.clear()
+        with pytest.raises(AttributeError):
+            model.den = 2
+        assert validate_certificate(DETERMINISTIC, LhvCertificate("feasible", model=model))
+
+
 # --- generated tables for the property tests --------------------------------
 
 
@@ -694,7 +742,7 @@ def local_mixtures(draw, dens, zeros=False):
     if sum(raw) == 0:
         raw[draw(st.integers(0, 15))] = Fraction(1)
     total = sum(raw)
-    return table_of_model(LhvModel({a: w / total for a, w in zip(ASSIGNMENTS, raw)}))
+    return table_of_model(model_of([w / total for w in raw]))
 
 
 @st.composite
@@ -728,7 +776,7 @@ def tables_at_the_bound(draw):
         return split_unit(den, cuts)
 
     if draw(st.booleans()):
-        table = table_of_model(LhvModel(dict(zip(ASSIGNMENTS, parts(16)))))
+        table = table_of_model(model_of(parts(16)))
     else:
         table = {key: [cells[:2], cells[2:]] for key in CONTEXT_KEYS for cells in [parts(4)]}
     return rationalize_table(
@@ -858,11 +906,11 @@ class TestLocalModelMatchesReference:
         if x is None:
             return
         weights = _local_model(form.n, form.den)
-        assert weights == cert.model.weights
+        assert (weights, form.den) == (list(cert.model.weights.values()), cert.model.den)
         assert _validate_exact(form, cert)
         assert oracle.validate_certificate_reference(exact, cert)
-        assert all(type(w) is Fraction and form.den % w.denominator == 0 for w in weights.values())
-        assert sum(w != 0 for w in weights.values()) <= 12
+        assert all(type(w) is int for w in weights)
+        assert sum(w != 0 for w in weights) <= 12
 
     @settings(max_examples=350, deadline=None)
     @given(exact=no_signalling_tables())
@@ -928,8 +976,13 @@ class TestHardyPatternDecidesAlone:
             )
 
 
-def stdlib_nearest(value: float) -> Fraction:
-    return Fraction(value).limit_denominator(MAX_DENOMINATOR)
+def nearest(value: float) -> tuple[int, int]:
+    """The package's nearest rational to a float, as ``rationalize_table`` calls it."""
+    return _nearest_rational(*value.as_integer_ratio())
+
+
+def stdlib_nearest(value: float) -> tuple[int, int]:
+    return Fraction(value).limit_denominator(MAX_DENOMINATOR).as_integer_ratio()
 
 
 class TestNearestRational:
@@ -938,9 +991,9 @@ class TestNearestRational:
     @settings(max_examples=2000, deadline=None)
     @given(value=st.floats(allow_nan=False, allow_infinity=False))
     def test_matches_the_stdlib(self, value):
-        got = _nearest_rational(value)
+        got = nearest(value)
         assert got == stdlib_nearest(value)
-        assert type(got) is Fraction
+        assert [type(x) for x in got] == [int, int]
 
     @pytest.mark.parametrize(
         "value",
@@ -962,40 +1015,41 @@ class TestNearestRational:
         ],
     )
     def test_explicit_cases(self, value):
-        assert _nearest_rational(value) == stdlib_nearest(value)
+        assert nearest(value) == stdlib_nearest(value)
 
     def test_ties_go_to_the_convergent(self):
-        assert _nearest_rational(2**-21) == 0
-        assert _nearest_rational(1 - 2**-21) == 1
+        assert nearest(2**-21) == (0, 1)
+        assert nearest(1 - 2**-21) == (1, 1)
 
     @settings(max_examples=200, deadline=None)
     @given(exact=tables_at_the_bound())
     def test_cells_of_tables_at_the_bound(self, exact):
         for cell in CELLS:
             value = Fraction(exact.n[cell], exact.den)
-            assert _nearest_rational(float(value)) == stdlib_nearest(float(value)) == value
+            assert nearest(float(value)) == stdlib_nearest(float(value)) == value.as_integer_ratio()
 
 
-def tampered_model(weights: dict, kind: str, data) -> dict:
-    """A copy of feasible weights broken in the way ``kind`` names."""
-    weights = {a: weights.get(a, Fraction(0)) for a in ASSIGNMENTS}
-    donor = data.draw(st.sampled_from([a for a, w in weights.items() if w > 0]))
-    other = data.draw(st.sampled_from([a for a in ASSIGNMENTS if a != donor]))
-    if kind == "move":
-        moved = weights[donor] * data.draw(st.sampled_from([Fraction(1), Fraction(1, 2)]))
+def tampered_model(model: LhvModel, kind: str, data) -> tuple[list, int]:
+    """A model's ``(numerators, den)`` broken in the way ``kind`` names: a
+    ``move`` keeps the invariants, every other kind breaks one.  The model
+    is first put over ``k * den``, so that one unit is 1/(k * den)."""
+    k = data.draw(st.integers(1, 2**20 if kind == "nudge" else 1000))
+    weights, den = [k * w for w in model.weights.values()], k * model.den
+    donor = data.draw(st.sampled_from([i for i, w in enumerate(weights) if w > 0]))
+    other = data.draw(st.sampled_from([i for i in range(16) if i != donor]))
+    if kind == "move":  # some or all of the donor's weight
+        moved = data.draw(st.integers(1, weights[donor]))
         weights[donor] -= moved
         weights[other] += moved
     elif kind == "nudge":
-        weights[donor] += data.draw(st.sampled_from([1, -1])) * Fraction(
-            1, data.draw(st.integers(1, 2**20))
-        )
+        weights[donor] += data.draw(st.sampled_from([1, -1]))
     elif kind == "negative":
-        excess = Fraction(1, data.draw(st.integers(1, 1000)))
-        weights[other] += weights[donor] + excess
-        weights[donor] = -excess
-    elif kind == "outside":
-        weights[(2, 0, 0, 0)] = weights.pop(donor)
-    return weights
+        weights[other] += weights[donor] + 1
+        weights[donor] = -1
+    elif kind == "outside":  # the donor's weight on a 17th assignment
+        weights.append(weights[donor])
+        weights[donor] = 0
+    return weights, den
 
 
 def tampered_functional(functional: dict, kind: str, data) -> dict:
@@ -1005,18 +1059,18 @@ def tampered_functional(functional: dict, kind: str, data) -> dict:
         return {cell: -c for cell, c in functional.items()}
     if kind == "nudge":
         cell = data.draw(st.sampled_from(CELLS))
-        step = Fraction(data.draw(st.sampled_from([1, -1])), data.draw(st.integers(1, 64)))
-        functional[cell] = functional.get(cell, Fraction(0)) + step
+        step = data.draw(st.sampled_from([1, -1])) * data.draw(st.integers(1, 64))
+        functional[cell] = functional.get(cell, 0) + step
     elif kind == "non-cell":
-        functional[data.draw(st.sampled_from(NON_CELLS))] = Fraction(-1)
+        functional[data.draw(st.sampled_from(NON_CELLS))] = -1
     elif kind == "empty":
         functional = {}
     elif kind == "zero-valued":
         # one context's total minus another's: 0 on every table and on
         # every assignment, so only the strict "< 0" on the table rejects it
         first, second = data.draw(st.permutations(CONTEXT_KEYS))[:2]
-        functional = {cell: Fraction(1) for cell in CELLS if cell[0] == first}
-        functional.update({cell: Fraction(-1) for cell in CELLS if cell[0] == second})
+        functional = {cell: 1 for cell in CELLS if cell[0] == first}
+        functional.update({cell: -1 for cell in CELLS if cell[0] == second})
     return functional
 
 
@@ -1034,12 +1088,14 @@ class TestIntegerValidatorMatchesReference:
 
         if cert.verdict == "feasible":
             kind = data.draw(st.sampled_from(["move", "nudge", "negative", "outside"]))
-            weights = tampered_model(cert.model.weights, kind, data)
-            tampered = LhvCertificate("feasible", model=LhvModel(cert.model.weights))
-            # the model was valid when built; break it in place, as a caller could
-            tampered.model.weights.clear()
-            tampered.model.weights.update(weights)
-            expected = False  # every kind changes some cell or breaks an invariant
+            weights, den = tampered_model(cert.model, kind, data)
+            if kind != "move":  # a broken invariant: no such model can be built
+                with pytest.raises(HardyLabError):
+                    LhvModel(weights, den)
+                event(f"feasible, {kind}: not built")
+                return
+            tampered = LhvCertificate("feasible", model=LhvModel(weights, den))
+            expected = False  # a moved weight changes some cell
         else:
             witness = cert.witness
             event(f"witness {witness.kind}")
@@ -1139,39 +1195,46 @@ class TestReplayedWhenReported:
         assert len(calls) == 1
 
 
-class TestOneDenominatorPerPass:
-    """A local table is on one denominator from its parse on, so only the
-    model's weights go on a common denominator: ``feasibility`` makes 1
-    call for the model and 1 for its re-check, ``validate_certificate``
-    makes 1."""
+def fractions_built(run) -> int:
+    """How many times ``run()`` calls ``Fraction.__new__``, seen by a
+    profile hook: a Fraction's arithmetic builds its result through it too."""
+    built = 0
+    new = Fraction.__new__.__code__
 
-    LOCAL = {
-        "quantum": quantum_probability_table(PSIM, PSIM, Interpretation.COLLAPSED_STATE),
-        "mixture": table_of_model(random_model(4)),
-        "noisy-pr-box-1/2": noisy_pr_box(Fraction(1, 2)),
-    }
+    def profile(frame, event, arg):
+        nonlocal built
+        built += event == "call" and frame.f_code is new
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        calls = []
-        common = lhv._on_common_denominator
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return built
 
-        def counting(values):
-            calls.append(values)
-            return common(values)
 
-        monkeypatch.setattr(lhv, "_on_common_denominator", counting)
-        return calls
+#: One table of each class of the benchmark's pool (the quantum one of
+#: float cells), and a table of non-dyadic float cells.
+ONE_OF_EACH_CLASS = {
+    **dict(reversed(POOL.table_pool(0, 1))),
+    "non-dyadic-floats": json.loads((GOLDEN / "table_non_dyadic.json").read_text()),
+}
 
-    @pytest.mark.parametrize("name", sorted(LOCAL))
-    def test_feasibility_and_its_check(self, calls, name):
-        table = self.LOCAL[name]
-        cert = feasibility(table)
-        assert cert.verdict == "feasible"
-        assert len(calls) == 2
-        calls.clear()
-        assert validate_certificate(table, cert)
-        assert len(calls) == 1
+
+class TestNoFractionBuilt:
+    """Tables, models and witnesses are ints over one denominator from the
+    parse on, so deciding a table and re-checking its certificate build no
+    Fraction; only a report does."""
+
+    @pytest.mark.parametrize("name", sorted(ONE_OF_EACH_CLASS))
+    def test_feasibility_and_its_check(self, name):
+        table = ONE_OF_EACH_CLASS[name]
+        certs = []
+        assert fractions_built(lambda: certs.append(feasibility(table))) == 0
+        assert fractions_built(lambda: validate_certificate(table, certs[0])) == 0
+        assert validate_certificate(table, certs[0])
+        # the hook sees the Fractions a report builds
+        assert fractions_built(lambda: certs[0].to_jsonable(table)) > 0
 
 
 # --- Fine's theorem ---------------------------------------------------------
@@ -1273,7 +1336,7 @@ class TestNamedWitnesses:
         }
         # at visibility 1/2, CHSH = 2: local, so the chord gluing builds the model
         cert, built = decided_with_builds(noisy_pr_box(Fraction(1, 2)))
-        assert cert.verdict == "feasible" and built == [cert.model.weights]
+        assert cert.verdict == "feasible" and built == [list(cert.model.weights.values())]
 
     def test_the_reference_finds_the_same_facets(self):
         # brute force finds exactly the 64 relabellings of Hardy's functional

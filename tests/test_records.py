@@ -1,8 +1,9 @@
 """The record contract: every record is immutable, and equality is as documented.
 
-Pure records are named tuples; the six that validate their fields
-(``StateVector``, ``ObservableOp``, ``LhvModel``, ``LhvCertificate``,
-``RunConfig``, ``CountTable``) are plain classes on ``core.Frozen``.
+Pure records are named tuples; the seven that validate their fields
+(``StateVector``, ``ObservableOp``, ``ExactTable``, ``LhvModel``,
+``LhvCertificate``, ``RunConfig``, ``CountTable``) are plain classes on
+``core.Frozen``.
 """
 
 from fractions import Fraction
@@ -10,14 +11,20 @@ from fractions import Fraction
 import pytest
 
 from hardylab.core import TOLERANCE, HardyClaimSet, ObservableOp, StateVector
-from hardylab.lhv import LhvModel, claimed_hardy_table, feasibility, replay_deductions
+from hardylab.lhv import (
+    LhvModel,
+    claimed_hardy_table,
+    feasibility,
+    rationalize_table,
+    replay_deductions,
+)
 from hardylab.observables import CLAIM_TARGETS, Interpretation, audit_pair, context_observables
 from hardylab.protocol import TOTAL_STATE, BellIndex, bell_expansion, verify_expansion
 from hardylab.sampler import RunConfig, compare_frequencies, exact_context_probabilities, sample
 
 
 def _records():
-    """One instance of each of the 17 record classes, with one field name."""
+    """One instance of each of the 18 record classes, with one field name."""
     expansion = bell_expansion("A1")
     report = verify_expansion("A1")
     trace = replay_deductions(CLAIM_TARGETS)
@@ -37,7 +44,8 @@ def _records():
          "verdicts"),
         (trace.steps[0], "fired"),
         (trace, "contradiction"),
-        (LhvModel({(0, 0, 0, 0): Fraction(1)}), "weights"),
+        (rationalize_table(claimed_hardy_table()), "n"),
+        (LhvModel([1, *[0] * 15], 1), "weights"),
         (infeasible.witness, "functional"),
         (infeasible, "verdict"),
         (cfg, "shots"),
@@ -51,7 +59,7 @@ RECORDS = _records()
 
 
 def test_one_record_of_each_class():
-    assert len({type(record) for record, _ in RECORDS}) == 17
+    assert len({type(record) for record, _ in RECORDS}) == 18
 
 
 @pytest.mark.parametrize("record, field", RECORDS, ids=[type(r).__name__ for r, _ in RECORDS])
