@@ -564,7 +564,8 @@ def feasibility(table: Table) -> LhvCertificate:
             if weights is None:
                 kind, functional = "chsh-facet", _facet_witness(exact.n)
     if weights is None:
-        cert = LhvCertificate("infeasible", witness=InfeasibilityWitness(kind, dict(functional)))
+        witness = InfeasibilityWitness(kind, MappingProxyType(dict(functional)))
+        cert = LhvCertificate("infeasible", witness=witness)
     else:
         cert = LhvCertificate("feasible", model=LhvModel(weights, exact.den))
     if not _validate_exact(exact, cert):

@@ -3,17 +3,18 @@
 Outcomes are drawn from the exact joint distribution of one commuting
 context.  Randomness is counter-based and fully positional.  Word ``j``
 of the Philox-4x64 stream keyed by the run seed is lane ``j % 4`` of
-counter block ``j // 4``, and shot ``k`` reads byte ``k % 8`` of word
-``k // 8``, the word's bytes taken little-endian whatever the host's
-order.  Every distribution of the lab has cells with denominators
-dividing 16, so every cell edge is a multiple of 1/256 and one byte
-decides a shot exactly.  A hand-built state whose edges leave that grid
-is sampled at one whole word per shot instead.  Sampling any shot range
-therefore merges bit-for-bit with any partition of that range, so
-results are reproducible and independent of scheduling.
+counter block ``j // 4``, and shot ``k`` reads nibble ``k % 16`` of word
+``k // 16``, nibble ``j`` of word ``w`` being ``(w >> 4*j) & 15``
+whatever the host's byte order.  Every distribution of the lab has cells
+with denominators dividing 16, so every cell edge is a multiple of 1/16
+and one nibble decides a shot exactly.  A hand-built state whose edges
+leave that grid is sampled at one whole word per shot instead.  Sampling
+any shot range therefore merges bit-for-bit with any partition of that
+range, so results are reproducible and independent of scheduling.
 
-The shots are streamed in blocks of ``_BLOCK`` and only counted, never
-kept, so a run of any length holds O(``_BLOCK``) memory.
+The words are streamed in blocks of ``_BLOCK_WORDS`` and their shots only
+counted, never kept, so a run of any length holds O(``_BLOCK_WORDS``)
+memory.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from .observables import joint_outcome_table
 #: Outcome cells in draw order.
 CELL_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
 
-#: Shots drawn and counted per step of ``sample``; a multiple of 8.
-_BLOCK = 2**16
+#: Philox words drawn and counted per step of ``sample`` (64 KiB).
+_BLOCK_WORDS = 2**13
 
 
 class RunConfig(Frozen):
@@ -78,7 +79,7 @@ def _lane_edges(flat) -> tuple[int, list[tuple[int, int]]]:
 
     A shot lies past edge ``i``, the running sum ``b`` of ``flat`` up to
     cell ``i``, iff its lane is at least ``cut``.  When every edge is a
-    multiple of 1/256 a lane is one byte and the cut is ``256 * b``.
+    multiple of 1/16 a lane is one nibble and the cut is ``16 * b``.
     Otherwise a lane is a whole word ``w`` with the exact uniform
     ``(w >> 11) * 2**-53``, and the cut is ``ceil(b * 2**53) << 11``.  The
     sum is exact for Fractions and rounds as float addition does for
@@ -88,8 +89,8 @@ def _lane_edges(flat) -> tuple[int, list[tuple[int, int]]]:
     """
     last = max(i for i, p in enumerate(flat) if p)
     sums = list(accumulate(flat[:last]))
-    if all(b * 256 % 1 == 0 for b in sums):
-        return 8, [(i, int(b * 256)) for i, b in enumerate(sums) if b < 1]
+    if all(b * 16 % 1 == 0 for b in sums):
+        return 4, [(i, int(b * 16)) for i, b in enumerate(sums) if b < 1]
     cuts = [math.ceil(b * 2**53) for b in sums]
     return 64, [(i, t << 11) for i, t in enumerate(cuts) if t < 2**53]
 
@@ -111,31 +112,48 @@ def sample(state: StateVector, cfg: RunConfig, first_shot: int = 0) -> CountTabl
     never accumulate counts.
 
     The cell edges are the exact running sums of the distribution.  Shot
-    ``k`` reads byte ``k % 8`` of Philox word ``k // 8``, little-endian,
-    and lies past edge ``b`` iff its byte is at least ``256 * b``.  A
-    distribution with an edge off the 1/256 grid gives each shot a whole
+    ``k`` reads nibble ``k % 16`` of Philox word ``k // 16`` and lies past
+    edge ``b`` iff its nibble is at least ``16 * b``.  In the word's
+    little-endian bytes, an even shot reads a byte's low nibble and an odd
+    shot its high one, so the odd shots compare whole bytes with
+    ``256 * b`` and the even ones compare ``byte & 15`` with ``16 * b``.  A
+    distribution with an edge off the 1/16 grid gives each shot a whole
     word instead: shot ``k`` reads word ``k`` and lies past ``b`` iff the
-    word is at least ``ceil(b * 2**53) * 2**11``.  The shots are drawn
-    ``_BLOCK`` at a time from one Philox stream, and each block only counts
-    how many reach each cell edge; memory stays O(``_BLOCK``) whatever
-    ``cfg.shots`` is.
+    word is at least ``ceil(b * 2**53) * 2**11``.  Each distinct nonzero
+    cut is counted once; every shot passes a cut of 0.  The words are
+    drawn ``_BLOCK_WORDS`` at a time from one Philox stream, and each block
+    only counts how many shots reach each cut; memory stays
+    O(``_BLOCK_WORDS``) whatever ``cfg.shots`` is.
     """
     if not 0 <= first_shot < 2**64:
         raise HardyLabError(f"first_shot must fit in 64 unsigned bits, got {first_shot}")
     probs = exact_context_probabilities(state, cfg)
     bits, edges = _lane_edges([probs[a][b] for a, b in CELL_ORDER])
-    lane, per_word = np.dtype(f"<u{bits // 8}"), 64 // bits
+    per_word = 64 // bits
     word, skip = divmod(first_shot, per_word)
-    above = np.array([cfg.shots, 0, 0, 0, 0])  # above[i + 1]: shots past edge i
+    passed = dict.fromkeys({cut for _, cut in edges if cut}, 0)
+
+    def count(lanes, scale):
+        for cut in passed:
+            passed[cut] += np.count_nonzero(lanes >= lanes.dtype.type(cut * scale))
+
     bitgen = np.random.Philox(key=cfg.seed, counter=[word // 4, 0, 0, 0])
     bitgen.random_raw(word % 4)
     end = skip + cfg.shots  # lanes from the first lane of ``word``
-    for done in range(0, end, _BLOCK):
-        size = min(_BLOCK, end - done)
+    for done in range(0, end, _BLOCK_WORDS * per_word):
+        size = min(_BLOCK_WORDS * per_word, end - done)
         words = bitgen.random_raw(-(-size // per_word))
-        lanes = words.astype("<u8", copy=False).view(lane)[max(skip - done, 0) : size]
-        for i, cut in edges:
-            above[i + 1] += np.count_nonzero(lanes >= lane.type(cut))
+        first = max(skip - done, 0)
+        if bits == 64:
+            count(words[first:], 1)
+        else:
+            data = words.astype("<u8", copy=False).view(np.uint8)
+            count(data[first // 2 : size // 2], 16)  # shot 2m + 1: the high nibble of byte m
+            data &= 15  # in place, so a block holds one copy of its words
+            count(data[(first + 1) // 2 : (size + 1) // 2], 1)  # shot 2m: the low nibble
+    above = [cfg.shots, 0, 0, 0, 0]  # above[i + 1]: shots past edge i
+    for i, cut in edges:
+        above[i + 1] = passed[cut] if cut else cfg.shots
     return CountTable(-np.diff(above), cfg.shots)
 
 

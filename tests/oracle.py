@@ -909,16 +909,16 @@ def shot_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     return (_philox_words(seed, start, count) >> np.uint64(11)) * 2.0**-53
 
 
-def shot_bytes(seed: int, start: int, count: int) -> np.ndarray:
-    """Bytes for shots [start, start+count): byte k % 8 of word k // 8.
+def shot_nibbles(seed: int, start: int, count: int) -> np.ndarray:
+    """Nibbles for shots [start, start+count): nibble k % 16 of word k // 16.
 
-    Byte ``j`` of word ``w`` is ``(w >> 8*j) & 0xFF``, the little-endian
-    order, computed by shifts rather than by viewing memory.
+    Nibble ``j`` of word ``w`` is ``(w >> 4*j) & 15``, low nibble first,
+    computed by shifts rather than by viewing memory.
     """
-    first_word, offset = divmod(start, 8)
-    words = _philox_words(seed, first_word, -(-(offset + count) // 8))
-    shifts = np.arange(0, 64, 8, dtype=np.uint64)
-    lanes = (words[:, None] >> shifts) & np.uint64(0xFF)
+    first_word, offset = divmod(start, 16)
+    words = _philox_words(seed, first_word, -(-(offset + count) // 16))
+    shifts = np.arange(0, 64, 4, dtype=np.uint64)
+    lanes = (words[:, None] >> shifts) & np.uint64(15)
     return lanes.ravel()[offset : offset + count]
 
 
@@ -935,15 +935,15 @@ def _place(state, cfg, u):
 
 
 def sample_reference(state, cfg, first_shot: int = 0):
-    """Reference sampler: shot k's uniform is byte k % 8 of word k // 8 over
-    256, placed by searchsorted.  Exact for edges on the 1/256 grid.
+    """Reference sampler: shot k's uniform is nibble k % 16 of word k // 16
+    over 16, placed by searchsorted.  Exact for edges on the 1/16 grid.
 
-    It holds every shot's byte, uniform and cell index at once.
+    It holds every shot's nibble, uniform and cell index at once.
     """
-    return _place(state, cfg, shot_bytes(cfg.seed, first_shot, cfg.shots) / 256.0)
+    return _place(state, cfg, shot_nibbles(cfg.seed, first_shot, cfg.shots) / 16.0)
 
 
 def sample_word_reference(state, cfg, first_shot: int = 0):
     """Reference sampler at one float uniform per shot from a whole word,
-    the rule for distributions with an edge off the 1/256 grid."""
+    the rule for distributions with an edge off the 1/16 grid."""
     return _place(state, cfg, shot_uniforms(cfg.seed, first_shot, cfg.shots))

@@ -713,6 +713,15 @@ class TestLhvModelContract:
             model.den = 2
         assert validate_certificate(DETERMINISTIC, LhvCertificate("feasible", model=model))
 
+    def test_a_returned_functional_cannot_be_changed(self):
+        table = claimed_hardy_table()
+        cert = feasibility(table)
+        before = cert.to_jsonable(table)
+        with pytest.raises(TypeError):
+            cert.witness.functional[("d1u2", 1, 0)] = 2
+        assert cert.to_jsonable(table) == before
+        assert validate_certificate(table, cert)
+
 
 # --- generated tables for the property tests --------------------------------
 

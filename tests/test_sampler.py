@@ -15,7 +15,7 @@ from hardylab.core import HardyLabError, NonCommutingError, StateVector
 from hardylab.observables import Interpretation, build_d, build_u, context_observables
 from hardylab.protocol import BELL_ORDER, BellIndex, make_total_state
 from hardylab.sampler import (
-    _BLOCK,
+    _BLOCK_WORDS,
     CountTable,
     RunConfig,
     _lane_edges,
@@ -29,6 +29,8 @@ import oracle
 PSIM = BellIndex.PSI_MINUS
 SRC = Path(__file__).resolve().parent.parent / "src"
 CONTEXTS = ("d1d2", "d1u2", "u1d2", "u1u2")
+#: Shots per sampler block on the 1/16 grid: 16 per word.
+BLOCK_SHOTS = 16 * _BLOCK_WORDS
 
 
 @pytest.fixture(scope="module")
@@ -100,17 +102,17 @@ class TestSampling:
             oracle.sample_reference(state, cfg, first_shot=2**64 - 1).counts,
         )
 
-    def test_shot_bytes_are_little_endian(self, state):
-        # shots 0-7 read the bytes of word 0, low byte first
+    def test_shot_nibbles_run_low_first(self, state):
+        # shots 0-15 read the nibbles of word 0, low nibble first
         first, second = context_observables("d1d2")
         probs = exact_context_probabilities(state, RunConfig(first, second, 1, 0))
         flat = [probs[a][b] for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))]
         sums = list(accumulate(flat))[:3]
         seed = 2002
         word = int(np.random.Philox(key=seed).random_raw(1)[0])
-        expected = [bisect_right(sums, x / 256) for x in word.to_bytes(8, "little")]
+        expected = [bisect_right(sums, (word >> 4 * j & 15) / 16) for j in range(16)]
         cells = []
-        for k in range(8):
+        for k in range(16):
             counts = sample(state, RunConfig(first, second, 1, seed), first_shot=k).counts
             cells.append(int(np.flatnonzero(counts.ravel())[0]))
         assert cells == expected
@@ -147,21 +149,25 @@ class TestSampling:
             counts = sample(state, RunConfig(first, second, 100000, seed))
             assert compare_frequencies(counts, exact).max_abs_z <= 4.0
 
-    def test_doubling_shots_does_not_worsen_mean_z(self, state):
-        # convergence check over the fixed acceptance seed set only
+    def test_quadrupling_shots_shrinks_the_mean_deviation(self, state):
+        # convergence over the fixed acceptance seed set: max|frequency - p|
+        # shrinks as 1/sqrt(shots), while a z-score does not move with shots
         first, second = context_observables("d1d2")
         exact = exact_context_probabilities(state, RunConfig(first, second, 1, 0))
 
-        def mean_max_z(shots):
-            zs = [
-                compare_frequencies(
-                    sample(state, RunConfig(first, second, shots, seed)), exact
-                ).max_abs_z
+        def mean_max_deviation(shots):
+            devs = [
+                max(
+                    abs(cell.deviation)
+                    for cell in compare_frequencies(
+                        sample(state, RunConfig(first, second, shots, seed)), exact
+                    ).cells
+                )
                 for seed in range(1, 11)
             ]
-            return sum(zs) / len(zs)
+            return sum(devs) / len(devs)
 
-        assert mean_max_z(320000) <= mean_max_z(160000)
+        assert mean_max_deviation(640000) <= mean_max_deviation(160000)
 
 
 class TestWordEdges:
@@ -183,14 +189,17 @@ class TestWordEdges:
             b = np.cumsum(flat)[i]
             assert (below >> 11) * 2.0**-53 < b <= (at >> 11) * 2.0**-53
 
-    def test_edges_on_the_grid_cut_bytes(self):
+    def test_edges_on_the_grid_cut_nibbles(self):
         flat = [Fraction(1, 16), Fraction(3, 16), Fraction(0), Fraction(3, 4)]
-        assert _lane_edges(flat) == (8, [(0, 16), (1, 64), (2, 64)])
-        assert _lane_edges([Fraction(1), Fraction(0), Fraction(0), Fraction(0)]) == (8, [])
+        assert _lane_edges(flat) == (4, [(0, 1), (1, 4), (2, 4)])
+        # a zero first cell gives a cut of 0, which every nibble passes
+        flat = [Fraction(0), Fraction(1, 2), Fraction(1, 2), Fraction(0)]
+        assert _lane_edges(flat) == (4, [(0, 0), (1, 8)])
+        assert _lane_edges([Fraction(1), Fraction(0), Fraction(0), Fraction(0)]) == (4, [])
 
 
 class TestMatchesReference:
-    """Counts equal the per-shot byte sampler kept in ``tests/oracle.py``."""
+    """Counts equal the per-shot nibble sampler kept in ``tests/oracle.py``."""
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -201,14 +210,15 @@ class TestMatchesReference:
         seed=st.integers(0, 2**64 - 1),
         first_shot=st.one_of(
             st.just(0),
-            st.tuples(st.integers(0, 2**30), st.integers(1, 7)).map(lambda t: 8 * t[0] + t[1]),
-            # the last 31 shots before a 4-word counter block and the first 31 after
-            st.tuples(st.integers(1, 2**30), st.integers(-31, 31)).map(lambda t: 32 * t[0] + t[1]),
+            st.tuples(st.integers(0, 2**30), st.integers(1, 15)).map(lambda t: 16 * t[0] + t[1]),
+            # the last 63 shots before a 4-word counter block and the first 63 after
+            st.tuples(st.integers(1, 2**30), st.integers(-63, 63)).map(lambda t: 64 * t[0] + t[1]),
             st.integers(2**32 + 1, 2**40),
+            st.integers(2**64 - 2**20, 2**64 - 1),
         ),
         shots=st.one_of(
-            st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1]),
-            st.integers(1, 3).map(lambda k: k * _BLOCK + 3),
+            st.sampled_from([0, 1, BLOCK_SHOTS - 1, BLOCK_SHOTS, BLOCK_SHOTS + 1]),
+            st.integers(1, 3).map(lambda k: k * BLOCK_SHOTS + 3),
             st.integers(0, 10),
         ),
     )
@@ -224,6 +234,7 @@ class TestMatchesReference:
 
     @pytest.mark.parametrize("context", CONTEXTS)
     def test_long_runs_equal_reference(self, state, context):
+        # u1u2 has a cut of 0 and d1u2 two equal cuts: both skip a count
         first, second = context_observables(context)
         cfg = RunConfig(first, second, 2**22, 2**63 + 11)
         np.testing.assert_array_equal(
@@ -238,9 +249,26 @@ def test_edges_off_the_byte_grid_take_a_word_per_shot():
     amps[0b0000], amps[0b0100] = 1, 2
     state = StateVector(amps, ("A", "1", "2", "B"))
     first, second = context_observables("u1u2")
-    for shots, seed, first_shot in [(1000, 3, 0), (_BLOCK + 5, 2**63 + 1, 2**33 + 7)]:
+    for shots, seed, first_shot in [(1000, 3, 0), (_BLOCK_WORDS + 5, 2**63 + 1, 2**33 + 7)]:
         cfg = RunConfig(first, second, shots, seed)
         assert exact_context_probabilities(state, cfg)[0][1] == Fraction(4, 5)
+        np.testing.assert_array_equal(
+            sample(state, cfg, first_shot).counts,
+            oracle.sample_word_reference(state, cfg, first_shot).counts,
+        )
+
+
+def test_edges_on_the_byte_grid_only_take_a_word_per_shot():
+    # norm² 32: cells 1/32 and 31/32, on the 1/256 grid but off the 1/16 one
+    amps = [0] * 16
+    amps[0b0000] = 1
+    amps[0b0100], amps[0b0101], amps[0b1100], amps[0b1101] = 5, 2, 1, 1
+    state = StateVector(amps, ("A", "1", "2", "B"))
+    first, second = context_observables("u1u2")
+    for shots, seed, first_shot in [(1000, 5, 3), (_BLOCK_WORDS + 5, 2**63 + 3, 2**33 + 9)]:
+        cfg = RunConfig(first, second, shots, seed)
+        probs = exact_context_probabilities(state, cfg)
+        assert sorted(p for row in probs for p in row)[2:] == [Fraction(1, 32), Fraction(31, 32)]
         np.testing.assert_array_equal(
             sample(state, cfg, first_shot).counts,
             oracle.sample_word_reference(state, cfg, first_shot).counts,
