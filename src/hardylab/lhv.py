@@ -408,6 +408,9 @@ def _local_model(n: Mapping[Cell, int], den: int) -> list[int] | None:
     a = #(d1=1,z=1), b = #(u1=1,z=1) and c = #(z=1), has one free cell
     s = #(1,1,1), and its cells are >= 0 iff
     max(0, a+b-c, t+a-p, t+b-r) <= s <= min(a, b, t, den-p-r-c+a+b+t).
+    On a no-signalling table the last upper bound never binds once
+    t >= p+r-den and t >= p+r+c-a-b-den (the loop's comment has the
+    argument), so the check reads min(a, b, t).
     Each lower-upper pair bounds t from below, from above, or not at all,
     so ``t`` below is the least chord, and if it fails no chord works.
     Each s takes its largest lower bound.  On each chord cell the two
@@ -426,7 +429,12 @@ def _local_model(n: Mapping[Cell, int], den: int) -> list[int] | None:
     sides = []
     for a, b, c in triangles:
         s = max(0, a + b - c, t + a - p, t + b - r)
-        if s > min(a, b, t, den - p - r - c + a + b + t):
+        # the cell (0,0,0)'s bound s <= den - p - r - c + a + b + t never binds:
+        # 0 is below it, because t >= p + r + c - a - b - den;
+        # a + b - c is below it, because t >= p + r - den;
+        # t + a - p is below it iff r + c - b <= den: den * P(u1=1 or z=1);
+        # t + b - r is below it iff p + c - a <= den: den * P(d1=1 or z=1).
+        if s > min(a, b, t):
             return None
         # each chord cell (d1, u1) -> its weight with z = 1
         sides.append({(1, 1): s, (1, 0): a - s, (0, 1): b - s, (0, 0): c - a - b + s})

@@ -238,8 +238,13 @@ class TestLhvCommand:
             TABLE_WITH_CELL % '{"num": 1, "den": 0}',
             TABLE_WITH_CELL % "true",
             '{"d1d2": %s}' % ("[" * 100_000 + "]" * 100_000),
+            # a scalar first row beside a list second row
+            TABLE_WITH_CELL.replace("[[%s, 0], [0, 0]]", "[5, [0.5, 0.5]]"),
         ],
-        ids=["top-level-list", "infinity", "zero-denominator", "boolean", "deep-nesting"],
+        ids=[
+            "top-level-list", "infinity", "zero-denominator", "boolean", "deep-nesting",
+            "scalar-first-row",
+        ],
     )
     def test_invalid_file_table_is_one_line_usage_error(self, capsys, tmp_path, text):
         path = tmp_path / "bad.json"

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hardylab import core as exact
@@ -479,6 +479,53 @@ class TestBornWeight:
         op = exact_projector((1, 0), ("1",))
         with pytest.raises(NormalizationError):
             born(op, exact.StateVector.raw((1, 1), ("1",), 1))
+
+
+def dense_overlap(target, s) -> list[int]:
+    """<target| s> by a loop over all 2**n amplitudes of ``s``, reading each
+    slot's bit of the basis index by label."""
+    n = len(s.slots)
+    rest = [label for label in s.slots if label not in target.slots]
+    out = [0] * 2 ** len(rest)
+    for i, a in enumerate(s.amps):
+        bit = {label: (i >> (n - 1 - k)) & 1 for k, label in enumerate(s.slots)}
+        t = sum(bit[label] << (len(target.slots) - 1 - k) for k, label in enumerate(target.slots))
+        r = sum(bit[label] << (len(rest) - 1 - k) for k, label in enumerate(rest))
+        out[r] += target.amps[t] * a
+    return out
+
+
+@st.composite
+def sparse_cases(draw):
+    """A unit integer state with most amplitudes zero, and a unit target on
+    a subset of its slots in any order."""
+    slots = draw(st.permutations(CANONICAL_SLOTS))[: draw(st.integers(1, 4))]
+    where = draw(st.sets(st.integers(0, 2 ** len(slots) - 1), min_size=1, max_size=4))
+    amps = [0] * 2 ** len(slots)
+    for i in where:
+        amps[i] = draw(st.integers(-5, 5).filter(bool))
+    on = draw(st.permutations(slots))[: draw(st.integers(1, len(slots)))]
+    target = draw(st.lists(st.integers(-3, 3), min_size=2 ** len(on), max_size=2 ** len(on)))
+    assume(any(target))
+    return exact.StateVector(target, tuple(on)), exact.StateVector(amps, tuple(slots))
+
+
+class TestSparseKernel:
+    """``partial_overlap`` reads only the nonzero amplitudes; it must agree
+    with a loop over all of them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=sparse_cases())
+    @example(case=(
+        exact.StateVector((1, -1), ("2",)),
+        exact.StateVector([0] * 11 + [3] + [0] * 4, CANONICAL_SLOTS),
+    ))
+    def test_overlap_and_weight_equal_the_dense_loop(self, case):
+        target, s = case
+        w = dense_overlap(target, s)
+        assert exact.partial_overlap(target, s) == w
+        op = exact.ObservableOp(target)
+        assert exact.born_weight(op, s) == (sum(x * x for x in w), target.norm2 * s.norm2)
 
 
 class TestCheckTolerance:

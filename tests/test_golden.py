@@ -99,6 +99,19 @@ def test_tolerance_override_does_not_leak_between_runs(capsys):
     assert third == (0, golden)
 
 
+@pytest.mark.parametrize("hashseed", ["0", "12345"])
+@pytest.mark.parametrize("interp", ["fixed", "collapsed"])
+def test_a_cold_sweep_is_independent_of_the_hash_seed(interp, hashseed):
+    # the sweep weighs operators through a dict keyed on operator identity
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": hashseed}
+    proc = subprocess.run(
+        [sys.executable, "-m", "hardylab", *CASES[f"audit_all_{interp}"]],
+        env=env, capture_output=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (GOLDEN / f"audit_all_{interp}.out").read_bytes()
+
+
 def test_regeneration_refuses_an_unknown_stem():
     before = {path: path.read_bytes() for path in GOLDEN.iterdir()}
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

@@ -414,6 +414,28 @@ class TestLabIsBuiltOnce:
         assert all(s is TOTAL_STATE for _, s in weighed)
         assert sorted(id(op) for op, _ in weighed) == sorted(map(id, expected))
 
+    @pytest.mark.parametrize(
+        "interp, distinct", [(Interpretation.FIXED_BASIS, 33), (Interpretation.COLLAPSED_STATE, 48)]
+    )
+    def test_a_sweep_weighs_each_distinct_operator_once_per_call(
+        self, interp, distinct, monkeypatch
+    ):
+        from hardylab import observables
+
+        cold = enumerate_all_pairs(interp)
+        weighed = []
+
+        def counting(op, s):
+            weighed.append(op)
+            return born_weight(op, s)
+
+        monkeypatch.setattr(observables, "born_weight", counting)
+        for _ in range(2):  # the second sweep finds nothing kept by the first
+            weighed.clear()
+            reports, summary = enumerate_all_pairs(interp)
+            assert len(weighed) == len(set(map(id, weighed))) == distinct
+            assert (reports, summary) == cold
+
     def test_lookups_return_one_object(self):
         for index in BELL_ORDER:
             assert build_d("A1", index) is build_d("A1", index)

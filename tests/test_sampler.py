@@ -243,6 +243,27 @@ class TestMatchesReference:
         )
 
 
+@pytest.mark.parametrize("last", [0, 1])
+def test_no_cell_past_the_last_nonzero_one_fires(last):
+    # a product state with qubit 1 in |->, so U1 never fires; qubit 2 is
+    # |-> (only cell (0, 0) is reachable) or |+> + |-> (cells (0, 0), (0, 1))
+    amps = [0] * 16
+    amps[0b0110] = 1
+    if last == 1:
+        amps[0b0100] = 1
+    state = StateVector(amps, ("A", "1", "2", "B"))
+    first, second = context_observables("u1u2")
+    for shots, seed, first_shot in [(1000, 7, 0), (BLOCK_SHOTS + 5, 2**63 + 1, 2**33 + 7)]:
+        cfg = RunConfig(first, second, shots, seed)
+        flat = [p for row in exact_context_probabilities(state, cfg) for p in row]
+        assert max(i for i, p in enumerate(flat) if p) == last
+        counts = sample(state, cfg, first_shot).counts
+        assert counts.ravel()[last + 1 :].tolist() == [0] * (3 - last)
+        np.testing.assert_array_equal(
+            counts, oracle.sample_reference(state, cfg, first_shot).counts
+        )
+
+
 def test_edges_off_the_byte_grid_take_a_word_per_shot():
     # cells 1/5 and 4/5: qubit 1 has amplitudes (1, 2), and u2 is certain
     amps = [0] * 16
