@@ -2,12 +2,14 @@
 
 Every amplitude in this construction is an integer times a power of
 1/sqrt(2), so states are held as integer vectors: a :class:`StateVector`
-with integer ``amps`` stands for ``amps / sqrt(norm2)``, and a unit state's
-``norm2`` is the squared length of ``amps``.  Every observable is a
-rank-one projector onto such a state on its own slots, identity on the
-rest.  A probability is an exact integer weight ``(num, den)``, and a
-:class:`~fractions.Fraction` is built from it only for a value that is
-reported, so zero means exact zero and no tolerance enters the algebra.
+with integer ``amps`` stands for the unit ket ``amps / sqrt(norm2)``, where
+``norm2`` is the squared length of ``amps``.  Every state is such a unit
+ket; the zero vector, which has no direction, is the one integer vector
+that is not a state.  Every observable is a rank-one projector onto such a
+state on its own slots, identity on the rest.  A probability is an exact
+integer weight ``(num, den)``, and a :class:`~fractions.Fraction` is built
+from it only for a value that is reported, so zero means exact zero and no
+tolerance enters the algebra.
 
 States carry explicit slot labels (drawn from A, 1, 2, B), so tensor
 factors can never be silently reordered.  Basis convention: each qubit
@@ -55,7 +57,7 @@ class DimensionMismatchError(HardyLabError):
 
 
 class NormalizationError(HardyLabError):
-    """A state that must be normalized is not (or vice versa)."""
+    """The zero vector is not a state: it has no unit direction."""
 
 
 class ZeroProbabilityError(HardyLabError):
@@ -105,16 +107,16 @@ class Frozen:
 
 
 class StateVector(Frozen):
-    """A real pure state over labelled qubits: ``amps / sqrt(norm2)``.
+    """A real unit ket over labelled qubits: ``amps / sqrt(norm2)``.
 
-    ``amps`` holds one integer per basis state of ``slots``.  The public
-    constructor makes a unit state, whose ``norm2`` is the squared length
-    of ``amps``; unnormalized intermediates (projection residues) are
-    created through :meth:`raw` with their own ``norm2``.  States compare
-    and hash by ``(amps, slots, norm2)``.
+    ``amps`` holds one integer per basis state of ``slots``, and ``norm2``
+    is always their squared length, so every state is a unit ket.  Of the
+    integer vectors only the zero vector is refused, as it has no direction
+    (:class:`NormalizationError`).  States compare and hash by
+    ``(amps, slots)``.
     """
 
-    def __init__(self, amps, slots: tuple[str, ...], norm2: int | None = None) -> None:
+    def __init__(self, amps, slots: tuple[str, ...]) -> None:
         slots = tuple(slots)
         _validate_slots(slots)
         amps = tuple(amps)
@@ -122,41 +124,32 @@ class StateVector(Frozen):
             raise DimensionMismatchError(f"{len(amps)} amplitudes for slots {slots}")
         if not {int}.issuperset(map(type, amps)):
             raise HardyLabError(f"amplitudes must be integers, got {amps}")
-        length2 = sum(map(mul, amps, amps))
-        if norm2 is None and not length2:
+        norm2 = sum(map(mul, amps, amps))
+        if not norm2:
             raise NormalizationError(f"the zero vector on {slots} is not a state")
-        norm2 = length2 if norm2 is None else norm2
         object.__setattr__(self, "amps", amps)
         object.__setattr__(self, "slots", slots)
         object.__setattr__(self, "norm2", norm2)
-        object.__setattr__(self, "normalized", length2 == norm2)
 
     def __eq__(self, other):
         if type(other) is not StateVector:
             return NotImplemented
-        return (self.amps, self.slots, self.norm2) == (other.amps, other.slots, other.norm2)
+        return (self.amps, self.slots) == (other.amps, other.slots)
 
     def __hash__(self) -> int:
-        return hash((self.amps, self.slots, self.norm2))
+        return hash((self.amps, self.slots))
 
     def __repr__(self) -> str:
-        return f"StateVector(amps={self.amps!r}, slots={self.slots!r}, norm2={self.norm2!r})"
+        return f"StateVector(amps={self.amps!r}, slots={self.slots!r})"
 
     @cached_property
     def nonzero(self) -> tuple[tuple[int, int], ...]:
         """The ``(index, amp)`` pairs of the nonzero amplitudes, in index order."""
         return tuple((i, a) for i, a in enumerate(self.amps) if a)
 
-    @classmethod
-    def raw(cls, amps, slots: tuple[str, ...], norm2: int) -> "StateVector":
-        """``amps / sqrt(norm2)``, without the unit-norm invariant."""
-        if norm2 <= 0:
-            raise NormalizationError(f"norm2 must be positive, got {norm2}")
-        return cls(amps, slots, norm2)
-
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Tensor product of unit states; slot labels concatenate."""
+    """Tensor product of states; slot labels concatenate."""
     return StateVector(tuple(x * y for x in a.amps for y in b.amps), a.slots + b.slots)
 
 
@@ -202,8 +195,6 @@ class ObservableOp(Frozen):
     """
 
     def __init__(self, target: StateVector, name: str = "") -> None:
-        if not target.normalized:
-            raise NormalizationError("projector target must be normalized")
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "name", name)
 
@@ -243,25 +234,25 @@ def _dense(target: StateVector, slots: tuple[str, ...]) -> list[list[int]]:
     return [[k[tx] * k[ty] if rx == ry else 0 for ty, ry in split] for tx, rx in split]
 
 
-def apply(op: ObservableOp, s: StateVector) -> StateVector:
-    """The projection residue ``op |s>``, exact and unnormalized."""
+def apply(op: ObservableOp, s: StateVector) -> tuple[tuple[int, ...], int]:
+    """The projection residue ``op |s>`` as ``(amps, norm2)``: the vector
+    ``amps / sqrt(norm2)`` over ``s.slots``, exact and not a unit ket (it
+    may be zero), so it is no :class:`StateVector`."""
     w = partial_overlap(op.target, s)
     k = op.target.amps
-    amps = [k[t] * w[r] for t, r in _split(s.slots, op.target.slots)]
-    return StateVector.raw(amps, s.slots, op.target.norm2**2 * s.norm2)
+    amps = tuple(k[t] * w[r] for t, r in _split(s.slots, op.target.slots))
+    return amps, op.target.norm2**2 * s.norm2
 
 
 def born_weight(op: ObservableOp, s: StateVector) -> tuple[int, int]:
-    """Exact probability of the projective outcome ``op`` on unit ``s``,
+    """Exact probability of the projective outcome ``op`` on ``s``,
     as integers ``(num, den)`` with ``den > 0``, not reduced."""
-    if not s.normalized:
-        raise NormalizationError("the Born rule requires a normalized state")
     w = partial_overlap(op.target, s)
     return sum(map(mul, w, w)), op.target.norm2 * s.norm2
 
 
 def born_probability(op: ObservableOp, s: StateVector) -> Fraction:
-    """Exact probability of the projective outcome ``op`` on unit ``s``."""
+    """Exact probability of the projective outcome ``op`` on ``s``."""
     return Fraction(*born_weight(op, s))
 
 
@@ -272,14 +263,12 @@ def collapse(op: ObservableOp, s: StateVector) -> tuple[Fraction, StateVector]:
     :class:`ZeroProbabilityError`, so callers can tell an impossible
     branch from a merely small one.
     """
-    if not s.normalized:
-        raise NormalizationError("collapse requires a normalized state")
-    post = apply(op, s)
-    p = Fraction(sum(map(mul, post.amps, post.amps)), post.norm2)
+    amps, norm2 = apply(op, s)
+    p = Fraction(sum(map(mul, amps, amps)), norm2)
     if not p:
         raise ZeroProbabilityError(f"collapse on {op.name or 'projector'} has probability 0")
-    g = math.gcd(*post.amps)
-    return p, StateVector(tuple(a // g for a in post.amps), s.slots)
+    g = math.gcd(*amps)
+    return p, StateVector(tuple(a // g for a in amps), s.slots)
 
 
 def commutator_norm(a: ObservableOp, b: ObservableOp) -> Fraction:

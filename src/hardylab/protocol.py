@@ -26,7 +26,6 @@ from typing import NamedTuple
 from .core import (
     DimensionMismatchError,
     HardyLabError,
-    NormalizationError,
     StateVector,
     partial_overlap,
     tensor,
@@ -123,7 +122,7 @@ def expand_in_bell_basis(s: StateVector, slots: tuple[str, str]) -> BranchExpans
     """Decompose ``s`` over the Bell basis of a slot pair.
 
     For each Bell state b the partial inner product r_b = <b|s> is split
-    as coefficient * residual with the residual normalized; its sign is
+    as coefficient * residual with the residual a unit ket; its sign is
     fixed by making the residual's largest-magnitude amplitude positive,
     so the split is deterministic.  Branch weights |coeff|^2 are exact and
     must sum to exactly 1.
@@ -133,8 +132,6 @@ def expand_in_bell_basis(s: StateVector, slots: tuple[str, str]) -> BranchExpans
         raise DimensionMismatchError(f"measured slots must be a pair, got {slots}")
     if not set(slots) <= set(s.slots):
         raise DimensionMismatchError(f"slots {slots} not all present on {s.slots}")
-    if not s.normalized:
-        raise NormalizationError("expansion requires a normalized state")
 
     residual_slots = tuple(label for label in s.slots if label not in slots)
     branches = []

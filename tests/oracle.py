@@ -632,7 +632,7 @@ def quantum_tables(i: BellIndex, j: BellIndex, interp: Interpretation) -> dict[s
 def as_float(s) -> StateVector:
     """An exact ``hardylab.core.StateVector`` as a float one."""
     amps = np.array(s.amps, dtype=complex) / math.sqrt(s.norm2)
-    return StateVector(amps, s.slots, normalized=s.normalized)
+    return StateVector(amps, s.slots)
 
 
 def exact_ket(pattern: str, slots: tuple[str, ...]):
@@ -669,11 +669,9 @@ def hits(assignment, cell) -> bool:
 
 
 def cell_probability(model: LhvModel, cell) -> Fraction:
-    """The probability a mixture of deterministic assignments gives one cell,
-    each weight read as ``Fraction(w, model.den)``."""
-    return sum(
-        (Fraction(model.weights[a], model.den) for a in ASSIGNMENTS if hits(a, cell)), Fraction(0)
-    )
+    """The probability a mixture of deterministic assignments gives one cell:
+    the weights of the assignments that hit it, summed, over ``model.den``."""
+    return Fraction(sum(model.weights[a] for a in ASSIGNMENTS if hits(a, cell)), model.den)
 
 
 #: Hardy's functional, -P(D1=1,D2=1) + P(D1=1,U2=0) + P(U1=0,D2=1) + P(U1=1,U2=1).
@@ -686,6 +684,7 @@ def functional_value(functional, cells) -> Fraction:
     return sum((c * cells[cell] for cell, c in functional.items()), Fraction(0))
 
 
+@cache
 def marginal_functionals(observable: str) -> list[dict]:
     """+-(P(X=1) in one context - P(X=1) in the other) for the observable X.
 
@@ -845,9 +844,10 @@ def validate_certificate_reference(table, cert, tol: float | None = None) -> boo
     table; a ``deduction-chain`` one is Hardy's, on a table showing the
     Hardy pattern.
 
-    Reference for ``hardylab.lhv.validate_certificate``: the same checks as
-    sums of Fractions, cell by cell and assignment by assignment, with the
-    named functionals built here from :data:`CONTEXT_SLOTS`.
+    Reference for ``hardylab.lhv.validate_certificate``: the same checks,
+    cell by cell and assignment by assignment, with the table's cells as
+    Fractions, the int coefficients summed per assignment, and the named
+    functionals built here from :data:`CONTEXT_SLOTS`.
     """
     try:
         exact = rationalize_table(table, tolerance(tol))
@@ -875,7 +875,7 @@ def validate_certificate_reference(table, cert, tol: float | None = None) -> boo
     if functional_value(functional, cells) >= 0:
         return False
     if not all(
-        sum((c for cell, c in functional.items() if hits(a, cell)), Fraction(0)) >= 0
+        sum(c for cell, c in functional.items() if hits(a, cell)) >= 0
         for a in ASSIGNMENTS
     ):
         return False

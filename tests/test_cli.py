@@ -25,6 +25,8 @@ TABLE_WITH_CELL = (
     '"u1d2": [[1, 0], [0, 0]], "u1u2": [[1, 0], [0, 0]]}'
 )
 
+GRID_MESSAGE = "context 'd1d2' is not a 2x2 grid of lists"
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -231,29 +233,31 @@ class TestLhvCommand:
         assert err.value.code == 2
 
     @pytest.mark.parametrize(
-        "text",
+        "text, message",
         [
-            "[1, 2]",  # top level is not an object
-            TABLE_WITH_CELL % "Infinity",
-            TABLE_WITH_CELL % '{"num": 1, "den": 0}',
-            TABLE_WITH_CELL % "true",
-            '{"d1d2": %s}' % ("[" * 100_000 + "]" * 100_000),
+            ("[1, 2]", "a table is a dict"),  # top level is not an object
+            (TABLE_WITH_CELL % "Infinity", "bad cell [0][0] in context 'd1d2': a float"),
+            (TABLE_WITH_CELL % '{"num": 1, "den": 0}', "bad cell [0][0] in context 'd1d2': a dict"),
+            (TABLE_WITH_CELL % "true", "bad cell [0][0] in context 'd1d2': a bool"),
+            ('{"d1d2": %s}' % ("[" * 100_000 + "]" * 100_000), "maximum recursion depth"),
             # a scalar first row beside a list second row
-            TABLE_WITH_CELL.replace("[[%s, 0], [0, 0]]", "[5, [0.5, 0.5]]"),
+            (TABLE_WITH_CELL.replace("[[%s, 0], [0, 0]]", "[5, [0.5, 0.5]]"), GRID_MESSAGE),
+            # three cells in the first row: refused by shape, before any sum
+            (TABLE_WITH_CELL.replace("[[%s, 0], [0, 0]]", "[[1, 0, 0], [0, 0]]"), GRID_MESSAGE),
         ],
         ids=[
             "top-level-list", "infinity", "zero-denominator", "boolean", "deep-nesting",
-            "scalar-first-row",
+            "scalar-first-row", "three-cell-first-row",
         ],
     )
-    def test_invalid_file_table_is_one_line_usage_error(self, capsys, tmp_path, text):
+    def test_invalid_file_table_is_one_line_usage_error(self, capsys, tmp_path, text, message):
         path = tmp_path / "bad.json"
         path.write_text(text)
         with pytest.raises(SystemExit) as err:
             main(["lhv", "--source", f"file:{path}"])
         assert err.value.code == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-        assert len(errors) == 1 and "unreadable table file" in errors[0]
+        assert len(errors) == 1 and "unreadable table file" in errors[0] and message in errors[0]
 
     def test_unreadable_file_is_one_line_usage_error(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "table.json"

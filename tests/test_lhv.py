@@ -538,6 +538,13 @@ class TestRationalization:
         with pytest.raises(RationalizationError):
             rationalize_table(tweaked)
 
+    def test_unreduced_num_den_cells_read_as_their_fractions(self):
+        table = claimed_hardy_table()
+        tripled = {key: [[{"num": 3 * c.numerator, "den": 3 * c.denominator} for c in row]
+                         for row in grid] for key, grid in table.items()}
+        exact, expected = rationalize_table(tripled), rationalize_table(table)
+        assert (exact.n, exact.den) == (expected.n, expected.den)
+
     def test_context_must_sum_to_one(self):
         bad = claimed_hardy_table()
         bad["d1d2"][0][0] += Fraction(1, 32)
@@ -1018,6 +1025,10 @@ class TestNearestRational:
             1 / (2**20 + 1),
             1 / (2**20 - 1),
             3 * 2**-22,
+            # a convergent's denominator is exactly 2**20, the bound itself
+            3 * 2**-20 + 2**-70,
+            3 * 2**-20 - 2**-70,
+            1 - 3 * 2**-20 + 2**-60,
             0.1,
             1 / 3,
             1e300,

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardylab.core import CANONICAL_SLOTS, DimensionMismatchError, HardyLabError
+from hardylab.core import StateVector as ExactState
 from hardylab.core import tensor as exact_tensor
 from hardylab.protocol import (
     BELL_ORDER,
@@ -163,15 +164,27 @@ class TestExpansion:
         with pytest.raises(DimensionMismatchError):
             expand_in_bell_basis(make_singlet(), ("A", "1"))
 
+    def test_a_repeated_slot_is_not_a_pair(self):
+        with pytest.raises(DimensionMismatchError, match="must be a pair"):
+            expand_in_bell_basis(make_total_state(), ("A", "A"))
+
     def test_product_state_empty_branches(self):
         # a fully product state across Alice's pair overlaps only phi branches
         state = exact_tensor(
             exact_tensor(exact_ket("++", ("A", "1")), exact_ket("-", ("2",))), exact_ket("+", ("B",))
         )
         exp = expand_in_bell_basis(state, ("A", "1"))
-        assert exp.branch(BellIndex.PSI_MINUS).empty
-        assert exp.branch(BellIndex.PSI_PLUS).empty
+        for index in (BellIndex.PSI_MINUS, BellIndex.PSI_PLUS):
+            br = exp.branch(index)
+            assert br.empty and (br.sign, br.residual) == (0, None)
         assert not exp.branch(BellIndex.PHI_PLUS).empty
+
+    def test_residual_is_the_least_integer_ket(self):
+        # |++>_(A,1) |+>_B with every amplitude 2: each phi branch leaves (2, 2) on B
+        state = ExactState((2, 2) + (0,) * 6, ("A", "1", "B"))
+        for index in (BellIndex.PHI_MINUS, BellIndex.PHI_PLUS):
+            br = expand_in_bell_basis(state, ("A", "1")).branch(index)
+            assert (br.weight, br.sign, br.residual.amps) == (Fraction(1, 2), 1, (1, 1))
 
 
 class TestReconstruction:

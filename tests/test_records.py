@@ -75,14 +75,14 @@ def test_fields_cannot_be_assigned_or_deleted(record, field):
 class TestStateVectorEquality:
     def test_equal_fields_compare_and_hash_equal(self):
         a = StateVector((1, 1), ("B",))
-        b = StateVector.raw([1, 1], ["B"], 2)
+        b = StateVector([1, 1], ["B"])
         assert a == b and hash(a) == hash(b)
 
     @pytest.mark.parametrize(
         "other",
         [StateVector((1, -1), ("B",)), StateVector((1, 1), ("A",)),
-         StateVector.raw((1, 1), ("B",), 4)],
-        ids=["amps", "slots", "norm2"],
+         StateVector((2, 2), ("B",))],
+        ids=["amps", "slots", "scaled-amps"],
     )
     def test_a_differing_field_compares_unequal(self, other):
         assert StateVector((1, 1), ("B",)) != other
