@@ -28,7 +28,6 @@ import math
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from operator import mul
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -74,12 +73,13 @@ class ExactTable(Frozen):
         ints = [*numerators, den] if isinstance(numerators, (list, tuple)) else []
         if len(ints) != 17 or set(map(type, ints)) != {int} or den <= 0 or math.gcd(*ints) > 1:
             raise MalformedTableError("an exact table is 16 int numerators over their lcm den")
-        for key, i in zip(CONTEXT_KEYS, range(0, 16, 4)):
-            context = ints[i : i + 4]
-            if min(context) < 0:  # no value in the message: it may be too long to print
-                raise MalformedTableError(f"negative entry in context {key!r}")
-            if sum(context) != den:
-                raise MalformedTableError(f"context {key!r} does not sum to 1")
+        a, b, c, d = map(sum, (ints[:4], ints[4:8], ints[8:12], ints[12:16]))
+        if min(ints) < 0 or not den == a == b == c == d:  # name the first context that fails
+            for key, i in zip(CONTEXT_KEYS, range(0, 16, 4)):
+                if min(ints[i : i + 4]) < 0:  # no value in the message: it may be too long to print
+                    raise MalformedTableError(f"negative entry in context {key!r}")
+                if sum(ints[i : i + 4]) != den:
+                    raise MalformedTableError(f"context {key!r} does not sum to 1")
         object.__setattr__(self, "n", MappingProxyType(dict(zip(CELLS, ints))))
         object.__setattr__(self, "den", den)
 
@@ -88,13 +88,12 @@ class ExactTable(Frozen):
                       for a in (0, 1)] for key in CONTEXT_KEYS}
 
 
-#: Cell -> its 0/1 row over ASSIGNMENTS: which assignments hit the cell,
-#: built once for the validator, which sums weights and coefficients by it.
-_INCIDENCE: Mapping[Cell, tuple[int, ...]] = {
-    (key, a, b): tuple(
-        int(x[_OBSERVABLES.index(key[:2])] == a and x[_OBSERVABLES.index(key[2:])] == b)
-        for x in ASSIGNMENTS
-    )
+#: Cell -> the indices in ASSIGNMENTS of the 4 assignments that hit it, built
+#: once for the validator, which sums 4 weights per cell and adds each
+#: coefficient into the sums of the 4 assignments its cell hits.
+_HITS: Mapping[Cell, tuple[int, ...]] = {
+    (key, a, b): tuple(i for i, x in enumerate(ASSIGNMENTS) if (
+        x[_OBSERVABLES.index(key[:2])], x[_OBSERVABLES.index(key[2:])]) == (a, b))
     for key, a, b in CELLS
 }
 
@@ -342,7 +341,7 @@ class InfeasibilityWitness(NamedTuple):
         """The witness as a report prints it, with the fields its kind adds
         read off ``table``, the table it was validated on, rationalized."""
         exact = rationalize_table(table)
-        value = Fraction(sum(c * exact.n[cell] for cell, c in self.functional.items()), exact.den)
+        value = Fraction(_value(self.functional, exact.n), exact.den)
         payload = {
             "kind": self.kind,
             "functional": [
@@ -455,12 +454,12 @@ def _local_model(n: Mapping[Cell, int], den: int) -> list[int] | None:
 #: Hardy's functional -P(D1=1,D2=1) + P(D1=1,U2=0) + P(U1=0,D2=1) +
 #: P(U1=1,U2=1): >= 0 on every assignment (L. Hardy, PRL 71, 1665 (1993)).
 #: Its negative cell comes first.
-_HARDY_FUNCTIONAL: Mapping[Cell, int] = {
+_HARDY_FUNCTIONAL: Mapping[Cell, int] = MappingProxyType({
     ("d1d2", 1, 1): -1,
     ("d1u2", 1, 0): 1,
     ("u1d2", 0, 1): 1,
     ("u1u2", 1, 1): 1,
-}
+})
 
 #: Each observable, with the two cells that read it as 1 in each of the
 #: two contexts that measure it.
@@ -475,7 +474,7 @@ _OTHER_SETTING = {"d1": "u1", "u1": "d1", "d2": "u2", "u2": "d2"}
 
 
 @cache
-def _chsh_facets() -> tuple[dict[Cell, int], ...]:
+def _chsh_facets() -> tuple[Mapping[Cell, int], ...]:
     """Hardy's functional under each of the 64 relabellings: either side's
     two settings swapped or not, times each observable's outcome flipped or
     not.  The identity comes first.
@@ -494,7 +493,7 @@ def _chsh_facets() -> tuple[dict[Cell, int], ...]:
             x = _OTHER_SETTING[x] if swap_1 else x
             y = _OTHER_SETTING[y] if swap_2 else y
             image[(x + y, a ^ flip[x], b ^ flip[y])] = c
-        images.append(image)
+        images.append(MappingProxyType(image))
     return tuple(images)
 
 
@@ -516,8 +515,8 @@ def _hardy_chain(exact: ExactTable) -> tuple[DeductionStep, ...]:
 
 #: The 8 marginal differences, each observable's in :data:`_MARGINALS`
 #: order with either sign: 0 on every assignment.
-_MARGINAL_DIFFERENCES: tuple[dict[Cell, int], ...] = tuple(
-    dict.fromkeys(first, s) | dict.fromkeys(second, -s)
+_MARGINAL_DIFFERENCES: tuple[Mapping[Cell, int], ...] = tuple(
+    MappingProxyType(dict.fromkeys(first, s) | dict.fromkeys(second, -s))
     for _, first, second in _MARGINALS for s in (1, -1)
 )
 
@@ -527,14 +526,17 @@ def _value(functional: Mapping[Cell, int], n: Mapping[Cell, int]) -> int:
     return sum(c * n[cell] for cell, c in functional.items())
 
 
-def _signalling_witness(n: Mapping[Cell, int]) -> dict[Cell, int] | None:
+def _signalling_witness(n: Mapping[Cell, int]) -> Mapping[Cell, int] | None:
     """The first marginal difference < 0 on the :class:`ExactTable` cells
-    ``n``, the ``no-signalling`` witness, or None if the table is
-    no-signalling."""
-    return next((f for f in _MARGINAL_DIFFERENCES if _value(f, n) < 0), None)
+    ``n`` (the first observable whose two marginals differ, with the sign of
+    that gap), the ``no-signalling`` witness, or None if there is none."""
+    for k, (_, (a, b), (c, d)) in enumerate(_MARGINALS):
+        if gap := n[a] + n[b] - n[c] - n[d]:
+            return _MARGINAL_DIFFERENCES[2 * k + (gap > 0)]
+    return None
 
 
-def _facet_witness(n: Mapping[Cell, int]) -> dict[Cell, int]:
+def _facet_witness(n: Mapping[Cell, int]) -> Mapping[Cell, int]:
     """The relabelled Hardy functional of least value on the
     :class:`ExactTable` cells ``n``, the ``chsh-facet`` witness, whose CHSH
     value is the largest of the 8."""
@@ -572,8 +574,7 @@ def feasibility(table: Table) -> LhvCertificate:
             if weights is None:
                 kind, functional = "chsh-facet", _facet_witness(exact.n)
     if weights is None:
-        witness = InfeasibilityWitness(kind, MappingProxyType(dict(functional)))
-        cert = LhvCertificate("infeasible", witness=witness)
+        cert = LhvCertificate("infeasible", witness=InfeasibilityWitness(kind, functional))
     else:
         cert = LhvCertificate("feasible", model=LhvModel(weights, exact.den))
     if not _validate_exact(exact, cert):
@@ -610,29 +611,28 @@ def validate_certificate(table: Table, cert: LhvCertificate) -> bool:
 def _validate_exact(exact: ExactTable, cert: LhvCertificate) -> bool:
     """:func:`validate_certificate` on a rationalized table.
 
-    The table, the model and the functional are all ints already: the
-    model's weights over its ``den``, the table's cells over theirs, and
-    the coefficients as they are.  So each check compares integers: the
-    model's cell sums against the table cells by cross-multiplying, the
-    functional's value on the table against 0, and its sum over each
-    assignment's cells against 0.  Last, the functional must be one of
-    those its kind names on the table.
+    The table, the model and the functional are all ints already, and each
+    cell is hit by the 4 assignments :data:`_HITS` lists.  So each check
+    compares integers: a cell's model weight, the sum of its 4 assignments'
+    weights, against the table cell by cross-multiplying the two ``den``;
+    the functional's value on the table against 0; and, each coefficient
+    added into the 4 assignments its cell hits, all 16 sums against 0.
+    Last, the functional must be one of those its kind names on the table.
     """
-    if cert.verdict == "feasible":
-        model = cert.model
-        column = list(model.weights.values())
-        return all(sum(map(mul, column, hits)) * exact.den == exact.n[cell] * model.den
-                   for cell, hits in _INCIDENCE.items())
+    if cert.verdict == "feasible":  # exact.n and _HITS both list the cells in CELLS order
+        w, den, model_den = list(cert.model.weights.values()), exact.den, cert.model.den
+        return all((w[i] + w[j] + w[k] + w[l]) * den == num * model_den
+                   for num, (i, j, k, l) in zip(exact.n.values(), _HITS.values()))
 
     witness = cert.witness
-    cells, coefficients = witness.functional.keys(), list(witness.functional.values())
+    functional, sums = witness.functional, [0] * 16
     # {int}: at least one coefficient, and each an int, not a bool
-    if not cells <= _INCIDENCE.keys() or set(map(type, coefficients)) != {int}:
+    if not functional.keys() <= _HITS.keys() or set(map(type, functional.values())) != {int}:
         return False
-    if sum(map(mul, coefficients, map(exact.n.__getitem__, cells))) >= 0:
-        return False
-    columns = zip(*(_INCIDENCE[cell] for cell in cells))
-    if not all(sum(map(mul, coefficients, column)) >= 0 for column in columns):
+    for cell, c in functional.items():
+        for i in _HITS[cell]:
+            sums[i] += c
+    if _value(functional, exact.n) >= 0 or min(sums) < 0:
         return False
     # the functional must be one its kind names on the table
     if witness.kind == "no-signalling":
@@ -643,7 +643,7 @@ def _validate_exact(exact: ExactTable, cert: LhvCertificate) -> bool:
         named = (_HARDY_FUNCTIONAL,)
     else:
         named = ()
-    return witness.functional in named
+    return functional in named
 
 
 # --- the advertised-claims table -------------------------------------------

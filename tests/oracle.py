@@ -31,7 +31,7 @@ from hardylab.core import (
     SlotCollisionError,
     ZeroProbabilityError,
 )
-from hardylab.lhv import CELLS, LhvModel, rationalize_table
+from hardylab.lhv import _MARGINAL_DIFFERENCES, CELLS, LhvModel, _value, rationalize_table
 from hardylab.observables import CLAIM_TARGETS, Interpretation
 from hardylab.protocol import BELL_ORDER, BellIndex
 from hardylab.sampler import CELL_ORDER, CountTable, exact_context_probabilities
@@ -698,6 +698,14 @@ def marginal_functionals(observable: str) -> list[dict]:
         if k in slots
     ]
     return [{**dict.fromkeys(sides[0], s), **dict.fromkeys(sides[1], -s)} for s in (1, -1)]
+
+
+def signalling_witness_reference(n) -> dict | None:
+    """The first of the package's 8 marginal differences, in its order, whose
+    value on the ``ExactTable`` cells ``n`` is < 0, or None: the rule
+    ``hardylab.lhv._signalling_witness`` must follow when it reads each
+    observable's gap once instead."""
+    return next((f for f in _MARGINAL_DIFFERENCES if _value(f, n) < 0), None)
 
 
 @cache

@@ -1,8 +1,10 @@
+import copy
 import json
 import math
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -623,10 +625,19 @@ def changed(index: int, value) -> list:
     return [value if i == index else v for i, v in enumerate(ONES)]
 
 
+def num_den_table(numerators: list, den) -> dict:
+    """The cells ``numerators``, in CELLS order, over ``den`` as a table of
+    ``{num, den}`` cells."""
+    n = dict(zip(CELLS, numerators))
+    return {key: [[{"num": n[key, a, b], "den": den} for b in (0, 1)] for a in (0, 1)]
+            for key in CONTEXT_KEYS}
+
+
 #: (numerators, den) pairs that break the ExactTable contract, and whether
 #: the same cells can be written as a table of {num, den} cells.
 BROKEN_FORMS = {
     "den-0": (ONES, 0, True),
+    "zeros-over-den-0": ([0] * 16, 0, True),
     "den-negative": ([-v for v in ONES], -1, True),
     "den-float": (ONES, 1.0, True),
     "den-bool": (ONES, True, True),
@@ -656,12 +667,7 @@ class TestExactTableContract:
 
     @pytest.mark.parametrize("name", sorted(k for k, v in BROKEN_FORMS.items() if v[2]))
     def test_its_cells_as_a_table_are_refused_by_both(self, name):
-        numerators, den, _ = BROKEN_FORMS[name]
-        n = dict(zip(CELLS, numerators))
-        table = {
-            key: [[{"num": n[key, a, b], "den": den} for b in (0, 1)] for a in (0, 1)]
-            for key in CONTEXT_KEYS
-        }
+        table = num_den_table(*BROKEN_FORMS[name][:2])
         assert validate_certificate(table, feasibility(DETERMINISTIC)) is False
         with pytest.raises(MalformedTableError):
             feasibility(table)
@@ -676,6 +682,35 @@ class TestExactTableContract:
         with pytest.raises(AttributeError):
             exact.den = 2
         assert validate_certificate(exact, feasibility(exact))
+
+    @pytest.mark.parametrize("key", CONTEXT_KEYS)
+    @pytest.mark.parametrize(
+        "context, later, message",
+        [
+            ([-1, 0, 1, 1], [0, 0, 1, 1], "negative entry in context {!r}"),
+            ([-1, 0, 0, 1], [1, 0, 0, 0], "negative entry in context {!r}"),
+            ([0, 0, 1, 1], [-1, 0, 1, 1], "context {!r} does not sum to 1"),
+            ([1, 0, 0, 1], [1, 0, 0, 0], "context {!r} does not sum to 1"),
+            ([0, 0, 0, 0], [1, 0, 0, 0], "context {!r} does not sum to 1"),
+            ([0, 0, 0, 0], [0, 0, 0, 0], "context {!r} does not sum to 1"),
+        ],
+        ids=["negative-then-sum-2", "negative-summing-to-0", "sum-2-then-negative",
+             "sum-2", "sum-0", "sum-0-and-every-later-one"],
+    )
+    def test_the_first_broken_context_is_named(self, key, context, later, message):
+        # every context before ``key`` is [1, 0, 0, 0] and every one after it
+        # ``later``; only ``key``'s may be named.  A broken context whose sum
+        # is off by a neighbouring cell, or equals the sums after it, must
+        # not slip past a check of all four sums at once.  The CLI prints
+        # this message for a file: table.
+        k = CONTEXT_KEYS.index(key)
+        numerators = [1, 0, 0, 0] * k + context + later * (3 - k)
+        with pytest.raises(MalformedTableError) as error:
+            ExactTable(numerators, 1)
+        assert str(error.value) == message.format(key)
+        with pytest.raises(MalformedTableError) as error:
+            feasibility(num_den_table(numerators, 1))
+        assert str(error.value) == message.format(key)
 
 
 #: (numerators, den) pairs that break the LhvModel contract.
@@ -720,14 +755,39 @@ class TestLhvModelContract:
             model.den = 2
         assert validate_certificate(DETERMINISTIC, LhvCertificate("feasible", model=model))
 
-    def test_a_returned_functional_cannot_be_changed(self):
-        table = claimed_hardy_table()
+    #: A fresh table of each witness kind on each call; the noisy PR box is
+    #: tests/golden/table_chsh.json.
+    WITNESS_TABLES = {
+        "deduction-chain": claimed_hardy_table,
+        "no-signalling": lambda: copy.deepcopy(SIGNALLING),
+        "chsh-facet": lambda: noisy_pr_box(Fraction(3, 4)),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(WITNESS_TABLES))
+    def test_a_returned_functional_cannot_be_changed(self, kind):
+        # every witness holds a shared constant: a write that went through
+        # would corrupt every later certificate of that functional
+        table = self.WITNESS_TABLES[kind]()
         cert = feasibility(table)
-        before = cert.to_jsonable(table)
+        functional, before = dict(cert.witness.functional), cert.to_jsonable(table)
+        assert cert.witness.kind == kind
+        for cell, c in functional.items():
+            with pytest.raises(TypeError):
+                cert.witness.functional[cell] = c + 1
         with pytest.raises(TypeError):
-            cert.witness.functional[("d1u2", 1, 0)] = 2
+            cert.witness.functional[CELLS[0]] = 1
         assert cert.to_jsonable(table) == before
         assert validate_certificate(table, cert)
+        assert feasibility(self.WITNESS_TABLES[kind]()).witness.functional == functional
+
+    def test_every_named_functional_is_a_read_only_constant(self):
+        named = [lhv._HARDY_FUNCTIONAL, *lhv._MARGINAL_DIFFERENCES, *lhv._chsh_facets()]
+        assert len(named) == 1 + 8 + 64
+        assert all(type(f) is MappingProxyType for f in named)
+        # a returned witness holds the constant itself, not a copy
+        for make in self.WITNESS_TABLES.values():
+            functional = feasibility(make()).witness.functional
+            assert any(functional is f for f in named)
 
 
 # --- generated tables for the property tests --------------------------------
@@ -898,6 +958,20 @@ TABLE_CLASSES = {
     ),
     "no-signalling": no_signalling_tables(),
 }
+
+
+class TestSignallingChoiceMatchesReference:
+    """The signalling witness read off the four marginal gaps against the
+    first of the 8 marginal differences that is < 0 on the table."""
+
+    @pytest.mark.parametrize("name", sorted(TABLE_CLASSES))
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_same_functional_or_none(self, name, data):
+        n = rationalize_table(data.draw(TABLE_CLASSES[name])).n
+        got = lhv._signalling_witness(n)
+        assert got == oracle.signalling_witness_reference(n)
+        event("no-signalling" if got is None else "signalling")
 
 
 class TestLocalModelMatchesReference:

@@ -15,7 +15,9 @@ from itertools import product
 
 import pytest
 
-from hardylab.lhv import ExactTable, _validate_exact, feasibility
+from hardylab.lhv import (
+    _MARGINAL_DIFFERENCES, ExactTable, _signalling_witness, _validate_exact, feasibility,
+)
 
 import oracle
 
@@ -77,3 +79,14 @@ def test_every_small_table_is_decided_as_fine_says(tables, den, kinds):
         assert (cert.verdict == "feasible") == fine(ints, den)
         seen[cert.witness.kind if cert.witness else cert.verdict] += 1
     assert seen == kinds
+
+
+def test_the_signalling_choice_is_the_reference_on_every_den_2_table():
+    seen = set()
+    for ints in all_tables(2):
+        n = ExactTable(ints, 2).n
+        got = _signalling_witness(n)
+        assert got == oracle.signalling_witness_reference(n)
+        seen.add(None if got is None else _MARGINAL_DIFFERENCES.index(got))
+    # no-signalling tables, and each of the 8 differences chosen on some table
+    assert seen == {*range(8), None}
