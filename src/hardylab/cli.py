@@ -146,7 +146,7 @@ def _load_table_source(source: str, tol: float, parser):
         d1 = _bell(parts[0].strip(), parser)
         d2 = _bell(parts[1].strip(), parser)
         interp = _interp(parts[2].strip(), parser)
-        exact = rationalize_table(quantum_probability_table(d1, d2, interp))
+        exact = quantum_probability_table(d1, d2, interp)  # already exact: no parse
         return exact, {
             "source": source,
             "d1": d1.value,
@@ -203,15 +203,15 @@ def cmd_sample(args, parser) -> int:
         parser.error(str(err))
     state = make_total_state()
     counts = sample(state, cfg)
-    exact = exact_context_probabilities(state, cfg)
+    grid, den = exact_context_probabilities(state, cfg)
     results = {
         "context": args.context,
         "observables": [first.name, second.name],
-        "exact": [[float(p) for p in row] for row in exact],
+        "exact": [[n / den for n in row] for row in grid],  # correctly rounded floats
         "counts": counts.to_jsonable(),
     }
     if args.shots > 0:
-        results["comparison"] = compare_frequencies(counts, exact).to_jsonable()
+        results["comparison"] = compare_frequencies(counts, results["exact"]).to_jsonable()
     parameters = {
         "context": args.context,
         "d1": d1.value,

@@ -22,9 +22,10 @@ Every reported probability is the exact Born probability of one projector
 on the total state: a D, a U, or the product of a context's commuting
 pair.  A conditional is a joint probability over a marginal,
 P(U2=1 | D1=1) = P(D1=1, U2=1) / P(D1=1), and a context's 2x2 table
-follows from its two marginals and its joint.  The audit works on the
-integer Born weights ``(num, den)``: it builds one Fraction per reported
-value and decides each verdict by :func:`~hardylab.core.within_tolerance`.
+follows from its two marginals and its joint.  All of it works on the
+integer Born weights ``(num, den)``: the audit builds one Fraction per
+reported value and decides each verdict by :func:`~hardylab.core.within_tolerance`,
+and a pair's four tables make one :class:`~hardylab.lhv.ExactTable`.
 The 18 distinct operators, and the products :func:`audit_pair` takes of
 their context pairs, are built on their first lookup and then reused for
 the rest of the process.  :func:`joint_outcome_table` accepts any
@@ -43,10 +44,10 @@ import math
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .core import CLAIM_TARGETS, CONTEXT_KEYS, TARGET_RATIOS, TOLERANCE, HardyClaimSet
-from .core import HardyLabError, NonCommutingError, ObservableOp, StateVector, born_probability
+from .core import HardyLabError, NonCommutingError, ObservableOp, StateVector
 from .core import born_weight, check_tolerance, commutator_norm, partial_overlap, within_tolerance
 from .protocol import BELL_ORDER, PAIR_SLOTS, TOTAL_STATE, BellIndex, bell_expansion, bell_state
 
@@ -126,16 +127,19 @@ def build_u(slot: str, interp: Interpretation, partner_outcome: BellIndex) -> Ob
 
 def joint_outcome_table(
     first: ObservableOp, second: ObservableOp, s: StateVector
-) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-    """Exact 2x2 joint distribution [a][b] of two commuting projectors:
-    the Born probabilities of ``first``, ``second`` and their product."""
+) -> tuple[tuple[tuple[int, int], tuple[int, int]], int]:
+    """Exact 2x2 joint distribution [a][b] of two commuting projectors, as
+    ``(grid, den)``: int numerators over the Born weight's den of their
+    product, which each marginal's den divides."""
     if commutator_norm(first, second):
         raise NonCommutingError(f"{first.name} and {second.name} do not commute")
-    p_a, p_b, p11 = (born_probability(op, s) for op in (first, second, first @ second))
-    table = ((1 - p_a - p_b + p11, p_b - p11), (p_a - p11, p11))
-    if any(p < 0 for row in table for p in row):
-        raise HardyLabError(f"malformed outcome table {[[str(p) for p in row] for row in table]}")
-    return table
+    p11, den = born_weight(first @ second, s)
+    (a, da), (b, db) = born_weight(first, s), born_weight(second, s)
+    p_a, p_b = a * (den // da), b * (den // db)
+    grid = ((den - p_a - p_b + p11, p_b - p11), (p_a - p11, p11))
+    if any(n < 0 for row in grid for n in row):
+        raise HardyLabError(f"malformed outcome table {[list(row) for row in grid]} over {den}")
+    return grid, den
 
 
 class AuditReport(NamedTuple):
@@ -173,22 +177,21 @@ def audit_pair(
     its six Born weights.
     """
     tol_ratio = check_tolerance(tol).as_integer_ratio()
-    return _audit(i, j, interp, tol_ratio, lambda op: born_weight(op, TOTAL_STATE))
+    return _audit(i, j, interp, tol_ratio, {})
 
 
 def _audit(
-    i: BellIndex,
-    j: BellIndex,
-    interp: Interpretation,
-    tol_ratio: tuple[int, int],
-    weigh: Callable[[ObservableOp], tuple[int, int]],
+    i: BellIndex, j: BellIndex, interp: Interpretation, tol_ratio: tuple[int, int], weights: dict
 ) -> AuditReport:
-    """:func:`audit_pair`'s report, with each Born weight on the total
-    state read through ``weigh(op)``."""
-    d1, d2 = build_d("A1", i), build_d("2B", j)
-    u1, u2 = build_u("1", interp, j), build_u("2", interp, i)
+    """:func:`audit_pair`'s report.  ``weights`` maps lab operators to their
+    Born weights on the total state; an operator not in it is weighed and
+    added."""
+    d1, d2, u1, u2 = _lab(i, j, interp)
     ops = (_product(d1, d2), _product(d1, u2), d1, _product(u1, d2), d2, _product(u1, u2))
-    joint, (a, b), (c, d), (e, f), (g, h), u1u2 = map(weigh, ops)
+    for op in ops:
+        if op not in weights:
+            weights[op] = born_weight(op, TOTAL_STATE)
+    joint, (a, b), (c, d), (e, f), (g, h), u1u2 = map(weights.__getitem__, ops)
     # each value as integers (p, q) standing for p/q; a conditional
     # (a/b) / (c/d) is a*d / (b*c)
     values = (joint, (a * d, b * c), (e * h, f * g), u1u2)
@@ -212,13 +215,7 @@ def enumerate_all_pairs(
     """
     tol_ratio = check_tolerance(tol).as_integer_ratio()
     weights = {}  # lab operator -> Born weight, for this call only
-
-    def weigh(op: ObservableOp) -> tuple[int, int]:
-        if op not in weights:
-            weights[op] = born_weight(op, TOTAL_STATE)
-        return weights[op]
-
-    reports = [_audit(i, j, interp, tol_ratio, weigh) for i in BELL_ORDER for j in BELL_ORDER]
+    reports = [_audit(i, j, interp, tol_ratio, weights) for i in BELL_ORDER for j in BELL_ORDER]
     joints = [r.measured.p_joint.as_integer_ratio() for r in reports]
     den = math.lcm(*(q for _, q in joints))
     per_claim = {key: sum(1 for r in reports if r.verdicts[key]) for key in HardyClaimSet._fields}
@@ -230,16 +227,23 @@ def enumerate_all_pairs(
     return reports, summary
 
 
-def quantum_probability_table(
-    i: BellIndex, j: BellIndex, interp: Interpretation
-) -> dict[str, tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]]:
-    """The exact statistics an experiment on the total state would collect:
-    each context key maps to its :func:`joint_outcome_table`, a table as
-    :func:`hardylab.lhv.rationalize_table` takes it."""
-    return {
-        key: joint_outcome_table(*context_observables(key, i, j, interp), TOTAL_STATE)
-        for key in CONTEXT_KEYS
-    }
+def quantum_probability_table(i: BellIndex, j: BellIndex, interp: Interpretation):
+    """The exact statistics an experiment on the total state would collect,
+    as the :class:`hardylab.lhv.ExactTable` of the four contexts'
+    :func:`joint_outcome_table` grids, put over the lcm of their dens."""
+    from .lhv import ExactTable  # here only: ``audit`` and ``sample`` never load lhv
+
+    tables = [joint_outcome_table(*context_observables(key, i, j, interp), TOTAL_STATE)
+              for key in CONTEXT_KEYS]
+    den = math.lcm(*(d for _, d in tables))
+    cells = [n * (den // d) for grid, d in tables for row in grid for n in row]
+    g = math.gcd(den, *cells)
+    return ExactTable([n // g for n in cells], den // g)
+
+
+def _lab(i: BellIndex, j: BellIndex, interp: Interpretation) -> tuple[ObservableOp, ...]:
+    """D1, D2, U1 and U2 of the pair (D1=i, D2=j): U1 reads D2's outcome, U2 D1's."""
+    return build_d("A1", i), build_d("2B", j), build_u("1", interp, j), build_u("2", interp, i)
 
 
 def context_observables(
@@ -249,17 +253,8 @@ def context_observables(
     interp: Interpretation = Interpretation.FIXED_BASIS,
 ) -> tuple[ObservableOp, ObservableOp]:
     """Look up the observable pair of a context token like ``"d1u2"``."""
-    key = key.lower()
-    first, second = _TOKENS.get(key[:2]), _TOKENS.get(key[2:])
-    if len(key) != 4 or first is None or second is None:
+    key, names = key.lower(), ("d1", "d2", "u1", "u2")  # in the order _lab returns them
+    if len(key) != 4 or key[:2] not in names or key[2:] not in names:
         raise HardyLabError(f"bad context {key!r}; want two of d1,d2,u1,u2")
-    return first(d1_bell, d2_bell, interp), second(d1_bell, d2_bell, interp)
-
-
-#: Each observable token's lookup, given (d1_bell, d2_bell, interp).
-_TOKENS = {
-    "d1": lambda i, j, interp: build_d("A1", i),
-    "d2": lambda i, j, interp: build_d("2B", j),
-    "u1": lambda i, j, interp: build_u("1", interp, j),
-    "u2": lambda i, j, interp: build_u("2", interp, i),
-}
+    lab = _lab(d1_bell, d2_bell, interp)
+    return lab[names.index(key[:2])], lab[names.index(key[2:])]

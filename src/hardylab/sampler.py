@@ -20,7 +20,6 @@ memory.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -74,31 +73,29 @@ class CountTable(Frozen):
         return {"shots": self.shots, "counts": self.counts.tolist()}
 
 
-def _lane_edges(flat) -> tuple[int, list[tuple[int, int]]]:
+def _lane_edges(flat: list[int], den: int) -> tuple[int, list[tuple[int, int]]]:
     """The lane width in bits and the reachable cell edges, as ``(index, cut)``.
 
-    A shot lies past edge ``i``, the running sum ``b`` of ``flat`` up to
-    cell ``i``, iff its lane is at least ``cut``.  When every edge is a
-    multiple of 1/16 a lane is one nibble and the cut is ``16 * b``.
-    Otherwise a lane is a whole word ``w`` with the exact uniform
-    ``(w >> 11) * 2**-53``, and the cut is ``ceil(b * 2**53) << 11``.  The
-    sum is exact for Fractions and rounds as float addition does for
-    floats.  A cut past the largest lane is never reached, and neither is
-    any edge from the last nonzero cell on: that cell takes the top end
-    however the sum rounds, so a cell of probability zero never fires.
+    ``flat`` holds the cells' int numerators over ``den``.  A shot lies past
+    edge ``i``, the running sum ``b`` of ``flat`` up to cell ``i``, iff its
+    lane is at least ``cut``.  When ``den`` divides every ``16 * b`` a lane
+    is one nibble and the cut is ``16 * b // den``.  Otherwise a lane is a
+    whole word ``w`` with the exact uniform ``(w >> 11) * 2**-53``, and the
+    cut is ``ceil(b * 2**53 / den) << 11``, in ints.  A cut past the largest
+    lane is never reached, and neither is any edge from the last nonzero
+    cell on, so a cell of probability zero never fires.
     """
-    last = max(i for i, p in enumerate(flat) if p)
+    last = max(i for i, n in enumerate(flat) if n)
     sums = list(accumulate(flat[:last]))
-    if all(b * 16 % 1 == 0 for b in sums):
-        return 4, [(i, int(b * 16)) for i, b in enumerate(sums) if b < 1]
-    cuts = [math.ceil(b * 2**53) for b in sums]
+    if all(16 * b % den == 0 for b in sums):
+        return 4, [(i, 16 * b // den) for i, b in enumerate(sums)]
+    cuts = [-(-b * 2**53 // den) for b in sums]
     return 64, [(i, t << 11) for i, t in enumerate(cuts) if t < 2**53]
 
 
-def exact_context_probabilities(
-    state: StateVector, cfg: RunConfig
-) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-    """The exact 2x2 distribution the run samples from."""
+def exact_context_probabilities(state: StateVector, cfg: RunConfig):
+    """The exact 2x2 distribution the run samples from, as
+    :func:`~hardylab.observables.joint_outcome_table`'s ``(grid, den)``."""
     return joint_outcome_table(cfg.first, cfg.second, state)
 
 
@@ -111,24 +108,24 @@ def sample(state: StateVector, cfg: RunConfig, first_shot: int = 0) -> CountTabl
     must fit in 64 unsigned bits.  Cells of exact probability zero can
     never accumulate counts.
 
-    The cell edges are the exact running sums of the distribution.  Shot
-    ``k`` reads nibble ``k % 16`` of Philox word ``k // 16`` and lies past
-    edge ``b`` iff its nibble is at least ``16 * b``.  In the word's
-    little-endian bytes, an even shot reads a byte's low nibble and an odd
-    shot its high one, so the odd shots compare whole bytes with
-    ``256 * b`` and the even ones compare ``byte & 15`` with ``16 * b``.  A
-    distribution with an edge off the 1/16 grid gives each shot a whole
-    word instead: shot ``k`` reads word ``k`` and lies past ``b`` iff the
-    word is at least ``ceil(b * 2**53) * 2**11``.  Each distinct nonzero
-    cut is counted once; every shot passes a cut of 0.  The words are
-    drawn ``_BLOCK_WORDS`` at a time from one Philox stream, and each block
-    only counts how many shots reach each cut; memory stays
-    O(``_BLOCK_WORDS``) whatever ``cfg.shots`` is.
+    The cell edges ``b`` are the exact running sums of the distribution,
+    and :func:`_lane_edges` computes their cuts in ints.  Shot ``k`` reads
+    nibble ``k % 16`` of Philox word ``k // 16`` and lies past edge ``b``
+    iff its nibble is at least ``16 * b``.  In the word's little-endian
+    bytes, an even shot reads a byte's low nibble and an odd shot its high
+    one, so the odd shots compare whole bytes with ``256 * b`` and the even
+    ones compare ``byte & 15`` with ``16 * b``.  A distribution with an edge
+    off the 1/16 grid gives each shot a whole word instead: shot ``k`` reads
+    word ``k`` and lies past ``b`` iff the word is at least
+    ``ceil(b * 2**53) * 2**11``.  Each distinct nonzero cut is counted once;
+    every shot passes a cut of 0.  The words are drawn ``_BLOCK_WORDS`` at a
+    time from one Philox stream, and each block only counts how many shots
+    reach each cut; memory stays O(``_BLOCK_WORDS``) whatever ``cfg.shots`` is.
     """
     if not 0 <= first_shot < 2**64:
         raise HardyLabError(f"first_shot must fit in 64 unsigned bits, got {first_shot}")
-    probs = exact_context_probabilities(state, cfg)
-    bits, edges = _lane_edges([probs[a][b] for a, b in CELL_ORDER])
+    grid, den = exact_context_probabilities(state, cfg)
+    bits, edges = _lane_edges([grid[a][b] for a, b in CELL_ORDER], den)
     per_word = 64 // bits
     word, skip = divmod(first_shot, per_word)
     passed = dict.fromkeys({cut for _, cut in edges if cut}, 0)

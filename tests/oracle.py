@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import accumulate, product
 from typing import Sequence
 
 import numpy as np
@@ -121,14 +121,12 @@ def _frozen_array(values, shape) -> np.ndarray:
 class StateVector:
     """A pure state over labelled qubits.
 
-    ``amps`` has length ``2 ** len(slots)``.  The public constructor
-    enforces unit norm; unnormalized intermediates (projection residues)
-    must be created through :meth:`raw` and are flagged ``normalized=False``.
+    ``amps`` has length ``2 ** len(slots)`` and unit norm.  A projection
+    residue is no state: :func:`apply` returns it as a plain array.
     """
 
     amps: np.ndarray
     slots: tuple[str, ...]
-    normalized: bool = True
 
     def __post_init__(self) -> None:
         slots = tuple(self.slots)
@@ -136,17 +134,9 @@ class StateVector:
         amps = _frozen_array(self.amps, (2 ** len(slots),))
         object.__setattr__(self, "amps", amps)
         object.__setattr__(self, "slots", slots)
-        if self.normalized:
-            nsq = float(np.vdot(amps, amps).real)
-            if abs(nsq - 1.0) > tolerance():
-                raise NormalizationError(
-                    f"state on {slots} has squared norm {nsq!r}, expected 1"
-                )
-
-    @classmethod
-    def raw(cls, amps, slots: tuple[str, ...]) -> "StateVector":
-        """Construct without the unit-norm invariant (explicitly marked)."""
-        return cls(amps, slots, normalized=False)
+        nsq = float(np.vdot(amps, amps).real)
+        if abs(nsq - 1.0) > tolerance():
+            raise NormalizationError(f"state on {slots} has squared norm {nsq!r}, expected 1")
 
     @property
     def n_qubits(self) -> int:
@@ -214,7 +204,7 @@ def _permute_matrix(mat: np.ndarray, current, target) -> np.ndarray:
 def reorder(s: StateVector, new_slots: tuple[str, ...]) -> StateVector:
     """Same state with its tensor factors listed in a new slot order."""
     amps = _permute_vector(s.amps, s.slots, new_slots)
-    return StateVector(amps, tuple(new_slots), normalized=s.normalized)
+    return StateVector(amps, tuple(new_slots))
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
@@ -222,8 +212,6 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     overlap = set(a.slots) & set(b.slots)
     if overlap:
         raise SlotCollisionError(f"slots {sorted(overlap)} present on both factors")
-    if not (a.normalized and b.normalized):
-        raise NormalizationError("tensor requires normalized factors")
     return StateVector(np.kron(a.amps, b.amps), a.slots + b.slots)
 
 
@@ -298,8 +286,6 @@ class ObservableOp:
     ) -> "ObservableOp":
         """Rank-1 projector onto ``state``, identity on the other slots of
         ``within`` (default: just ``state.slots``)."""
-        if not state.normalized:
-            raise NormalizationError("projector target must be normalized")
         small = np.outer(state.amps, state.amps.conj())
         within = tuple(within) if within is not None else state.slots
         mat = _embed_matrix(small, state.slots, within)
@@ -349,12 +335,12 @@ def _acts_trivially(mat: np.ndarray, n: int, axis: int, tol: float) -> bool:
     return not (x_comm > tol or z_comm > tol)
 
 
-def apply(op: ObservableOp, s: StateVector) -> StateVector:
-    """Matrix-vector product.  The result is a projection residue and is
-    returned unnormalized (``normalized=False``)."""
+def apply(op: ObservableOp, s: StateVector) -> np.ndarray:
+    """Matrix-vector product: the projection residue over ``s.slots``, as a
+    plain array (it is no unit ket)."""
     if op.slots != s.slots:
         raise DimensionMismatchError(f"operator on {op.slots}, state on {s.slots}")
-    return StateVector.raw(op.matrix @ s.amps, s.slots)
+    return op.matrix @ s.amps
 
 
 def expectation(op: ObservableOp, s: StateVector, tol: float | None = None) -> float:
@@ -371,15 +357,13 @@ def expectation(op: ObservableOp, s: StateVector, tol: float | None = None) -> f
 
 
 def born_probability(op: ObservableOp, s: StateVector, tol: float | None = None) -> float:
-    """Probability of the projective outcome ``op`` on normalized ``s``.
+    """Probability of the projective outcome ``op`` on ``s``.
 
     Returns a real value clamped into [0, 1]; an imaginary residue beyond
     the tolerance is an error (its size is reported in the message).
     """
     if not op.is_projector:
         raise NonProjectorError(f"{op.name or 'operator'} is not a projector")
-    if not s.normalized:
-        raise NormalizationError("born_probability requires a normalized state")
     p = expectation(op, s, tol)
     tol = tolerance(tol)
     if p < -tol or p > 1.0 + tol:
@@ -401,8 +385,7 @@ def collapse(
         raise ZeroProbabilityError(
             f"collapse on {op.name or 'projector'} has probability {p!r}"
         )
-    post = apply(op, s)
-    return p, StateVector(post.amps / math.sqrt(p), s.slots)
+    return p, StateVector(apply(op, s) / math.sqrt(p), s.slots)
 
 
 def commutator_norm(a: ObservableOp, b: ObservableOp) -> float:
@@ -481,8 +464,6 @@ def expand_in_bell_basis(
         raise DimensionMismatchError(f"measured slots must be a pair, got {slots}")
     if not set(slots) <= set(s.slots):
         raise DimensionMismatchError(f"slots {slots} not all present on {s.slots}")
-    if not s.normalized:
-        raise NormalizationError("expansion requires a normalized state")
 
     tol = tolerance(tol)
     axes = [s.slots.index(l) for l in slots]
@@ -510,8 +491,9 @@ def expand_in_bell_basis(
     return BranchExpansion(s.slots, slots, residual_slots, tuple(branches))
 
 
-def reconstruct(expansion: BranchExpansion) -> StateVector:
-    """Reassemble sum(coeff * bell x residual) on the source slot order."""
+def reconstruct(expansion: BranchExpansion) -> np.ndarray:
+    """Reassemble sum(coeff * bell x residual) on the source slot order, as
+    a plain array."""
     order = expansion.measured_slots + expansion.residual_slots
     total = np.zeros(2 ** len(expansion.source_slots), dtype=complex)
     for br in expansion.branches:
@@ -520,8 +502,7 @@ def reconstruct(expansion: BranchExpansion) -> StateVector:
         bell = BELL_AMPS[br.bell]
         part = np.kron(bell, br.residual.amps) if br.residual is not None else bell
         total += br.coefficient * part
-    raw = StateVector.raw(total, order)
-    return StateVector(reorder(raw, expansion.source_slots).amps, expansion.source_slots)
+    return _permute_vector(total, order, expansion.source_slots)
 
 
 PAIR_SLOTS = {"A1": ("A", "1"), "2B": ("2", "B")}
@@ -592,8 +573,8 @@ def joint_outcome_table(
     tol_v = tolerance(tol)
     if commutator_norm(first, second) > tol_v:
         raise NonCommutingError(f"{first.name} and {second.name} do not commute")
-    u = apply(first, s).amps
-    v = apply(second, s).amps
+    u = apply(first, s)
+    v = apply(second, s)
     p_a = float(np.vdot(u, u).real)
     p_b = float(np.vdot(v, v).real)
     p11 = float(np.vdot(u, v).real)
@@ -747,8 +728,6 @@ def reduced_projector_fidelity(
     """<t|rho_slot|t> for a single-qubit target state t."""
     if target.n_qubits != 1:
         raise DimensionMismatchError("target must be a single-qubit state")
-    if not target.normalized:
-        raise NormalizationError("fidelity target must be normalized")
     rho = reduced_density(s, slot)
     value = complex(np.vdot(target.amps, rho @ target.amps))
     if abs(value.imag) > tolerance(tol):
@@ -932,14 +911,33 @@ def shot_nibbles(seed: int, start: int, count: int) -> np.ndarray:
 
 def _place(state, cfg, u):
     """Counts of uniforms ``u`` placed among the running sums by searchsorted."""
-    probs = exact_context_probabilities(state, cfg)
-    flat = np.array([float(probs[a][b]) for a, b in CELL_ORDER])
+    grid, den = exact_context_probabilities(state, cfg)
+    flat = np.array([grid[a][b] / den for a, b in CELL_ORDER])
     flat = flat / flat.sum()
     boundaries = np.cumsum(flat)
     boundaries[-1] = 1.0  # guard against float shortfall at the top end
     outcomes = np.searchsorted(boundaries, u, side="right")
     counts = np.bincount(outcomes, minlength=4).reshape(2, 2)
     return CountTable(counts, cfg.shots)
+
+
+def lane_edges_reference(flat) -> tuple[int, list[tuple[int, int]]]:
+    """The sampler's lane width and ``(index, cut)`` edges by the Fraction
+    rule: the running sums ``b`` of the Fraction cells ``flat`` up to the
+    last nonzero one, cut at ``16 * b`` when every ``b * 16 % 1 == 0`` and
+    at ``ceil(b * 2**53) << 11`` otherwise, no cut past the largest lane."""
+    last = max(i for i, p in enumerate(flat) if p)
+    sums = list(accumulate(flat[:last]))
+    if all(b * 16 % 1 == 0 for b in sums):
+        return 4, [(i, int(b * 16)) for i, b in enumerate(sums) if b < 1]
+    cuts = [math.ceil(b * 2**53) for b in sums]
+    return 64, [(i, t << 11) for i, t in enumerate(cuts) if t < 2**53]
+
+
+def compositions(den: int) -> list[tuple[int, int, int, int]]:
+    """Every four-cell distribution (n00, n01, n10, n11) of ints >= 0 summing to ``den``."""
+    return [(a, b, c, den - a - b - c)
+            for a in range(den + 1) for b in range(den + 1 - a) for c in range(den + 1 - a - b)]
 
 
 def sample_reference(state, cfg, first_shot: int = 0):

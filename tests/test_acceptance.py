@@ -251,7 +251,7 @@ def test_criterion_7_invariant_suite():
         cases.append((s, ("2", "B")))
     for source, pair in cases:
         expansion = oracle.expand_in_bell_basis(source, pair)
-        np.testing.assert_allclose(reconstruct(expansion).amps, source.amps,
+        np.testing.assert_allclose(reconstruct(expansion), source.amps,
                                    atol=TOL)
     print("\nACCEPTANCE 7 PASS: completeness, projector laws, normalization, "
           "randomized anticorrelation, and reconstruction all hold")

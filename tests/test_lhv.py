@@ -39,6 +39,7 @@ from hardylab.observables import (
     HardyClaimSet,
     Interpretation,
     audit_pair,
+    context_observables,
     quantum_probability_table,
 )
 from hardylab.protocol import BELL_ORDER, BellIndex
@@ -1230,10 +1231,15 @@ class TestRationalizedOnce:
         monkeypatch.setattr(ExactTable, "__init__", counting)
         return calls
 
-    @staticmethod
-    def float_table(verdict: str):
-        if verdict == "feasible":
-            return quantum_probability_table(PSIM, PSIM, Interpretation.COLLAPSED_STATE)
+    #: built before the fixture counts: the quantum table is an ExactTable itself
+    QUANTUM = quantum_probability_table(PSIM, PSIM, Interpretation.COLLAPSED_STATE)
+
+    @classmethod
+    def float_table(cls, verdict: str):
+        if verdict == "feasible":  # float cells read off the quantum table
+            q = cls.QUANTUM
+            return {key: [[q.n[key, a, b] / q.den for b in (0, 1)] for a in (0, 1)]
+                    for key in CONTEXT_KEYS}
         exact = claimed_hardy_table()
         return {key: [[float(c) for c in row] for row in grid] for key, grid in exact.items()}
 
@@ -1329,6 +1335,24 @@ class TestNoFractionBuilt:
         assert validate_certificate(table, certs[0])
         # the hook sees the Fractions a report builds
         assert fractions_built(lambda: certs[0].to_jsonable(table)) > 0
+
+    @pytest.mark.parametrize("interp", list(Interpretation))
+    def test_the_quantum_table_and_its_decision(self, interp):
+        quantum_probability_table(PSIM, BellIndex.PHI_PLUS, interp)  # a warm lab
+        tables = []
+        # the 4 are commutator_norm's Fraction(0), one per context: each
+        # context's pair acts on disjoint slots
+        assert fractions_built(lambda: tables.append(
+            quantum_probability_table(PSIM, BellIndex.PHI_PLUS, interp))) == 4
+        assert fractions_built(lambda: feasibility(tables[0])) == 0
+
+    def test_the_sample_set_up(self):
+        from hardylab.protocol import TOTAL_STATE
+        from hardylab.sampler import RunConfig, sample
+
+        cfg = RunConfig(*context_observables("d1u2"), 16, 0)
+        # the 1 is commutator_norm's Fraction(0): D1 and U2 act on disjoint slots
+        assert fractions_built(lambda: sample(TOTAL_STATE, cfg)) == 1
 
 
 # --- Fine's theorem ---------------------------------------------------------

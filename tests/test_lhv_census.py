@@ -20,12 +20,7 @@ from hardylab.lhv import (
 )
 
 import oracle
-
-
-def compositions(den: int) -> list[tuple[int, int, int, int]]:
-    """Every context (n00, n01, n10, n11) of ints >= 0 summing to ``den``."""
-    return [(a, b, c, den - a - b - c)
-            for a in range(den + 1) for b in range(den + 1 - a) for c in range(den + 1 - a - b)]
+from oracle import compositions
 
 
 def all_tables(den: int):

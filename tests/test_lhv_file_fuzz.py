@@ -24,13 +24,19 @@ from hardylab.protocol import BellIndex
 
 #: Exact tables that pass as they are: two Hardy completions, two quantum
 #: tables, and a mixture with thirds (floats that rationalize exactly).
+def fraction_cells(exact) -> dict:
+    """An exact table as a dict of Fraction cells."""
+    return {key: [[Fraction(exact.n[key, a, b], exact.den) for b in (0, 1)] for a in (0, 1)]
+            for key in CONTEXT_KEYS}
+
+
 VALID_TABLES = [
     claimed_hardy_table(),
     claimed_hardy_table(Fraction(1, 8)),
-    quantum_probability_table(BellIndex.PSI_MINUS, BellIndex.PSI_MINUS,
-                              Interpretation.FIXED_BASIS),
-    quantum_probability_table(BellIndex.PHI_PLUS, BellIndex.PSI_MINUS,
-                              Interpretation.COLLAPSED_STATE),
+    fraction_cells(quantum_probability_table(BellIndex.PSI_MINUS, BellIndex.PSI_MINUS,
+                                             Interpretation.FIXED_BASIS)),
+    fraction_cells(quantum_probability_table(BellIndex.PHI_PLUS, BellIndex.PSI_MINUS,
+                                             Interpretation.COLLAPSED_STATE)),
     {key: [[Fraction(1, 3), Fraction(1, 3)], [Fraction(1, 3), 0]] for key in CONTEXT_KEYS},
 ]
 

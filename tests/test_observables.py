@@ -48,6 +48,11 @@ COLLAPSED_TABLES_X16 = {
 }
 
 
+def sixteenths(table, key: str) -> list[list[Fraction]]:
+    """One context of an exact table, in sixteenths."""
+    return [[Fraction(16 * table.n[key, a, b], table.den) for b in (0, 1)] for a in (0, 1)]
+
+
 class TestBuildD:
     def test_rank_counts_via_trace(self):
         op = build_d("A1", PSIM)
@@ -207,11 +212,12 @@ class TestAuditPair:
         for i in BELL_ORDER:
             for j in BELL_ORDER:
                 t = quantum_probability_table(i, j, interp)
+                n = t.n
                 assert audit_pair(i, j, interp).measured == (
-                    t["d1d2"][1][1],
-                    t["d1u2"][1][1] / sum(t["d1u2"][1]),
-                    t["u1d2"][1][1] / sum(row[1] for row in t["u1d2"]),
-                    t["u1u2"][1][1],
+                    Fraction(n["d1d2", 1, 1], t.den),
+                    Fraction(n["d1u2", 1, 1], n["d1u2", 1, 0] + n["d1u2", 1, 1]),
+                    Fraction(n["u1d2", 1, 1], n["u1d2", 0, 1] + n["u1d2", 1, 1]),
+                    Fraction(n["u1u2", 1, 1], t.den),
                 )
 
     # the targets as the paper states them, written out here, not read from the package
@@ -284,18 +290,18 @@ class TestProbabilityTables:
     def test_fixed_tables_match_frozen_oracle(self):
         table = quantum_probability_table(PSIM, PSIM, Interpretation.FIXED_BASIS)
         for key, grid in FIXED_TABLES_X16.items():
-            assert table[key] == tuple(tuple(Fraction(c, 16) for c in row) for row in grid)
+            assert sixteenths(table, key) == grid
 
     def test_collapsed_tables_match_frozen_oracle(self):
         table = quantum_probability_table(PSIM, PSIM, Interpretation.COLLAPSED_STATE)
         for key, grid in COLLAPSED_TABLES_X16.items():
-            assert table[key] == tuple(tuple(Fraction(c, 16) for c in row) for row in grid)
+            assert sixteenths(table, key) == grid
 
     def test_impossible_cells_are_exactly_zero(self):
         table = quantum_probability_table(PSIM, PSIM, Interpretation.FIXED_BASIS)
-        assert table["u1u2"][1][1] == 0.0
-        assert table["u1u2"][0][0] == 0.0
-        assert table["d1u2"][1][0] == 0.0
+        assert table.n["u1u2", 1, 1] == 0
+        assert table.n["u1u2", 0, 0] == 0
+        assert table.n["d1u2", 1, 0] == 0
 
     def test_every_context_sums_to_one(self):
         for interp in Interpretation:
@@ -303,7 +309,12 @@ class TestProbabilityTables:
                 for j in BELL_ORDER:
                     table = quantum_probability_table(i, j, interp)
                     for key in CONTEXT_KEYS:
-                        assert sum(map(sum, table[key])) == 1
+                        assert sum(table.n[key, a, b] for a in (0, 1) for b in (0, 1)) == table.den
+                    for key in CONTEXT_KEYS:  # and each grid on its own den
+                        grid, den = joint_outcome_table(
+                            *context_observables(key, i, j, interp), make_total_state()
+                        )
+                        assert sum(map(sum, grid)) == den
 
     def test_no_signaling_marginals_agree_across_contexts(self):
         # any observable appearing in two contexts must show one marginal
@@ -313,10 +324,10 @@ class TestProbabilityTables:
                     t = quantum_probability_table(i, j, interp)
 
                     def rows(key):
-                        return [sum(row) for row in t[key]]
+                        return [t.n[key, a, 0] + t.n[key, a, 1] for a in (0, 1)]
 
                     def cols(key):
-                        return [sum(col) for col in zip(*t[key])]
+                        return [t.n[key, 0, b] + t.n[key, 1, b] for b in (0, 1)]
 
                     assert rows("d1d2") == rows("d1u2")
                     assert cols("d1d2") == cols("u1d2")
@@ -387,9 +398,9 @@ class TestLabIsBuiltOnce:
         for _ in range(1000):
             first = ObservableOp(StateVector((1, 0), ("1",)), "U1[z+]")
             second = ObservableOp(StateVector((1, 0), ("2",)), "U2[z+]")
-            table = joint_outcome_table(first, second, TOTAL_STATE)
+            grid, den = joint_outcome_table(first, second, TOTAL_STATE)
         assert observables._product.cache_info().currsize == before
-        assert [[x * 16 for x in row] for row in table] == FIXED_TABLES_X16["u1u2"]
+        assert [[Fraction(16 * x, den) for x in row] for row in grid] == FIXED_TABLES_X16["u1u2"]
 
     @pytest.mark.parametrize("interp", list(Interpretation))
     def test_an_audit_computes_six_born_weights(self, interp, monkeypatch):
@@ -405,7 +416,7 @@ class TestLabIsBuiltOnce:
             return born_weight(op, s)
 
         monkeypatch.setattr(observables, "born_weight", counting)
-        monkeypatch.setattr(observables, "born_probability", None)  # unused by the audit
+        assert not hasattr(observables, "born_probability")  # weights are all it reads
         audit_pair(i, j, interp)
         d1, u2 = context_observables("d1u2", i, j, interp)
         u1, d2 = context_observables("u1d2", i, j, interp)

@@ -31,7 +31,8 @@ def _records():
     infeasible = feasibility(claimed_hardy_table())
     cfg = RunConfig(*context_observables("d1d2"), 100, 0)
     counts = sample(TOTAL_STATE, cfg)
-    deviations = compare_frequencies(counts, exact_context_probabilities(TOTAL_STATE, cfg))
+    grid, den = exact_context_probabilities(TOTAL_STATE, cfg)
+    deviations = compare_frequencies(counts, [[n / den for n in row] for row in grid])
     return [
         (StateVector((1, 1), ("B",)), "amps"),
         (ObservableOp(StateVector((1, 0), ("A",)), "up"), "target"),

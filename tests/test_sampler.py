@@ -38,6 +38,12 @@ def state():
     return make_total_state()
 
 
+def exact_floats(state, cfg) -> list[list[float]]:
+    """The run's exact distribution as floats, as ``sample`` reports it."""
+    grid, den = exact_context_probabilities(state, cfg)
+    return [[n / den for n in row] for row in grid]
+
+
 @pytest.fixture(scope="module")
 def dd_config():
     return RunConfig(build_d("A1", PSIM), build_d("2B", PSIM), 20000, 42)
@@ -105,8 +111,8 @@ class TestSampling:
     def test_shot_nibbles_run_low_first(self, state):
         # shots 0-15 read the nibbles of word 0, low nibble first
         first, second = context_observables("d1d2")
-        probs = exact_context_probabilities(state, RunConfig(first, second, 1, 0))
-        flat = [probs[a][b] for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))]
+        grid, den = exact_context_probabilities(state, RunConfig(first, second, 1, 0))
+        flat = [Fraction(grid[a][b], den) for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))]
         sums = list(accumulate(flat))[:3]
         seed = 2002
         word = int(np.random.Philox(key=seed).random_raw(1)[0])
@@ -126,10 +132,10 @@ class TestSampling:
 
     def test_impossible_cells_never_fire(self, state):
         first, second = context_observables("u1u2")
-        exact = exact_context_probabilities(
+        grid, _ = exact_context_probabilities(
             state, RunConfig(first, second, 1, 0)
         )
-        assert exact[1][1] == 0.0 and exact[0][0] == 0.0
+        assert grid[1][1] == 0 and grid[0][0] == 0
         for seed in range(10):
             counts = sample(state, RunConfig(first, second, 5000, seed))
             assert counts.counts[1][1] == 0
@@ -137,14 +143,14 @@ class TestSampling:
 
     def test_frequencies_near_exact(self, state, dd_config):
         counts = sample(state, dd_config)
-        exact = exact_context_probabilities(state, dd_config)
+        exact = exact_floats(state, dd_config)
         report = compare_frequencies(counts, exact)
         assert report.max_abs_z < 5.0
         assert not report.impossible_violations
 
     def test_z_scores_stay_small_for_the_acceptance_seeds(self, state):
         first, second = context_observables("d1d2")
-        exact = exact_context_probabilities(state, RunConfig(first, second, 1, 0))
+        exact = exact_floats(state, RunConfig(first, second, 1, 0))
         for seed in range(1, 11):
             counts = sample(state, RunConfig(first, second, 100000, seed))
             assert compare_frequencies(counts, exact).max_abs_z <= 4.0
@@ -153,7 +159,7 @@ class TestSampling:
         # convergence over the fixed acceptance seed set: max|frequency - p|
         # shrinks as 1/sqrt(shots), while a z-score does not move with shots
         first, second = context_observables("d1d2")
-        exact = exact_context_probabilities(state, RunConfig(first, second, 1, 0))
+        exact = exact_floats(state, RunConfig(first, second, 1, 0))
 
         def mean_max_deviation(shots):
             devs = [
@@ -172,30 +178,28 @@ class TestSampling:
 
 class TestWordEdges:
     def test_top_word_cannot_reach_a_zero_last_cell(self):
-        # the cumulative sum stops one ulp short of 1 before the zero cell
-        flat = np.array([0.2908058851918934, 0.5044399923036108, 0.20475412250449568, 0.0])
-        assert np.cumsum(flat)[2] == 0.9999999999999999
-        bits, edges = _lane_edges(flat)
+        # no edge is cut from the last nonzero cell, cell 2, on
+        bits, edges = _lane_edges([2908, 5044, 2048, 0], 10000)
         assert bits == 64 and [i for i, _ in edges] == [0, 1]
         top = 2**64 - 1  # u = 1 - 2**-53, the largest uniform
         assert sum(top >= cut for _, cut in edges) == 2  # lands in cell 2
+        # an edge within 2**-53 of 1 is cut past the largest lane, so it is dropped
+        assert _lane_edges([1, 2**60 - 2, 1, 0], 2**60) == (64, [(0, 1 << 11)])
 
-    def test_cut_matches_the_float_comparison(self):
-        flat = np.array([0.1, 0.2, 0.3, 0.4])
-        bits, edges = _lane_edges(flat)
+    def test_cut_matches_the_exact_comparison(self):
+        flat = [1, 2, 3, 4]
+        bits, edges = _lane_edges(flat, 10)
         assert bits == 64
         for i, cut in edges:
             below, at = cut - 1, cut
-            b = np.cumsum(flat)[i]
-            assert (below >> 11) * 2.0**-53 < b <= (at >> 11) * 2.0**-53
+            b = Fraction(sum(flat[: i + 1]), 10)
+            assert Fraction(below >> 11, 2**53) < b <= Fraction(at >> 11, 2**53)
 
     def test_edges_on_the_grid_cut_nibbles(self):
-        flat = [Fraction(1, 16), Fraction(3, 16), Fraction(0), Fraction(3, 4)]
-        assert _lane_edges(flat) == (4, [(0, 1), (1, 4), (2, 4)])
+        assert _lane_edges([1, 3, 0, 12], 16) == (4, [(0, 1), (1, 4), (2, 4)])
         # a zero first cell gives a cut of 0, which every nibble passes
-        flat = [Fraction(0), Fraction(1, 2), Fraction(1, 2), Fraction(0)]
-        assert _lane_edges(flat) == (4, [(0, 0), (1, 8)])
-        assert _lane_edges([Fraction(1), Fraction(0), Fraction(0), Fraction(0)]) == (4, [])
+        assert _lane_edges([0, 1, 1, 0], 2) == (4, [(0, 0), (1, 8)])
+        assert _lane_edges([1, 0, 0, 0], 1) == (4, [])
 
 
 class TestMatchesReference:
@@ -255,7 +259,8 @@ def test_no_cell_past_the_last_nonzero_one_fires(last):
     first, second = context_observables("u1u2")
     for shots, seed, first_shot in [(1000, 7, 0), (BLOCK_SHOTS + 5, 2**63 + 1, 2**33 + 7)]:
         cfg = RunConfig(first, second, shots, seed)
-        flat = [p for row in exact_context_probabilities(state, cfg) for p in row]
+        grid, _ = exact_context_probabilities(state, cfg)
+        flat = [n for row in grid for n in row]
         assert max(i for i, p in enumerate(flat) if p) == last
         counts = sample(state, cfg, first_shot).counts
         assert counts.ravel()[last + 1 :].tolist() == [0] * (3 - last)
@@ -272,7 +277,8 @@ def test_edges_off_the_byte_grid_take_a_word_per_shot():
     first, second = context_observables("u1u2")
     for shots, seed, first_shot in [(1000, 3, 0), (_BLOCK_WORDS + 5, 2**63 + 1, 2**33 + 7)]:
         cfg = RunConfig(first, second, shots, seed)
-        assert exact_context_probabilities(state, cfg)[0][1] == Fraction(4, 5)
+        grid, den = exact_context_probabilities(state, cfg)
+        assert Fraction(grid[0][1], den) == Fraction(4, 5)
         np.testing.assert_array_equal(
             sample(state, cfg, first_shot).counts,
             oracle.sample_word_reference(state, cfg, first_shot).counts,
@@ -288,8 +294,9 @@ def test_edges_on_the_byte_grid_only_take_a_word_per_shot():
     first, second = context_observables("u1u2")
     for shots, seed, first_shot in [(1000, 5, 3), (_BLOCK_WORDS + 5, 2**63 + 3, 2**33 + 9)]:
         cfg = RunConfig(first, second, shots, seed)
-        probs = exact_context_probabilities(state, cfg)
-        assert sorted(p for row in probs for p in row)[2:] == [Fraction(1, 32), Fraction(31, 32)]
+        grid, den = exact_context_probabilities(state, cfg)
+        cells = sorted(Fraction(n, den) for row in grid for n in row)
+        assert cells[2:] == [Fraction(1, 32), Fraction(31, 32)]
         np.testing.assert_array_equal(
             sample(state, cfg, first_shot).counts,
             oracle.sample_word_reference(state, cfg, first_shot).counts,
