@@ -52,6 +52,10 @@ CELLS: tuple[Cell, ...] = tuple(
     (key, a, b) for key in CONTEXT_KEYS for a in (0, 1) for b in (0, 1)
 )
 
+#: Each cell's position in CELLS, where an :class:`ExactTable` holds it.
+_AT: Mapping[Cell, int] = {cell: i for i, cell in enumerate(CELLS)}
+_CONTEXTS = frozenset(CONTEXT_KEYS)  # a table's keys, with no set built per call
+
 Table = dict[str, Sequence[Sequence]]  # as :func:`rationalize_table` accepts it
 
 
@@ -64,27 +68,27 @@ class MalformedTableError(HardyLabError):
 
 
 class ExactTable(Frozen):
-    """A validated table, or :class:`MalformedTableError`: the read-only ``n``
-    maps each of the 16 :data:`CELLS`, given as 16 ints in that order, to its
-    numerator >= 0 over ``den``, the lcm of the reduced cell denominators,
-    and each context sums to ``den``."""
+    """A validated table, or :class:`MalformedTableError`: ``n`` is the tuple
+    of the 16 cells' numerators >= 0, in :data:`CELLS` order, over ``den``,
+    the lcm of the reduced cell denominators, and each context sums to
+    ``den``."""
 
     def __init__(self, numerators: Sequence[int], den: int) -> None:
         ints = [*numerators, den] if isinstance(numerators, (list, tuple)) else []
         if len(ints) != 17 or set(map(type, ints)) != {int} or den <= 0 or math.gcd(*ints) > 1:
             raise MalformedTableError("an exact table is 16 int numerators over their lcm den")
-        a, b, c, d = map(sum, (ints[:4], ints[4:8], ints[8:12], ints[12:16]))
-        if min(ints) < 0 or not den == a == b == c == d:  # name the first context that fails
-            for key, i in zip(CONTEXT_KEYS, range(0, 16, 4)):
+        a, b, c, d, e, f, g, h, i, j, k, m, p, q, r, s, _ = ints  # each context, 4 additions
+        if min(ints) < 0 or not den == a+b+c+d == e+f+g+h == i+j+k+m == p+q+r+s:
+            for key, i in zip(CONTEXT_KEYS, range(0, 16, 4)):  # name the first that fails
                 if min(ints[i : i + 4]) < 0:  # no value in the message: it may be too long to print
                     raise MalformedTableError(f"negative entry in context {key!r}")
                 if sum(ints[i : i + 4]) != den:
                     raise MalformedTableError(f"context {key!r} does not sum to 1")
-        object.__setattr__(self, "n", MappingProxyType(dict(zip(CELLS, ints))))
+        object.__setattr__(self, "n", tuple(numerators))
         object.__setattr__(self, "den", den)
 
     def to_jsonable(self) -> dict:
-        return {key: [[rational_json(Fraction(self.n[key, a, b], self.den)) for b in (0, 1)]
+        return {key: [[rational_json(Fraction(self.n[_AT[key, a, b]], self.den)) for b in (0, 1)]
                       for a in (0, 1)] for key in CONTEXT_KEYS}
 
 
@@ -147,9 +151,9 @@ def rationalize_table(table: Table, tol: float = TOLERANCE) -> ExactTable:
     tol_ratio = check_tolerance(tol).as_integer_ratio()
     if isinstance(table, ExactTable):
         return table
-    if not isinstance(table, dict) or table.keys() != set(CONTEXT_KEYS):
+    if not isinstance(table, dict) or table.keys() != _CONTEXTS:
         raise MalformedTableError(f"a table is a dict of exactly the contexts {CONTEXT_KEYS}")
-    cells = []  # each cell's reduced (numerator, denominator), in CELLS order
+    nums, dens = [], []  # each cell's reduced numerator and denominator, in CELLS order
     for key in CONTEXT_KEYS:
         grid = table[key]
         if not (isinstance(grid, (list, tuple)) and len(grid) == 2) or not (
@@ -157,35 +161,36 @@ def rationalize_table(table: Table, tol: float = TOLERANCE) -> ExactTable:
         ) or len(grid[0]) != 2 or len(grid[1]) != 2:
             raise MalformedTableError(f"context {key!r} is not a 2x2 grid of lists")
         for value in (*grid[0], *grid[1]):
-            # Fractions first: they are most of the cells a caller passes
-            if isinstance(value, Fraction):
-                cells.append(value.as_integer_ratio())
-            elif isinstance(value, float) and math.isfinite(value):
+            # floats first: a float is not a Fraction only by the slow ABC check
+            if isinstance(value, float) and math.isfinite(value):
                 ratio = value.as_integer_ratio()
-                cell = _nearest_rational(*ratio)
-                if not within_tolerance(ratio, cell, tol_ratio):
+                p, q = _nearest_rational(*ratio)
+                if not within_tolerance(ratio, (p, q), tol_ratio):
                     raise RationalizationError(
                         f"{value!r} in context {key!r} is not within {tol} of a "
                         f"rational with denominator <= {MAX_DENOMINATOR}"
                     )
-                cells.append(cell)
+            elif isinstance(value, Fraction):
+                p, q = value.as_integer_ratio()
             elif type(value) is int:
-                cells.append((value, 1))
+                p, q = value, 1
             elif type(value) is dict and value.keys() == {"num", "den"} and (
                 type(value["num"]) is type(value["den"]) is int and value["den"] > 0
             ):
                 g = math.gcd(value["num"], value["den"])
-                cells.append((value["num"] // g, value["den"] // g))
+                p, q = value["num"] // g, value["den"] // g
             else:
                 # named by place and type: a cell's repr may hold an int
                 # too long for str(), which would raise in the message
-                _, a, b = CELLS[len(cells)]
+                _, a, b = CELLS[len(nums)]
                 raise MalformedTableError(
                     f"bad cell [{a}][{b}] in context {key!r}: a {type(value).__name__} "
                     "(want a Fraction, an int, a finite float, or {num, den} with den > 0)"
                 )
-    den = math.lcm(*[q for _, q in cells])
-    return ExactTable([p * (den // q) for p, q in cells], den)
+            nums.append(p)
+            dens.append(q)
+    den = math.lcm(*dens)
+    return ExactTable([p * (den // q) for p, q in zip(nums, dens)], den)
 
 
 # --- deduction replay -----------------------------------------------------
@@ -284,10 +289,9 @@ def replay_deductions(claims: HardyClaimSet, tol: float = TOLERANCE) -> Deductio
 
 
 class LhvModel(Frozen):
-    """A mixture of deterministic assignments, or :class:`HardyLabError`: the
-    read-only ``weights`` maps each of the 16 :data:`ASSIGNMENTS`, given as
-    16 ints in that order, to its numerator >= 0 over ``den`` > 0, and the
-    numerators sum to ``den``."""
+    """A mixture of deterministic assignments, or :class:`HardyLabError`:
+    ``weights`` is the tuple of the 16 assignments' numerators >= 0, in
+    :data:`ASSIGNMENTS` order, over ``den`` > 0, and they sum to ``den``."""
 
     def __init__(self, numerators: Sequence[int], den: int) -> None:
         ints = [*numerators, den] if isinstance(numerators, (list, tuple)) else []
@@ -297,7 +301,7 @@ class LhvModel(Frozen):
             raise HardyLabError("model weights must be nonnegative")
         if sum(numerators) != den:
             raise HardyLabError("model weights must sum to exactly 1")
-        object.__setattr__(self, "weights", MappingProxyType(dict(zip(ASSIGNMENTS, numerators))))
+        object.__setattr__(self, "weights", tuple(numerators))
         object.__setattr__(self, "den", den)
 
     def to_jsonable(self) -> dict:
@@ -307,7 +311,7 @@ class LhvModel(Frozen):
                     "assignment": dict(zip(_OBSERVABLES, a)),
                     "weight": rational_json(Fraction(w, self.den)),
                 }
-                for a, w in self.weights.items()
+                for a, w in zip(ASSIGNMENTS, self.weights)
                 if w
             ]
         }
@@ -396,16 +400,16 @@ class LhvCertificate(Frozen):
 # --- local models by chord gluing -----------------------------------------
 
 
-def _local_model(n: Mapping[Cell, int], den: int) -> list[int] | None:
+def _local_model(n: tuple[int, ...], den: int) -> list[int] | None:
     """A local model of a no-signalling table, or None if none exists.
 
     Fine's construction (A. Fine, PRL 48, 291 (1982)): glue two triangles
     over a chord, as in N. N. Vorob'ev, Theory Probab. Appl. 7, 147 (1962).
-    ``n`` and ``den`` are the table's :class:`ExactTable` form.  The chord is
-    t = #(d1=1,u1=1), which no context measures.  With p = #(d1=1) and
-    r = #(u1=1), each triangle (d1, u1, z), z = d2 or u2, with
-    a = #(d1=1,z=1), b = #(u1=1,z=1) and c = #(z=1), has one free cell
-    s = #(1,1,1), and its cells are >= 0 iff
+    ``n`` and ``den`` are the table's :class:`ExactTable` form, cells in
+    :data:`CELLS` order.  The chord is t = #(d1=1,u1=1), which no context
+    measures.  With p = #(d1=1) and r = #(u1=1), each triangle (d1, u1, z),
+    z = d2 or u2, with a = #(d1=1,z=1), b = #(u1=1,z=1) and c = #(z=1), has
+    one free cell s = #(1,1,1), and its cells are >= 0 iff
     max(0, a+b-c, t+a-p, t+b-r) <= s <= min(a, b, t, den-p-r-c+a+b+t).
     On a no-signalling table the last upper bound never binds once
     t >= p+r-den and t >= p+r+c-a-b-den (the loop's comment has the
@@ -418,10 +422,11 @@ def _local_model(n: Mapping[Cell, int], den: int) -> list[int] | None:
     :data:`ASSIGNMENTS` order.  A chord exists iff the table meets all 8
     CHSH inequalities (Fine's theorem).
     """
-    p = n["d1d2", 1, 0] + n["d1d2", 1, 1]
-    r = n["u1d2", 1, 0] + n["u1d2", 1, 1]
+    p = n[_AT["d1d2", 1, 0]] + n[_AT["d1d2", 1, 1]]
+    r = n[_AT["u1d2", 1, 0]] + n[_AT["u1d2", 1, 1]]
     triangles = [
-        (n["d1" + z, 1, 1], n["u1" + z, 1, 1], n["d1" + z, 0, 1] + n["d1" + z, 1, 1])
+        (n[_AT["d1" + z, 1, 1]], n[_AT["u1" + z, 1, 1]],
+         n[_AT["d1" + z, 0, 1]] + n[_AT["d1" + z, 1, 1]])
         for z in ("d2", "u2")
     ]
     t = max(0, p + r - den, *(max(a + b - c, p + r + c - a - b - den) for a, b, c in triangles))
@@ -470,6 +475,10 @@ _MARGINALS: tuple[tuple[str, tuple[Cell, Cell], tuple[Cell, Cell]], ...] = (
     ("u2", (("d1u2", 0, 1), ("d1u2", 1, 1)), (("u1u2", 0, 1), ("u1u2", 1, 1))),
 )
 
+#: Where in CELLS the 4 cells of each observable's :data:`_MARGINALS` and Hardy's 4 sit.
+_MARGINALS_AT = tuple(tuple(_AT[cell] for cell in (*one, *two)) for _, one, two in _MARGINALS)
+_HARDY_AT = tuple(_AT[cell] for cell in _HARDY_FUNCTIONAL)
+
 _OTHER_SETTING = {"d1": "u1", "u1": "d1", "d2": "u2", "u2": "d2"}
 
 
@@ -501,7 +510,7 @@ def _hardy_pattern(exact: ExactTable) -> bool:
     """Whether a table shows the Hardy pattern, read off
     :data:`_HARDY_FUNCTIONAL`: its negative cell P(D1=1,D2=1) is > 0 and
     its three positive cells are 0."""
-    p, *zeros = map(exact.n.__getitem__, _HARDY_FUNCTIONAL)
+    p, *zeros = map(exact.n.__getitem__, _HARDY_AT)
     return p > 0 and not any(zeros)
 
 
@@ -509,7 +518,7 @@ def _hardy_chain(exact: ExactTable) -> tuple[DeductionStep, ...]:
     """The replayed deduction of a table showing the Hardy pattern.  The
     pattern has p > 0 exactly, so the replay must fire: tol=0 covers p below
     the float tolerance (an int: a Fraction compares with it fast)."""
-    claims = HardyClaimSet(Fraction(exact.n["d1d2", 1, 1], exact.den), 1, 1, 0)
+    claims = HardyClaimSet(Fraction(exact.n[_AT["d1d2", 1, 1]], exact.den), 1, 1, 0)
     return replay_deductions(claims, tol=0).steps
 
 
@@ -521,22 +530,22 @@ _MARGINAL_DIFFERENCES: tuple[Mapping[Cell, int], ...] = tuple(
 )
 
 
-def _value(functional: Mapping[Cell, int], n: Mapping[Cell, int]) -> int:
+def _value(functional: Mapping[Cell, int], n: tuple[int, ...]) -> int:
     """A functional's value on the :class:`ExactTable` cells ``n``, times ``den``."""
-    return sum(c * n[cell] for cell, c in functional.items())
+    return sum(c * n[_AT[cell]] for cell, c in functional.items())
 
 
-def _signalling_witness(n: Mapping[Cell, int]) -> Mapping[Cell, int] | None:
+def _signalling_witness(n: tuple[int, ...]) -> Mapping[Cell, int] | None:
     """The first marginal difference < 0 on the :class:`ExactTable` cells
     ``n`` (the first observable whose two marginals differ, with the sign of
     that gap), the ``no-signalling`` witness, or None if there is none."""
-    for k, (_, (a, b), (c, d)) in enumerate(_MARGINALS):
+    for k, (a, b, c, d) in enumerate(_MARGINALS_AT):
         if gap := n[a] + n[b] - n[c] - n[d]:
             return _MARGINAL_DIFFERENCES[2 * k + (gap > 0)]
     return None
 
 
-def _facet_witness(n: Mapping[Cell, int]) -> Mapping[Cell, int]:
+def _facet_witness(n: tuple[int, ...]) -> Mapping[Cell, int]:
     """The relabelled Hardy functional of least value on the
     :class:`ExactTable` cells ``n``, the ``chsh-facet`` witness, whose CHSH
     value is the largest of the 8."""
@@ -613,16 +622,17 @@ def _validate_exact(exact: ExactTable, cert: LhvCertificate) -> bool:
 
     The table, the model and the functional are all ints already, and each
     cell is hit by the 4 assignments :data:`_HITS` lists.  So each check
-    compares integers: a cell's model weight, the sum of its 4 assignments'
-    weights, against the table cell by cross-multiplying the two ``den``;
-    the functional's value on the table against 0; and, each coefficient
-    added into the 4 assignments its cell hits, all 16 sums against 0.
+    compares integers: the 16 model cells, each its 4 assignments' weights
+    summed, against the 16 table cells (both in :data:`CELLS` order) by
+    cross-multiplying the two ``den``; the functional's value on the table
+    against 0; and, each coefficient added into the 4 assignments its cell
+    hits, all 16 sums against 0.
     Last, the functional must be one of those its kind names on the table.
     """
     if cert.verdict == "feasible":  # exact.n and _HITS both list the cells in CELLS order
-        w, den, model_den = list(cert.model.weights.values()), exact.den, cert.model.den
-        return all((w[i] + w[j] + w[k] + w[l]) * den == num * model_den
-                   for num, (i, j, k, l) in zip(exact.n.values(), _HITS.values()))
+        w, den, model_den = cert.model.weights, exact.den, cert.model.den
+        return [(w[i] + w[j] + w[k] + w[l]) * den for i, j, k, l in _HITS.values()] == [
+            num * model_den for num in exact.n]
 
     witness = cert.witness
     functional, sums = witness.functional, [0] * 16

@@ -31,6 +31,7 @@ from hardylab.core import (
     SlotCollisionError,
     ZeroProbabilityError,
 )
+from hardylab import lhv
 from hardylab.lhv import _MARGINAL_DIFFERENCES, CELLS, LhvModel, _value, rationalize_table
 from hardylab.observables import CLAIM_TARGETS, Interpretation
 from hardylab.protocol import BELL_ORDER, BellIndex
@@ -649,10 +650,22 @@ def hits(assignment, cell) -> bool:
     return assignment[i] == a and assignment[j] == b
 
 
+def cells(exact) -> dict:
+    """An ``ExactTable``'s numerators by cell: its ``n`` lists them in CELLS order."""
+    return dict(zip(CELLS, exact.n))
+
+
+def weights(model: LhvModel) -> dict:
+    """An ``LhvModel``'s weights by assignment: its ``weights`` lists them
+    in the package's ASSIGNMENTS order."""
+    return dict(zip(lhv.ASSIGNMENTS, model.weights))
+
+
 def cell_probability(model: LhvModel, cell) -> Fraction:
     """The probability a mixture of deterministic assignments gives one cell:
     the weights of the assignments that hit it, summed, over ``model.den``."""
-    return Fraction(sum(model.weights[a] for a in ASSIGNMENTS if hits(a, cell)), model.den)
+    by_assignment = weights(model)
+    return Fraction(sum(by_assignment[a] for a in ASSIGNMENTS if hits(a, cell)), model.den)
 
 
 #: Hardy's functional, -P(D1=1,D2=1) + P(D1=1,U2=0) + P(U1=0,D2=1) + P(U1=1,U2=1).
@@ -840,16 +853,16 @@ def validate_certificate_reference(table, cert, tol: float | None = None) -> boo
         exact = rationalize_table(table, tolerance(tol))
     except HardyLabError:
         return False
-    cells = {cell: Fraction(exact.n[cell], exact.den) for cell in CELLS}
+    values = {cell: Fraction(n, exact.den) for cell, n in cells(exact).items()}
 
     if cert.verdict == "feasible":
         model = cert.model
-        if not _ints([*model.weights.values(), model.den]) or model.den <= 0:
+        if not _ints([*model.weights, model.den]) or model.den <= 0:
             return False
-        weights = [Fraction(w, model.den) for w in model.weights.values()]
+        weights = [Fraction(w, model.den) for w in model.weights]
         if len(weights) != 16 or min(weights) < 0 or sum(weights) != 1:
             return False
-        return all(cell_probability(model, cell) == cells[cell] for cell in CELLS)
+        return all(cell_probability(model, cell) == values[cell] for cell in CELLS)
 
     witness = cert.witness
     if witness is None or not witness.functional:
@@ -859,7 +872,7 @@ def validate_certificate_reference(table, cert, tol: float | None = None) -> boo
     if not _ints(witness.functional.values()):
         return False
     functional = dict(witness.functional)
-    if functional_value(functional, cells) >= 0:
+    if functional_value(functional, values) >= 0:
         return False
     if not all(
         sum(c for cell, c in functional.items() if hits(a, cell)) >= 0
@@ -870,12 +883,12 @@ def validate_certificate_reference(table, cert, tol: float | None = None) -> boo
         return any(functional in marginal_functionals(x) for x in OBSERVABLES)
     if witness.kind == "chsh-facet":
         no_signalling = all(
-            functional_value(marginal_functionals(x)[0], cells) == 0 for x in OBSERVABLES
+            functional_value(marginal_functionals(x)[0], values) == 0 for x in OBSERVABLES
         )
         return no_signalling and functional in chsh_facets()
     if witness.kind == "deduction-chain":
-        p = cells["d1d2", 1, 1]
-        pattern = p > 0 and cells["d1u2", 1, 0] == cells["u1d2", 0, 1] == cells["u1u2", 1, 1] == 0
+        p = values["d1d2", 1, 1]
+        pattern = p > 0 and values["d1u2", 1, 0] == values["u1d2", 0, 1] == values["u1u2", 1, 1] == 0
         return pattern and functional == HARDY_FUNCTIONAL
     return False
 

@@ -164,7 +164,7 @@ def test_criterion_5_certificate_soundness():
         assert validate_certificate(table, cert)
 
         # moving 1/1000 of the weight must break the certificate
-        weights = [1000 * w for w in cert.model.weights.values()]
+        weights = [1000 * w for w in cert.model.weights]
         donor = weights.index(max(weights))
         receiver = 1 if donor == 0 else 0
         weights[donor] -= cert.model.den

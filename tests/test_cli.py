@@ -169,6 +169,16 @@ class TestLhvCommand:
         assert env["results"]["certificate"]["verdict"] == "feasible"
         assert env["results"]["validated"] is True
 
+    def test_quantum_source_reads_its_three_parts_in_order(self, capsys):
+        # two different Bell labels: swapping or repeating a part shows
+        code, env = run_json(capsys, "lhv", "--source", "quantum:phi+,psi-,collapsed")
+        results = env["results"]
+        assert (code, results["d1"], results["d2"], results["interp"]) == (
+            0, "phi+", "psi-", "collapsed")
+        assert results["table"] == quantum_probability_table(
+            BellIndex.PHI_PLUS, BellIndex.PSI_MINUS, Interpretation.COLLAPSED_STATE
+        ).to_jsonable()
+
     def test_file_source_round_trip(self, capsys, tmp_path):
         _, env = run_json(capsys, "lhv", "--source", "paper-claims")
         path = tmp_path / "table.json"

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import sys
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 from types import MappingProxyType
@@ -81,7 +82,7 @@ def point_model(assignment) -> LhvModel:
 
 
 #: The weights of the model of (1, 1, 1, 1), in ASSIGNMENTS order, over den 1.
-POINT = list(point_model((1, 1, 1, 1)).weights.values())
+POINT = list(point_model((1, 1, 1, 1)).weights)
 
 
 def model_of(weights: list[Fraction]) -> LhvModel:
@@ -103,8 +104,9 @@ def grid(table) -> dict:
     """Any table as a grid of Fractions: each cell of its :class:`ExactTable`
     read as ``Fraction(n[cell], den)``."""
     exact = rationalize_table(table)
+    n = oracle.cells(exact)
     return {
-        key: [[Fraction(exact.n[key, a, b], exact.den) for b in (0, 1)] for a in (0, 1)]
+        key: [[Fraction(n[key, a, b], exact.den) for b in (0, 1)] for a in (0, 1)]
         for key in CONTEXT_KEYS
     }
 
@@ -113,7 +115,7 @@ def linprog_feasible(table) -> bool:
     """Independent feasibility oracle: float LP over the same polytope."""
     exact = rationalize_table(table)
     a_eq = [[float(oracle.hits(a, cell)) for a in oracle.ASSIGNMENTS] for cell in CELLS]
-    b_eq = [float(Fraction(exact.n[cell], exact.den)) for cell in CELLS]
+    b_eq = [float(Fraction(n, exact.den)) for n in exact.n]  # in CELLS order
     res = linprog(
         c=[0.0] * 16, A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * 16, method="highs"
     )
@@ -315,8 +317,8 @@ class TestQuantumTables:
         assert (cert.verdict == "feasible") == linprog_feasible(exact)
         # these single-pair statistics admit a local model
         assert cert.verdict == "feasible"
-        for cell in CELLS:
-            assert oracle.cell_probability(cert.model, cell) == Fraction(exact.n[cell], exact.den)
+        for cell, n in oracle.cells(exact).items():
+            assert oracle.cell_probability(cert.model, cell) == Fraction(n, exact.den)
 
 
 class TestFeasibilityOnMixtures:
@@ -371,7 +373,7 @@ class TestCertificateValidation:
         model = random_model(7)
         table = table_of_model(model)
         cert = feasibility(table)
-        weights = [1000 * w for w in cert.model.weights.values()]
+        weights = [1000 * w for w in cert.model.weights]
         nonzero = next(i for i, w in enumerate(weights) if w > cert.model.den)
         weights[nonzero] -= cert.model.den
         weights[nonzero - 1] += cert.model.den
@@ -380,7 +382,7 @@ class TestCertificateValidation:
 
     def test_uncompensated_tampering_violates_model_invariants(self):
         model = random_model(9)
-        weights = list(model.weights.values())
+        weights = list(model.weights)
         weights[0] += 1
         with pytest.raises(HardyLabError, match="sum"):
             LhvModel(weights, model.den)
@@ -511,7 +513,51 @@ class TestRelabelingSymmetry:
         assert validate_certificate(flipped, cert)
 
 
+class FractionSubclass(Fraction):
+    """A Fraction subclass, as a library caller may pass one."""
+
+
+class Outcome(IntEnum):
+    """An int subclass: refused, as a bool is."""
+
+    ONE = 1
+
+
+#: Each cell kind: how it writes a Fraction cell, and the type a refused
+#: kind is named by (None: accepted, reading as the Fraction).
+CELL_KINDS = {
+    "float": (float, None),
+    "numpy-float64": (np.float64, None),
+    "fraction": (Fraction, None),
+    "fraction-subclass": (FractionSubclass, None),
+    "true": (lambda c: True, "bool"),
+    "int-enum": (lambda c: Outcome.ONE, "Outcome"),
+    "nan": (lambda c: float("nan"), "float"),
+    "-inf": (lambda c: float("-inf"), "float"),
+}
+
+
 class TestRationalization:
+    @pytest.mark.parametrize("kind", CELL_KINDS)
+    def test_each_cell_kind_reads_as_its_rational_or_is_named(self, kind):
+        # an accepted kind writes every cell of the claimed table, a refused
+        # one the cell [1][0] of u1d2 only; floats are tested first, so a
+        # float subclass must still be a float and a Fraction subclass a Fraction
+        write, refused = CELL_KINDS[kind]
+        table, expected = claimed_hardy_table(), rationalize_table(claimed_hardy_table())
+        if refused is None:
+            exact = rationalize_table({key: [[write(c) for c in row] for row in grid]
+                                       for key, grid in table.items()})
+            assert (exact.n, exact.den) == (expected.n, expected.den)
+            return
+        table["u1d2"][1][0] = write(table["u1d2"][1][0])
+        with pytest.raises(MalformedTableError) as error:
+            rationalize_table(table)
+        assert str(error.value) == (
+            f"bad cell [1][0] in context 'u1d2': a {refused} "
+            "(want a Fraction, an int, a finite float, or {num, den} with den > 0)"
+        )
+
     def test_a_float_cell_just_beyond_the_tolerance_is_refused(self):
         cell, near = BEYOND_TOLERANCE
         assert nearest(cell) == stdlib_nearest(cell) == near.as_integer_ratio()
@@ -524,13 +570,14 @@ class TestRationalization:
         assert nearest(cell) == stdlib_nearest(cell) == near.as_integer_ratio()
         assert abs(Fraction(cell) - near) <= Fraction(1e-12)
         exact = rationalize_table(table_with_float_cell(cell, near), 1e-12)
-        assert Fraction(exact.n["d1d2", 0, 0], exact.den) == near
+        assert Fraction(oracle.cells(exact)["d1d2", 0, 0], exact.den) == near
 
     def test_exact_dyadic_floats_pass(self):
         table = quantum_probability_table(PSIM, PSIM, Interpretation.FIXED_BASIS)
         exact = rationalize_table(table)
-        assert Fraction(exact.n["d1d2", 1, 1], exact.den) == Fraction(1, 16)
-        assert exact.n["u1u2", 1, 1] == 0
+        n = oracle.cells(exact)
+        assert Fraction(n["d1d2", 1, 1], exact.den) == Fraction(1, 16)
+        assert n["u1u2", 1, 1] == 0
 
     def test_denominator_bound_is_enforced(self):
         # 3/2^21 is exactly representable but needs a denominator beyond 2^20
@@ -675,11 +722,15 @@ class TestExactTableContract:
 
     def test_a_built_form_is_the_parse_and_cannot_be_changed(self):
         exact = ExactTable(ONES, 1)
-        assert (dict(exact.n), exact.den) == (dict(zip(CELLS, ONES)), 1)
+        # n is the tuple of the numerators in CELLS order
+        assert (type(exact.n), exact.n, exact.den) == (tuple, tuple(ONES), 1)
+        assert oracle.cells(exact) == dict(zip(CELLS, ONES))
         parsed = rationalize_table(DETERMINISTIC)
         assert (parsed.n, parsed.den) == (exact.n, exact.den)
         with pytest.raises(TypeError):
-            exact.n["d1d2", 1, 1] = 2
+            exact.n[CELLS.index(("d1d2", 1, 1))] = 2
+        with pytest.raises(AttributeError):
+            exact.n.clear()
         with pytest.raises(AttributeError):
             exact.den = 2
         assert validate_certificate(exact, feasibility(exact))
@@ -694,16 +745,18 @@ class TestExactTableContract:
             ([1, 0, 0, 1], [1, 0, 0, 0], "context {!r} does not sum to 1"),
             ([0, 0, 0, 0], [1, 0, 0, 0], "context {!r} does not sum to 1"),
             ([0, 0, 0, 0], [0, 0, 0, 0], "context {!r} does not sum to 1"),
+            ([0, 1, 1, 1], [1, 0, 0, 0], "context {!r} does not sum to 1"),
         ],
         ids=["negative-then-sum-2", "negative-summing-to-0", "sum-2-then-negative",
-             "sum-2", "sum-0", "sum-0-and-every-later-one"],
+             "sum-2", "sum-0", "sum-0-and-every-later-one", "sum-3-or-1-with-a-cell-negated"],
     )
     def test_the_first_broken_context_is_named(self, key, context, later, message):
         # every context before ``key`` is [1, 0, 0, 0] and every one after it
         # ``later``; only ``key``'s may be named.  A broken context whose sum
-        # is off by a neighbouring cell, or equals the sums after it, must
-        # not slip past a check of all four sums at once.  The CLI prints
-        # this message for a file: table.
+        # is off by a neighbouring cell, equals the sums after it, or would
+        # be 1 with any one of its last three cells negated, must not slip
+        # past a check of all four sums at once.  The CLI prints this
+        # message for a file: table.
         k = CONTEXT_KEYS.index(key)
         numerators = [1, 0, 0, 0] * k + context + later * (3 - k)
         with pytest.raises(MalformedTableError) as error:
@@ -745,11 +798,13 @@ class TestLhvModelContract:
 
     def test_a_built_model_is_the_decision_and_cannot_be_changed(self):
         model = LhvModel(POINT, 1)
-        assert (dict(model.weights), model.den) == (dict(zip(ASSIGNMENTS, POINT)), 1)
+        # weights is the tuple of the weights in ASSIGNMENTS order
+        assert (type(model.weights), model.weights, model.den) == (tuple, tuple(POINT), 1)
+        assert oracle.weights(model) == dict(zip(ASSIGNMENTS, POINT))
         cert = feasibility(DETERMINISTIC)
         assert (cert.model.weights, cert.model.den) == (model.weights, model.den)
         with pytest.raises(TypeError):
-            model.weights[1, 1, 1, 1] = 0
+            model.weights[ASSIGNMENTS.index((1, 1, 1, 1))] = 0
         with pytest.raises(AttributeError):
             model.weights.clear()
         with pytest.raises(AttributeError):
@@ -987,7 +1042,7 @@ class TestLocalModelMatchesReference:
     def test_same_verdict_and_a_valid_model(self, name, data):
         exact = data.draw(TABLE_CLASSES[name])
         form = rationalize_table(exact)
-        cells = [Fraction(form.n[cell], form.den) for cell in CELLS]
+        cells = [Fraction(n, form.den) for n in form.n]  # in CELLS order
         x, _ = oracle.phase1_simplex(self.COLUMNS, cells)
         cert = feasibility(exact)
         assert (cert.verdict == "feasible") == (x is not None)
@@ -997,7 +1052,7 @@ class TestLocalModelMatchesReference:
         if x is None:
             return
         weights = _local_model(form.n, form.den)
-        assert (weights, form.den) == (list(cert.model.weights.values()), cert.model.den)
+        assert (weights, form.den) == (list(cert.model.weights), cert.model.den)
         assert _validate_exact(form, cert)
         assert oracle.validate_certificate_reference(exact, cert)
         assert all(type(w) is int for w in weights)
@@ -1119,8 +1174,8 @@ class TestNearestRational:
     @settings(max_examples=200, deadline=None)
     @given(exact=tables_at_the_bound())
     def test_cells_of_tables_at_the_bound(self, exact):
-        for cell in CELLS:
-            value = Fraction(exact.n[cell], exact.den)
+        for n in exact.n:
+            value = Fraction(n, exact.den)
             assert nearest(float(value)) == stdlib_nearest(float(value)) == value.as_integer_ratio()
 
 
@@ -1129,7 +1184,7 @@ def tampered_model(model: LhvModel, kind: str, data) -> tuple[list, int]:
     ``move`` keeps the invariants, every other kind breaks one.  The model
     is first put over ``k * den``, so that one unit is 1/(k * den)."""
     k = data.draw(st.integers(1, 2**20 if kind == "nudge" else 1000))
-    weights, den = [k * w for w in model.weights.values()], k * model.den
+    weights, den = [k * w for w in model.weights], k * model.den
     donor = data.draw(st.sampled_from([i for i, w in enumerate(weights) if w > 0]))
     other = data.draw(st.sampled_from([i for i in range(16) if i != donor]))
     if kind == "move":  # some or all of the donor's weight
@@ -1237,8 +1292,8 @@ class TestRationalizedOnce:
     @classmethod
     def float_table(cls, verdict: str):
         if verdict == "feasible":  # float cells read off the quantum table
-            q = cls.QUANTUM
-            return {key: [[q.n[key, a, b] / q.den for b in (0, 1)] for a in (0, 1)]
+            q, n = cls.QUANTUM, oracle.cells(cls.QUANTUM)
+            return {key: [[n[key, a, b] / q.den for b in (0, 1)] for a in (0, 1)]
                     for key in CONTEXT_KEYS}
         exact = claimed_hardy_table()
         return {key: [[float(c) for c in row] for row in grid] for key, grid in exact.items()}
@@ -1454,7 +1509,7 @@ class TestNamedWitnesses:
         }
         # at visibility 1/2, CHSH = 2: local, so the chord gluing builds the model
         cert, built = decided_with_builds(noisy_pr_box(Fraction(1, 2)))
-        assert cert.verdict == "feasible" and built == [list(cert.model.weights.values())]
+        assert cert.verdict == "feasible" and built == [list(cert.model.weights)]
 
     def test_the_reference_finds_the_same_facets(self):
         # brute force finds exactly the 64 relabellings of Hardy's functional

@@ -22,11 +22,14 @@ from hardylab.lhv import claimed_hardy_table, feasibility, rationalize_table, va
 from hardylab.observables import CONTEXT_KEYS, Interpretation, quantum_probability_table
 from hardylab.protocol import BellIndex
 
+import oracle
+
 #: Exact tables that pass as they are: two Hardy completions, two quantum
 #: tables, and a mixture with thirds (floats that rationalize exactly).
 def fraction_cells(exact) -> dict:
     """An exact table as a dict of Fraction cells."""
-    return {key: [[Fraction(exact.n[key, a, b], exact.den) for b in (0, 1)] for a in (0, 1)]
+    n = oracle.cells(exact)
+    return {key: [[Fraction(n[key, a, b], exact.den) for b in (0, 1)] for a in (0, 1)]
             for key in CONTEXT_KEYS}
 
 
