@@ -147,6 +147,8 @@ def rationalize_table(table: Table, tol: float = TOLERANCE) -> ExactTable:
     :func:`~hardylab.core.within_tolerance`).  Cells must be >= 0 and each
     context must sum to 1 exactly, in integers.  Anything else raises a
     :class:`HardyLabError`.  An :class:`ExactTable` is returned as is.
+    Each distinct float is read once per call, and a repeat looks its
+    ``(p, q)`` up; nothing is kept between calls, as ``tol`` may differ.
     """
     tol_ratio = check_tolerance(tol).as_integer_ratio()
     if isinstance(table, ExactTable):
@@ -154,6 +156,7 @@ def rationalize_table(table: Table, tol: float = TOLERANCE) -> ExactTable:
     if not isinstance(table, dict) or table.keys() != _CONTEXTS:
         raise MalformedTableError(f"a table is a dict of exactly the contexts {CONTEXT_KEYS}")
     nums, dens = [], []  # each cell's reduced numerator and denominator, in CELLS order
+    read = {}  # each float read so far -> its (p, q)
     for key in CONTEXT_KEYS:
         grid = table[key]
         if not (isinstance(grid, (list, tuple)) and len(grid) == 2) or not (
@@ -161,15 +164,19 @@ def rationalize_table(table: Table, tol: float = TOLERANCE) -> ExactTable:
         ) or len(grid[0]) != 2 or len(grid[1]) != 2:
             raise MalformedTableError(f"context {key!r} is not a 2x2 grid of lists")
         for value in (*grid[0], *grid[1]):
-            # floats first: a float is not a Fraction only by the slow ABC check
+            # floats first: a float is not a Fraction only by the slow ABC check;
+            # and only a float is looked up, as a junk cell may not hash
             if isinstance(value, float) and math.isfinite(value):
-                ratio = value.as_integer_ratio()
-                p, q = _nearest_rational(*ratio)
-                if not within_tolerance(ratio, (p, q), tol_ratio):
-                    raise RationalizationError(
-                        f"{value!r} in context {key!r} is not within {tol} of a "
-                        f"rational with denominator <= {MAX_DENOMINATOR}"
-                    )
+                if value in read:
+                    p, q = read[value]
+                else:
+                    ratio = value.as_integer_ratio()
+                    p, q = read[value] = _nearest_rational(*ratio)
+                    if not within_tolerance(ratio, (p, q), tol_ratio):
+                        raise RationalizationError(
+                            f"{value!r} in context {key!r} is not within {tol} of a "
+                            f"rational with denominator <= {MAX_DENOMINATOR}"
+                        )
             elif isinstance(value, Fraction):
                 p, q = value.as_integer_ratio()
             elif type(value) is int:
@@ -400,6 +407,13 @@ class LhvCertificate(Frozen):
 # --- local models by chord gluing -----------------------------------------
 
 
+#: Where in CELLS :func:`_local_model` reads #(d1=1,d2=0) and #(u1=1,d2=0),
+#: then, for z = d2 and z = u2, #(d1=1,z=1), #(u1=1,z=1) and #(d1=0,z=1).
+_GLUE_AT = tuple(_AT[cell] for cell in (("d1d2", 1, 0), ("u1d2", 1, 0), *(
+    cell for z in ("d2", "u2") for cell in (("d1" + z, 1, 1), ("u1" + z, 1, 1), ("d1" + z, 0, 1))
+)))
+
+
 def _local_model(n: tuple[int, ...], den: int) -> list[int] | None:
     """A local model of a no-signalling table, or None if none exists.
 
@@ -412,46 +426,40 @@ def _local_model(n: tuple[int, ...], den: int) -> list[int] | None:
     one free cell s = #(1,1,1), and its cells are >= 0 iff
     max(0, a+b-c, t+a-p, t+b-r) <= s <= min(a, b, t, den-p-r-c+a+b+t).
     On a no-signalling table the last upper bound never binds once
-    t >= p+r-den and t >= p+r+c-a-b-den (the loop's comment has the
+    t >= p+r-den and t >= p+r+c-a-b-den (the comment below has the
     argument), so the check reads min(a, b, t).
     Each lower-upper pair bounds t from below, from above, or not at all,
     so ``t`` below is the least chord, and if it fails no chord works.
     Each s takes its largest lower bound.  On each chord cell the two
     triangles' z = 1 weights are coupled monotonically, so at most 12 of
-    the 16 weights are nonzero.  They are returned as ints over ``den``, in
-    :data:`ASSIGNMENTS` order.  A chord exists iff the table meets all 8
-    CHSH inequalities (Fine's theorem).
+    the 16 weights are nonzero.  They are returned as ints over ``den``,
+    the weight of (d1, d2, u1, u2) at index 8*d1 + 4*d2 + 2*u1 + u2, which
+    is its place in :data:`ASSIGNMENTS`.  A chord exists iff the table
+    meets all 8 CHSH inequalities (Fine's theorem).
     """
-    p = n[_AT["d1d2", 1, 0]] + n[_AT["d1d2", 1, 1]]
-    r = n[_AT["u1d2", 1, 0]] + n[_AT["u1d2", 1, 1]]
-    triangles = [
-        (n[_AT["d1" + z, 1, 1]], n[_AT["u1" + z, 1, 1]],
-         n[_AT["d1" + z, 0, 1]] + n[_AT["d1" + z, 1, 1]])
-        for z in ("d2", "u2")
-    ]
-    t = max(0, p + r - den, *(max(a + b - c, p + r + c - a - b - den) for a, b, c in triangles))
-    sides = []
-    for a, b, c in triangles:
-        s = max(0, a + b - c, t + a - p, t + b - r)
-        # the cell (0,0,0)'s bound s <= den - p - r - c + a + b + t never binds:
-        # 0 is below it, because t >= p + r + c - a - b - den;
-        # a + b - c is below it, because t >= p + r - den;
-        # t + a - p is below it iff r + c - b <= den: den * P(u1=1 or z=1);
-        # t + b - r is below it iff p + c - a <= den: den * P(d1=1 or z=1).
-        if s > min(a, b, t):
-            return None
-        # each chord cell (d1, u1) -> its weight with z = 1
-        sides.append({(1, 1): s, (1, 0): a - s, (0, 1): b - s, (0, 0): c - a - b + s})
-    chord = {(1, 1): t, (1, 0): p - t, (0, 1): r - t, (0, 0): den - p - r + t}
-    weights = {}
-    for (d1, u1), m in chord.items():
-        on_d2, on_u2 = sides[0][d1, u1], sides[1][d1, u1]
-        both = min(on_d2, on_u2)
-        weights[d1, 1, u1, 1] = both
-        weights[d1, 1, u1, 0] = on_d2 - both
-        weights[d1, 0, u1, 1] = on_u2 - both
-        weights[d1, 0, u1, 0] = m - on_d2 - on_u2 + both
-    return [weights[a] for a in ASSIGNMENTS]
+    p, r, a, b, c, e, f, g = map(n.__getitem__, _GLUE_AT)  # (a, b, c): z = d2; (e, f, g): z = u2
+    p, r, c, g = p + a, r + b, c + a, g + e  # each plus its context's (1, 1) cell
+    t = max(0, p + r - den, a + b - c, p + r + c - a - b - den, e + f - g, p + r + g - e - f - den)
+    # each triangle's s; its cell (0,0,0)'s bound s <= den - p - r - c + a + b + t never binds:
+    # 0 is below it, because t >= p + r + c - a - b - den;
+    # a + b - c is below it, because t >= p + r - den;
+    # t + a - p is below it iff r + c - b <= den: den * P(u1=1 or z=1);
+    # t + b - r is below it iff p + c - a <= den: den * P(d1=1 or z=1).
+    s = max(0, a + b - c, t + a - p, t + b - r)
+    x = max(0, e + f - g, t + e - p, t + f - r)
+    if s > min(a, b, t) or x > min(e, f, t):
+        return None
+    w = [0] * 16
+    # each chord cell (d1, u1) at index 8*d1 + 2*u1, its weight, and its
+    # weights with d2 = 1 and with u2 = 1
+    for i, m, y, z in ((10, t, s, x), (8, p - t, a - s, e - x), (2, r - t, b - s, f - x),
+                       (0, den - p - r + t, c - a - b + s, g - e - f + x)):
+        both = min(y, z)
+        w[i + 5] = both
+        w[i + 4] = y - both
+        w[i + 1] = z - both
+        w[i] = m - y - z + both
+    return w
 
 
 # --- feasibility decision -------------------------------------------------

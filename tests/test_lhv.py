@@ -31,6 +31,7 @@ from hardylab.lhv import (
     _local_model,
     _nearest_rational,
     _validate_exact,
+    rational_json,
     rationalize_table,
     replay_deductions,
     validate_certificate,
@@ -558,6 +559,33 @@ class TestRationalization:
             "(want a Fraction, an int, a finite float, or {num, den} with den > 0)"
         )
 
+    def test_repeated_floats_among_other_kinds_read_as_their_fractions(self):
+        # cells cycle through five kinds, zeros are ints, and some float repeats
+        exact = quantum_probability_table(PSIM, PSIM, Interpretation.COLLAPSED_STATE)
+        kinds = (float, Fraction, np.float64, float, rational_json)
+        cells = [Fraction(n, exact.den) for n in exact.n]
+        written = [kinds[i % 5](c) if c else 0 for i, c in enumerate(cells)]
+        floats = [c for c in written if type(c) is float]
+        assert len(set(floats)) < len(floats) and 0 in written
+        table = {key: [written[i : i + 2], written[i + 2 : i + 4]]
+                 for key, i in zip(CONTEXT_KEYS, range(0, 16, 4))}
+        twin = {key: [cells[i : i + 2], cells[i + 2 : i + 4]]
+                for key, i in zip(CONTEXT_KEYS, range(0, 16, 4))}
+        got, expected = rationalize_table(table), rationalize_table(twin)
+        assert (got.n, got.den) == (expected.n, expected.den) == (exact.n, exact.den)
+
+    @pytest.mark.parametrize("junk", [[0.25], {"num": 1}], ids=["list", "dict"])
+    def test_a_junk_cell_after_a_repeated_float_is_named(self, junk):
+        # the junk cell is not hashed, so it raises no TypeError
+        table = {key: [[0.25, 0.25], [0.25, 0.25]] for key in CONTEXT_KEYS}
+        table["u1d2"][1][0] = junk
+        with pytest.raises(MalformedTableError) as error:
+            rationalize_table(table)
+        assert str(error.value) == (
+            f"bad cell [1][0] in context 'u1d2': a {type(junk).__name__} "
+            "(want a Fraction, an int, a finite float, or {num, den} with den > 0)"
+        )
+
     def test_a_float_cell_just_beyond_the_tolerance_is_refused(self):
         cell, near = BEYOND_TOLERANCE
         assert nearest(cell) == stdlib_nearest(cell) == near.as_integer_ratio()
@@ -1058,6 +1086,13 @@ class TestLocalModelMatchesReference:
         assert all(type(w) is int for w in weights)
         assert sum(w != 0 for w in weights) <= 12
 
+    @pytest.mark.parametrize("assignment", ASSIGNMENTS)
+    def test_a_deterministic_table_glues_back_to_its_assignment(self, assignment):
+        # the weight of (d1, d2, u1, u2) sits at 8*d1 + 4*d2 + 2*u1 + u2
+        form = rationalize_table(table_of_model(point_model(assignment)))
+        assert form.den == 1
+        assert _local_model(form.n, form.den) == [int(a == assignment) for a in ASSIGNMENTS]
+
     @settings(max_examples=350, deadline=None)
     @given(exact=no_signalling_tables())
     def test_a_model_exists_iff_fine_says_local(self, exact):
@@ -1320,6 +1355,18 @@ class TestRationalizedOnce:
         assert validate_certificate(exact, cert)
         assert cert.to_jsonable(exact)["verdict"] == verdict
         assert len(calls) == 1
+
+
+    def test_each_call_reads_its_floats_at_its_own_tolerance(self):
+        # 9/16 two ulps down: within the default tolerance, not within 0
+        table = self.float_table("feasible")
+        table["d1d2"][0][0] = 0.5624999999999998
+        exact = rationalize_table(table)
+        assert (exact.n, exact.den) == (self.QUANTUM.n, self.QUANTUM.den)
+        with pytest.raises(RationalizationError) as error:
+            rationalize_table(table, 0)
+        assert str(error.value).startswith(
+            "0.5624999999999998 in context 'd1d2' is not within 0 of a rational")
 
 
 class TestReplayedWhenReported:

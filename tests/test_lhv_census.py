@@ -6,9 +6,12 @@ whose least denominator is 2, 3 or 4, goes through ``feasibility`` as an
 and the Fraction reference in ``oracle.py``, and the verdict must be
 Fine's: a table has a local model iff it is no-signalling and meets all 8
 CHSH inequalities (A. Fine, PRL 48, 291 (1982)), here checked in ints.
-The counts of each verdict and witness kind are pinned.
+The counts of each verdict and witness kind are pinned, and so is a
+sha256 of every feasible certificate's model, one line per model in
+table order: a change to how a model is glued changes it.
 """
 
+import hashlib
 import math
 from collections import Counter
 from itertools import product
@@ -55,25 +58,32 @@ def fine(ints: list[int], den: int) -> bool:
 
 
 @pytest.mark.parametrize(
-    "tables, den, kinds",
+    "tables, den, kinds, models",
     [
         (all_tables, 2,
-         {"feasible": 112, "chsh-facet": 7, "deduction-chain": 837, "no-signalling": 8788}),
-        (no_signalling_tables, 2, {"feasible": 112, "chsh-facet": 7, "deduction-chain": 1}),
-        (no_signalling_tables, 3, {"feasible": 672, "chsh-facet": 59, "deduction-chain": 5}),
-        (no_signalling_tables, 4, {"feasible": 2681, "chsh-facet": 273, "deduction-chain": 15}),
+         {"feasible": 112, "chsh-facet": 7, "deduction-chain": 837, "no-signalling": 8788},
+         "47a12762d9cc9097a270fbe54b889733b23d390dd55f21ec00fcec39744e0c67"),
+        (no_signalling_tables, 2, {"feasible": 112, "chsh-facet": 7, "deduction-chain": 1},
+         "27baf97b9e4a8bc38c5d576442b6c842d9cf04d0241dfdd8929d7690a197ad88"),
+        (no_signalling_tables, 3, {"feasible": 672, "chsh-facet": 59, "deduction-chain": 5},
+         "fd6810ea54ba920e572e254d6f810fc4948a66c92d7ebdf3741ee110e2f1f23c"),
+        (no_signalling_tables, 4, {"feasible": 2681, "chsh-facet": 273, "deduction-chain": 15},
+         "f6ed4c94a65267553a6fb7b8ec47bc95e71fb2391ad33ec99d0b69142188e08d"),
     ],
     ids=["all-den-2", "no-signalling-den-2", "no-signalling-den-3", "no-signalling-den-4"],
 )
-def test_every_small_table_is_decided_as_fine_says(tables, den, kinds):
-    seen = Counter()
+def test_every_small_table_is_decided_as_fine_says(tables, den, kinds, models):
+    seen, digest = Counter(), hashlib.sha256()
     for ints in tables(den):
         exact = ExactTable(ints, den)
         cert = feasibility(exact)
         assert _validate_exact(exact, cert) and oracle.validate_certificate_reference(exact, cert)
         assert (cert.verdict == "feasible") == fine(ints, den)
         seen[cert.witness.kind if cert.witness else cert.verdict] += 1
+        if cert.model is not None:
+            digest.update(f"{cert.model.weights} / {cert.model.den}\n".encode())
     assert seen == kinds
+    assert digest.hexdigest() == models
 
 
 def test_the_signalling_choice_is_the_reference_on_every_den_2_table():
