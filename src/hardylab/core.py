@@ -156,7 +156,13 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
 @cache
 def _split(slots: tuple[str, ...], support: tuple[str, ...]) -> tuple[tuple[int, int], ...]:
     """Per basis index over ``slots``: its index over ``support`` (in that
-    order) and its index over the other slots (in ``slots`` order)."""
+    order) and its index over the other slots (in ``slots`` order).
+
+    ``support`` must lie within ``slots`` (:class:`DimensionMismatchError`);
+    a refusal is not cached, so a bad pair of slot tuples raises every time.
+    """
+    if not set(support) <= set(slots):
+        raise DimensionMismatchError(f"slots {support} not all present on {slots}")
     n = len(slots)
     inside = [slots.index(label) for label in support]
     outside = [k for k in range(n) if slots[k] not in support]
@@ -172,10 +178,11 @@ def partial_overlap(target: StateVector, s: StateVector) -> list[int]:
 
     The integers returned are the overlap times sqrt(target.norm2 * s.norm2).
     Only the nonzero amplitudes of ``s`` are read (:attr:`StateVector.nonzero`,
-    listed once per state): 4 of the total state's 16.
+    listed once per state): 4 of the total state's 16.  The slots of
+    ``target`` must all be on ``s``; the cached :func:`_split` checks that
+    once per pair of slot tuples, and raises
+    :class:`DimensionMismatchError` on every call that breaks it.
     """
-    if not set(target.slots) <= set(s.slots):
-        raise DimensionMismatchError(f"slots {target.slots} not all present on {s.slots}")
     split = _split(s.slots, target.slots)
     k = target.amps
     out = [0] * (len(s.amps) >> len(target.slots))

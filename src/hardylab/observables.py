@@ -26,15 +26,20 @@ follows from its two marginals and its joint.  All of it works on the
 integer Born weights ``(num, den)``: the audit builds one Fraction per
 reported value and decides each verdict by :func:`~hardylab.core.within_tolerance`,
 and a pair's four tables make one :class:`~hardylab.lhv.ExactTable`.
-The 18 distinct operators, and the products :func:`audit_pair` takes of
-their context pairs, are built on their first lookup and then reused for
-the rest of the process.  :func:`joint_outcome_table` accepts any
-operators, so it forms its product itself and keeps nothing.
+The 18 distinct operators, the products :func:`audit_pair` takes of
+their context pairs, and each pair's six audited operators are built on
+their first lookup and then reused for the rest of the process.
+:func:`joint_outcome_table` accepts any operators, so it forms its
+product itself and keeps nothing.
 
 One audit computes its six Born weights.  A sweep of the 16 pairs audits
 96 operators but weighs each distinct one once per call: 33 under
-``fixed`` and 48 under ``collapsed``.  It keeps them in a dict that lives
-for that call, so no probability or report is kept between calls.  Each
+``fixed`` and 48 under ``collapsed``.  Every Bell branch weighs 1/4, so
+the pairs' four values repeat: a sweep builds the Fractions and verdicts
+of each distinct set of values once, 2 sets under ``fixed`` and 1 under
+``collapsed``, and gives each report its own copy of the verdicts.  The
+weights and the decided sets live in dicts that are dropped when the
+sweep returns, so no probability or report is kept between calls.  Each
 weight reads only the nonzero amplitudes of the state, 4 of its 16.
 """
 
@@ -177,17 +182,23 @@ def audit_pair(
     its six Born weights.
     """
     tol_ratio = check_tolerance(tol).as_integer_ratio()
-    return _audit(i, j, interp, tol_ratio, {})
+    return _audit(i, j, interp, tol_ratio, {}, {})
 
 
 def _audit(
-    i: BellIndex, j: BellIndex, interp: Interpretation, tol_ratio: tuple[int, int], weights: dict
+    i: BellIndex,
+    j: BellIndex,
+    interp: Interpretation,
+    tol_ratio: tuple[int, int],
+    weights: dict,
+    decided: dict,
 ) -> AuditReport:
-    """:func:`audit_pair`'s report.  ``weights`` maps lab operators to their
-    Born weights on the total state; an operator not in it is weighed and
-    added."""
-    d1, d2, u1, u2 = _lab(i, j, interp)
-    ops = (_product(d1, d2), _product(d1, u2), d1, _product(u1, d2), d2, _product(u1, u2))
+    """:func:`audit_pair`'s report, from the pair's six operators as looked
+    up in :func:`_audited`.  ``weights`` maps lab operators to their Born
+    weights on the total state, and ``decided`` maps a pair's four exact
+    values to their claim set and verdicts at ``tol_ratio``; what is not in
+    them is computed and added.  The report gets its own verdicts dict."""
+    ops = _audited(i, j, interp)
     for op in ops:
         if op not in weights:
             weights[op] = born_weight(op, TOTAL_STATE)
@@ -195,12 +206,14 @@ def _audit(
     # each value as integers (p, q) standing for p/q; a conditional
     # (a/b) / (c/d) is a*d / (b*c)
     values = (joint, (a * d, b * c), (e * h, f * g), u1u2)
-    measured = HardyClaimSet(*(Fraction(p, q) for p, q in values))
-    verdicts = {
-        key: within_tolerance(value, target, tol_ratio)
-        for value, (key, target) in zip(values, TARGET_RATIOS.items())
-    }
-    return AuditReport(i, j, interp, measured, verdicts)
+    if values not in decided:
+        decided[values] = (
+            HardyClaimSet(*(Fraction(p, q) for p, q in values)),
+            {key: within_tolerance(value, target, tol_ratio)
+             for value, (key, target) in zip(values, TARGET_RATIOS.items())},
+        )
+    measured, verdicts = decided[values]
+    return AuditReport(i, j, interp, measured, dict(verdicts))
 
 
 def enumerate_all_pairs(
@@ -210,12 +223,17 @@ def enumerate_all_pairs(
 
     The reports come in the fixed order (psi-, psi+, phi-, phi+) for D1
     crossed with the same for D2, so repeated runs are byte-identical.
-    Each distinct operator is weighed once per call: 33 of the 96 audited
-    under ``fixed``, 48 under ``collapsed``.
+    Each pair's six operators are looked up, not rebuilt.  Each distinct
+    operator is weighed once per call: 33 of the 96 audited under
+    ``fixed``, 48 under ``collapsed``.  Each distinct set of four values is
+    decided once per call: 2 under ``fixed``, 1 under ``collapsed``.  The
+    weights and decisions are dropped when the call returns.
     """
     tol_ratio = check_tolerance(tol).as_integer_ratio()
     weights = {}  # lab operator -> Born weight, for this call only
-    reports = [_audit(i, j, interp, tol_ratio, weights) for i in BELL_ORDER for j in BELL_ORDER]
+    decided = {}  # four exact values -> (claim set, verdicts), for this call only
+    reports = [_audit(i, j, interp, tol_ratio, weights, decided)
+               for i in BELL_ORDER for j in BELL_ORDER]
     joints = [r.measured.p_joint.as_integer_ratio() for r in reports]
     den = math.lcm(*(q for _, q in joints))
     per_claim = {key: sum(1 for r in reports if r.verdicts[key]) for key in HardyClaimSet._fields}
@@ -244,6 +262,15 @@ def quantum_probability_table(i: BellIndex, j: BellIndex, interp: Interpretation
 def _lab(i: BellIndex, j: BellIndex, interp: Interpretation) -> tuple[ObservableOp, ...]:
     """D1, D2, U1 and U2 of the pair (D1=i, D2=j): U1 reads D2's outcome, U2 D1's."""
     return build_d("A1", i), build_d("2B", j), build_u("1", interp, j), build_u("2", interp, i)
+
+
+@cache
+def _audited(i: BellIndex, j: BellIndex, interp: Interpretation) -> tuple[ObservableOp, ...]:
+    """The six operators an audit of the pair (D1=i, D2=j) weighs, in the
+    order :func:`_audit` reads them: D1*D2, D1*U2, D1, U1*D2, D2, U1*U2.
+    Operators only, like every lab entry: never their weights."""
+    d1, d2, u1, u2 = _lab(i, j, interp)
+    return _product(d1, d2), _product(d1, u2), d1, _product(u1, d2), d2, _product(u1, u2)
 
 
 def context_observables(

@@ -13,6 +13,7 @@ that property tests compare the package against.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -966,3 +967,24 @@ def sample_word_reference(state, cfg, first_shot: int = 0):
     """Reference sampler at one float uniform per shot from a whole word,
     the rule for distributions with an edge off the 1/16 grid."""
     return _place(state, cfg, shot_uniforms(cfg.seed, first_shot, cfg.shots))
+
+
+# --- instrumentation --------------------------------------------------------
+
+
+def fractions_built(run) -> int:
+    """How many times ``run()`` calls ``Fraction.__new__``, seen by a
+    profile hook: a Fraction's arithmetic builds its result through it too."""
+    built = 0
+    new = Fraction.__new__.__code__
+
+    def profile(frame, event, arg):
+        nonlocal built
+        built += event == "call" and frame.f_code is new
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return built

@@ -516,6 +516,37 @@ class TestSparseKernel:
         assert exact.born_weight(op, s) == (sum(x * x for x in w), target.norm2 * s.norm2)
 
 
+class TestSlotCheck:
+    """A target whose slots are not all on the state is refused by every
+    kernel that reads it, on every call: the cached slot split keeps no
+    refusal."""
+
+    STATE = exact.StateVector((1, 0, 0, 1), ("A", "1"))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda op, s: exact.partial_overlap(op.target, s), id="partial_overlap"),
+            pytest.param(exact.born_weight, id="born_weight"),
+            pytest.param(exact.apply, id="apply"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "target",
+        [
+            exact.StateVector((1, 1), ("2",)),
+            exact.StateVector((1, 0, 0, 1), ("1", "2")),  # one slot present, one not
+        ],
+        ids=["none-present", "one-present"],
+    )
+    def test_missing_slots_raise_on_every_call(self, call, target):
+        op = exact.ObservableOp(target)
+        message = f"slots {target.slots} not all present on {self.STATE.slots}"
+        for _ in range(2):
+            with pytest.raises(exact.DimensionMismatchError, match=f"^{re.escape(message)}$"):
+                call(op, self.STATE)
+
+
 class TestCheckTolerance:
     @pytest.mark.parametrize(
         "tol", [0, 0.0, 1e-12, 0.5, 1, 1e300, Fraction(1, 3), pytest.param(10**400, id="10**400")]

@@ -1,7 +1,6 @@
 import copy
 import json
 import math
-import sys
 from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
@@ -47,6 +46,7 @@ from hardylab.observables import (
 from hardylab.protocol import BELL_ORDER, BellIndex
 
 import oracle
+from oracle import fractions_built
 from test_pool_digest import POOL
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -1395,24 +1395,6 @@ class TestReplayedWhenReported:
         assert main(["lhv", "--source", "paper-claims"]) == 0
         assert '"deduction-chain"' in capsys.readouterr().out
         assert len(calls) == 1
-
-
-def fractions_built(run) -> int:
-    """How many times ``run()`` calls ``Fraction.__new__``, seen by a
-    profile hook: a Fraction's arithmetic builds its result through it too."""
-    built = 0
-    new = Fraction.__new__.__code__
-
-    def profile(frame, event, arg):
-        nonlocal built
-        built += event == "call" and frame.f_code is new
-
-    sys.setprofile(profile)
-    try:
-        run()
-    finally:
-        sys.setprofile(None)
-    return built
 
 
 #: One table of each class of the benchmark's pool (the quantum one of

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hardylab.core import (
+    TOLERANCE,
     HardyLabError,
     NonCommutingError,
     StateVector,
@@ -27,7 +28,7 @@ from hardylab.observables import (
 from hardylab.protocol import BELL_ORDER, BellIndex, make_total_state
 
 import oracle
-from oracle import dense
+from oracle import dense, fractions_built
 
 TOL = 1e-12
 PSIM = BellIndex.PSI_MINUS
@@ -286,6 +287,26 @@ class TestEnumerateAllPairs:
         assert counts["c_d2u1"] == 0
         assert summary["pairs_passing_all"] == 0
 
+    @pytest.mark.parametrize("tol", [TOLERANCE, 0, 1e-9, 0.3, Fraction(1, 16)])
+    @pytest.mark.parametrize("interp", list(Interpretation))
+    def test_a_sweep_equals_its_single_audits(self, interp, tol):
+        reports, summary = enumerate_all_pairs(interp, tol)
+        audits = [audit_pair(i, j, interp, tol) for i in BELL_ORDER for j in BELL_ORDER]
+        assert reports == audits
+        # at 0.3 every collapsed pair passes all four claims
+        assert summary["pairs_passing_all"] == sum(r.all_pass for r in audits)
+        assert summary["per_claim_pass_counts"] == {
+            key: sum(r.verdicts[key] for r in audits) for key in CLAIM_TARGETS._fields
+        }
+
+    @pytest.mark.parametrize("interp", list(Interpretation))
+    def test_each_report_owns_its_verdicts(self, interp):
+        reports, _ = enumerate_all_pairs(interp)
+        before = [dict(r.verdicts) for r in reports]
+        reports[0].verdicts["p_joint"] = not before[0]["p_joint"]
+        assert [dict(r.verdicts) for r in reports[1:]] == before[1:]
+        assert [dict(r.verdicts) for r in enumerate_all_pairs(interp)[0]] == before
+
 
 class TestProbabilityTables:
     def test_fixed_tables_match_frozen_oracle(self):
@@ -365,7 +386,9 @@ class TestLabIsBuiltOnce:
     def counts(self, monkeypatch):
         from hardylab import cli, core, observables, protocol
 
-        counts = {"ObservableOp": 0, "make_total_state": 0, "expand_in_bell_basis": 0}
+        counts = dict.fromkeys(
+            ("ObservableOp", "make_total_state", "expand_in_bell_basis", "build_d", "build_u"), 0
+        )
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -382,15 +405,24 @@ class TestLabIsBuiltOnce:
             for module in (protocol, observables, cli):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, wrapped)
+        for name in ("build_d", "build_u"):
+            monkeypatch.setattr(observables, name, counting(name, getattr(observables, name)))
         return counts
+
+    #: four per distinct set of values (2 under fixed, 1 under collapsed)
+    #: and one for the summary's sum of joints
+    WARM_SWEEP_FRACTIONS = {Interpretation.FIXED_BASIS: 9, Interpretation.COLLAPSED_STATE: 5}
 
     @pytest.mark.parametrize("interp", list(Interpretation))
     def test_warm_sweep_constructs_nothing(self, interp, request):
         warm = enumerate_all_pairs(interp)
         counts = request.getfixturevalue("counts")
         again = enumerate_all_pairs(interp)
-        assert counts == {"ObservableOp": 0, "make_total_state": 0, "expand_in_bell_basis": 0}
+        assert counts == dict.fromkeys(counts, 0)  # each pair's six operators are looked up
         assert [r.to_jsonable() for r in again[0]] == [r.to_jsonable() for r in warm[0]]
+        assert fractions_built(lambda: enumerate_all_pairs(interp)) == (
+            self.WARM_SWEEP_FRACTIONS[interp]
+        )
 
     def test_fresh_operators_leave_the_product_cache_alone(self):
         from hardylab import observables
