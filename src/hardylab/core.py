@@ -69,9 +69,12 @@ class NonCommutingError(HardyLabError):
 
 
 def check_tolerance(tol: float) -> float:
-    """Return ``tol`` if it is a finite int, float or Fraction >= 0 (0 compares exactly)."""
-    if not (hasattr(tol, "as_integer_ratio") and 0 <= tol < math.inf):
-        raise HardyLabError(f"a tolerance must be a finite int, float or Fraction >= 0: {tol!r}")
+    """Return ``tol`` if it is a finite int, float or Fraction >= 0, not a
+    bool (0 compares exactly)."""
+    if isinstance(tol, bool) or not (hasattr(tol, "as_integer_ratio") and 0 <= tol < math.inf):
+        raise HardyLabError(
+            f"a tolerance must be a finite int, float or Fraction >= 0, not a bool: {tol!r}"
+        )
     return tol
 
 

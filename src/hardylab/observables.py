@@ -125,6 +125,8 @@ def build_u(slot: str, interp: Interpretation, partner_outcome: BellIndex) -> Ob
     """
     if slot not in ("1", "2"):
         raise HardyLabError(f"U observables live on qubit 1 or 2, not {slot!r}")
+    if not isinstance(interp, Interpretation):
+        raise HardyLabError(f"a reading must be an Interpretation, not {interp!r}")
     if interp is Interpretation.FIXED_BASIS:
         partner_outcome = None
     return _u(slot, interp, partner_outcome)

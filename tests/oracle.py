@@ -1,20 +1,20 @@
 """Independent brute-force oracle used by the tests.
 
-The first section builds everything from raw numpy kron products in the
-fixed (A, 1, 2, B) order, without touching the package, so it can serve
-as a second route for every derived expectation value.
-
-The float layer below it is the numpy implementation the package shipped
-before its quantum layer became exact: labelled float states and
-operators, the Bell expansion, and the audit.  The tests keep it as the
-reference the exact layer is cross-checked against, and test it on its
-own.  The reference section holds slower or test-only implementations
-that property tests compare the package against.
+The first section builds the quantum side from raw numpy Kronecker
+products in the fixed (A, 1, 2, B) order, without calling the package:
+the D and U matrices of both readings, the joint tables and the four
+audited values of a pair, the Bell expansion as partial inner products
+(<b| x I) psi, and the projector onto a ket on any support.  It is the
+one independent route every exact quantum value of the package is
+cross-checked against.  The bridges below it read an exact state into
+it on any slot order, an exact operator as its matrix, and sum an exact
+Bell expansion back up.  The reference section holds slower or
+test-only implementations that property tests compare the package
+against.
 """
 
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, product
@@ -22,22 +22,12 @@ from typing import Sequence
 
 import numpy as np
 
-from hardylab.core import (
-    CANONICAL_SLOTS,
-    DimensionMismatchError,
-    HardyLabError,
-    NonCommutingError,
-    NormalizationError,
-    TOLERANCE,
-    SlotCollisionError,
-    ZeroProbabilityError,
-)
+from hardylab.core import TOLERANCE, HardyLabError
 from hardylab import lhv
 from hardylab.lhv import _MARGINAL_DIFFERENCES, CELLS, LhvModel, _value, rationalize_table
-from hardylab.observables import CLAIM_TARGETS, Interpretation
-from hardylab.protocol import BELL_ORDER, BellIndex
 from hardylab.sampler import CELL_ORDER, CountTable, exact_context_probabilities
 
+SLOTS = ("A", "1", "2", "B")
 PLUS = np.array([1.0, 0.0], dtype=complex)
 MINUS = np.array([0.0, 1.0], dtype=complex)
 XPLUS = (PLUS + MINUS) / np.sqrt(2.0)
@@ -85,537 +75,99 @@ def born(op: np.ndarray, psi: np.ndarray) -> float:
     return float((psi.conj() @ op @ psi).real)
 
 
-# --- the float layer --------------------------------------------------------
-
-
-def tolerance(tol: float | None = None) -> float:
-    """Resolve an optional tolerance argument against the package default."""
-    return TOLERANCE if tol is None else float(tol)
-
-
-class NonProjectorError(HardyLabError):
-    """Projector semantics were requested for a non-projector operator."""
-
-
-class OperatorInvariantError(HardyLabError):
-    """An operator violates Hermiticity, idempotence, or its acts_on claim."""
-
-
-def _validate_slots(slots: tuple[str, ...]) -> None:
-    if not 1 <= len(slots) <= 4:
-        raise DimensionMismatchError(f"slot count must be 1..4, got {len(slots)}")
-    if len(set(slots)) != len(slots):
-        raise SlotCollisionError(f"duplicate slot labels in {slots}")
-    unknown = set(slots) - set(CANONICAL_SLOTS)
-    if unknown:
-        raise DimensionMismatchError(f"unknown slot labels {sorted(unknown)}")
-
-
-def _frozen_array(values, shape) -> np.ndarray:
-    arr = np.array(values, dtype=complex).reshape(shape)
-    if not np.all(np.isfinite(arr.view(float))):
-        raise HardyLabError("non-finite amplitude")
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """A pure state over labelled qubits.
-
-    ``amps`` has length ``2 ** len(slots)`` and unit norm.  A projection
-    residue is no state: :func:`apply` returns it as a plain array.
-    """
-
-    amps: np.ndarray
-    slots: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        slots = tuple(self.slots)
-        _validate_slots(slots)
-        amps = _frozen_array(self.amps, (2 ** len(slots),))
-        object.__setattr__(self, "amps", amps)
-        object.__setattr__(self, "slots", slots)
-        nsq = float(np.vdot(amps, amps).real)
-        if abs(nsq - 1.0) > tolerance():
-            raise NormalizationError(f"state on {slots} has squared norm {nsq!r}, expected 1")
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.slots)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def __repr__(self) -> str:
-        return f"StateVector({ket_string(self)!r}, slots={self.slots})"
-
-
-_BASIS_CHARS = {"+": 0, "-": 1}
-
-
-def ket(pattern: str, slots: tuple[str, ...]) -> StateVector:
-    """Computational basis state from a pattern like ``"+-"``."""
-    if len(pattern) != len(slots):
-        raise DimensionMismatchError(
-            f"pattern {pattern!r} does not cover slots {slots}"
-        )
-    index = 0
-    for ch in pattern:
-        if ch not in _BASIS_CHARS:
-            raise HardyLabError(f"unknown basis character {ch!r}")
-        index = 2 * index + _BASIS_CHARS[ch]
-    amps = np.zeros(2 ** len(slots), dtype=complex)
-    amps[index] = 1.0
-    return StateVector(amps, slots)
-
-
-def ket_string(s: StateVector, eps: float = 1e-9) -> str:
-    """Human-readable ket expansion, e.g. ``"0.5|++-> + -0.5|+-+>"``."""
-    n = s.n_qubits
-    terms = []
-    for i, a in enumerate(s.amps):
-        if abs(a) <= eps:
-            continue
-        label = "".join("+" if ((i >> (n - 1 - k)) & 1) == 0 else "-" for k in range(n))
-        coef = f"{a.real:g}" if abs(a.imag) <= eps else f"({a.real:g}{a.imag:+g}j)"
-        terms.append(f"{coef}|{label}>")
-    return " + ".join(terms) if terms else "0"
-
-
-def _axis_permutation(current: tuple[str, ...], target: tuple[str, ...]) -> list[int]:
-    if set(current) != set(target):
-        raise DimensionMismatchError(f"cannot reorder {current} into {target}")
-    return [current.index(label) for label in target]
-
-
-def _permute_vector(amps: np.ndarray, current, target) -> np.ndarray:
-    perm = _axis_permutation(tuple(current), tuple(target))
-    n = len(perm)
-    return amps.reshape((2,) * n).transpose(perm).reshape(-1)
-
-
-def _permute_matrix(mat: np.ndarray, current, target) -> np.ndarray:
-    perm = _axis_permutation(tuple(current), tuple(target))
-    n = len(perm)
-    t = mat.reshape((2,) * (2 * n))
-    t = t.transpose(perm + [p + n for p in perm])
-    return t.reshape(2**n, 2**n)
-
-
-def reorder(s: StateVector, new_slots: tuple[str, ...]) -> StateVector:
-    """Same state with its tensor factors listed in a new slot order."""
-    amps = _permute_vector(s.amps, s.slots, new_slots)
-    return StateVector(amps, tuple(new_slots))
-
-
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Tensor product; slot labels concatenate and must be disjoint."""
-    overlap = set(a.slots) & set(b.slots)
-    if overlap:
-        raise SlotCollisionError(f"slots {sorted(overlap)} present on both factors")
-    return StateVector(np.kron(a.amps, b.amps), a.slots + b.slots)
-
-
-@dataclass(frozen=True, eq=False)
-class ObservableOp:
-    """A Hermitian operator on labelled qubits.
-
-    ``slots`` is the full space the matrix is written on; ``acts_on`` is
-    the subset it touches non-trivially (it must factor as identity on the
-    rest, which is verified at construction).  ``is_projector`` adds the
-    idempotence invariant.  Operators compare and hash by identity, so a
-    built operator can key a cache.
-    """
-
-    matrix: np.ndarray
-    slots: tuple[str, ...]
-    acts_on: frozenset = field(default_factory=frozenset)
-    name: str = ""
-    is_projector: bool = False
-
-    def __post_init__(self) -> None:
-        slots = tuple(self.slots)
-        _validate_slots(slots)
-        dim = 2 ** len(slots)
-        mat = _frozen_array(self.matrix, (dim, dim))
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "slots", slots)
-        acts_on = frozenset(self.acts_on) or frozenset(slots)
-        if not acts_on <= set(slots):
-            raise DimensionMismatchError(f"acts_on {sorted(acts_on)} outside {slots}")
-        object.__setattr__(self, "acts_on", acts_on)
-
-        tol = tolerance()
-        if np.abs(mat - mat.conj().T).max() > tol:
-            raise OperatorInvariantError(f"{self.name or 'operator'} is not Hermitian")
-        if self.is_projector and np.abs(mat @ mat - mat).max() > tol:
-            raise OperatorInvariantError(f"{self.name or 'operator'} is not idempotent")
-        for k, label in enumerate(slots):
-            if label not in acts_on and not _acts_trivially(mat, len(slots), k, tol):
-                raise OperatorInvariantError(
-                    f"{self.name or 'operator'} is not identity on slot {label}"
-                )
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.slots)
-
-    def __matmul__(self, other: "ObservableOp") -> "ObservableOp":
-        """Operator product; valid only when the result is again Hermitian
-        (for projectors: when the factors commute)."""
-        if self.slots != other.slots:
-            raise DimensionMismatchError(f"slot mismatch: {self.slots} vs {other.slots}")
-        return ObservableOp(
-            self.matrix @ other.matrix,
-            self.slots,
-            acts_on=self.acts_on | other.acts_on,
-            name=f"{self.name}*{other.name}",
-            is_projector=self.is_projector and other.is_projector,
-        )
-
-    @classmethod
-    def identity(cls, slots: tuple[str, ...]) -> "ObservableOp":
-        dim = 2 ** len(slots)
-        return cls(np.eye(dim), slots, acts_on=frozenset(), name="I", is_projector=True)
-
-    @classmethod
-    def projector_onto(
-        cls,
-        state: StateVector,
-        within: tuple[str, ...] | None = None,
-        name: str = "",
-    ) -> "ObservableOp":
-        """Rank-1 projector onto ``state``, identity on the other slots of
-        ``within`` (default: just ``state.slots``)."""
-        small = np.outer(state.amps, state.amps.conj())
-        within = tuple(within) if within is not None else state.slots
-        mat = _embed_matrix(small, state.slots, within)
-        return cls(
-            mat,
-            within,
-            acts_on=frozenset(state.slots),
-            name=name or f"P[{ket_string(state)}]",
-            is_projector=True,
-        )
-
-    @classmethod
-    def single_qubit(
-        cls,
-        mat2,
-        slot: str,
-        within: tuple[str, ...] | None = None,
-        name: str = "",
-        is_projector: bool = False,
-    ) -> "ObservableOp":
-        """Embed a 2x2 Hermitian matrix acting on one slot."""
-        within = tuple(within) if within is not None else (slot,)
-        mat = _embed_matrix(np.asarray(mat2, dtype=complex), (slot,), within)
-        return cls(mat, within, acts_on=frozenset({slot}), name=name,
-                   is_projector=is_projector)
-
-
-def _embed_matrix(small: np.ndarray, small_slots, full_slots) -> np.ndarray:
-    """Extend ``small`` (on small_slots) by identity to full_slots order."""
-    small_slots, full_slots = tuple(small_slots), tuple(full_slots)
-    missing = set(small_slots) - set(full_slots)
-    if missing:
-        raise DimensionMismatchError(f"slots {sorted(missing)} not in {full_slots}")
-    rest = tuple(l for l in full_slots if l not in small_slots)
-    big = np.kron(small, np.eye(2 ** len(rest))) if rest else small
-    return _permute_matrix(big, small_slots + rest, full_slots)
-
-
-def _acts_trivially(mat: np.ndarray, n: int, axis: int, tol: float) -> bool:
-    # An operator is identity on a qubit iff it commutes with the full
-    # single-qubit algebra there; X and Z generate it.  Split the matrix
-    # into 2x2 blocks T[a][b] over that qubit: [X, M] has entries
-    # T01 - T10 and T00 - T11, and [Z, M] has entries 2*T01 and 2*T10.
-    t = np.moveaxis(mat.reshape((2,) * (2 * n)), (axis, n + axis), (0, 1))
-    x_comm = max(np.abs(t[0, 1] - t[1, 0]).max(), np.abs(t[0, 0] - t[1, 1]).max())
-    z_comm = 2 * max(np.abs(t[0, 1]).max(), np.abs(t[1, 0]).max())
-    return not (x_comm > tol or z_comm > tol)
-
-
-def apply(op: ObservableOp, s: StateVector) -> np.ndarray:
-    """Matrix-vector product: the projection residue over ``s.slots``, as a
-    plain array (it is no unit ket)."""
-    if op.slots != s.slots:
-        raise DimensionMismatchError(f"operator on {op.slots}, state on {s.slots}")
-    return op.matrix @ s.amps
-
-
-def expectation(op: ObservableOp, s: StateVector, tol: float | None = None) -> float:
-    """<s|M|s> for Hermitian M; the imaginary residue must be negligible."""
-    if op.slots != s.slots:
-        raise DimensionMismatchError(f"operator on {op.slots}, state on {s.slots}")
-    value = complex(np.vdot(s.amps, op.matrix @ s.amps))
-    tol = tolerance(tol)
-    if abs(value.imag) > tol:
-        raise OperatorInvariantError(
-            f"expectation has imaginary residue {value.imag!r} beyond {tol}"
-        )
-    return value.real
-
-
-def born_probability(op: ObservableOp, s: StateVector, tol: float | None = None) -> float:
-    """Probability of the projective outcome ``op`` on ``s``.
-
-    Returns a real value clamped into [0, 1]; an imaginary residue beyond
-    the tolerance is an error (its size is reported in the message).
-    """
-    if not op.is_projector:
-        raise NonProjectorError(f"{op.name or 'operator'} is not a projector")
-    p = expectation(op, s, tol)
-    tol = tolerance(tol)
-    if p < -tol or p > 1.0 + tol:
-        raise HardyLabError(f"probability {p!r} outside [0, 1]")
-    return min(max(p, 0.0), 1.0)
-
-
-def collapse(
-    op: ObservableOp, s: StateVector, tol: float | None = None
-) -> tuple[float, StateVector]:
-    """Project and renormalize: returns ``(probability, post_state)``.
-
-    A zero-probability branch raises :class:`ZeroProbabilityError` instead
-    of surfacing as a division blow-up, so callers can tell an impossible
-    branch from numerical failure.
-    """
-    p = born_probability(op, s, tol)
-    if p <= tolerance(tol):
-        raise ZeroProbabilityError(
-            f"collapse on {op.name or 'projector'} has probability {p!r}"
-        )
-    return p, StateVector(apply(op, s) / math.sqrt(p), s.slots)
-
-
-def commutator_norm(a: ObservableOp, b: ObservableOp) -> float:
-    """Max-entry magnitude of ``AB - BA``."""
-    if a.slots != b.slots:
-        raise DimensionMismatchError(f"slot mismatch: {a.slots} vs {b.slots}")
-    return float(np.abs(a.matrix @ b.matrix - b.matrix @ a.matrix).max())
-
-
-def reduced_density(s: StateVector, slot: str) -> np.ndarray:
-    """2x2 reduced density matrix of one slot (others summed out)."""
-    if slot not in s.slots:
-        raise DimensionMismatchError(f"slot {slot!r} absent from {s.slots}")
-    axis = s.slots.index(slot)
-    t = np.moveaxis(s.amps.reshape((2,) * s.n_qubits), axis, 0).reshape(2, -1)
-    return t @ t.conj().T
-
-
-# amplitudes over |++>, |+->, |-+>, |--> for each Bell state
-BELL_AMPS = {
-    BellIndex.PSI_MINUS: np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2.0),
-    BellIndex.PSI_PLUS: np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2.0),
-    BellIndex.PHI_MINUS: np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2.0),
-    BellIndex.PHI_PLUS: np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0),
-}
-
-
-def bell_state(index: BellIndex, slots: tuple[str, str] = ("A", "1")) -> StateVector:
-    return StateVector(BELL_AMPS[index], tuple(slots))
-
-
-def make_singlet() -> StateVector:
-    return bell_state(BellIndex.PSI_MINUS, ("1", "2"))
-
-
-def make_ancillas() -> tuple[StateVector, StateVector]:
-    return ket("+", ("A",)), StateVector(XPLUS, ("B",))
-
-
-def make_total_state() -> StateVector:
-    a, b = make_ancillas()
-    return tensor(tensor(a, make_singlet()), b)
-
-
-@dataclass(frozen=True)
-class Branch:
-    """One Bell outcome: ``coefficient * residual``, residual None if empty."""
-
-    bell: BellIndex
-    coefficient: complex
-    residual: StateVector | None
-
-    @property
-    def empty(self) -> bool:
-        return self.coefficient == 0
-
-
-@dataclass(frozen=True)
-class BranchExpansion:
-    source_slots: tuple[str, ...]
-    measured_slots: tuple[str, str]
-    residual_slots: tuple[str, ...]
-    branches: tuple[Branch, ...]
-
-    def branch(self, index: BellIndex) -> Branch:
-        return next(br for br in self.branches if br.bell is index)
-
-
-def expand_in_bell_basis(
-    s: StateVector, slots: tuple[str, str], tol: float | None = None
-) -> BranchExpansion:
-    """Float Bell expansion: r_b = <b|s> split as coefficient * residual,
-    the residual's largest-magnitude amplitude made real and positive."""
-    slots = tuple(slots)
-    if len(slots) != 2 or len(set(slots)) != 2:
-        raise DimensionMismatchError(f"measured slots must be a pair, got {slots}")
-    if not set(slots) <= set(s.slots):
-        raise DimensionMismatchError(f"slots {slots} not all present on {s.slots}")
-
-    tol = tolerance(tol)
-    axes = [s.slots.index(l) for l in slots]
-    residual_slots = tuple(l for l in s.slots if l not in slots)
-    t = np.moveaxis(s.amps.reshape((2,) * s.n_qubits), axes, (0, 1)).reshape(4, -1)
-
-    branches = []
-    for index in BELL_ORDER:
-        r = BELL_AMPS[index].conj() @ t
-        nrm = float(np.linalg.norm(r))
-        if nrm <= tol:
-            branches.append(Branch(index, 0.0 + 0.0j, None))
-            continue
-        k = int(np.argmax(np.abs(r)))
-        coeff = complex(nrm * r[k] / abs(r[k]))
-        if residual_slots:
-            residual = StateVector(r / coeff, residual_slots)
-        else:
-            coeff, residual = complex(r[0]), None
-        branches.append(Branch(index, coeff, residual))
-
-    weight = sum(abs(b.coefficient) ** 2 for b in branches)
-    if abs(weight - 1.0) > tol:
-        raise HardyLabError(f"branch weights sum to {weight!r}, expected 1")
-    return BranchExpansion(s.slots, slots, residual_slots, tuple(branches))
-
-
-def reconstruct(expansion: BranchExpansion) -> np.ndarray:
-    """Reassemble sum(coeff * bell x residual) on the source slot order, as
-    a plain array."""
-    order = expansion.measured_slots + expansion.residual_slots
-    total = np.zeros(2 ** len(expansion.source_slots), dtype=complex)
-    for br in expansion.branches:
-        if br.coefficient == 0:
-            continue
-        bell = BELL_AMPS[br.bell]
-        part = np.kron(bell, br.residual.amps) if br.residual is not None else bell
-        total += br.coefficient * part
-    return _permute_vector(total, order, expansion.source_slots)
-
-
-PAIR_SLOTS = {"A1": ("A", "1"), "2B": ("2", "B")}
-
-
-def build_d(pair_slot: str, index: BellIndex) -> ObservableOp:
-    which = "D1" if pair_slot == "A1" else "D2"
-    return ObservableOp.projector_onto(
-        bell_state(index, PAIR_SLOTS[pair_slot]),
-        within=CANONICAL_SLOTS,
-        name=f"{which}[{index.value}]",
-    )
-
-
-def _pure_slot_state(residual: StateVector, slot: str, tol: float) -> StateVector:
-    """The pure single-qubit state of one slot of a product residual."""
-    evals, evecs = np.linalg.eigh(reduced_density(residual, slot))
-    if evals[-1] < 1.0 - tol:
-        raise HardyLabError(
-            f"slot {slot!r} of the residual is not pure (top weight {evals[-1]!r})"
-        )
-    vec = evecs[:, -1]
-    k = int(np.argmax(np.abs(vec)))
-    return StateVector(vec / (vec[k] / abs(vec[k])), (slot,))
-
-
-def build_u(
-    slot: str, interp: Interpretation, partner_outcome: BellIndex, tol: float | None = None
-) -> ObservableOp:
-    if interp is Interpretation.FIXED_BASIS:
-        return ObservableOp.projector_onto(
-            ket("+", (slot,)), within=CANONICAL_SLOTS, name=f"U{slot}[z+]"
-        )
-    measured = ("A", "1") if slot == "2" else ("2", "B")
-    branch = expand_in_bell_basis(make_total_state(), measured, tol).branch(partner_outcome)
-    if branch.empty:
-        raise HardyLabError(f"branch {partner_outcome.value} of {measured} is empty")
-    return ObservableOp.projector_onto(
-        _pure_slot_state(branch.residual, slot, tolerance(tol)),
-        within=CANONICAL_SLOTS,
-        name=f"U{slot}[collapsed:{partner_outcome.value}]",
-    )
-
-
-def context_observables(key: str, i: BellIndex, j: BellIndex, interp: Interpretation):
-    builders = {
-        "d1": lambda: build_d("A1", i),
-        "d2": lambda: build_d("2B", j),
-        "u1": lambda: build_u("1", interp, j),
-        "u2": lambda: build_u("2", interp, i),
+def reduced(vec: np.ndarray, slot: str) -> np.ndarray:
+    """The 2x2 reduced density matrix of one slot of a nonzero vector on
+    (A, 1, 2, B), the vector normalized first."""
+    t = np.moveaxis(vec.reshape((2,) * 4), SLOTS.index(slot), 0).reshape(2, -1)
+    return t @ t.conj().T / np.vdot(vec, vec).real
+
+
+def u_matrices(i: str, j: str, interp: str) -> tuple[np.ndarray, np.ndarray]:
+    """U1 and U2 of the pair (D1=i, D2=j) under the reading ``interp``:
+    |+><+| on qubits 1 and 2 (``fixed``), or the state qubit 1 is left in
+    once (2, B) reads j and qubit 2 once (A, 1) reads i (``collapsed``).
+    That state is pure, so its reduced density matrix is its projector."""
+    if interp == "fixed":
+        return u1_matrix(), u2_matrix()
+    if interp != "collapsed":
+        raise ValueError(f"no reading {interp!r}")
+    psi = total_state_vec()
+    rho1, rho2 = reduced(d2_matrix(j) @ psi, "1"), reduced(d1_matrix(i) @ psi, "2")
+    return np.kron(np.kron(I2, rho1), I4), np.kron(np.kron(I4, rho2), I2)
+
+
+def context_matrices(i: str, j: str, interp: str) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """The observable pair of each context of the pair (D1=i, D2=j)."""
+    d1, d2 = d1_matrix(i), d2_matrix(j)
+    u1, u2 = u_matrices(i, j, interp)
+    return {"d1d2": (d1, d2), "d1u2": (d1, u2), "u1d2": (u1, d2), "u1u2": (u1, u2)}
+
+
+def joint_table(first: np.ndarray, second: np.ndarray) -> list[list[float]]:
+    """[a][b] outcome distribution of two commuting projectors on the total
+    state: the Born weight of (P or 1 - P) times (Q or 1 - Q)."""
+    eye, psi = np.eye(16), total_state_vec()
+    return [
+        [born((first if a else eye - first) @ (second if b else eye - second), psi)
+         for b in (0, 1)]
+        for a in (0, 1)
+    ]
+
+
+def quantum_tables(i: str, j: str, interp: str) -> dict[str, list[list[float]]]:
+    return {key: joint_table(*ops) for key, ops in context_matrices(i, j, interp).items()}
+
+
+def audit_values(i: str, j: str, interp: str) -> dict[str, float]:
+    """The four audited quantities of one pair, as ``HardyClaimSet`` names them."""
+    (d1, d2), (u1, u2) = (context_matrices(i, j, interp)[key] for key in ("d1d2", "u1u2"))
+    psi = total_state_vec()
+    return {
+        "p_joint": born(d1 @ d2, psi),
+        "c_d1u2": born(d1 @ u2, psi) / born(d1, psi),
+        "c_d2u1": born(u1 @ d2, psi) / born(d2, psi),
+        "p_u1u2": born(u1 @ u2, psi),
     }
-    return builders[key[:2]](), builders[key[2:]]()
 
 
-def conditional_probability(
-    cond: ObservableOp, then: ObservableOp, s: StateVector, tol: float | None = None
-) -> float:
-    if commutator_norm(cond, then) > tolerance(tol):
-        raise NonCommutingError(f"{cond.name} and {then.name} do not commute")
-    _, post = collapse(cond, s, tol)
-    return born_probability(then, post, tol)
+AUDIT_TARGETS = {"p_joint": 1 / 16, "c_d1u2": 1.0, "c_d2u1": 1.0, "p_u1u2": 0.0}
 
 
-def joint_outcome_table(
-    first: ObservableOp, second: ObservableOp, s: StateVector, tol: float | None = None
-) -> np.ndarray:
-    """2x2 joint distribution [a][b], entries below the tolerance clamped to 0."""
-    tol_v = tolerance(tol)
-    if commutator_norm(first, second) > tol_v:
-        raise NonCommutingError(f"{first.name} and {second.name} do not commute")
-    u = apply(first, s)
-    v = apply(second, s)
-    p_a = float(np.vdot(u, u).real)
-    p_b = float(np.vdot(v, v).real)
-    p11 = float(np.vdot(u, v).real)
-    table = np.array([[1.0 - p_a - p_b + p11, p_b - p11], [p_a - p11, p11]])
-    table[np.abs(table) <= tol_v] = 0.0
-    return table
+def permutation(current: tuple[str, ...], target: tuple[str, ...]) -> np.ndarray:
+    """The 0/1 integer matrix taking amplitudes listed in slot order
+    ``current`` to the same amplitudes listed in slot order ``target``."""
+    n = len(current)
+    axes = [current.index(label) for label in target]
+    eye = np.eye(2**n, dtype=int).reshape((2,) * n + (2**n,))
+    return eye.transpose(axes + [n]).reshape(2**n, 2**n)
 
 
-def audit_pair(
-    i: BellIndex, j: BellIndex, interp: Interpretation, tol: float | None = None
-) -> tuple[dict[str, float], dict[str, bool]]:
-    """The four Hardy quantities of one pair, and their verdicts."""
-    psi = make_total_state()
-    d1, d2 = context_observables("d1d2", i, j, interp)
-    u1, u2 = context_observables("u1u2", i, j, interp)
-    measured = {
-        "p_joint": born_probability(d1 @ d2, psi, tol),
-        "c_d1u2": conditional_probability(d1, u2, psi, tol),
-        "c_d2u1": conditional_probability(d2, u1, psi, tol),
-        "p_u1u2": born_probability(u1 @ u2, psi, tol),
-    }
-    targets = CLAIM_TARGETS.to_jsonable()
-    verdicts = {key: abs(v - targets[key]) <= tolerance(tol) for key, v in measured.items()}
-    return measured, verdicts
+def bell_overlaps(psi: np.ndarray, pair: tuple[str, str]) -> dict[str, np.ndarray]:
+    """(<b| x I) psi for each Bell state b on ``pair``, ``psi`` on
+    (A, 1, 2, B): the unnormalized branch vectors, on the other two slots
+    in (A, 1, 2, B) order."""
+    rest = tuple(label for label in SLOTS if label not in pair)
+    moved = permutation(SLOTS, tuple(pair) + rest) @ psi
+    return {b: np.kron(v.conj(), I4) @ moved for b, v in BELL_VECS.items()}
 
 
-def quantum_tables(i: BellIndex, j: BellIndex, interp: Interpretation) -> dict[str, np.ndarray]:
-    psi = make_total_state()
-    keys = ("d1d2", "d1u2", "u1d2", "u1u2")
-    return {k: joint_outcome_table(*context_observables(k, i, j, interp), psi) for k in keys}
+def projector(ket, support: tuple[str, ...]) -> np.ndarray:
+    """|k><k| for the direction of the amplitudes ``ket`` on ``support``,
+    identity on the other slots, as a 16x16 matrix on (A, 1, 2, B)."""
+    rest = tuple(label for label in SLOTS if label not in support)
+    vec = np.asarray(ket, dtype=float) / np.linalg.norm(ket)
+    move = permutation(tuple(support) + rest, SLOTS)
+    return move @ np.kron(proj(vec), np.eye(2 ** len(rest))) @ move.T
 
 
 # --- bridges from the exact layer ---------------------------------------------
 
 
-def as_float(s) -> StateVector:
-    """An exact ``hardylab.core.StateVector`` as a float one."""
-    amps = np.array(s.amps, dtype=complex) / math.sqrt(s.norm2)
-    return StateVector(amps, s.slots)
+def unit(s) -> np.ndarray:
+    """An exact ``hardylab.core.StateVector`` as a float unit ket, its slots
+    put in (A, 1, 2, B) order."""
+    order = tuple(label for label in SLOTS if label in s.slots)
+    return permutation(s.slots, order) @ np.array(s.amps) / math.sqrt(s.norm2)
 
 
 def exact_ket(pattern: str, slots: tuple[str, ...]):
@@ -631,11 +183,20 @@ def dense(op) -> np.ndarray:
     return np.asarray(op.matrix)
 
 
+def bell_sum(s, pair: tuple[str, str]) -> np.ndarray:
+    """The integer vector sum over the four Bell kets b on ``pair`` of
+    b x partial_overlap(b, s), listed in the slot order of ``s``.  The
+    Bell kets have norm2 2, so the sum is 2 * s.amps when they are complete."""
+    from hardylab.core import partial_overlap
+    from hardylab.protocol import BELL_ORDER, bell_state
+
+    rest = tuple(label for label in s.slots if label not in pair)
+    bells = [bell_state(index, pair) for index in BELL_ORDER]
+    total = sum(np.kron(b.amps, partial_overlap(b, s)) for b in bells)
+    return permutation(tuple(pair) + rest, s.slots) @ total
+
+
 # --- reference implementations ---------------------------------------------
-
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
 
 #: The 16 deterministic assignments (d1, d2, u1, u2), and for each context
 #: the indices in an assignment of the two observables it measures.  The
@@ -715,38 +276,6 @@ def chsh_facets() -> list[dict]:
             if all(sum(c for cell, c in f.items() if hits(a, cell)) >= 0 for a in ASSIGNMENTS):
                 facets.append(f)
     return facets
-
-
-def acts_trivially(mat: np.ndarray, n: int, axis: int, tol: float) -> bool:
-    """Reference identity-on-slot test: both commutators [P, M] for P in
-    {X, Z} on qubit ``axis``, formed with explicit tensor contractions."""
-    for p in (PAULI_X, PAULI_Z):
-        t = mat.reshape((2,) * (2 * n))
-        pm = np.moveaxis(np.tensordot(p, t, axes=([1], [axis])), 0, axis)
-        mp = np.moveaxis(np.tensordot(p, t, axes=([0], [n + axis])), 0, n + axis)
-        if np.abs(pm - mp).max() > tol:
-            return False
-    return True
-
-
-def inner(a: StateVector, b: StateVector) -> complex:
-    """<a|b>; both states must be on the same ordered slots."""
-    if a.slots != b.slots:
-        raise DimensionMismatchError(f"slot mismatch: {a.slots} vs {b.slots}")
-    return complex(np.vdot(a.amps, b.amps))
-
-
-def reduced_projector_fidelity(
-    s: StateVector, slot: str, target: StateVector, tol: float | None = None
-) -> float:
-    """<t|rho_slot|t> for a single-qubit target state t."""
-    if target.n_qubits != 1:
-        raise DimensionMismatchError("target must be a single-qubit state")
-    rho = reduced_density(s, slot)
-    value = complex(np.vdot(target.amps, rho @ target.amps))
-    if abs(value.imag) > tolerance(tol):
-        raise OperatorInvariantError(f"fidelity has imaginary residue {value.imag!r}")
-    return min(max(value.real, 0.0), 1.0)
 
 
 def phase1_simplex(
@@ -829,7 +358,7 @@ def _ints(values) -> bool:
     return all(type(v) is int for v in values)
 
 
-def validate_certificate_reference(table, cert, tol: float | None = None) -> bool:
+def validate_certificate_reference(table, cert, tol: float = TOLERANCE) -> bool:
     """Re-check a certificate against a table, exactly.
 
     Every weight and coefficient must be an int, not a bool; one that is
@@ -851,7 +380,7 @@ def validate_certificate_reference(table, cert, tol: float | None = None) -> boo
     functionals built here from :data:`CONTEXT_SLOTS`.
     """
     try:
-        exact = rationalize_table(table, tolerance(tol))
+        exact = rationalize_table(table, tol)
     except HardyLabError:
         return False
     values = {cell: Fraction(n, exact.den) for cell, n in cells(exact).items()}

@@ -1,5 +1,7 @@
-"""The float reference layer in ``oracle.py`` (the package's former numpy
-core), tested on its own, and the exact core it is cross-checked against."""
+"""The exact core: integer states, projectors on labelled slots, Born
+weights, collapse and the tolerance rule, checked on hand-worked cases,
+against the raw Kronecker products in ``oracle.py`` and on generated
+integer states and directions."""
 
 import math
 import re
@@ -18,324 +20,14 @@ from hardylab.core import (
     SlotCollisionError,
     ZeroProbabilityError,
 )
-from hardylab.protocol import BELL_ORDER
+from hardylab.observables import build_d
+from hardylab.protocol import BELL_ORDER, make_ancillas, make_singlet
 from hardylab.protocol import bell_state as exact_bell_state
 from hardylab.protocol import make_total_state as exact_total_state
 
 import oracle
-from oracle import (
-    PAULI_X,
-    PAULI_Z,
-    NonProjectorError,
-    ObservableOp,
-    OperatorInvariantError,
-    StateVector,
-    _acts_trivially,
-    apply,
-    bell_state,
-    born_probability,
-    collapse,
-    commutator_norm,
-    expectation,
-    inner,
-    ket,
-    make_singlet,
-    make_total_state,
-    reduced_density,
-    reduced_projector_fidelity,
-    reorder,
-    tensor,
-)
 
 TOL = 1e-12
-
-
-def random_state(seed: int, slots) -> StateVector:
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=2 ** len(slots)) + 1j * rng.normal(size=2 ** len(slots))
-    return StateVector(v / np.linalg.norm(v), tuple(slots))
-
-
-class TestStateVector:
-    def test_valid_construction(self):
-        s = StateVector(np.array([1, 0], dtype=complex), ("A",))
-        assert s.n_qubits == 1
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(NormalizationError):
-            StateVector(np.array([1, 1], dtype=complex), ("A",))
-
-    def test_rejects_duplicate_slots(self):
-        with pytest.raises(SlotCollisionError):
-            StateVector(np.eye(4)[0], ("1", "1"))
-
-    def test_rejects_unknown_slot(self):
-        with pytest.raises(DimensionMismatchError):
-            StateVector(np.array([1, 0]), ("Q",))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(Exception):
-            StateVector(np.array([np.nan, 0]), ("A",))
-
-    def test_amps_are_immutable(self):
-        s = ket("+", ("A",))
-        with pytest.raises(ValueError):
-            s.amps[0] = 0.0
-
-    def test_reorder_permutes_amplitudes(self):
-        s = ket("+-", ("1", "2"))
-        r = reorder(s, ("2", "1"))
-        assert r.slots == ("2", "1")
-        assert r.amps[2] == 1.0  # |-+> in the new order
-
-
-class TestTensor:
-    def test_basis_product(self):
-        out = tensor(ket("+", ("1",)), ket("-", ("2",)))
-        assert out.slots == ("1", "2")
-        assert out.amps[1] == 1.0
-        assert np.count_nonzero(out.amps) == 1
-
-    def test_total_state_matches_enumeration_oracle(self):
-        got = make_total_state()
-        assert got.slots == CANONICAL_SLOTS
-        np.testing.assert_allclose(got.amps, oracle.total_state_vec(), atol=TOL)
-        nonzero = np.abs(got.amps) > TOL
-        assert nonzero.sum() == 4
-        np.testing.assert_allclose(np.abs(got.amps[nonzero]), 0.5, atol=TOL)
-
-    def test_slot_collision(self):
-        with pytest.raises(SlotCollisionError):
-            tensor(ket("+", ("1",)), ket("-", ("1",)))
-
-
-class TestApply:
-    def test_identity_returns_state_exactly(self):
-        s = random_state(5, ("1", "2"))
-        out = apply(ObservableOp.identity(("1", "2")), s)
-        np.testing.assert_array_equal(out, s.amps)
-
-    def test_orthogonal_projection_is_zero(self):
-        p = ObservableOp.projector_onto(ket("+", ("1",)))
-        out = apply(p, ket("-", ("1",)))
-        assert np.abs(out).max() == 0.0
-
-    def test_bell_projection_residue_norm(self):
-        # branch weight of the first Bell outcome on Alice's pair is 1/4
-        psi = make_total_state()
-        d1 = ObservableOp.projector_onto(bell_state(BELL_ORDER[0], ("A", "1")),
-                                         within=CANONICAL_SLOTS)
-        out = apply(d1, psi)
-        assert abs(np.linalg.norm(out) ** 2 - 0.25) <= TOL
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            apply(ObservableOp.identity(("1",)), ket("+-", ("1", "2")))
-
-
-class TestBornProbability:
-    def test_joint_bell_projection_is_one_sixteenth(self):
-        psi = make_total_state()
-        d1 = ObservableOp.projector_onto(bell_state(BELL_ORDER[0], ("A", "1")),
-                                         within=CANONICAL_SLOTS)
-        d2 = ObservableOp.projector_onto(bell_state(BELL_ORDER[0], ("2", "B")),
-                                         within=CANONICAL_SLOTS)
-        assert abs(born_probability(d1 @ d2, psi) - 1.0 / 16.0) <= TOL
-
-    def test_identity_probability_is_one(self):
-        s = random_state(11, ("A", "1", "2"))
-        assert born_probability(ObservableOp.identity(s.slots), s) == pytest.approx(1.0, abs=TOL)
-
-    def test_same_spin_joint_on_singlet_is_zero(self):
-        psi = make_total_state()
-        u1 = ObservableOp.single_qubit(oracle.proj(oracle.PLUS), "1",
-                                       CANONICAL_SLOTS, "U1", is_projector=True)
-        u2 = ObservableOp.single_qubit(oracle.proj(oracle.PLUS), "2",
-                                       CANONICAL_SLOTS, "U2", is_projector=True)
-        assert born_probability(u1 @ u2, psi) == 0.0
-
-    def test_non_projector_rejected(self):
-        x = ObservableOp.single_qubit(PAULI_X, "1", name="X")
-        with pytest.raises(NonProjectorError):
-            born_probability(x, ket("+", ("1",)))
-
-    def test_expectation_of_pauli(self):
-        z = ObservableOp.single_qubit(PAULI_Z, "A", name="Z")
-        assert expectation(z, ket("+", ("A",))) == pytest.approx(1.0, abs=TOL)
-        assert expectation(z, ket("-", ("A",))) == pytest.approx(-1.0, abs=TOL)
-
-
-class TestCollapse:
-    def test_bell_collapse_teleports_plus_onto_qubit_2(self):
-        psi = make_total_state()
-        d1 = ObservableOp.projector_onto(bell_state(BELL_ORDER[0], ("A", "1")),
-                                         within=CANONICAL_SLOTS)
-        p, post = collapse(d1, psi)
-        assert abs(p - 0.25) <= TOL
-        # the reduced state of qubit 2 is the pure plus state
-        rho = reduced_density(post, "2")
-        np.testing.assert_allclose(rho, oracle.proj(oracle.PLUS), atol=TOL)
-        assert reduced_projector_fidelity(post, "2", ket("+", ("2",))) == pytest.approx(1.0, abs=TOL)
-
-    def test_zero_branch_is_an_explicit_error(self):
-        psi = make_total_state()
-        d1 = ObservableOp.projector_onto(bell_state(BELL_ORDER[0], ("A", "1")),
-                                         within=CANONICAL_SLOTS)
-        _, post = collapse(d1, psi)
-        minus2 = ObservableOp.single_qubit(oracle.proj(oracle.MINUS), "2",
-                                           CANONICAL_SLOTS, "P-[2]", is_projector=True)
-        with pytest.raises(ZeroProbabilityError):
-            collapse(minus2, post)
-
-    def test_identity_collapse(self):
-        s = random_state(2, ("1", "B"))
-        p, post = collapse(ObservableOp.identity(s.slots), s)
-        assert p == pytest.approx(1.0, abs=TOL)
-        np.testing.assert_allclose(post.amps, s.amps, atol=TOL)
-
-    def test_collapse_then_born_is_one(self):
-        s = random_state(8, ("1", "2"))
-        proj = ObservableOp.projector_onto(ket("+", ("1",)), within=("1", "2"))
-        p, post = collapse(proj, s)
-        assert p > 0
-        assert born_probability(proj, post) == pytest.approx(1.0, abs=TOL)
-
-
-class TestCommutator:
-    def test_disjoint_bell_projectors_commute(self):
-        d1 = ObservableOp.projector_onto(bell_state(BELL_ORDER[0], ("A", "1")),
-                                         within=CANONICAL_SLOTS)
-        d2 = ObservableOp.projector_onto(bell_state(BELL_ORDER[0], ("2", "B")),
-                                         within=CANONICAL_SLOTS)
-        assert commutator_norm(d1, d2) <= TOL
-
-    def test_pauli_xz_on_one_qubit(self):
-        x = ObservableOp.single_qubit(PAULI_X, "1", name="X")
-        z = ObservableOp.single_qubit(PAULI_Z, "1", name="Z")
-        assert commutator_norm(x, z) == pytest.approx(2.0, abs=TOL)
-
-    def test_identity_commutes_with_everything(self):
-        x = ObservableOp.single_qubit(PAULI_X, "1", ("1", "2"), name="X")
-        assert commutator_norm(x, ObservableOp.identity(("1", "2"))) == 0.0
-
-
-class TestReducedFidelity:
-    def test_singlet_marginal_is_maximally_mixed(self):
-        s = make_singlet()
-        assert reduced_projector_fidelity(s, "1", ket("+", ("1",))) == pytest.approx(0.5, abs=TOL)
-
-    def test_product_state_slot(self):
-        s = ket("+-", ("1", "2"))
-        assert reduced_projector_fidelity(s, "2", ket("-", ("2",))) == pytest.approx(1.0, abs=TOL)
-
-    def test_missing_slot(self):
-        with pytest.raises(DimensionMismatchError):
-            reduced_projector_fidelity(make_singlet(), "B", ket("+", ("B",)))
-
-
-class TestOperatorInvariants:
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(OperatorInvariantError):
-            ObservableOp(np.array([[0, 1], [0, 0]]), ("1",))
-
-    def test_projector_flag_requires_idempotence(self):
-        with pytest.raises(OperatorInvariantError):
-            ObservableOp(PAULI_X, ("1",), is_projector=True)
-
-    def test_acts_on_claim_is_verified(self):
-        mat = np.kron(PAULI_X, np.eye(2))
-        # claims to act on slot 2 only, but actually acts on slot 1
-        with pytest.raises(OperatorInvariantError):
-            ObservableOp(mat, ("1", "2"), acts_on=frozenset({"2"}))
-
-    def test_projector_trace_counts_rank(self):
-        d1 = ObservableOp.projector_onto(bell_state(BELL_ORDER[0], ("A", "1")),
-                                         within=CANONICAL_SLOTS)
-        assert np.trace(d1.matrix).real == pytest.approx(4.0, abs=TOL)
-
-    def test_product_of_non_commuting_projectors_is_refused(self):
-        # the product would not be Hermitian, so it cannot be an observable
-        d1 = ObservableOp.projector_onto(bell_state(BELL_ORDER[0], ("A", "1")),
-                                         within=CANONICAL_SLOTS)
-        u1 = ObservableOp.single_qubit(oracle.proj(oracle.PLUS), "1",
-                                       CANONICAL_SLOTS, "U1", is_projector=True)
-        with pytest.raises(OperatorInvariantError):
-            d1 @ u1
-
-
-# --- property tests --------------------------------------------------------
-
-
-@given(seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=50, deadline=None)
-def test_bell_projectors_are_complete_and_born_additive(seed):
-    s = random_state(seed, CANONICAL_SLOTS)
-    for pair in (("A", "1"), ("2", "B")):
-        total = np.zeros((16, 16), dtype=complex)
-        prob = 0.0
-        for index in BELL_ORDER:
-            op = ObservableOp.projector_onto(bell_state(index, pair),
-                                             within=CANONICAL_SLOTS)
-            total = total + op.matrix
-            prob += born_probability(op, s)
-        assert np.abs(total - np.eye(16)).max() <= TOL
-        assert abs(prob - 1.0) <= TOL
-
-
-@given(
-    theta=st.floats(0.0, math.pi, allow_nan=False),
-    phi=st.floats(0.0, 2.0 * math.pi, allow_nan=False),
-)
-@settings(max_examples=100, deadline=None)
-def test_singlet_anticorrelation_along_any_direction(theta, phi):
-    up = np.array(
-        [math.cos(theta / 2.0), math.sin(theta / 2.0) * complex(math.cos(phi), math.sin(phi))],
-        dtype=complex,
-    )
-    s = make_singlet()
-    p1 = ObservableOp.single_qubit(oracle.proj(up), "1", ("1", "2"), "n1", is_projector=True)
-    p2 = ObservableOp.single_qubit(oracle.proj(up), "2", ("1", "2"), "n2", is_projector=True)
-    assert born_probability(p1 @ p2, s) <= TOL
-
-
-@given(seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=50, deadline=None)
-def test_random_states_stay_normalized_through_tensor(seed):
-    a = random_state(seed, ("A", "1"))
-    b = random_state(seed + 1, ("2", "B"))
-    assert abs(tensor(a, b).norm() - 1.0) <= 1e-9
-
-
-@given(seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_inner_product_is_conjugate_symmetric(seed):
-    a = random_state(seed, ("1", "2"))
-    b = random_state(seed + 7, ("1", "2"))
-    assert inner(a, b) == pytest.approx(np.conj(inner(b, a)), abs=1e-12)
-
-
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.integers(1, 4),
-    tol=st.sampled_from((1e-12, 1e-9)),
-    scale=st.sampled_from((0.0, 0.25, 0.5, 1.0, 2.0, 1e6)),
-)
-@settings(max_examples=300, deadline=None)
-def test_acts_trivially_matches_commutator_reference(seed, n, tol, scale):
-    # identity on one slot plus a perturbation of a few tolerances, so
-    # both decisions and the ties at the margin all occur
-    rng = np.random.default_rng(seed)
-    axis = int(rng.integers(n))
-    rest = rng.normal(size=(2 ** (n - 1),) * 2) + 1j * rng.normal(size=(2 ** (n - 1),) * 2)
-    big = np.kron(np.eye(2), rest).reshape((2,) * (2 * n))
-    big = np.moveaxis(big, (0, n), (axis, n + axis)).reshape(2**n, 2**n)
-    noise = rng.normal(size=big.shape) + 1j * rng.normal(size=big.shape)
-    noise = np.where(rng.random(big.shape) < 0.3, noise, 0)
-    mat = big + scale * tol * noise
-    assert _acts_trivially(mat, n, axis, tol) == oracle.acts_trivially(mat, n, axis, tol)
-
-
-# --- the exact core -----------------------------------------------------------
 
 
 def exact_projector(amps, slots, name=""):
@@ -346,7 +38,7 @@ class TestExactCore:
     def test_integer_vector_stands_for_its_direction(self):
         s = exact.StateVector((1, 1), ("B",))
         assert s.norm2 == 2
-        np.testing.assert_allclose(oracle.as_float(s).amps, oracle.XPLUS, atol=TOL)
+        np.testing.assert_allclose(oracle.unit(s), oracle.XPLUS, atol=TOL)
 
     @pytest.mark.parametrize(
         "amps, slots, error",
@@ -355,6 +47,7 @@ class TestExactCore:
             ((1.0, 0), ("A",), exact.HardyLabError),
             ((1, 0, 0, 0), ("1", "1"), SlotCollisionError),
             ((1, 0, 0), ("1", "2"), DimensionMismatchError),
+            ((1, 0), ("Q",), DimensionMismatchError),
         ],
     )
     def test_rejects_bad_states(self, amps, slots, error):
@@ -365,7 +58,7 @@ class TestExactCore:
         psi = exact_total_state()
         # rows (A, 1), columns (2, B): only A = + carries amplitude
         assert psi.amps == (0, 0, 1, 1, -1, -1, 0, 0) + (0,) * 8
-        np.testing.assert_allclose(oracle.as_float(psi).amps, oracle.total_state_vec(), atol=TOL)
+        np.testing.assert_allclose(oracle.unit(psi), oracle.total_state_vec(), atol=TOL)
 
     def test_joint_bell_projection_is_exactly_one_sixteenth(self):
         d1 = exact.ObservableOp(exact_bell_state(BELL_ORDER[0], ("A", "1")))
@@ -439,6 +132,228 @@ class TestExactCore:
         # <psi-|_(A,1) on the total state leaves -(|+>_2 (|+> + |->)_B)
         overlap = exact.partial_overlap(exact_bell_state(BELL_ORDER[0]), exact_total_state())
         assert overlap == [-1, -1, 0, 0]
+
+
+@st.composite
+def integer_states(draw, slots=CANONICAL_SLOTS, min_size=1):
+    """A nonzero integer state on some of ``slots``, in any order."""
+    on = draw(st.permutations(slots))[: draw(st.integers(min_size, len(slots)))]
+    amps = draw(st.lists(st.integers(-3, 3), min_size=2 ** len(on), max_size=2 ** len(on)))
+    assume(any(amps))
+    return exact.StateVector(tuple(amps), tuple(on))
+
+
+FULL_STATES = integer_states(min_size=4)
+DIRECTIONS = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(any)
+
+
+class TestStateVector:
+    def test_valid_construction(self):
+        s, same = exact.StateVector([0, 2], ["A"]), exact.StateVector((0, 2), ("A",))
+        assert (s.amps, s.slots, s.norm2, s.nonzero) == ((0, 2), ("A",), 4, ((1, 2),))
+        assert s == same and hash(s) == hash(same) and s != exact.StateVector((0, 1), ("A",))
+
+    def test_only_the_zero_vector_is_refused(self):
+        # any other integer vector is a direction, normalized by its norm2
+        assert exact.StateVector((3, 4), ("A",)).norm2 == 25
+        with pytest.raises(NormalizationError, match=r"^the zero vector on \('1', '2'\) is not"):
+            exact.StateVector((0, 0, 0, 0), ("1", "2"))
+
+    def test_rejects_duplicate_slots(self):
+        # the slot check is cached, and the cache keeps no refusal
+        for _ in range(2):
+            with pytest.raises(SlotCollisionError, match="duplicate slot labels"):
+                exact.StateVector((1, 0, 0, 0), ("1", "1"))
+
+    @pytest.mark.parametrize("slots, message", [
+        (("Q",), "unknown slot labels ['Q']"), ((), "slot count must be 1..4, got 0"),
+        (CANONICAL_SLOTS + ("A",), "slot count must be 1..4, got 5"),
+    ], ids=["unknown", "none", "five"])
+    def test_rejects_unknown_slot(self, slots, message):
+        for _ in range(2):
+            with pytest.raises(DimensionMismatchError, match=re.escape(message)):
+                exact.StateVector((1,) + (0,) * (2 ** len(slots) - 1), slots)
+
+    @pytest.mark.parametrize("amp", [math.nan, math.inf, 1.0, Fraction(1), np.int64(1), True, "1"])
+    def test_rejects_non_integer_amplitudes(self, amp):
+        # a float, even a whole one, would let rounding into the algebra
+        with pytest.raises(exact.HardyLabError, match="amplitudes must be integers"):
+            exact.StateVector((amp, 0), ("A",))
+
+    def test_amps_are_immutable(self):
+        s = oracle.exact_ket("+", ("A",))
+        with pytest.raises(TypeError):
+            s.amps[0] = 0
+        for field in ("amps", "slots", "norm2"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field {field!r}"):
+                setattr(s, field, None)
+        assert (s.amps, s.slots, s.norm2) == ((1, 0), ("A",), 1)
+
+
+@given(s=integer_states(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_reordered_state_has_the_same_weights(s, data):
+    # slots are read by label: the same ket listed in another order
+    order = tuple(data.draw(st.permutations(s.slots)))
+    moved = oracle.permutation(s.slots, order) @ np.array(s.amps)
+    r = exact.StateVector(tuple(int(a) for a in moved), order)
+    np.testing.assert_array_equal(oracle.unit(r), oracle.unit(s))
+    op = exact.ObservableOp(data.draw(integer_states(s.slots)))
+    assert exact.born_weight(op, r) == exact.born_weight(op, s)
+
+
+class TestTensor:
+    def test_basis_product(self):
+        out = exact.tensor(oracle.exact_ket("+", ("1",)), oracle.exact_ket("-", ("2",)))
+        assert (out.amps, out.slots, out.norm2) == ((0, 1, 0, 0), ("1", "2"), 1)
+
+    def test_total_state_is_the_product_of_its_factors(self):
+        a, b = make_ancillas()
+        assert exact.tensor(exact.tensor(a, make_singlet()), b) == exact_total_state()
+
+    def test_slot_collision(self):
+        with pytest.raises(SlotCollisionError):
+            exact.tensor(oracle.exact_ket("+", ("1",)), oracle.exact_ket("-", ("1",)))
+
+
+@given(a=integer_states(("A", "1")), b=integer_states(("2", "B")))
+@settings(max_examples=50, deadline=None)
+def test_tensor_multiplies_the_squared_lengths(a, b):
+    out = exact.tensor(a, b)
+    assert out.norm2 == a.norm2 * b.norm2
+    np.testing.assert_allclose(oracle.unit(out), np.kron(oracle.unit(a), oracle.unit(b)), atol=TOL)
+
+
+class TestApply:
+    @given(s=integer_states())
+    @settings(max_examples=50, deadline=None)
+    def test_own_projector_returns_the_state_exactly(self, s):
+        op = exact.ObservableOp(s)
+        amps, norm2 = exact.apply(op, s)
+        assert amps == tuple(s.norm2 * a for a in s.amps) and norm2 == s.norm2**3
+        assert exact.born_probability(op, s) == 1
+        g = math.gcd(*s.amps)
+        assert exact.collapse(op, s) == (1, exact.StateVector([a // g for a in s.amps], s.slots))
+
+    def test_orthogonal_projection_is_zero(self):
+        s = exact.StateVector((0, 0, 2, -6), ("B", "2"))  # |-> on B
+        for k in [(1, 0), (0, 1), (1, 1), (3, -2)]:
+            op = exact_projector(k, ("2",)) @ exact_projector((1, 0), ("B",))
+            amps, norm2 = exact.apply(op, s)
+            assert amps == (0, 0, 0, 0) and norm2 > 0
+            assert exact.born_weight(op, s)[0] == 0
+
+    @given(s=FULL_STATES, target=integer_states())
+    @settings(max_examples=50, deadline=None)
+    def test_residue_matches_the_projector_matrix(self, s, target):
+        amps, norm2 = exact.apply(exact.ObservableOp(target), s)
+        got = oracle.permutation(s.slots, CANONICAL_SLOTS) @ np.array(amps) / math.sqrt(norm2)
+        want = oracle.projector(target.amps, target.slots) @ oracle.unit(s)
+        np.testing.assert_allclose(got, want, atol=TOL)
+
+
+class TestBornProbability:
+    @given(s=FULL_STATES, slot=st.sampled_from(CANONICAL_SLOTS), k=DIRECTIONS)
+    @settings(max_examples=50, deadline=None)
+    def test_expectation_of_a_spin_direction(self, s, slot, k):
+        # P_k - P_k' is the +-1 spin observable along k, k' the orthogonal direction
+        up, down = exact_projector(k, (slot,)), exact_projector((-k[1], k[0]), (slot,))
+        p_up, p_down = exact.born_probability(up, s), exact.born_probability(down, s)
+        assert p_up + p_down == 1
+        reference = oracle.born(oracle.dense(up) - oracle.dense(down), oracle.unit(s))
+        assert float(p_up - p_down) == pytest.approx(reference, abs=TOL)
+
+
+class TestCollapse:
+    @given(s=integer_states(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_collapse_is_idempotent(self, s, data):
+        op = exact.ObservableOp(data.draw(integer_states(s.slots)))
+        assume(exact.born_weight(op, s)[0])
+        _, post = exact.collapse(op, s)
+        assert math.gcd(*post.amps) == 1
+        assert exact.collapse(op, post) == (1, post)
+
+
+class TestCommutator:
+    def test_z_and_x_projectors_on_one_qubit(self):
+        z, x = exact_projector((1, 0), ("1",)), exact_projector((1, 1), ("1",))
+        assert exact.commutator_norm(z, x) == Fraction(1, 2)
+
+    @given(a=integer_states(), b=integer_states())
+    @settings(max_examples=50, deadline=None)
+    def test_commutator_matches_the_dense_matrices(self, a, b):
+        pa, pb = exact.ObservableOp(a), exact.ObservableOp(b)
+        got = exact.commutator_norm(pa, pb)
+        assert exact.commutator_norm(pb, pa) == got
+        ma, mb = oracle.dense(pa), oracle.dense(pb)
+        assert float(got) == pytest.approx(np.abs(ma @ mb - mb @ ma).max(), abs=TOL)
+
+
+class TestMarginals:
+    @given(k=DIRECTIONS, slot=st.sampled_from(("1", "2")))
+    @settings(max_examples=50, deadline=None)
+    def test_singlet_marginal_is_maximally_mixed(self, k, slot):
+        assert exact.born_probability(exact_projector(k, (slot,)), make_singlet()) == Fraction(1, 2)
+
+    def test_product_state_slot(self):
+        s = oracle.exact_ket("+-", ("1", "2"))
+        assert exact.born_probability(exact_projector((0, 1), ("2",)), s) == 1
+        assert exact.born_probability(exact_projector((1, 0), ("2",)), s) == 0
+        assert exact.born_probability(exact_projector((2, 1), ("2",)), s) == Fraction(1, 5)
+
+
+class TestOperatorInvariants:
+    # Hermitian, idempotent and identity off its slots by construction
+    @given(target=integer_states())
+    @settings(max_examples=50, deadline=None)
+    def test_matrix_is_symmetric(self, target):
+        m = oracle.dense(exact.ObservableOp(target))
+        np.testing.assert_array_equal(m, m.T)
+
+    @given(target=integer_states())
+    @settings(max_examples=50, deadline=None)
+    def test_matrix_is_idempotent_with_its_rank_as_trace(self, target):
+        m = oracle.dense(exact.ObservableOp(target))
+        np.testing.assert_allclose(m @ m, m, atol=TOL)
+        assert np.trace(m) == pytest.approx(2 ** (4 - len(target.slots)), abs=TOL)
+
+    @given(target=integer_states())
+    @settings(max_examples=50, deadline=None)
+    def test_acts_on_exactly_the_target_slots(self, target):
+        op = exact.ObservableOp(target)
+        assert op.acts_on == frozenset(target.slots)
+        np.testing.assert_allclose(
+            oracle.dense(op), oracle.projector(target.amps, target.slots), atol=TOL
+        )
+
+
+@given(a=FULL_STATES, b=FULL_STATES)
+@settings(max_examples=50, deadline=None)
+def test_inner_product_is_symmetric(a, b):
+    # a target on every slot of the state leaves one number: <a|b> scaled
+    (ab,) = exact.partial_overlap(a, b)
+    assert exact.partial_overlap(b, a) == [ab]
+    reference = np.vdot(oracle.unit(a), oracle.unit(b)).real
+    assert ab / math.sqrt(a.norm2 * b.norm2) == pytest.approx(reference, abs=TOL)
+
+
+INTEGER_STATES = st.lists(st.integers(-3, 3), min_size=16, max_size=16).filter(any)
+
+
+@given(amps=INTEGER_STATES, order=st.permutations(CANONICAL_SLOTS))
+@settings(max_examples=50, deadline=None)
+def test_bell_projectors_are_complete_and_born_additive(amps, order):
+    s = exact.StateVector(tuple(amps), tuple(order))
+    for pair in ("A1", "2B"):
+        assert sum(exact.born_probability(build_d(pair, index), s) for index in BELL_ORDER) == 1
+
+
+@given(direction=st.tuples(st.integers(-100, 100), st.integers(-100, 100)).filter(any))
+@settings(max_examples=100, deadline=None)
+def test_singlet_anticorrelation_along_any_direction(direction):
+    both = exact_projector(direction, ("1",)) @ exact_projector(direction, ("2",))
+    assert exact.born_probability(both, make_singlet()) == 0
 
 
 def lab_operators():
@@ -555,7 +470,7 @@ class TestCheckTolerance:
         assert exact.check_tolerance(tol) is tol
 
     @pytest.mark.parametrize(
-        "tol", [math.nan, math.inf, -math.inf, -1, -1e-300, "0.1", None, np.int64(1)]
+        "tol", [math.nan, math.inf, -math.inf, -1, -1e-300, "0.1", None, np.int64(1), True, False]
     )
     def test_other_tolerances_are_refused_by_name(self, tol):
         with pytest.raises(exact.HardyLabError, match=re.escape(repr(tol))):

@@ -177,6 +177,9 @@ class TestReplayDeductions:
         trace = replay_deductions(HardyClaimSet(0.0, 1.0, 1.0, 0.0))
         assert not trace.contradiction
         assert trace.halted_at == 1
+        # a run needs a joint probability above the tolerance, not at it
+        for tol in (0, 1e-12):
+            assert replay_deductions(HardyClaimSet(tol, 1.0, 1.0, 0.0), tol).halted_at == 1
 
     def test_nonzero_u1u2_claim_blocks_step_four(self):
         trace = replay_deductions(HardyClaimSet(1 / 16, 1.0, 1.0, 0.25))

@@ -143,6 +143,20 @@ class TestBuildU:
         with pytest.raises(HardyLabError):
             build_u("B", Interpretation.FIXED_BASIS, PSIM)
 
+    @pytest.mark.parametrize("reading", ["fixed", "collapsed", None])
+    def test_a_reading_that_is_no_interpretation_is_refused(self, reading):
+        # every entry point reaches build_u, and the caches keep no refusal
+        calls = [
+            lambda: audit_pair(PSIM, PSIM, reading),
+            lambda: enumerate_all_pairs(reading),
+            lambda: quantum_probability_table(PSIM, PSIM, reading),
+            lambda: context_observables("u1u2", PSIM, PSIM, reading),
+        ]
+        for call in calls:
+            for _ in range(2):
+                with pytest.raises(HardyLabError, match=f"not {reading!r}$"):
+                    call()
+
     def test_slot_state_is_read_only_from_a_product_residual(self):
         from hardylab.observables import _pure_slot_state
 

@@ -1,3 +1,7 @@
+"""The four-qubit state, its Bell expansions and the shipped reference
+table, checked exactly, against the raw Kronecker products in ``oracle.py``
+and, for the expansion's completeness, on generated integer states."""
+
 import math
 from fractions import Fraction
 
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 
 from hardylab.core import CANONICAL_SLOTS, DimensionMismatchError, HardyLabError
 from hardylab.core import StateVector as ExactState
+from hardylab.core import ObservableOp, born_probability
 from hardylab.core import tensor as exact_tensor
 from hardylab.protocol import (
     BELL_ORDER,
@@ -23,80 +28,53 @@ from hardylab.protocol import (
 )
 
 import oracle
-from oracle import (
-    PAULI_X,
-    PAULI_Z,
-    ObservableOp,
-    StateVector,
-    as_float,
-    exact_ket,
-    expectation,
-    inner,
-    ket,
-    reconstruct,
-    reduced_projector_fidelity,
-)
+from oracle import I2, MINUS, PLUS, XPLUS, exact_ket, proj, unit
 
 TOL = 1e-12
 SQRT2 = np.sqrt(2.0)
 
 
-def random_state(seed: int, slots) -> StateVector:
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=2 ** len(slots)) + 1j * rng.normal(size=2 ** len(slots))
-    return StateVector(v / np.linalg.norm(v), tuple(slots))
-
-
 class TestStates:
     def test_singlet_amplitudes(self):
-        assert make_singlet().amps == (0, 1, -1, 0)
-        s = as_float(make_singlet())
-        assert s.slots == ("1", "2")
-        np.testing.assert_allclose(
-            s.amps, [0.0, 1.0 / SQRT2, -1.0 / SQRT2, 0.0], atol=TOL
-        )
-        assert abs(s.norm() - 1.0) <= TOL
+        s = make_singlet()
+        assert (s.amps, s.slots, s.norm2) == ((0, 1, -1, 0), ("1", "2"), 2)
+        np.testing.assert_allclose(unit(s), [0.0, 1.0 / SQRT2, -1.0 / SQRT2, 0.0], atol=TOL)
 
     def test_singlet_never_shows_parallel_spins(self):
-        s = as_float(make_singlet())
-        both_up = ObservableOp.projector_onto(ket("++", ("1", "2")))
-        post = both_up.matrix @ s.amps
-        assert np.abs(post).max() <= TOL
+        both_up = ObservableOp(exact_ket("++", ("1", "2")))
+        assert born_probability(both_up, make_singlet()) == 0
+        assert abs(np.vdot(np.kron(PLUS, PLUS), unit(make_singlet()))) <= TOL
 
     def test_ancilla_states(self):
-        a, b = map(as_float, make_ancillas())
-        assert abs(inner(a, a) - 1.0) <= TOL
-        assert abs(inner(b, b) - 1.0) <= TOL
-        z = ObservableOp.single_qubit(PAULI_Z, "A", name="Z")
-        x = ObservableOp.single_qubit(PAULI_X, "B", name="X")
-        assert expectation(z, a) == pytest.approx(1.0, abs=TOL)
-        assert expectation(x, b) == pytest.approx(1.0, abs=TOL)
+        a, b = make_ancillas()
+        assert (a.amps, a.slots, b.amps, b.slots) == ((1, 0), ("A",), (1, 1), ("B",))
+        np.testing.assert_allclose(unit(a), PLUS, atol=TOL)  # spin-up along z
+        np.testing.assert_allclose(unit(b), XPLUS, atol=TOL)  # spin-up along x
 
     def test_total_state_structure(self):
-        psi = as_float(make_total_state())
-        assert psi.slots == CANONICAL_SLOTS
-        np.testing.assert_allclose(psi.amps, oracle.total_state_vec(), atol=TOL)
-        nonzero = np.abs(psi.amps) > TOL
+        s = make_total_state()
+        assert s.slots == CANONICAL_SLOTS
+        psi = unit(s)
+        np.testing.assert_allclose(psi, oracle.total_state_vec(), atol=TOL)
+        nonzero = np.abs(psi) > TOL
         assert nonzero.sum() == 4
-        np.testing.assert_allclose(np.abs(psi.amps[nonzero]), 0.5, atol=TOL)
+        np.testing.assert_allclose(np.abs(psi[nonzero]), 0.5, atol=TOL)
         # ancilla A is untouched by the construction
-        assert reduced_projector_fidelity(psi, "A", ket("+", ("A",))) == pytest.approx(
-            1.0, abs=TOL
-        )
+        assert oracle.born(np.kron(proj(PLUS), np.eye(8)), psi) == pytest.approx(1.0, abs=TOL)
 
 
 class TestBellStates:
     def test_printed_sign_conventions(self):
-        psim = as_float(bell_state(BellIndex.PSI_MINUS, ("1", "2")))
-        np.testing.assert_allclose(psim.amps, [0, 1 / SQRT2, -1 / SQRT2, 0], atol=TOL)
-        phip = as_float(bell_state(BellIndex.PHI_PLUS, ("1", "2")))
-        np.testing.assert_allclose(phip.amps, [1 / SQRT2, 0, 0, 1 / SQRT2], atol=TOL)
+        psim = unit(bell_state(BellIndex.PSI_MINUS, ("1", "2")))
+        np.testing.assert_allclose(psim, [0, 1 / SQRT2, -1 / SQRT2, 0], atol=TOL)
+        phip = unit(bell_state(BellIndex.PHI_PLUS, ("1", "2")))
+        np.testing.assert_allclose(phip, [1 / SQRT2, 0, 0, 1 / SQRT2], atol=TOL)
 
     def test_orthonormal_basis(self):
-        states = [as_float(bell_state(i, ("A", "1"))) for i in BELL_ORDER]
+        states = [unit(bell_state(i, ("A", "1"))) for i in BELL_ORDER]
         for i, a in enumerate(states):
             for j, b in enumerate(states):
-                assert inner(a, b) == pytest.approx(float(i == j), abs=TOL)
+                assert np.vdot(a, b) == pytest.approx(float(i == j), abs=TOL)
 
 
 class TestExpansion:
@@ -105,31 +83,28 @@ class TestExpansion:
         assert exp.residual_slots == ("2", "B")
         br = exp.branch(BellIndex.PSI_MINUS)
         assert br.weight == Fraction(1, 4)
-        residual = as_float(br.residual)
-        assert reduced_projector_fidelity(residual, "2", ket("+", ("2",))) == pytest.approx(1.0, abs=TOL)
-        b_state = as_float(make_ancillas()[1])
-        assert reduced_projector_fidelity(residual, "B", b_state) == pytest.approx(1.0, abs=TOL)
+        # the residual is |+>_2 x |+x>_B up to sign
+        assert abs(np.vdot(np.kron(PLUS, XPLUS), unit(br.residual))) == pytest.approx(1.0, abs=TOL)
 
     def test_teleportation_pattern_on_qubit_2(self):
         # psi branches leave qubit 2 spin-up, phi branches spin-down
         exp = expand_in_bell_basis(make_total_state(), ("A", "1"))
         for index, target in [
-            (BellIndex.PSI_MINUS, "+"),
-            (BellIndex.PSI_PLUS, "+"),
-            (BellIndex.PHI_MINUS, "-"),
-            (BellIndex.PHI_PLUS, "-"),
+            (BellIndex.PSI_MINUS, PLUS),
+            (BellIndex.PSI_PLUS, PLUS),
+            (BellIndex.PHI_MINUS, MINUS),
+            (BellIndex.PHI_PLUS, MINUS),
         ]:
-            br = exp.branch(index)
-            fid = reduced_projector_fidelity(as_float(br.residual), "2", ket(target, ("2",)))
-            assert fid == pytest.approx(1.0, abs=TOL)
+            residual = unit(exp.branch(index).residual)  # on (2, B)
+            assert oracle.born(np.kron(proj(target), I2), residual) == pytest.approx(1.0, abs=TOL)
 
     def test_bob_pair_expansion(self):
         exp = expand_in_bell_basis(make_total_state(), ("2", "B"))
         assert exp.residual_slots == ("A", "1")
         br = exp.branch(BellIndex.PSI_MINUS)
         assert br.weight == Fraction(1, 4)
-        xplus = StateVector(np.array([1, 1], dtype=complex) / SQRT2, ("1",))
-        assert reduced_projector_fidelity(as_float(br.residual), "1", xplus) == pytest.approx(1.0, abs=TOL)
+        residual = unit(br.residual)  # on (A, 1)
+        assert oracle.born(np.kron(I2, proj(XPLUS)), residual) == pytest.approx(1.0, abs=TOL)
 
     def test_uniform_branch_weights(self):
         for pair in (("A", "1"), ("2", "B")):
@@ -137,17 +112,18 @@ class TestExpansion:
             for br in exp.branches:
                 assert (br.weight, abs(br.sign)) == (Fraction(1, 4), 1)
 
-    def test_split_convention_matches_the_float_expansion(self):
+    def test_split_convention_matches_the_partial_inner_products(self):
         # each residual's first largest-magnitude amplitude is positive, and
-        # the branch carries the sign, as the float layer's coefficient does
+        # the branch carries the sign of <b|psi>
         for pair in (("A", "1"), ("2", "B")):
             exact = expand_in_bell_basis(make_total_state(), pair)
-            floats = oracle.expand_in_bell_basis(oracle.make_total_state(), pair)
-            for got, ref in zip(exact.branches, floats.branches):
+            overlaps = oracle.bell_overlaps(oracle.total_state_vec(), pair)
+            for got in exact.branches:
                 assert max(got.residual.amps, key=abs) > 0
                 assert got.weight == Fraction(1, 4)
-                assert got.sign == np.sign(ref.coefficient.real)
-                np.testing.assert_allclose(as_float(got.residual).amps, ref.residual.amps, atol=TOL)
+                np.testing.assert_allclose(
+                    got.sign * unit(got.residual) / 2, overlaps[got.bell.value], atol=TOL
+                )
         psim = expand_in_bell_basis(make_total_state(), ("A", "1")).branch(BellIndex.PSI_MINUS)
         assert (psim.sign, psim.residual.amps) == (-1, (1, 1, 0, 0))
 
@@ -188,19 +164,23 @@ class TestExpansion:
 
 
 class TestReconstruction:
-    def test_total_state_round_trips(self):
-        psi = oracle.make_total_state()
-        for pair in (("A", "1"), ("2", "B")):
-            exp = oracle.expand_in_bell_basis(psi, pair)
-            np.testing.assert_allclose(reconstruct(exp), psi.amps, atol=TOL)
+    """The four Bell kets on a pair are complete: summing each ket times the
+    partial overlap it leaves gives back the state, in integers."""
 
-    @given(seed=st.integers(0, 2**32 - 1))
+    def test_total_state_round_trips(self):
+        for pair in (("A", "1"), ("2", "B")):
+            s = make_total_state()
+            assert oracle.bell_sum(s, pair).tolist() == [2 * a for a in s.amps]
+
+    @given(
+        amps=st.lists(st.integers(-3, 3), min_size=16, max_size=16).filter(any),
+        order=st.permutations(CANONICAL_SLOTS),
+    )
     @settings(max_examples=60, deadline=None)
-    def test_random_states_round_trip(self, seed):
-        s = random_state(seed, CANONICAL_SLOTS)
+    def test_integer_states_round_trip(self, amps, order):
+        s = ExactState(tuple(amps), tuple(order))
         for pair in (("A", "1"), ("2", "B"), ("A", "2"), ("1", "B")):
-            exp = oracle.expand_in_bell_basis(s, pair)
-            np.testing.assert_allclose(reconstruct(exp), s.amps, atol=1e-9)
+            assert oracle.bell_sum(s, pair).tolist() == [2 * a for a in s.amps]
 
 
 class TestReferenceComparison:
