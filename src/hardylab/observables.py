@@ -27,20 +27,24 @@ integer Born weights ``(num, den)``: the audit builds one Fraction per
 reported value and decides each verdict by :func:`~hardylab.core.within_tolerance`,
 and a pair's four tables make one :class:`~hardylab.lhv.ExactTable`.
 The 18 distinct operators, the products :func:`audit_pair` takes of
-their context pairs, and each pair's six audited operators are built on
-their first lookup and then reused for the rest of the process.
+their context pairs, each pair's six audited operators, and each
+reading's sweep plan are built on their first lookup and then reused
+for the rest of the process.  They are operators only, never weights.
 :func:`joint_outcome_table` accepts any operators, so it forms its
 product itself and keeps nothing.
 
-One audit computes its six Born weights.  A sweep of the 16 pairs audits
-96 operators but weighs each distinct one once per call: 33 under
-``fixed`` and 48 under ``collapsed``.  Every Bell branch weighs 1/4, so
-the pairs' four values repeat: a sweep builds the Fractions and verdicts
-of each distinct set of values once, 2 sets under ``fixed`` and 1 under
-``collapsed``, and gives each report its own copy of the verdicts.  The
-weights and the decided sets live in dicts that are dropped when the
-sweep returns, so no probability or report is kept between calls.  Each
-weight reads only the nonzero amplitudes of the state, 4 of its 16.
+One audit computes its six Born weights.  A sweep of the 16 pairs walks
+its reading's plan: the pairs' 96 operators in the reporting order and
+the distinct ones among them, 33 under ``fixed`` and 48 under
+``collapsed``.  It weighs the distinct ones once, up front.  Every Bell
+branch weighs 1/4, so the pairs' four values repeat: the sweep builds
+the Fractions and verdicts of each distinct set of values once, 2 sets
+under ``fixed`` and 1 under ``collapsed``, counts the pairs that share
+each, and gives each report its own copy of the verdicts.  Its summary
+is summed over those sets times their counts, exactly.  The weights and
+the decided sets live in dicts that are dropped when the sweep returns,
+so no probability or report is kept between calls.  Each weight reads
+only the nonzero amplitudes of the state, 4 of its 16.
 """
 
 from __future__ import annotations
@@ -114,6 +118,15 @@ def _pure_slot_state(residual: StateVector, slot: str) -> StateVector:
     return StateVector(tuple(x // g for x in column), (slot,))
 
 
+def _check_inputs(interp: Interpretation, *outcomes: BellIndex) -> None:
+    # before any cache lookup: an unhashable value would fail in the cache
+    for index in outcomes:
+        if not isinstance(index, BellIndex):
+            raise HardyLabError(f"a Bell outcome must be a BellIndex, not {index!r}")
+    if not isinstance(interp, Interpretation):
+        raise HardyLabError(f"a reading must be an Interpretation, not {interp!r}")
+
+
 def build_u(slot: str, interp: Interpretation, partner_outcome: BellIndex) -> ObservableOp:
     """Single-qubit projector for U1 (slot "1") or U2 (slot "2").
 
@@ -125,8 +138,7 @@ def build_u(slot: str, interp: Interpretation, partner_outcome: BellIndex) -> Ob
     """
     if slot not in ("1", "2"):
         raise HardyLabError(f"U observables live on qubit 1 or 2, not {slot!r}")
-    if not isinstance(interp, Interpretation):
-        raise HardyLabError(f"a reading must be an Interpretation, not {interp!r}")
+    _check_inputs(interp)
     if interp is Interpretation.FIXED_BASIS:
         partner_outcome = None
     return _u(slot, interp, partner_outcome)
@@ -183,39 +195,29 @@ def audit_pair(
     of the condition (a Bell branch, of weight 1/4).  The audit computes
     its six Born weights.
     """
+    _check_inputs(interp, i, j)
     tol_ratio = check_tolerance(tol).as_integer_ratio()
-    return _audit(i, j, interp, tol_ratio, {}, {})
+    values = _values(born_weight(op, TOTAL_STATE) for op in _audited(i, j, interp))
+    return AuditReport(i, j, interp, *_decide(values, tol_ratio))
 
 
-def _audit(
-    i: BellIndex,
-    j: BellIndex,
-    interp: Interpretation,
-    tol_ratio: tuple[int, int],
-    weights: dict,
-    decided: dict,
-) -> AuditReport:
-    """:func:`audit_pair`'s report, from the pair's six operators as looked
-    up in :func:`_audited`.  ``weights`` maps lab operators to their Born
-    weights on the total state, and ``decided`` maps a pair's four exact
-    values to their claim set and verdicts at ``tol_ratio``; what is not in
-    them is computed and added.  The report gets its own verdicts dict."""
-    ops = _audited(i, j, interp)
-    for op in ops:
-        if op not in weights:
-            weights[op] = born_weight(op, TOTAL_STATE)
-    joint, (a, b), (c, d), (e, f), (g, h), u1u2 = map(weights.__getitem__, ops)
-    # each value as integers (p, q) standing for p/q; a conditional
-    # (a/b) / (c/d) is a*d / (b*c)
-    values = (joint, (a * d, b * c), (e * h, f * g), u1u2)
-    if values not in decided:
-        decided[values] = (
-            HardyClaimSet(*(Fraction(p, q) for p, q in values)),
-            {key: within_tolerance(value, target, tol_ratio)
-             for value, (key, target) in zip(values, TARGET_RATIOS.items())},
-        )
-    measured, verdicts = decided[values]
-    return AuditReport(i, j, interp, measured, dict(verdicts))
+def _values(weights) -> tuple[tuple[int, int], ...]:
+    """The four exact values of an audit, each as integers ``(p, q)``
+    standing for p/q, from the Born weights of its six operators in the
+    order :func:`_audited` gives them.  A conditional (a/b) / (c/d) is
+    a*d / (b*c)."""
+    joint, (a, b), (c, d), (e, f), (g, h), u1u2 = weights
+    return joint, (a * d, b * c), (e * h, f * g), u1u2
+
+
+def _decide(values: tuple, tol_ratio: tuple[int, int]) -> tuple[HardyClaimSet, dict]:
+    """The claim set of four exact values and a new dict of their verdicts
+    at ``tol_ratio``."""
+    return (
+        HardyClaimSet(*(Fraction(p, q) for p, q in values)),
+        {key: within_tolerance(value, target, tol_ratio)
+         for value, (key, target) in zip(values, TARGET_RATIOS.items())},
+    )
 
 
 def enumerate_all_pairs(
@@ -225,24 +227,38 @@ def enumerate_all_pairs(
 
     The reports come in the fixed order (psi-, psi+, phi-, phi+) for D1
     crossed with the same for D2, so repeated runs are byte-identical.
-    Each pair's six operators are looked up, not rebuilt.  Each distinct
-    operator is weighed once per call: 33 of the 96 audited under
-    ``fixed``, 48 under ``collapsed``.  Each distinct set of four values is
-    decided once per call: 2 under ``fixed``, 1 under ``collapsed``.  The
-    weights and decisions are dropped when the call returns.
+    The sweep walks the reading's plan (:func:`_plan`): the 16 pairs with
+    their six operators each, and the distinct operators among them.  It
+    first weighs each distinct operator once: 33 of the 96 audited under
+    ``fixed``, 48 under ``collapsed``.  Then it decides each distinct set
+    of four values once, 2 under ``fixed`` and 1 under ``collapsed``, and
+    counts the pairs that share it; each report gets its own verdicts.
+    The summary is summed over the distinct sets times their counts,
+    which is exact, so it equals the sum over the 16 reports.  The
+    weights, decisions and counts are dropped when the call returns.
     """
+    _check_inputs(interp)
     tol_ratio = check_tolerance(tol).as_integer_ratio()
-    weights = {}  # lab operator -> Born weight, for this call only
-    decided = {}  # four exact values -> (claim set, verdicts), for this call only
-    reports = [_audit(i, j, interp, tol_ratio, weights, decided)
-               for i in BELL_ORDER for j in BELL_ORDER]
-    joints = [r.measured.p_joint.as_integer_ratio() for r in reports]
-    den = math.lcm(*(q for _, q in joints))
-    per_claim = {key: sum(1 for r in reports if r.verdicts[key]) for key in HardyClaimSet._fields}
+    pairs, distinct = _plan(interp)
+    weights = {op: born_weight(op, TOTAL_STATE) for op in distinct}  # for this call only
+    decided = {}  # four exact values -> [claim set, verdicts, pair count], for this call only
+    reports = []
+    for i, j, ops in pairs:
+        values = _values(map(weights.__getitem__, ops))
+        entry = decided.get(values)
+        if entry is None:
+            entry = decided[values] = [*_decide(values, tol_ratio), 0]
+        entry[2] += 1
+        reports.append(AuditReport(i, j, interp, entry[0], dict(entry[1])))
+    sets = decided.values()
+    joints = [(values[0], n) for values, (_, _, n) in decided.items()]
+    den = math.lcm(*(q for (_, q), _ in joints))
     summary = {
-        "sum_p_joint": float(Fraction(sum(p * (den // q) for p, q in joints), den)),
-        "pairs_passing_all": sum(1 for r in reports if r.all_pass),
-        "per_claim_pass_counts": per_claim,
+        "sum_p_joint": float(Fraction(sum(n * p * (den // q) for (p, q), n in joints), den)),
+        "pairs_passing_all": sum(n for _, verdicts, n in sets if all(verdicts.values())),
+        "per_claim_pass_counts": {
+            key: sum(n for _, verdicts, n in sets if verdicts[key]) for key in HardyClaimSet._fields
+        },
     }
     return reports, summary
 
@@ -269,10 +285,19 @@ def _lab(i: BellIndex, j: BellIndex, interp: Interpretation) -> tuple[Observable
 @cache
 def _audited(i: BellIndex, j: BellIndex, interp: Interpretation) -> tuple[ObservableOp, ...]:
     """The six operators an audit of the pair (D1=i, D2=j) weighs, in the
-    order :func:`_audit` reads them: D1*D2, D1*U2, D1, U1*D2, D2, U1*U2.
-    Operators only, like every lab entry: never their weights."""
+    order :func:`_values` reads their weights: D1*D2, D1*U2, D1, U1*D2,
+    D2, U1*U2.  Operators only, like every lab entry: never their weights."""
     d1, d2, u1, u2 = _lab(i, j, interp)
     return _product(d1, d2), _product(d1, u2), d1, _product(u1, d2), d2, _product(u1, u2)
+
+
+@cache
+def _plan(interp: Interpretation) -> tuple[tuple, tuple[ObservableOp, ...]]:
+    """A sweep's plan for one reading: the 16 entries ``(i, j, six
+    operators)`` in the reporting order, then the distinct operators among
+    them in first-seen order.  Operators only: never their weights."""
+    pairs = tuple((i, j, _audited(i, j, interp)) for i in BELL_ORDER for j in BELL_ORDER)
+    return pairs, tuple(dict.fromkeys(op for _, _, ops in pairs for op in ops))
 
 
 def context_observables(
@@ -285,5 +310,6 @@ def context_observables(
     key, names = key.lower(), ("d1", "d2", "u1", "u2")  # in the order _lab returns them
     if len(key) != 4 or key[:2] not in names or key[2:] not in names:
         raise HardyLabError(f"bad context {key!r}; want two of d1,d2,u1,u2")
+    _check_inputs(interp, d1_bell, d2_bell)
     lab = _lab(d1_bell, d2_bell, interp)
     return lab[names.index(key[:2])], lab[names.index(key[2:])]

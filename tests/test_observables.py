@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -143,9 +144,10 @@ class TestBuildU:
         with pytest.raises(HardyLabError):
             build_u("B", Interpretation.FIXED_BASIS, PSIM)
 
-    @pytest.mark.parametrize("reading", ["fixed", "collapsed", None])
+    @pytest.mark.parametrize("reading", ["fixed", "collapsed", None, []])
     def test_a_reading_that_is_no_interpretation_is_refused(self, reading):
-        # every entry point reaches build_u, and the caches keep no refusal
+        # every entry point refuses it before any cache lookup, and the
+        # caches keep no refusal
         calls = [
             lambda: audit_pair(PSIM, PSIM, reading),
             lambda: enumerate_all_pairs(reading),
@@ -154,7 +156,21 @@ class TestBuildU:
         ]
         for call in calls:
             for _ in range(2):
-                with pytest.raises(HardyLabError, match=f"not {reading!r}$"):
+                with pytest.raises(HardyLabError, match=f"not {re.escape(repr(reading))}$"):
+                    call()
+
+    @pytest.mark.parametrize("index", ["psi-", None, [], 0])
+    def test_a_bell_outcome_that_is_no_bell_index_is_refused(self, index):
+        fixed = Interpretation.FIXED_BASIS
+        calls = [
+            lambda: audit_pair(index, PSIM, fixed),
+            lambda: audit_pair(PSIM, index, fixed),
+            lambda: quantum_probability_table(index, PSIM, fixed),
+            lambda: context_observables("d1d2", PSIM, index, fixed),
+        ]
+        for call in calls:
+            for _ in range(2):
+                with pytest.raises(HardyLabError, match=f"not {re.escape(repr(index))}$"):
                     call()
 
     def test_slot_state_is_read_only_from_a_product_residual(self):
@@ -301,13 +317,21 @@ class TestEnumerateAllPairs:
         assert counts["c_d2u1"] == 0
         assert summary["pairs_passing_all"] == 0
 
-    @pytest.mark.parametrize("tol", [TOLERANCE, 0, 1e-9, 0.3, Fraction(1, 16)])
+    # the audit's margins are 0, 1/4, 1/2 and 1, so the verdicts, and the
+    # summary's counts over the distinct claim sets, change at each of them
+    MARGINS = [Fraction(1, 4), Fraction(1, 2), 1]
+    JUST_BELOW = [margin - Fraction(1, 10**30) for margin in MARGINS]
+
+    @pytest.mark.parametrize(
+        "tol", [TOLERANCE, 0, 1e-9, 0.3, Fraction(1, 16), *MARGINS, *JUST_BELOW]
+    )
     @pytest.mark.parametrize("interp", list(Interpretation))
     def test_a_sweep_equals_its_single_audits(self, interp, tol):
         reports, summary = enumerate_all_pairs(interp, tol)
         audits = [audit_pair(i, j, interp, tol) for i in BELL_ORDER for j in BELL_ORDER]
         assert reports == audits
-        # at 0.3 every collapsed pair passes all four claims
+        # from 1/4 every collapsed pair passes all four claims; from 1/2
+        # the 8 fixed pairs with a psi-type D1 do, and from 1 all 16
         assert summary["pairs_passing_all"] == sum(r.all_pass for r in audits)
         assert summary["per_claim_pass_counts"] == {
             key: sum(r.verdicts[key] for r in audits) for key in CLAIM_TARGETS._fields
